@@ -4,20 +4,18 @@ from .analytics import (
     PercentileCurve,
     RankReport,
     RateReport,
-    audience_retweeting_rate,
     percentile_curve,
     rank_correlation,
     rank_join,
     rate_report,
     top_k,
     url_attribute_average,
-    user_retweeting_rate,
 )
 from .baselines import (
     PageRankParams,
     ScoreVector,
     follower_count,
-    h_index,
+    h_index_scores,
     invert_graph,
     retweet_count,
     weighted_pagerank,
@@ -26,12 +24,10 @@ from .errors import IpRankError
 from .graphs import (
     GraphStats,
     InfluenceGraph,
-    PairwiseCounts,
     build_comention,
     build_retweet,
     build_retweet_follower,
     graph_stats,
-    pairwise_counts,
 )
 from .ingest import (
     ActivityLog,
@@ -57,7 +53,6 @@ __all__ = [
     "IpRankError",
     "IterationTrace",
     "PageRankParams",
-    "PairwiseCounts",
     "PercentileCurve",
     "RankReport",
     "RateReport",
@@ -65,7 +60,6 @@ __all__ = [
     "ScorePair",
     "ScoreVector",
     "TweetEvent",
-    "audience_retweeting_rate",
     "build_comention",
     "build_retweet",
     "build_retweet_follower",
@@ -73,9 +67,8 @@ __all__ = [
     "delta",
     "follower_count",
     "graph_stats",
-    "h_index",
+    "h_index_scores",
     "invert_graph",
-    "pairwise_counts",
     "parse_clicks",
     "parse_events",
     "parse_follows",
@@ -88,6 +81,5 @@ __all__ = [
     "top_k",
     "url_attribute_average",
     "url_counts",
-    "user_retweeting_rate",
     "weighted_pagerank",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import ScoreVector
 from .errors import InsufficientOverlap, InvalidParams, NoData
-from .ingest import ActivityLog, FollowEdgeList
+from .ingest import ActivityLog, FollowEdgeList, _lookup
 
 RATE_HIST_BINS = 10
 
@@ -67,48 +67,6 @@ class RankReport:
     rows: tuple[tuple, ...]
 
 
-def user_retweeting_rate(
-    log: ActivityLog, follows: FollowEdgeList, user: str
-) -> float | None:
-    """Share of received URL posts the user retweeted; None when nothing received."""
-    followees = follows.followees_of(user)
-    if not followees:
-        return None
-    received = 0
-    received_pairs: set[tuple[str, str]] = set()
-    for followee in followees:
-        for ev in log.events_of(followee):
-            received += 1
-            received_pairs.add((followee, ev.url))
-    if received == 0:
-        return None
-    retweeted = {
-        (ev.source, ev.url)
-        for ev in log.events_of(user)
-        if ev.source is not None and (ev.source, ev.url) in received_pairs
-    }
-    return len(retweeted) / received
-
-
-def audience_retweeting_rate(
-    log: ActivityLog, follows: FollowEdgeList, user: str
-) -> float | None:
-    """Share of deliveries to the user's followers that came back as retweets."""
-    followers = follows.followers_of(user)
-    if not followers:
-        return None
-    own_events = log.events_of(user)
-    if not own_events:
-        return None
-    posted = {ev.url for ev in own_events}
-    pairs: set[tuple[str, str]] = set()
-    for follower in followers:
-        for ev in log.events_of(follower):
-            if ev.source == user and ev.url in posted:
-                pairs.add((follower, ev.url))
-    return len(pairs) / (len(own_events) * len(followers))
-
-
 def _summarize(rates: dict[str, float]) -> RateSummary:
     if not rates:
         return RateSummary(float("nan"), float("nan"), (0,) * RATE_HIST_BINS)
@@ -120,16 +78,33 @@ def _summarize(rates: dict[str, float]) -> RateSummary:
 
 
 def rate_report(log: ActivityLog, follows: FollowEdgeList) -> RateReport:
-    everyone = sorted(log.users | follows.users())
-    user_rates = {}
-    audience_rates = {}
-    for user in everyone:
-        ur = user_retweeting_rate(log, follows, user)
-        if ur is not None:
-            user_rates[user] = ur
-        ar = audience_retweeting_rate(log, follows, user)
-        if ar is not None:
-            audience_rates[user] = ar
+    """User and audience retweeting rates of every user with a defined rate.
+
+    A user's rate is the share of the events of its followees that it
+    retweeted, counting each (followee, url) once; undefined when the
+    followees posted nothing. A user's audience rate is the share of
+    (follower, own event) deliveries that came back as a distinct
+    (follower, url) retweet; undefined without followers or events.
+    """
+    followee, follower, extra = log.follow_codes(follows)
+    ids = log.user_ids + extra
+    n = len(ids)
+    events = np.bincount(log.user, minlength=n)
+    followees = np.bincount(follower, minlength=n)
+    followers = np.bincount(followee, minlength=n)
+    received = np.bincount(follower, weights=events[followee], minlength=n).astype(np.int64)
+    rt = log.retweets
+    _, followed = _lookup(followee * n + follower, rt.source * n + rt.user)
+    retweeted = np.bincount(rt.user[followed], minlength=n)
+    echoed = np.bincount(rt.source[followed], minlength=n)
+
+    def rates(defined: np.ndarray, num: np.ndarray, den: np.ndarray) -> dict[str, float]:
+        codes = np.flatnonzero(defined)
+        values = num[codes] / den[codes]
+        return {ids[c]: v for c, v in zip(codes.tolist(), values.tolist())}
+
+    user_rates = rates((followees > 0) & (received > 0), retweeted, received)
+    audience_rates = rates((followers > 0) & (events > 0), echoed, events * followers)
     return RateReport(
         user_rates,
         audience_rates,
@@ -144,17 +119,22 @@ def url_attribute_average(
     """Mean score over the distinct users that mentioned each URL.
 
     Retweeting a URL counts as mentioning it. Unscored users shrink the
-    averaging set; URLs with no scored mentioner are omitted.
+    averaging set; URLs with no scored mentioner are omitted. Each URL's sum
+    runs over its users in id order.
     """
-    mentioners: dict[str, set[str]] = {}
-    for ev in log.events:
-        mentioners.setdefault(ev.url, set()).add(ev.user)
-    averages: dict[str, float] = {}
-    for url in sorted(mentioners):
-        vals = [scores.values[u] for u in sorted(mentioners[url]) if u in scores.values]
-        if vals:
-            averages[url] = sum(vals) / len(vals)
-    return averages
+    values = scores.values
+    scored = np.array([uid in values for uid in log.user_ids], dtype=bool)
+    score = np.array([values.get(uid, 0.0) for uid in log.user_ids], dtype=np.float64)
+    posts = log.posts
+    keep = scored[posts.user]
+    # posts are sorted by (user, url), so bincount adds each URL's scores in user order
+    url, user = posts.url[keep], posts.user[keep]
+    n_urls = len(log.url_ids)
+    totals = np.bincount(url, weights=score[user], minlength=n_urls)
+    counts = np.bincount(url, minlength=n_urls)
+    urls = np.flatnonzero(counts)
+    averages = totals[urls] / counts[urls]
+    return {log.url_ids[k]: v for k, v in zip(urls.tolist(), averages.tolist())}
 
 
 def _nearest_rank(sorted_values: list[float], q: float) -> float:

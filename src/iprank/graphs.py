@@ -23,7 +23,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidParams
-from .ingest import ActivityLog, FollowEdgeList, _iter_lines
+from .ingest import ActivityLog, FollowEdgeList, _iter_lines, _lookup, _run_starts
 
 WEIGHT_HIST_BINS = 10
 
@@ -148,68 +148,30 @@ class GraphStats:
     weight_histogram: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class PairwiseCounts:
-    """Distinct-URL counts behind a co-mention arc (i, j).
-
-    ``s``: URLs j mentioned strictly after i's first mention of them;
-    ``f``: URLs i mentioned that j never did; ``p``: all URLs i mentioned.
-    """
-
-    s: int
-    f: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.s <= self.p and 0 <= self.f <= self.p):
-            raise ValueError(f"counts out of range: s={self.s} f={self.f} p={self.p}")
-
-
-def _url_times(log: ActivityLog) -> dict[str, dict[str, tuple[int, int]]]:
-    """Per user: url -> (first mention time, last mention time)."""
-    table: dict[str, dict[str, tuple[int, int]]] = {}
-    for ev in log.events:
-        per_url = table.setdefault(ev.user, {})
-        if ev.url in per_url:
-            first, _ = per_url[ev.url]
-            per_url[ev.url] = (first, ev.time)
-        else:
-            per_url[ev.url] = (ev.time, ev.time)
-    return table
-
-
-def _eligible(
-    times: dict[str, dict[str, tuple[int, int]]], min_urls: int
-) -> set[str]:
+def _eligible(log: ActivityLog, min_urls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per user code: whether it posted ``min_urls`` distinct URLs, and how many it posted."""
     if min_urls < 1:
         raise InvalidParams(f"min_urls must be >= 1, got {min_urls}")
-    return {u for u, d in times.items() if len(d) >= min_urls}
+    posted = np.bincount(log.posts.user, minlength=len(log.user_ids))
+    return posted >= min_urls, posted
 
 
-def _pair_counts(
-    ti: dict[str, tuple[int, int]], tj: dict[str, tuple[int, int]]
-) -> PairwiseCounts:
-    shared = 0
-    s = 0
-    if len(ti) <= len(tj):
-        for url, (first_i, _) in ti.items():
-            if url in tj:
-                shared += 1
-                if tj[url][1] > first_i:
-                    s += 1
-    else:
-        for url, (_, last_j) in tj.items():
-            if url in ti:
-                shared += 1
-                if last_j > ti[url][0]:
-                    s += 1
-    return PairwiseCounts(s=s, f=len(ti) - shared, p=len(ti))
+def _from_codes(
+    log: ActivityLog, eligible: np.ndarray, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
+) -> InfluenceGraph:
+    """Graph over the eligible users with arcs given as user codes."""
+    ids = log.user_ids
+    node_of = np.cumsum(eligible) - 1
+    nodes = [ids[c] for c in np.flatnonzero(eligible).tolist()]
+    return InfluenceGraph(nodes, node_of[src], node_of[dst], weights)
 
 
-def pairwise_counts(log: ActivityLog, i: str, j: str) -> PairwiseCounts:
-    """Co-mention counts for the ordered pair (i, j) over the whole log."""
-    times = _url_times(log)
-    return _pair_counts(times.get(i, {}), times.get(j, {}))
+def _in_log_edges(log: ActivityLog, follows: FollowEdgeList) -> tuple[np.ndarray, np.ndarray]:
+    """Follow edges whose endpoints both appear in the log, as sorted codes."""
+    followee, follower, _ = log.follow_codes(follows)
+    n = len(log.user_ids)
+    keep = (followee < n) & (follower < n)
+    return followee[keep], follower[keep]
 
 
 def build_comention(
@@ -221,59 +183,53 @@ def build_comention(
     strictly after i's first mention of it. Equal timestamps carry no causal
     order and do not count.
     """
-    times = _url_times(log)
-    eligible = _eligible(times, min_urls)
-    arcs: list[tuple[str, str, float]] = []
-    for i, j in sorted(follows.edges):
-        if i not in eligible or j not in eligible:
-            continue
-        counts = _pair_counts(times[i], times[j])
-        if counts.s < 1:
-            continue
-        arcs.append((i, j, counts.s / (counts.f + counts.s)))
-    return InfluenceGraph.from_arcs(arcs, nodes=eligible)
+    eligible, posted = _eligible(log, min_urls)
+    i, j = _in_log_edges(log, follows)
+    keep = eligible[i] & eligible[j]
+    i, j = i[keep], j[keep]
+    # one row per (edge, URL of i): i's posts are contiguous in the table
+    posts = log.posts
+    sizes = posted[i]
+    edge = np.repeat(np.arange(i.size), sizes)
+    row = np.repeat(np.searchsorted(posts.user, i) - (np.cumsum(sizes) - sizes), sizes)
+    row += np.arange(row.size)
+    pos, shared = _lookup(posts.key, log.post_key(j[edge], posts.url[row]))
+    later = shared & (posts.last[pos] > posts.first[row])
+    s = np.bincount(edge[later], minlength=i.size)
+    f = sizes - np.bincount(edge[shared], minlength=i.size)
+    arc = s >= 1
+    return _from_codes(log, eligible, i[arc], j[arc], s[arc] / (f[arc] + s[arc]))
 
 
-def _retweet_url_sets(
-    log: ActivityLog,
-    times: dict[str, dict[str, tuple[int, int]]],
-    eligible: set[str],
-) -> dict[tuple[str, str], set[str]]:
-    """(source, retweeter) -> distinct retweeted URLs the source mentioned."""
-    pairs: dict[tuple[str, str], set[str]] = {}
-    for ev in log.events:
-        if ev.source is None:
-            continue
-        i, j = ev.source, ev.user
-        if i in eligible and j in eligible and ev.url in times.get(i, {}):
-            pairs.setdefault((i, j), set()).add(ev.url)
-    return pairs
+def _retweet_arcs(
+    log: ActivityLog, eligible: np.ndarray, posted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source, retweeter) code pairs with weight S / P, pairs sorted."""
+    rt = log.retweets
+    keep = eligible[rt.source] & eligible[rt.user]
+    src, dst = rt.source[keep], rt.user[keep]
+    starts = _run_starts(src, dst)
+    s = np.diff(np.append(starts, src.size))
+    src, dst = src[starts], dst[starts]
+    return src, dst, s / posted[src]
 
 
 def build_retweet(log: ActivityLog, min_urls: int = 3) -> InfluenceGraph:
     """Influence graph from explicit retweet credits: weight S_ij / P_i."""
-    times = _url_times(log)
-    eligible = _eligible(times, min_urls)
-    pairs = _retweet_url_sets(log, times, eligible)
-    arcs = [
-        (i, j, len(urls) / len(times[i])) for (i, j), urls in sorted(pairs.items())
-    ]
-    return InfluenceGraph.from_arcs(arcs, nodes=eligible)
+    eligible, posted = _eligible(log, min_urls)
+    return _from_codes(log, eligible, *_retweet_arcs(log, eligible, posted))
 
 
 def build_retweet_follower(
     log: ActivityLog, follows: FollowEdgeList, min_urls: int = 3
 ) -> InfluenceGraph:
     """Retweet graph restricted to arcs where the retweeter follows the source."""
-    times = _url_times(log)
-    eligible = _eligible(times, min_urls)
-    pairs = _retweet_url_sets(log, times, eligible)
-    arcs = [
-        (i, j, len(urls) / len(times[i]))
-        for (i, j), urls in sorted(pairs.items())
-        if (i, j) in follows
-    ]
-    return InfluenceGraph.from_arcs(arcs, nodes=eligible)
+    eligible, posted = _eligible(log, min_urls)
+    src, dst, w = _retweet_arcs(log, eligible, posted)
+    i, j = _in_log_edges(log, follows)
+    n = len(log.user_ids)
+    _, followed = _lookup(i * n + j, src * n + dst)
+    return _from_codes(log, eligible, src[followed], dst[followed], w[followed])
 
 
 def graph_stats(g: InfluenceGraph) -> GraphStats:

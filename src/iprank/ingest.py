@@ -7,23 +7,45 @@ File formats (UTF-8, one record per line, TAB-separated):
   follows: ``followee<TAB>follower``
   clicks:  ``url<TAB>count``
 
-``time`` is a base-10 integer (milliseconds). Blank lines and lines starting
-with ``#`` are ignored, so serialized files may carry comment headers.
+``time`` is a base-10 integer (milliseconds) that fits in 64 bits. Blank
+lines and lines starting with ``#`` are ignored, so serialized files may carry
+comment headers.
 """
 
 from __future__ import annotations
 
 import io
-import re
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 from .errors import EmptyInput, InvalidParams, NegativeCount, UnparsableLine
 
 MENTION = "M"
 RETWEET = "RT"
 
-_INT_RE = re.compile(r"^-?[0-9]+$")
+_TIME_MIN = -(2**63)
+_TIME_MAX = 2**63 - 1
+_EVENT_SHAPE = "expected 'time user url M' or 'time user url RT source'"
+# first characters of a time token; a line starting with one is never skippable
+_TIME_START = frozenset("-0123456789")
+
+
+def _event_error(user: str, url: str, source: str | None) -> str | None:
+    """Why (user, url, source) is not a valid event, or None when it is."""
+    if not user:
+        return "empty user id"
+    if not url:
+        return "empty url"
+    if source is not None:
+        if not source:
+            return "empty retweet source"
+        if source == user:
+            return "retweet credits its own author"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,15 +58,9 @@ class TweetEvent:
     source: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.user:
-            raise ValueError("empty user id")
-        if not self.url:
-            raise ValueError("empty url")
-        if self.source is not None:
-            if not self.source:
-                raise ValueError("empty retweet source")
-            if self.source == self.user:
-                raise ValueError("retweet credits its own author")
+        reason = _event_error(self.user, self.url, self.source)
+        if reason is not None:
+            raise ValueError(reason)
 
     @property
     def is_retweet(self) -> bool:
@@ -54,40 +70,198 @@ class TweetEvent:
     def kind(self) -> str:
         return RETWEET if self.source is not None else MENTION
 
-    def sort_key(self) -> tuple[int, str, str, str, str]:
-        return (self.time, self.user, self.url, self.kind, self.source or "")
+
+@dataclass(frozen=True, slots=True)
+class Posts:
+    """Distinct (user, url) pairs of a log, sorted by (user, url).
+
+    ``first`` and ``last`` are the earliest and latest time the user mentioned
+    the URL (retweets count as mentions); ``key`` is the ascending
+    :meth:`ActivityLog.post_key` of each row, for lookups.
+    """
+
+    user: np.ndarray
+    url: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    key: np.ndarray
+
+
+@dataclass(frozen=True, slots=True)
+class Retweets:
+    """Distinct (source, retweeter, url) triples whose source posted the URL,
+    sorted, with the number of retweet events behind each triple."""
+
+    source: np.ndarray
+    user: np.ndarray
+    url: np.ndarray
+    count: np.ndarray
+
+
+def _sorted_codes(table: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Ids in sorted order, and the map from insertion code to sorted code."""
+    ids = sorted(table)
+    rank = np.empty(len(ids), dtype=np.int64)
+    inserted = np.fromiter(map(table.__getitem__, ids), dtype=np.int64, count=len(ids))
+    rank[inserted] = np.arange(len(ids))
+    return tuple(ids), rank
+
+
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal rows in sorted, equal-length columns."""
+    new = np.zeros(cols[0].size, dtype=bool)
+    new[:1] = True
+    for col in cols:
+        new[1:] |= col[1:] != col[:-1]
+    return np.flatnonzero(new)
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each key in ``sorted_keys`` (clipped to a valid index) and
+    whether it is present there."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape, dtype=np.int64), np.zeros(keys.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return pos, sorted_keys[pos] == keys
 
 
 class ActivityLog:
-    """Time-sorted event sequence with a per-user position index.
+    """Time-sorted events as columns of interned codes.
 
-    Ties on time are ordered by (user, url, kind, source), so the log is
-    identical no matter how the input lines were permuted.
+    ``user_ids`` (authors and retweet sources) and ``url_ids`` are sorted, so
+    code order is id order. ``time``, ``user``, ``url`` and ``source`` are
+    int64 columns, ``source`` being -1 for a plain mention. Rows are ordered
+    by (time, user, url, kind, source), so the log is identical no matter how
+    the input lines were permuted.
     """
 
-    __slots__ = ("events", "by_user", "skipped")
+    __slots__ = (
+        "user_ids", "url_ids", "user_index", "time", "user", "url", "source",
+        "skipped", "_events", "_posts", "_retweets",
+    )
 
-    def __init__(self, events: Iterable[TweetEvent], skipped: int = 0) -> None:
-        self.events: tuple[TweetEvent, ...] = tuple(
-            sorted(events, key=TweetEvent.sort_key)
-        )
-        index: dict[str, list[int]] = {}
-        for pos, ev in enumerate(self.events):
-            index.setdefault(ev.user, []).append(pos)
-        self.by_user: dict[str, tuple[int, ...]] = {
-            u: tuple(p) for u, p in index.items()
-        }
+    def __init__(self, events: Iterable[TweetEvent] = (), skipped: int = 0) -> None:
+        users: dict[str, int] = {}
+        urls: dict[str, int] = {}
+        cols = tuple(array("q") for _ in range(4))
+        for ev in events:
+            cols[0].append(ev.time)
+            cols[1].append(users.setdefault(ev.user, len(users)))
+            cols[2].append(urls.setdefault(ev.url, len(urls)))
+            cols[3].append(-1 if ev.source is None else users.setdefault(ev.source, len(users)))
+        self._load(users, urls, cols, skipped)
+
+    @classmethod
+    def _from_interned(
+        cls, users: dict[str, int], urls: dict[str, int], cols: tuple[array, ...], skipped: int
+    ) -> "ActivityLog":
+        log = cls.__new__(cls)
+        log._load(users, urls, cols, skipped)
+        return log
+
+    def _load(
+        self, users: dict[str, int], urls: dict[str, int], cols: tuple[array, ...], skipped: int
+    ) -> None:
+        """Renumber codes into sorted-id order and sort the rows."""
+        time, user, url, source = (np.frombuffer(c, dtype=np.int64) for c in cols)
+        self.user_ids, user_rank = _sorted_codes(users)
+        self.url_ids, url_rank = _sorted_codes(urls)
+        user = user_rank[user]
+        url = url_rank[url]
+        source = np.where(source >= 0, user_rank[np.maximum(source, 0)], -1)
+        order = np.lexsort((source, url, user, time))
+        for name, col in (("time", time), ("user", user), ("url", url), ("source", source)):
+            col = col[order]
+            col.flags.writeable = False
+            setattr(self, name, col)
+        self.user_index = {uid: k for k, uid in enumerate(self.user_ids)}
         self.skipped = skipped
+        self._events = None
+        self._posts = None
+        self._retweets = None
+
+    @property
+    def events(self) -> tuple[TweetEvent, ...]:
+        """The rows as :class:`TweetEvent` objects, built on first use."""
+        if self._events is None:
+            users, urls = self.user_ids, self.url_ids
+            self._events = tuple(
+                TweetEvent(t, users[u], urls[r], users[s] if s >= 0 else None)
+                for t, u, r, s in zip(
+                    self.time.tolist(), self.user.tolist(), self.url.tolist(), self.source.tolist()
+                )
+            )
+        return self._events
+
+    @property
+    def by_user(self) -> dict[str, tuple[int, ...]]:
+        """Row positions of each posting user, users in id order."""
+        index: dict[int, list[int]] = {}
+        for pos, code in enumerate(self.user.tolist()):
+            index.setdefault(code, []).append(pos)
+        return {self.user_ids[c]: tuple(index[c]) for c in sorted(index)}
 
     @property
     def users(self) -> frozenset[str]:
-        return frozenset(self.by_user)
+        """Ids that posted at least one event."""
+        return frozenset(self.user_ids[c] for c in np.unique(self.user).tolist())
 
-    def events_of(self, user: str) -> tuple[TweetEvent, ...]:
-        return tuple(self.events[p] for p in self.by_user.get(user, ()))
+    def post_key(self, user: np.ndarray, url: np.ndarray) -> np.ndarray:
+        """Key of (user, url) code pairs that sorts like the pairs."""
+        return user * len(self.url_ids) + url
+
+    @property
+    def posts(self) -> Posts:
+        if self._posts is None:
+            key = self.post_key(self.user, self.url)
+            order = np.argsort(key, kind="stable")  # equal keys stay in time order
+            key = key[order]
+            starts = _run_starts(key)
+            ends = np.append(starts[1:], key.size) - 1
+            first = order[starts]
+            self._posts = Posts(
+                self.user[first], self.url[first], self.time[first],
+                self.time[order[ends]], key[starts],
+            )
+        return self._posts
+
+    @property
+    def retweets(self) -> Retweets:
+        if self._retweets is None:
+            rows = np.flatnonzero(self.source >= 0)
+            source, user, url = self.source[rows], self.user[rows], self.url[rows]
+            _, posted = _lookup(self.posts.key, self.post_key(source, url))
+            source, user, url = source[posted], user[posted], url[posted]
+            order = np.lexsort((url, user, source))
+            source, user, url = source[order], user[order], url[order]
+            starts = _run_starts(source, user, url)
+            count = np.diff(np.append(starts, source.size))
+            self._retweets = Retweets(source[starts], user[starts], url[starts], count)
+        return self._retweets
+
+    def follow_codes(
+        self, follows: "FollowEdgeList"
+    ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        """Follow edges as (followee, follower) code arrays sorted by that pair.
+
+        Ids the log never saw get codes from ``len(user_ids)`` up, in the
+        order of the returned sorted tuple of extra ids.
+        """
+        flat = [uid for edge in follows.edges for uid in edge]
+        get = self.user_index.get
+        codes = np.fromiter(map(get, flat, repeat(-1)), dtype=np.int64, count=len(flat))
+        missing = np.flatnonzero(codes < 0)
+        extra = tuple(sorted({flat[k] for k in missing.tolist()}))
+        if extra:
+            base = len(self.user_ids)
+            extra_code = {uid: base + k for k, uid in enumerate(extra)}
+            codes[missing] = [extra_code[flat[k]] for k in missing.tolist()]
+        pairs = codes.reshape(-1, 2)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        return pairs[order, 0], pairs[order, 1], extra
 
     def __len__(self) -> int:
-        return len(self.events)
+        return int(self.time.size)
 
     def __iter__(self) -> Iterator[TweetEvent]:
         return iter(self.events)
@@ -95,13 +269,20 @@ class ActivityLog:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ActivityLog):
             return NotImplemented
-        return self.events == other.events
+        return (
+            self.user_ids == other.user_ids
+            and self.url_ids == other.url_ids
+            and all(
+                np.array_equal(getattr(self, c), getattr(other, c))
+                for c in ("time", "user", "url", "source")
+            )
+        )
 
     def __hash__(self) -> int:
-        return hash(self.events)
+        return hash((self.user_ids, self.url_ids, self.time.tobytes(), self.source.tobytes()))
 
     def __repr__(self) -> str:
-        return f"ActivityLog({len(self.events)} events, {len(self.by_user)} users)"
+        return f"ActivityLog({len(self)} events, {len(self.users)} users)"
 
 
 class FollowEdgeList:
@@ -161,29 +342,21 @@ class ClickTable:
 
 def _iter_lines(stream: IO | str | bytes | Iterable[str]) -> Iterator[str]:
     if isinstance(stream, bytes):
-        yield from io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        yield from io.StringIO(stream)
-    else:
-        for raw in stream:
-            yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        return io.StringIO(stream.decode("utf-8"))
+    if isinstance(stream, str):
+        return io.StringIO(stream)
+    if isinstance(stream, io.TextIOBase):
+        return iter(stream)
+    return (raw.decode("utf-8") if isinstance(raw, bytes) else raw for raw in stream)
 
 
 def _parse_int(token: str) -> int:
-    if not _INT_RE.match(token):
+    """Integer matching ``-?[0-9]+``; ``int()`` alone would also accept
+    signs, spaces, underscores and non-ASCII digits."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a base-10 integer: {token!r}")
     return int(token)
-
-
-def _parse_event_line(line: str) -> TweetEvent:
-    parts = line.split("\t")
-    if len(parts) == 4 and parts[3] == MENTION:
-        return TweetEvent(time=_parse_int(parts[0]), user=parts[1], url=parts[2])
-    if len(parts) == 5 and parts[3] == RETWEET:
-        return TweetEvent(
-            time=_parse_int(parts[0]), user=parts[1], url=parts[2], source=parts[4]
-        )
-    raise ValueError("expected 'time user url M' or 'time user url RT source'")
 
 
 def _skippable(line: str) -> bool:
@@ -195,27 +368,48 @@ def parse_events(
 ) -> ActivityLog:
     """Parse an events stream into a time-sorted :class:`ActivityLog`.
 
-    In strict mode the first malformed line raises :class:`UnparsableLine`;
-    in lenient mode malformed lines are skipped and tallied on the returned
+    Lines are read one at a time and their ids interned as they are read. In
+    strict mode the first malformed line raises :class:`UnparsableLine`; in
+    lenient mode malformed lines are skipped and tallied on the returned
     log's ``skipped`` field.
     """
     if fmt != "tsv":
         raise InvalidParams(f"unknown events format: {fmt!r}")
-    events: list[TweetEvent] = []
+    users: dict[str, int] = {}
+    urls: dict[str, int] = {}
+    cols = times, user_col, url_col, source_col = tuple(array("q") for _ in range(4))
     skipped = 0
     for line_no, raw in enumerate(_iter_lines(stream), start=1):
         line = raw.rstrip("\r\n")
-        if _skippable(line):
+        if line[:1] not in _TIME_START and _skippable(line):
             continue
+        parts = line.split("\t")
         try:
-            events.append(_parse_event_line(line))
+            if len(parts) == 4 and parts[3] == MENTION:
+                source = None
+            elif len(parts) == 5 and parts[3] == RETWEET:
+                source = parts[4]
+            else:
+                raise ValueError(_EVENT_SHAPE)
+            token = parts[0]
+            time = int(token) if token.isascii() and token.isdigit() else _parse_int(token)
+            if not _TIME_MIN <= time <= _TIME_MAX:
+                raise ValueError(f"time out of 64-bit range: {parts[0]!r}")
+            reason = _event_error(parts[1], parts[2], source)
+            if reason is not None:
+                raise ValueError(reason)
         except ValueError as exc:
             if strict:
                 raise UnparsableLine(line_no, line, str(exc)) from None
             skipped += 1
-    if not events:
+            continue
+        times.append(time)
+        user_col.append(users.setdefault(parts[1], len(users)))
+        url_col.append(urls.setdefault(parts[2], len(urls)))
+        source_col.append(-1 if source is None else users.setdefault(source, len(users)))
+    if not times:
         raise EmptyInput("no events parsed")
-    return ActivityLog(events, skipped=skipped)
+    return ActivityLog._from_interned(users, urls, cols, skipped)
 
 
 def parse_follows(
@@ -278,26 +472,20 @@ def parse_clicks(
     return ClickTable(clicks, skipped=skipped)
 
 
-def url_sets(log: ActivityLog) -> dict[str, frozenset[str]]:
-    """Distinct URLs per user; retweets count as mentions by the retweeter."""
-    seen: dict[str, set[str]] = {}
-    for ev in log.events:
-        seen.setdefault(ev.user, set()).add(ev.url)
-    return {u: frozenset(s) for u, s in seen.items()}
-
-
 def url_counts(log: ActivityLog) -> dict[str, int]:
     """Number of distinct URLs each user mentioned (mentions and retweets)."""
-    return {u: len(s) for u, s in url_sets(log).items()}
+    codes, counts = np.unique(log.posts.user, return_counts=True)
+    return {log.user_ids[c]: n for c, n in zip(codes.tolist(), counts.tolist())}
 
 
 def events_to_tsv(log: ActivityLog) -> str:
-    lines = []
-    for ev in log.events:
-        if ev.source is None:
-            lines.append(f"{ev.time}\t{ev.user}\t{ev.url}\t{MENTION}")
-        else:
-            lines.append(f"{ev.time}\t{ev.user}\t{ev.url}\t{RETWEET}\t{ev.source}")
+    users, urls = log.user_ids, log.url_ids
+    lines = [
+        f"{t}\t{users[u]}\t{urls[r]}\t{MENTION}"
+        if s < 0
+        else f"{t}\t{users[u]}\t{urls[r]}\t{RETWEET}\t{users[s]}"
+        for t, u, r, s in zip(log.time.tolist(), log.user.tolist(), log.url.tolist(), log.source.tolist())
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

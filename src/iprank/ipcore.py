@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import (
     DegenerateGraph,
@@ -115,6 +114,9 @@ def run_ip(
     :class:`DegenerateGraph` when a raw score vector sums to zero (possible
     only when every arc carrying influence mass has weight exactly 1).
     """
+    # scipy.sparse costs about 0.26 s and 18 MB to import; only the kernels need it
+    from scipy.sparse import csr_matrix
+
     if params is None:
         params = IpParams()
     if g.num_arcs == 0:

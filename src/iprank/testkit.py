@@ -1,8 +1,9 @@
 """Independent oracles and deterministic synthetic-trace generation.
 
-The dense oracles deliberately share no code with the sparse implementations:
-they build full matrices with plain loops and apply the defining operations
-naively. Trace generation uses ``random.Random`` (Mersenne Twister), drawing
+The oracles deliberately share no code with the implementations they check:
+the dense ones build full matrices with plain loops and apply the defining
+operations naively, and the per-user event oracles (co-mention counts,
+retweeting rates, the H-index) scan :class:`TweetEvent` objects one by one. Trace generation uses ``random.Random`` (Mersenne Twister), drawing
 in a fixed documented order so a seed fully determines the output:
 
 1. follow edges: for each broadcaster in id order, for each other user in id
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import PageRankParams, ScoreVector
+from .baselines import PageRankParams, ScoreVector, h_from_counts
 from .errors import DegenerateGraph, EmptyGraph, EmptyNodeSet, InvalidParams, TooLarge
 from .graphs import InfluenceGraph
 from .ingest import ActivityLog, FollowEdgeList, TweetEvent
@@ -248,3 +249,96 @@ def dense_pagerank_oracle(
             break
     x = x / x.sum()
     return ScoreVector(dict(zip(g.node_ids, x.tolist())), label="pagerank")
+
+
+# ---------------------------------------------------------------------------
+# Per-user event oracles
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class PairwiseCounts:
+    """Distinct-URL counts behind a co-mention arc (i, j).
+
+    ``s``: URLs j mentioned strictly after i's first mention of them;
+    ``f``: URLs i mentioned that j never did; ``p``: all URLs i mentioned.
+    """
+
+    s: int
+    f: int
+    p: int
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.s <= self.p and 0 <= self.f <= self.p):
+            raise ValueError(f"counts out of range: s={self.s} f={self.f} p={self.p}")
+
+
+def _events_of(log: ActivityLog, user: str) -> list[TweetEvent]:
+    return [ev for ev in log.events if ev.user == user]
+
+
+def pairwise_counts(log: ActivityLog, i: str, j: str) -> PairwiseCounts:
+    """Co-mention counts for the ordered pair (i, j), by scanning both users' events."""
+    first_i: dict[str, int] = {}
+    for ev in _events_of(log, i):
+        first_i.setdefault(ev.url, ev.time)
+    shared: set[str] = set()
+    later: set[str] = set()
+    for ev in _events_of(log, j):
+        if ev.url in first_i:
+            shared.add(ev.url)
+            if ev.time > first_i[ev.url]:
+                later.add(ev.url)
+    return PairwiseCounts(s=len(later), f=len(first_i) - len(shared), p=len(first_i))
+
+
+def user_retweeting_rate(
+    log: ActivityLog, follows: FollowEdgeList, user: str
+) -> float | None:
+    """Share of received URL posts the user retweeted; None when nothing received."""
+    followees = follows.followees_of(user)
+    if not followees:
+        return None
+    received = 0
+    received_pairs: set[tuple[str, str]] = set()
+    for followee in followees:
+        for ev in _events_of(log, followee):
+            received += 1
+            received_pairs.add((followee, ev.url))
+    if received == 0:
+        return None
+    retweeted = {
+        (ev.source, ev.url)
+        for ev in _events_of(log, user)
+        if ev.source is not None and (ev.source, ev.url) in received_pairs
+    }
+    return len(retweeted) / received
+
+
+def audience_retweeting_rate(
+    log: ActivityLog, follows: FollowEdgeList, user: str
+) -> float | None:
+    """Share of deliveries to the user's followers that came back as retweets."""
+    followers = follows.followers_of(user)
+    if not followers:
+        return None
+    own_events = _events_of(log, user)
+    if not own_events:
+        return None
+    posted = {ev.url for ev in own_events}
+    pairs: set[tuple[str, str]] = set()
+    for follower in followers:
+        for ev in _events_of(log, follower):
+            if ev.source == user and ev.url in posted:
+                pairs.add((follower, ev.url))
+    return len(pairs) / (len(own_events) * len(followers))
+
+
+def h_index(log: ActivityLog, user: str) -> int:
+    """H-index analog: h of the user's posted URLs were each retweeted >= h times."""
+    posted = {ev.url for ev in _events_of(log, user)}
+    counts: dict[str, int] = {}
+    for ev in log.events:
+        if ev.source == user and ev.url in posted:
+            counts[ev.url] = counts.get(ev.url, 0) + 1
+    return h_from_counts(counts.values())

@@ -16,13 +16,16 @@ from iprank.analytics import (
     report_to_tsv,
     top_k,
     url_attribute_average,
-    user_retweeting_rate,
-    audience_retweeting_rate,
 )
 from iprank.baselines import ScoreVector
 from iprank.errors import InsufficientOverlap, InvalidParams, NoData
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
-from iprank.testkit import SynthParams, synth_trace
+from iprank.testkit import (
+    SynthParams,
+    audience_retweeting_rate,
+    synth_trace,
+    user_retweeting_rate,
+)
 
 
 def mention(t, user, url):
@@ -160,6 +163,12 @@ class TestUrlAttributeAverage:
         log = ActivityLog([mention(1, "a", "x"), retweet(2, "b", "x", "a")])
         scores = ScoreVector({"a": 0.0, "b": 1.0}, "m")
         assert url_attribute_average(log, scores)["x"] == pytest.approx(0.5)
+
+    def test_sums_scores_in_user_id_order(self):
+        # (1 + 1e16) - 1e16 == 0 in doubles, while (-1e16 + 1e16) + 1 == 1
+        log = ActivityLog([mention(1, "c", "x"), mention(2, "b", "x"), mention(3, "a", "x")])
+        scores = ScoreVector({"a": 1.0, "b": 1e16, "c": -1e16}, "m")
+        assert url_attribute_average(log, scores) == {"x": 0.0}
 
     def test_matches_naive_join(self):
         rng = np.random.default_rng(22)

@@ -7,7 +7,6 @@ from iprank.baselines import (
     PageRankParams,
     follower_count,
     h_from_counts,
-    h_index,
     h_index_scores,
     invert_graph,
     retweet_count,
@@ -18,7 +17,7 @@ from iprank.baselines import (
 from iprank.errors import EmptyNodeSet, InvalidParams
 from iprank.graphs import InfluenceGraph
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent, url_counts
-from iprank.testkit import dense_pagerank_oracle, random_graph
+from iprank.testkit import dense_pagerank_oracle, h_index, random_graph
 
 
 class TestInvertGraph:
@@ -144,6 +143,15 @@ class TestHIndex:
     def test_h_index_bounded_by_distinct_posts(self):
         log = self.trace()
         assert h_index(log, "w") <= url_counts(log)["w"]
+
+    def test_repeat_retweets_count_as_events(self):
+        # each URL retweeted twice by one retweeter: counts [2, 2] -> h = 2
+        events = [TweetEvent(1, "w", "a"), TweetEvent(2, "w", "b")]
+        for t, (user, url) in enumerate([("r1", "a"), ("r1", "a"), ("r2", "b"), ("r2", "b")]):
+            events.append(TweetEvent(10 + t, user, url, source="w"))
+        log = ActivityLog(events)
+        assert h_index(log, "w") == 2
+        assert h_index_scores(log).values == {"w": 2.0, "r1": 0.0, "r2": 0.0}
 
     def test_unretweeted_user(self):
         assert h_index(self.trace(), "r10") == 0

@@ -1,7 +1,13 @@
 """Command-line pipeline: artifacts, manifests, exit codes, config handling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import iprank
 from iprank.cli import main, read_manifest, read_score_columns
 from iprank.graphs import graph_from_tsv
 from iprank.ingest import clicks_to_tsv, events_to_tsv, follows_to_tsv, ClickTable
@@ -265,3 +271,18 @@ class TestDeterminism:
             ) == 0
             outs.append((out / "ip_scores.tsv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse is imported inside the two kernels that use it
+    code = "import sys, iprank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(iprank.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

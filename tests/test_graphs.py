@@ -6,17 +6,15 @@ import pytest
 from iprank.errors import InvalidParams
 from iprank.graphs import (
     InfluenceGraph,
-    PairwiseCounts,
     build_comention,
     build_retweet,
     build_retweet_follower,
     graph_from_tsv,
     graph_stats,
     graph_to_tsv,
-    pairwise_counts,
 )
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
-from iprank.testkit import SynthParams, synth_trace
+from iprank.testkit import PairwiseCounts, SynthParams, pairwise_counts, synth_trace
 
 
 def mention(t, user, url):

@@ -122,6 +122,52 @@ class TestParseEvents:
             assert all(log.events[p].user == user for p in ps)
 
 
+class TestEventLineRules:
+    def test_line_numbers_count_blank_and_comment_lines(self):
+        text = "# header\n\n1\tu1\ta\tM\n   \n  # indented comment\nbad line\n"
+        with pytest.raises(UnparsableLine) as info:
+            parse_events(text)
+        assert info.value.line_no == 6
+        assert info.value.line == "bad line"
+
+    @pytest.mark.parametrize("token", ["+5", " 5", "5_0", "\u0663", "--5", ""])
+    def test_time_tokens_int_would_accept_are_rejected(self, token):
+        with pytest.raises(UnparsableLine) as info:
+            parse_events(f"{token}\tu1\ta\tM\n")
+        assert info.value.reason == f"not a base-10 integer: {token!r}"
+
+    def test_time_must_fit_64_bits(self):
+        log = parse_events("-9223372036854775808\tu1\ta\tM\n9223372036854775807\tu1\ta\tM\n")
+        assert [ev.time for ev in log] == [-(2**63), 2**63 - 1]
+        with pytest.raises(UnparsableLine):
+            parse_events("9223372036854775808\tu1\ta\tM\n")
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ("1\t\ta\tM", "empty user id"),
+            ("1\tu1\t\tM", "empty url"),
+            ("1\tu1\ta\tRT\t", "empty retweet source"),
+            ("1\tu1\ta\tRT\tu1", "retweet credits its own author"),
+        ],
+    )
+    def test_invalid_events_rejected_with_reason(self, line, reason):
+        with pytest.raises(UnparsableLine) as info:
+            parse_events(line + "\n")
+        assert info.value.reason == reason
+
+    def test_lenient_counts_every_rejected_line(self):
+        bad = [
+            "+5\tu1\ta\tM", " 5\tu1\ta\tM", "5_0\tu1\ta\tM", "\u0663\tu1\ta\tM",
+            "--5\tu1\ta\tM", "\tu1\ta\tM", "1\t\ta\tM", "1\tu1\t\tM",
+            "1\tu1\ta\tRT\t", "1\tu1\ta\tRT\tu1",
+        ]
+        text = "\n".join(["# c", "", *bad, "2\tu2\tb\tM"]) + "\n"
+        log = parse_events(text, strict=False)
+        assert log.skipped == len(bad)
+        assert events_to_tsv(log) == "2\tu2\tb\tM\n"
+
+
 class TestParseFollows:
     def test_duplicates_collapse(self):
         f = parse_follows("a\tb\na\tb\n")

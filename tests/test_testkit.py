@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from iprank.analytics import rate_report
+from iprank.baselines import h_index_scores
 from iprank.errors import EmptyGraph, InvalidParams, TooLarge
 from iprank.graphs import InfluenceGraph, build_retweet
 from iprank.ingest import events_to_tsv, follows_to_tsv
@@ -11,11 +13,14 @@ from iprank.testkit import (
     PLANTED_A,
     PLANTED_B,
     SynthParams,
+    audience_retweeting_rate,
     dense_ip_oracle,
     dense_pagerank_oracle,
+    h_index,
     planted_contrast_trace,
     random_graph,
     synth_trace,
+    user_retweeting_rate,
 )
 
 PARAMS = SynthParams(
@@ -145,3 +150,35 @@ class TestDenseOracles:
     def test_pagerank_oracle_single_node(self):
         g = InfluenceGraph.from_arcs([], nodes=["only"])
         assert dense_pagerank_oracle(g).values == {"only": 1.0}
+
+
+class TestEventOracles:
+    def test_rates_and_h_index_match_oracles_exactly(self):
+        for seed in (1, 2, 3):
+            log, follows = synth_trace(
+                SynthParams(
+                    users=300,
+                    broadcasters=15,
+                    follow_prob=0.2,
+                    mention_rate=5.0,
+                    retweet_prob=0.2,
+                    url_pool=200,
+                    seed=seed,
+                )
+            )
+            report = rate_report(log, follows)
+            expected_user = {}
+            expected_audience = {}
+            for user in sorted(log.users | follows.users()):
+                rate = user_retweeting_rate(log, follows, user)
+                if rate is not None:
+                    expected_user[user] = rate
+                rate = audience_retweeting_rate(log, follows, user)
+                if rate is not None:
+                    expected_audience[user] = rate
+            assert expected_user and expected_audience
+            assert report.user_rates == expected_user
+            assert report.audience_rates == expected_audience
+            scores = h_index_scores(log)
+            assert scores.values == {u: float(h_index(log, u)) for u in log.users}
+            assert max(scores.values.values()) >= 2.0
