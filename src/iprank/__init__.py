@@ -39,7 +39,7 @@ from .ingest import (
     parse_follows,
     url_counts,
 )
-from .ipcore import IpParams, IterationTrace, RateView, ScorePair, compute_rates, delta, run_ip
+from .ipcore import IpParams, IterationTrace, ScorePair, run_ip
 
 __version__ = "0.1.0"
 
@@ -56,15 +56,12 @@ __all__ = [
     "PercentileCurve",
     "RankReport",
     "RateReport",
-    "RateView",
     "ScorePair",
     "ScoreVector",
     "TweetEvent",
     "build_comention",
     "build_retweet",
     "build_retweet_follower",
-    "compute_rates",
-    "delta",
     "follower_count",
     "graph_stats",
     "h_index_scores",

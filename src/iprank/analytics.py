@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
 from .baselines import ScoreVector
 from .errors import InsufficientOverlap, InvalidParams, NoData
-from .ingest import ActivityLog, FollowEdgeList, _lookup
+from .ingest import ActivityLog, FollowEdgeList, _lookup, _positions, _run_starts
 
 RATE_HIST_BINS = 10
 
@@ -122,11 +122,11 @@ def url_attribute_average(
     averaging set; URLs with no scored mentioner are omitted. Each URL's sum
     runs over its users in id order.
     """
-    values = scores.values
-    scored = np.array([uid in values for uid in log.user_ids], dtype=bool)
-    score = np.array([values.get(uid, 0.0) for uid in log.user_ids], dtype=np.float64)
+    code = _positions(log.user_index, scores.node_ids)
+    score = np.full(len(log.user_ids), np.nan)  # scores are never NaN, so NaN = unscored
+    score[code[code >= 0]] = scores.values[code >= 0]
     posts = log.posts
-    keep = scored[posts.user]
+    keep = ~np.isnan(score[posts.user])
     # posts are sorted by (user, url), so bincount adds each URL's scores in user order
     url, user = posts.url[keep], posts.user[keep]
     n_urls = len(log.url_ids)
@@ -195,17 +195,20 @@ def percentile_curve(
     return PercentileCurve(tuple(bins), q, slope, intercept)
 
 
+def _shared(a: ScoreVector, b: ScoreVector) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``a`` and in ``b`` of the ids both cover, in id order."""
+    pos_b = _positions(dict(zip(b.node_ids, range(len(b.node_ids)))), a.node_ids)
+    pos_a = np.flatnonzero(pos_b >= 0)
+    return pos_a, pos_b[pos_a]
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties receiving the mean of their rank range."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    starts = _run_starts(values[order])
+    sizes = np.diff(np.append(starts, values.size))
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((2 * starts + sizes + 1) / 2.0, sizes)
     return ranks
 
 
@@ -214,13 +217,13 @@ def rank_correlation(a: ScoreVector, b: ScoreVector) -> float:
 
     Returns NaN when either vector is constant on the intersection.
     """
-    common = sorted(a.values.keys() & b.values.keys())
-    if len(common) < 2:
+    pos_a, pos_b = _shared(a, b)
+    if pos_a.size < 2:
         raise InsufficientOverlap(
-            f"only {len(common)} users shared between {a.label!r} and {b.label!r}"
+            f"only {pos_a.size} users shared between {a.label!r} and {b.label!r}"
         )
-    ra = _average_ranks(np.array([a.values[u] for u in common]))
-    rb = _average_ranks(np.array([b.values[u] for u in common]))
+    ra = _average_ranks(a.values[pos_a])
+    rb = _average_ranks(b.values[pos_b])
     ca = ra - ra.mean()
     cb = rb - rb.mean()
     den = math.sqrt(float(ca @ ca) * float(cb @ cb))
@@ -229,28 +232,23 @@ def rank_correlation(a: ScoreVector, b: ScoreVector) -> float:
     return float((ca @ cb) / den)
 
 
-def _ranking(scores: ScoreVector) -> list[tuple[str, float]]:
-    return sorted(scores.values.items(), key=lambda kv: (-kv[1], kv[0]))
+def _by_value(scores: ScoreVector) -> np.ndarray:
+    """Node positions from the highest value down; position is id order, so
+    the stable sort breaks ties by id."""
+    return np.argsort(-scores.values, kind="stable")
 
 
-def ranks_of(scores: ScoreVector) -> dict[str, int]:
-    """Rank 1 = highest value; ties broken by user id ascending."""
-    return {user: k for k, (user, _) in enumerate(_ranking(scores), start=1)}
-
-
-def top_k(
-    scores: ScoreVector, k: int, predicate: Callable[[str], bool] | None = None
-) -> RankReport:
-    """Best k users by value, optionally restricted to eligible users first."""
+def top_k(scores: ScoreVector, k: int, eligible: Sequence[bool] | None = None) -> RankReport:
+    """Best k users by value, ties by id; with a boolean ``eligible`` mask
+    aligned with ``scores.node_ids``, only the users it marks are ranked."""
     if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
-    items = [
-        (u, v)
-        for u, v in scores.values.items()
-        if predicate is None or predicate(u)
-    ]
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    rows = tuple((u, v, rank) for rank, (u, v) in enumerate(items[:k], start=1))
+    order = _by_value(scores)
+    if eligible is not None:
+        order = order[np.asarray(eligible, dtype=bool)[order]]
+    order = order[:k].tolist()
+    ids, values = scores.node_ids, scores.values.tolist()
+    rows = tuple((ids[p], values[p], rank) for rank, p in enumerate(order, start=1))
     return RankReport(
         label=f"top{k}_{scores.label}",
         columns=("user", scores.label, "rank"),
@@ -260,10 +258,13 @@ def top_k(
 
 def rank_join(a: ScoreVector, b: ScoreVector) -> RankReport:
     """Each shared user's rank under both measures, ranks over each full vector."""
-    ranks_a = ranks_of(a)
-    ranks_b = ranks_of(b)
-    common = sorted(set(ranks_a) & set(ranks_b), key=lambda u: (ranks_a[u], u))
-    rows = tuple((u, ranks_a[u], ranks_b[u]) for u in common)
+    # inverting the ranking permutation gives each position its rank
+    rank_a, rank_b = np.argsort(_by_value(a)) + 1, np.argsort(_by_value(b)) + 1
+    pos_a, pos_b = _shared(a, b)
+    order = np.argsort(rank_a[pos_a])
+    pos_a, pos_b = pos_a[order], pos_b[order]
+    users = [a.node_ids[p] for p in pos_a.tolist()]
+    rows = tuple(zip(users, rank_a[pos_a].tolist(), rank_b[pos_b].tolist()))
     return RankReport(
         label=f"{a.label}_vs_{b.label}",
         columns=("user", f"rank_{a.label}", f"rank_{b.label}"),

@@ -10,13 +10,14 @@ uniformly over all nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import EmptyNodeSet, InvalidParams
 from .graphs import InfluenceGraph
-from .ingest import ActivityLog, FollowEdgeList, _iter_lines
+from .ingest import ActivityLog, FollowEdgeList
+from .ipcore import _same_scores, _set_scores
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,12 +37,32 @@ class PageRankParams:
             )
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ScoreVector:
-    """A labeled node -> value map, the common currency of all rankings."""
+    """A labeled score per node, the common currency of all rankings.
 
-    values: dict[str, float]
+    ``node_ids`` is strictly ascending and ``values`` is a float64 array
+    aligned with it, so array position is id order.
+    """
+
+    node_ids: tuple[str, ...]
+    values: np.ndarray
     label: str
+
+    def __post_init__(self) -> None:
+        _set_scores(self, "values")
+
+    @classmethod
+    def from_mapping(cls, values: Mapping[str, float], label: str) -> "ScoreVector":
+        """Vector of an id -> value mapping, ids in sorted order."""
+        ids = sorted(values)
+        scores = np.fromiter(map(values.__getitem__, ids), dtype=np.float64, count=len(ids))
+        return cls(ids, scores, label)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreVector):
+            return NotImplemented
+        return _same_scores(self, other, "values") and self.label == other.label
 
 
 def invert_graph(g: InfluenceGraph) -> InfluenceGraph:
@@ -83,8 +104,7 @@ def weighted_pagerank(
         x = new_x
         if err < params.epsilon:
             break
-    x = x / x.sum()
-    return ScoreVector(dict(zip(g.node_ids, x.tolist())), label="pagerank")
+    return ScoreVector(g.node_ids, x / x.sum(), label="pagerank")
 
 
 def h_from_counts(counts: Iterable[int]) -> int:
@@ -111,10 +131,8 @@ def h_index_scores(log: ActivityLog) -> ScoreVector:
     source, counts = source[order], counts[order]
     rank = np.arange(source.size) - np.searchsorted(source, source) + 1
     h = np.bincount(source[counts >= rank], minlength=len(log.user_ids))
-    ids = log.user_ids
-    return ScoreVector(
-        {ids[c]: float(h[c]) for c in np.unique(log.user).tolist()}, label="hindex"
-    )
+    users = np.unique(log.user)
+    return ScoreVector([log.user_ids[c] for c in users.tolist()], h[users], label="hindex")
 
 
 def follower_count(follows: FollowEdgeList) -> ScoreVector:
@@ -122,41 +140,18 @@ def follower_count(follows: FollowEdgeList) -> ScoreVector:
     counts = {user: 0 for user in follows.users()}
     for followee, _ in follows.edges:
         counts[followee] += 1
-    return ScoreVector({u: float(c) for u, c in counts.items()}, label="followers")
+    return ScoreVector.from_mapping(counts, label="followers")
 
 
 def retweet_count(log: ActivityLog) -> ScoreVector:
     """Times each user was credited in a retweet; authors default to zero."""
     n = len(log.user_ids)
     counts = np.bincount(log.source[log.source >= 0], minlength=n)
-    listed = (np.bincount(log.user, minlength=n) > 0) | (counts > 0)
-    ids = log.user_ids
-    return ScoreVector(
-        {ids[c]: float(counts[c]) for c in np.flatnonzero(listed).tolist()}, label="retweets"
-    )
+    listed = np.flatnonzero((np.bincount(log.user, minlength=n) > 0) | (counts > 0))
+    return ScoreVector([log.user_ids[c] for c in listed.tolist()], counts[listed], "retweets")
 
 
 def vector_to_tsv(vector: ScoreVector) -> str:
     lines = [f"#measure={vector.label}"]
-    for user in sorted(vector.values):
-        lines.append(f"{user}\t{vector.values[user]:.17g}")
+    lines += (f"{user}\t{v:.17g}" for user, v in zip(vector.node_ids, vector.values.tolist()))
     return "\n".join(lines) + "\n"
-
-
-def vector_from_tsv(stream: IO | str | bytes) -> ScoreVector:
-    label = "scores"
-    values: dict[str, float] = {}
-    for raw in _iter_lines(stream):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if line.startswith("#measure="):
-            label = line.split("=", 1)[1]
-            continue
-        if line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"bad score line: {line!r}")
-        values[parts[0]] = float(parts[1])
-    return ScoreVector(values, label=label)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -312,44 +313,56 @@ def _graph_params(cfg: RunConfig) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def read_score_columns(path: str) -> tuple[str, dict[str, dict[str, float]]]:
+def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     """Read a score file: either ``#measure=`` two-column vectors or the
-    three-column influence/passivity output."""
+    three-column influence/passivity output. Returns the file's label and one
+    vector per column, keyed by column name."""
     label = "scores"
     columns: dict[str, dict[str, float]] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if line.startswith("#measure="):
-            label = line.split("=", 1)[1]
-            continue
-        if line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) == 2:
-            columns.setdefault(label, {})[parts[0]] = float(parts[1])
-        elif len(parts) == 3:
-            columns.setdefault("influence", {})[parts[0]] = float(parts[1])
-            columns.setdefault("passivity", {})[parts[0]] = float(parts[2])
-        else:
-            raise ConfigInvalid(f"unrecognized score line in {path}: {line!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\r\n")
+            if not line.strip():
+                continue
+            if line.startswith("#measure="):
+                label = line.split("=", 1)[1]
+                continue
+            if line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            try:
+                if len(parts) == 2:
+                    value = float(parts[1])
+                    if math.isnan(value):
+                        raise ValueError
+                    columns.setdefault(label, {})[parts[0]] = value
+                elif len(parts) == 3:
+                    influence, passivity = float(parts[1]), float(parts[2])
+                    if math.isnan(influence) or math.isnan(passivity):
+                        raise ValueError
+                    columns.setdefault("influence", {})[parts[0]] = influence
+                    columns.setdefault("passivity", {})[parts[0]] = passivity
+                else:
+                    raise ConfigInvalid(f"unrecognized score line in {path}: {line!r}")
+            except ValueError:
+                raise ConfigInvalid(
+                    f"line {line_no} of {path}: score is not a number: {line!r}"
+                ) from None
     if not columns:
         raise MissingInput(f"no score rows found in {path}")
-    return label, columns
+    return label, {name: ScoreVector.from_mapping(m, name) for name, m in columns.items()}
 
 
 def _vector_from_file(path: str, column: str | None) -> tuple[ScoreVector, dict[str, str]]:
     _require(path, "scores")
-    label, columns = read_score_columns(path)
+    _, columns = read_score_columns(path)
     if column is None:
         column = "influence" if "influence" in columns else next(iter(sorted(columns)))
     if column not in columns:
         raise ConfigInvalid(
             f"column {column!r} not present in {path}; has {sorted(columns)}"
         )
-    name = column if column != label else label
-    return ScoreVector(columns[column], label=name), {"scores": path}
+    return columns[column], {"scores": path}
 
 
 def _compute_measure(cfg: RunConfig, measure: str) -> tuple[ScoreVector, dict[str, str]]:
@@ -357,7 +370,7 @@ def _compute_measure(cfg: RunConfig, measure: str) -> tuple[ScoreVector, dict[st
         g, inputs = _build_graph(cfg)
         pair, _ = run_ip(g, IpParams(cfg.iterations, cfg.epsilon))
         values = pair.influence if measure == "ip-influence" else pair.passivity
-        return ScoreVector(dict(values), label=measure), inputs
+        return ScoreVector(pair.node_ids, values, label=measure), inputs
     if measure == "pagerank":
         g, inputs = _build_graph(cfg)
         params = PageRankParams(cfg.damping, cfg.pagerank_epsilon, cfg.pagerank_iterations)
@@ -446,7 +459,7 @@ def cmd_pagerank(cfg: RunConfig, args: argparse.Namespace) -> None:
         PageRankParams(cfg.damping, cfg.pagerank_epsilon, cfg.pagerank_iterations),
     )
     write_artifact(cfg.out_dir, "pagerank.tsv", "pagerank", inputs, params, vector_to_tsv(vector))
-    print(f"pagerank: {len(vector.values)} nodes scored")
+    print(f"pagerank: {len(vector.node_ids)} nodes scored")
 
 
 def cmd_hindex(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -455,7 +468,7 @@ def cmd_hindex(cfg: RunConfig, args: argparse.Namespace) -> None:
     write_artifact(
         cfg.out_dir, "hindex.tsv", "hindex", inputs, {"strict": cfg.strict}, vector_to_tsv(vector)
     )
-    print(f"hindex: {len(vector.values)} users scored")
+    print(f"hindex: {len(vector.node_ids)} users scored")
 
 
 def cmd_rates(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -492,16 +505,15 @@ def cmd_curve(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> None:
     vector, inputs = _resolve_vector(cfg, args.scores, args.column, args.measure)
-    predicate = None
+    eligible = None
     params: dict[str, object] = {"top_k": cfg.top_k, "measure": vector.label}
     if cfg.min_posted > 0:
         log, event_inputs = _load_events(cfg)
         inputs.update(event_inputs)
         counts = url_counts(log)
-        threshold = cfg.min_posted
-        predicate = lambda user: counts.get(user, 0) >= threshold  # noqa: E731
-        params["min_posted"] = threshold
-    report = top_k(vector, cfg.top_k, predicate)
+        eligible = [counts.get(user, 0) >= cfg.min_posted for user in vector.node_ids]
+        params["min_posted"] = cfg.min_posted
+    report = top_k(vector, cfg.top_k, eligible)
     write_artifact(cfg.out_dir, "rank.tsv", "rank", inputs, params, report_to_tsv(report))
     print(f"rank: {len(report.rows)} rows for {vector.label}")
 

@@ -33,10 +33,6 @@ class DegenerateGraph(IpRankError):
     """A score vector collapsed to all zeros and cannot be normalized."""
 
 
-class NodeSetMismatch(IpRankError):
-    """Two score structures cover different node sets."""
-
-
 class EmptyNodeSet(IpRankError):
     """The graph has no nodes at all."""
 

@@ -17,15 +17,24 @@ All counts are over distinct URLs. Nodes must have mentioned at least
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, UnparsableLine
 from .ingest import ActivityLog, FollowEdgeList, _iter_lines, _lookup, _run_starts
 
 WEIGHT_HIST_BINS = 10
+
+
+def _sorted_ids(node_ids: Sequence[str]) -> tuple[str, ...]:
+    """``node_ids`` as a tuple, checked to be strictly ascending (so distinct)."""
+    ids = tuple(node_ids)
+    if not all(map(operator.lt, ids, ids[1:])):
+        raise ValueError("node ids must be distinct and sorted ascending; use from_arcs")
+    return ids
 
 
 class InfluenceGraph:
@@ -45,11 +54,7 @@ class InfluenceGraph:
         dst: np.ndarray,
         weights: np.ndarray,
     ) -> None:
-        ids = tuple(node_ids)
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate node ids")
-        if any(ids[i] >= ids[i + 1] for i in range(len(ids) - 1)):
-            raise ValueError("node ids must be sorted ascending; use from_arcs")
+        ids = _sorted_ids(node_ids)
         n = len(ids)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -61,7 +66,7 @@ class InfluenceGraph:
                 raise ValueError("arc endpoint index out of range")
             if np.any(src == dst):
                 raise ValueError("self-arcs are not allowed")
-            if np.any(weights <= 0.0) or np.any(weights > 1.0):
+            if not np.all((weights > 0.0) & (weights <= 1.0)):
                 raise ValueError("arc weights must lie in (0, 1]")
             order = np.lexsort((dst, src))
             src, dst, weights = src[order], dst[order], weights[order]
@@ -271,17 +276,33 @@ def graph_to_tsv(g: InfluenceGraph) -> str:
 
 
 def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
+    """Read :func:`graph_to_tsv` output. A malformed line, or a ``#nodes= arcs=``
+    header that the file's arcs and nodes do not match, raises :class:`UnparsableLine`."""
     arcs: list[tuple[str, str, float]] = []
     nodes: set[str] = set()
-    for raw in _iter_lines(stream):
+    header = None
+    for line_no, raw in enumerate(_iter_lines(stream), start=1):
         line = raw.rstrip("\r\n")
+        if line.startswith("#nodes="):
+            header = (line_no, line)
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"bad graph line: {line!r}")
-        if parts[1] == "-" and parts[2] == "-":
-            nodes.add(parts[0])
-        else:
-            arcs.append((parts[0], parts[1], float(parts[2])))
-    return InfluenceGraph.from_arcs(arcs, nodes=nodes)
+        try:
+            if len(parts) != 3:
+                raise ValueError("expected 'source target weight' or 'node - -'")
+            if parts[1] == "-" and parts[2] == "-":
+                nodes.add(parts[0])
+                continue
+            if parts[0] == parts[1]:
+                raise ValueError("self-arc")
+            w = float(parts[2])
+            if not 0.0 < w <= 1.0:
+                raise ValueError(f"weight outside (0, 1]: {parts[2]!r}")
+        except ValueError as exc:
+            raise UnparsableLine(line_no, line, str(exc)) from None
+        arcs.append((parts[0], parts[1], w))
+    g = InfluenceGraph.from_arcs(arcs, nodes=nodes)
+    if header is not None and header[1] != f"#nodes={g.num_nodes} arcs={g.num_arcs}":
+        raise UnparsableLine(*header, f"file holds {g.num_nodes} nodes and {g.num_arcs} arcs")
+    return g

@@ -18,7 +18,7 @@ import io
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -114,6 +114,11 @@ def _run_starts(*cols: np.ndarray) -> np.ndarray:
     for col in cols:
         new[1:] |= col[1:] != col[:-1]
     return np.flatnonzero(new)
+
+
+def _positions(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
+    """``index[id]`` for each id, -1 where the id is absent."""
+    return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
 
 
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,8 +253,7 @@ class ActivityLog:
         order of the returned sorted tuple of extra ids.
         """
         flat = [uid for edge in follows.edges for uid in edge]
-        get = self.user_index.get
-        codes = np.fromiter(map(get, flat, repeat(-1)), dtype=np.int64, count=len(flat))
+        codes = _positions(self.user_index, flat)
         missing = np.flatnonzero(codes < 0)
         extra = tuple(sorted({flat[k] for k in missing.tolist()}))
         if extra:

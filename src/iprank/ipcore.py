@@ -18,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGraph,
-    EmptyGraph,
-    InvalidParams,
-    NodeSetMismatch,
-)
-from .graphs import InfluenceGraph
+from .errors import DegenerateGraph, EmptyGraph, InvalidParams
+from .graphs import InfluenceGraph, _sorted_ids
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,21 +36,45 @@ class IpParams:
             raise InvalidParams(f"epsilon must be >= 0, got {self.epsilon}")
 
 
-@dataclass(frozen=True, slots=True)
-class RateView:
-    """Acceptance and rejection rates, both keyed by arc (source, target)."""
+def _set_scores(obj: object, *fields: str) -> None:
+    """Check that ``obj.node_ids`` ascend strictly and store each named field
+    as a float64 array aligned with them; NaN is rejected."""
+    ids = _sorted_ids(obj.node_ids)
+    object.__setattr__(obj, "node_ids", ids)
+    for name in fields:
+        values = np.asarray(getattr(obj, name), dtype=np.float64)
+        if values.shape != (len(ids),) or np.isnan(values).any():
+            raise ValueError(f"{name} must be {len(ids)} scores, none of them NaN")
+        object.__setattr__(obj, name, values)
 
-    acceptance: dict[tuple[str, str], float]
-    rejection: dict[tuple[str, str], float]
+
+def _same_scores(a: object, b: object, *fields: str) -> bool:
+    return a.node_ids == b.node_ids and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in fields
+    )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ScorePair:
-    """Normalized influence and passivity per node."""
+    """Normalized influence and passivity per node.
 
-    influence: dict[str, float]
-    passivity: dict[str, float]
+    ``node_ids`` is strictly ascending and both score arrays are aligned with
+    it, so array position is id order.
+    """
+
+    node_ids: tuple[str, ...]
+    influence: np.ndarray
+    passivity: np.ndarray
     iterations_run: int
+
+    def __post_init__(self) -> None:
+        _set_scores(self, "influence", "passivity")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScorePair):
+            return NotImplemented
+        same = _same_scores(self, other, "influence", "passivity")
+        return same and self.iterations_run == other.iterations_run
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +90,11 @@ class IterationTrace:
 
 
 def _rate_arrays(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Acceptance and rejection rates aligned with the graph's arc arrays."""
+    """Acceptance and rejection rates aligned with the graph's arc arrays.
+
+    When every outgoing weight of a node equals 1 the rejection denominator
+    vanishes; all its rejection rates are then defined as 0.
+    """
     n = g.num_nodes
     w = g.weights
     in_sum = np.bincount(g.dst, weights=w, minlength=n)
@@ -80,23 +103,6 @@ def _rate_arrays(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
     den = rej_sum[g.src]
     v = np.divide(1.0 - w, den, out=np.zeros_like(w), where=den > 0.0)
     return u, v
-
-
-def compute_rates(g: InfluenceGraph) -> RateView:
-    """Per-arc acceptance and rejection rates.
-
-    When every outgoing weight of a node equals 1 the rejection denominator
-    vanishes; all its rejection rates are then defined as 0.
-    """
-    u, v = _rate_arrays(g)
-    ids = g.node_ids
-    acceptance = {}
-    rejection = {}
-    for k in range(g.num_arcs):
-        arc = (ids[g.src[k]], ids[g.dst[k]])
-        acceptance[arc] = float(u[k])
-        rejection[arc] = float(v[k])
-    return RateView(acceptance, rejection)
 
 
 def run_ip(
@@ -149,36 +155,16 @@ def run_ip(
         p_sums.append(float(passivity.sum()))
         if d < params.epsilon:
             break
-    ids = g.node_ids
-    pair = ScorePair(
-        influence=dict(zip(ids, influence.tolist())),
-        passivity=dict(zip(ids, passivity.tolist())),
-        iterations_run=len(deltas),
-    )
+    pair = ScorePair(g.node_ids, influence, passivity, len(deltas))
     trace = IterationTrace(tuple(deltas), tuple(i_sums), tuple(p_sums))
     return pair, trace
-
-
-def delta(prev: ScorePair, nxt: ScorePair) -> float:
-    """Total absolute change between two score pairs over the same node set."""
-    if (
-        prev.influence.keys() != nxt.influence.keys()
-        or prev.passivity.keys() != nxt.passivity.keys()
-    ):
-        raise NodeSetMismatch("score pairs cover different node sets")
-    total = 0.0
-    for user in sorted(prev.influence):
-        total += abs(nxt.influence[user] - prev.influence[user])
-    for user in sorted(prev.passivity):
-        total += abs(nxt.passivity[user] - prev.passivity[user])
-    return total
 
 
 def scores_to_tsv(pair: ScorePair) -> str:
     """``user TAB influence TAB passivity`` with 17 significant digits."""
     lines = [
-        f"{user}\t{pair.influence[user]:.17g}\t{pair.passivity[user]:.17g}"
-        for user in sorted(pair.influence)
+        f"{user}\t{i:.17g}\t{p:.17g}"
+        for user, i, p in zip(pair.node_ids, pair.influence.tolist(), pair.passivity.tolist())
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 

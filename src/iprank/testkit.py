@@ -2,8 +2,10 @@
 
 The oracles deliberately share no code with the implementations they check:
 the dense ones build full matrices with plain loops and apply the defining
-operations naively, and the per-user event oracles (co-mention counts,
-retweeting rates, the H-index) scan :class:`TweetEvent` objects one by one. Trace generation uses ``random.Random`` (Mersenne Twister), drawing
+operations naively, the per-user event oracles (co-mention counts,
+retweeting rates, the H-index) scan :class:`TweetEvent` objects one by one,
+and the ranking oracles sort id -> value dicts and walk runs of ties in a
+loop. Trace generation uses ``random.Random`` (Mersenne Twister), drawing
 in a fixed documented order so a seed fully determines the output:
 
 1. follow edges: for each broadcaster in id order, for each other user in id
@@ -211,11 +213,7 @@ def dense_ip_oracle(g: InfluenceGraph, iterations: int) -> ScorePair:
         raw_i = accept @ raw_p
         influence = raw_i / raw_i.sum()
         passivity = raw_p / raw_p.sum()
-    return ScorePair(
-        influence=dict(zip(g.node_ids, influence.tolist())),
-        passivity=dict(zip(g.node_ids, passivity.tolist())),
-        iterations_run=iterations,
-    )
+    return ScorePair(g.node_ids, influence, passivity, iterations)
 
 
 def dense_pagerank_oracle(
@@ -247,8 +245,7 @@ def dense_pagerank_oracle(
         x = new_x
         if err < params.epsilon:
             break
-    x = x / x.sum()
-    return ScoreVector(dict(zip(g.node_ids, x.tolist())), label="pagerank")
+    return ScoreVector(g.node_ids, x / x.sum(), label="pagerank")
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +339,38 @@ def h_index(log: ActivityLog, user: str) -> int:
         if ev.source == user and ev.url in posted:
             counts[ev.url] = counts.get(ev.url, 0) + 1
     return h_from_counts(counts.values())
+
+
+# ---------------------------------------------------------------------------
+# Ranking oracles
+# ---------------------------------------------------------------------------
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties receiving the mean of their rank range, by walking
+    the sorted values one run of equal values at a time."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+def by_id(scores: ScoreVector) -> dict[str, float]:
+    """The vector as an id -> value dict."""
+    return dict(zip(scores.node_ids, scores.values.tolist()))
+
+
+def ranking(scores: ScoreVector) -> list[tuple[str, float]]:
+    """(user, value) pairs by value descending, ties by user id ascending."""
+    return sorted(by_id(scores).items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def ranks_of(scores: ScoreVector) -> dict[str, int]:
+    """Rank 1 = highest value; ties broken by user id ascending."""
+    return {user: k for k, (user, _) in enumerate(ranking(scores), start=1)}

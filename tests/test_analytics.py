@@ -10,7 +10,6 @@ from iprank.analytics import (
     percentile_curve,
     rank_correlation,
     rank_join,
-    ranks_of,
     rate_report,
     rates_to_tsv,
     report_to_tsv,
@@ -23,6 +22,7 @@ from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
 from iprank.testkit import (
     SynthParams,
     audience_retweeting_rate,
+    ranks_of,
     synth_trace,
     user_retweeting_rate,
 )
@@ -142,32 +142,32 @@ class TestAudienceRetweetingRate:
 class TestUrlAttributeAverage:
     def test_mean_over_mentioners(self):
         log = ActivityLog([mention(1, "a", "x"), mention(2, "b", "x")])
-        scores = ScoreVector({"a": 0.1, "b": 0.3}, "m")
+        scores = ScoreVector.from_mapping({"a": 0.1, "b": 0.3}, "m")
         assert url_attribute_average(log, scores) == {"x": pytest.approx(0.2)}
 
     def test_distinct_users_only(self):
         log = ActivityLog([mention(1, "a", "x"), mention(2, "a", "x")])
-        scores = ScoreVector({"a": 0.4}, "m")
+        scores = ScoreVector.from_mapping({"a": 0.4}, "m")
         assert url_attribute_average(log, scores) == {"x": pytest.approx(0.4)}
 
     def test_unscored_users_shrink_the_set(self):
         log = ActivityLog([mention(1, "a", "x"), mention(2, "ghost", "x")])
-        scores = ScoreVector({"a": 0.4}, "m")
+        scores = ScoreVector.from_mapping({"a": 0.4}, "m")
         assert url_attribute_average(log, scores)["x"] == pytest.approx(0.4)
 
     def test_url_with_no_scored_mentioner_omitted(self):
         log = ActivityLog([mention(1, "ghost", "x")])
-        assert url_attribute_average(log, ScoreVector({}, "m")) == {}
+        assert url_attribute_average(log, ScoreVector.from_mapping({}, "m")) == {}
 
     def test_retweeters_count_as_mentioners(self):
         log = ActivityLog([mention(1, "a", "x"), retweet(2, "b", "x", "a")])
-        scores = ScoreVector({"a": 0.0, "b": 1.0}, "m")
+        scores = ScoreVector.from_mapping({"a": 0.0, "b": 1.0}, "m")
         assert url_attribute_average(log, scores)["x"] == pytest.approx(0.5)
 
     def test_sums_scores_in_user_id_order(self):
         # (1 + 1e16) - 1e16 == 0 in doubles, while (-1e16 + 1e16) + 1 == 1
         log = ActivityLog([mention(1, "c", "x"), mention(2, "b", "x"), mention(3, "a", "x")])
-        scores = ScoreVector({"a": 1.0, "b": 1e16, "c": -1e16}, "m")
+        scores = ScoreVector.from_mapping({"a": 1.0, "b": 1e16, "c": -1e16}, "m")
         assert url_attribute_average(log, scores) == {"x": 0.0}
 
     def test_matches_naive_join(self):
@@ -176,12 +176,13 @@ class TestUrlAttributeAverage:
         for t in range(250):
             events.append(mention(t, f"u{int(rng.integers(0, 15))}", f"l{int(rng.integers(0, 30))}"))
         log = ActivityLog(events)
-        scores = ScoreVector({f"u{i}": float(rng.random()) for i in range(12)}, "m")
+        values = {f"u{i}": float(rng.random()) for i in range(12)}
+        scores = ScoreVector.from_mapping(values, "m")
         result = url_attribute_average(log, scores)
         naive = {}
         for url in {ev.url for ev in log}:
             users = {ev.user for ev in log if ev.url == url}
-            vals = [scores.values[u] for u in sorted(users) if u in scores.values]
+            vals = [values[u] for u in sorted(users) if u in values]
             if vals:
                 naive[url] = sum(vals) / len(vals)
         assert result.keys() == naive.keys()
@@ -283,39 +284,40 @@ class TestRankCorrelation:
     def test_identity_is_exactly_one(self):
         rng = np.random.default_rng(25)
         values = {f"u{i}": float(rng.random()) for i in range(40)}
-        a = ScoreVector(values, "a")
-        b = ScoreVector(dict(values), "b")
+        a = ScoreVector.from_mapping(values, "a")
+        b = ScoreVector.from_mapping(dict(values), "b")
         assert rank_correlation(a, b) == 1.0
 
     def test_reversal_is_exactly_minus_one(self):
         users = [f"u{i}" for i in range(25)]
-        a = ScoreVector({u: float(i) for i, u in enumerate(users)}, "a")
-        b = ScoreVector({u: float(-i) for i, u in enumerate(users)}, "b")
+        a = ScoreVector.from_mapping({u: float(i) for i, u in enumerate(users)}, "a")
+        b = ScoreVector.from_mapping({u: float(-i) for i, u in enumerate(users)}, "b")
         assert rank_correlation(a, b) == -1.0
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(26)
         values = {f"u{i}": float(rng.random()) for i in range(30)}
-        a = ScoreVector(values, "a")
-        b = ScoreVector({u: v * 2 for u, v in values.items()}, "b")
-        transformed = ScoreVector({u: math.exp(3 * v) for u, v in values.items()}, "t")
+        a = ScoreVector.from_mapping(values, "a")
+        b = ScoreVector.from_mapping({u: v * 2 for u, v in values.items()}, "b")
+        transformed = ScoreVector.from_mapping({u: math.exp(3 * v) for u, v in values.items()}, "t")
         assert rank_correlation(a, b) == rank_correlation(transformed, b)
 
     def test_matches_rank_then_pearson_oracle(self):
         rng = np.random.default_rng(27)
         users = [f"u{i}" for i in range(50)]
-        a = ScoreVector({u: float(rng.integers(0, 10)) for u in users}, "a")
-        b = ScoreVector({u: float(rng.integers(0, 10)) for u in users}, "b")
+        a = ScoreVector.from_mapping({u: float(rng.integers(0, 10)) for u in users}, "a")
+        b = ScoreVector.from_mapping({u: float(rng.integers(0, 10)) for u in users}, "b")
 
         def naive_ranks(vec):
-            ordered = sorted(users, key=lambda u: vec.values[u])
+            values = dict(zip(vec.node_ids, vec.values.tolist()))
+            ordered = sorted(users, key=lambda u: values[u])
             ranks = {}
             i = 0
             while i < len(ordered):
                 j = i
                 while (
                     j + 1 < len(ordered)
-                    and vec.values[ordered[j + 1]] == vec.values[ordered[i]]
+                    and values[ordered[j + 1]] == values[ordered[i]]
                 ):
                     j += 1
                 for k in range(i, j + 1):
@@ -334,54 +336,56 @@ class TestRankCorrelation:
         assert rank_correlation(a, b) == pytest.approx(num / den, abs=1e-12)
 
     def test_insufficient_overlap(self):
-        a = ScoreVector({"x": 1.0}, "a")
-        b = ScoreVector({"x": 1.0, "y": 2.0}, "b")
+        a = ScoreVector.from_mapping({"x": 1.0}, "a")
+        b = ScoreVector.from_mapping({"x": 1.0, "y": 2.0}, "b")
         with pytest.raises(InsufficientOverlap):
             rank_correlation(a, b)
 
     def test_constant_vector_gives_nan(self):
-        a = ScoreVector({"x": 1.0, "y": 1.0}, "a")
-        b = ScoreVector({"x": 1.0, "y": 2.0}, "b")
+        a = ScoreVector.from_mapping({"x": 1.0, "y": 1.0}, "a")
+        b = ScoreVector.from_mapping({"x": 1.0, "y": 2.0}, "b")
         assert math.isnan(rank_correlation(a, b))
 
 
 class TestRankReports:
     def test_top_k_basic(self):
-        scores = ScoreVector({"a": 3.0, "b": 1.0, "c": 2.0}, "m")
+        scores = ScoreVector.from_mapping({"a": 3.0, "b": 1.0, "c": 2.0}, "m")
         report = top_k(scores, 2)
         assert [(r[0], r[2]) for r in report.rows] == [("a", 1), ("c", 2)]
 
     def test_tie_broken_by_user_id(self):
-        scores = ScoreVector({"b": 1.0, "a": 1.0}, "m")
+        scores = ScoreVector.from_mapping({"b": 1.0, "a": 1.0}, "m")
         report = top_k(scores, 2)
         assert [r[0] for r in report.rows] == ["a", "b"]
 
     def test_predicate_filters_before_ranking(self):
-        scores = ScoreVector({"a": 3.0, "b": 2.0, "c": 1.0}, "m")
-        report = top_k(scores, 2, predicate=lambda u: u != "a")
+        scores = ScoreVector.from_mapping({"a": 3.0, "b": 2.0, "c": 1.0}, "m")
+        report = top_k(scores, 2, eligible=np.array([u != "a" for u in scores.node_ids]))
         assert [r[0] for r in report.rows] == ["b", "c"]
         assert [r[2] for r in report.rows] == [1, 2]
 
     def test_top_k_is_prefix_of_full_ranking(self):
         rng = np.random.default_rng(28)
-        scores = ScoreVector({f"u{i}": float(rng.random()) for i in range(30)}, "m")
+        scores = ScoreVector.from_mapping({f"u{i}": float(rng.random()) for i in range(30)}, "m")
         full = top_k(scores, 30)
         head = top_k(scores, 7)
         assert head.rows == full.rows[:7]
 
     def test_k_validation(self):
         with pytest.raises(InvalidParams):
-            top_k(ScoreVector({"a": 1.0}, "m"), 0)
+            top_k(ScoreVector.from_mapping({"a": 1.0}, "m"), 0)
 
     def test_rank_join_matches_naive_double_sort(self):
         rng = np.random.default_rng(29)
         users = [f"u{i}" for i in range(20)]
-        a = ScoreVector({u: float(rng.random()) for u in users}, "alpha")
-        b = ScoreVector({u: float(rng.random()) for u in users[5:]}, "beta")
+        values_a = {u: float(rng.random()) for u in users}
+        values_b = {u: float(rng.random()) for u in users[5:]}
+        a = ScoreVector.from_mapping(values_a, "alpha")
+        b = ScoreVector.from_mapping(values_b, "beta")
         report = rank_join(a, b)
-        order_a = sorted(users, key=lambda u: (-a.values[u], u))
+        order_a = sorted(users, key=lambda u: (-values_a[u], u))
         naive_a = {u: k + 1 for k, u in enumerate(order_a)}
-        order_b = sorted(users[5:], key=lambda u: (-b.values[u], u))
+        order_b = sorted(users[5:], key=lambda u: (-values_b[u], u))
         naive_b = {u: k + 1 for k, u in enumerate(order_b)}
         assert set(r[0] for r in report.rows) == set(users[5:])
         for user, rank_a, rank_b in report.rows:
@@ -391,18 +395,18 @@ class TestRankReports:
     def test_rank_join_ranks_are_permutations(self):
         rng = np.random.default_rng(30)
         users = [f"u{i}" for i in range(15)]
-        a = ScoreVector({u: float(rng.random()) for u in users}, "a")
-        b = ScoreVector({u: float(rng.random()) for u in users}, "b")
+        a = ScoreVector.from_mapping({u: float(rng.random()) for u in users}, "a")
+        b = ScoreVector.from_mapping({u: float(rng.random()) for u in users}, "b")
         report = rank_join(a, b)
         assert sorted(r[1] for r in report.rows) == list(range(1, 16))
         assert sorted(r[2] for r in report.rows) == list(range(1, 16))
 
     def test_ranks_of_full_vector(self):
-        scores = ScoreVector({"a": 1.0, "b": 5.0, "c": 3.0}, "m")
+        scores = ScoreVector.from_mapping({"a": 1.0, "b": 5.0, "c": 3.0}, "m")
         assert ranks_of(scores) == {"b": 1, "c": 2, "a": 3}
 
     def test_report_tsv_shape(self):
-        scores = ScoreVector({"a": 0.5, "b": 0.25}, "m")
+        scores = ScoreVector.from_mapping({"a": 0.5, "b": 0.25}, "m")
         text = report_to_tsv(top_k(scores, 2))
         lines = text.strip().split("\n")
         assert lines[0] == "#report=top2_m"

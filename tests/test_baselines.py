@@ -5,19 +5,28 @@ import pytest
 
 from iprank.baselines import (
     PageRankParams,
+    ScoreVector,
     follower_count,
     h_from_counts,
     h_index_scores,
     invert_graph,
     retweet_count,
-    vector_from_tsv,
     vector_to_tsv,
     weighted_pagerank,
 )
+from iprank.cli import read_score_columns
 from iprank.errors import EmptyNodeSet, InvalidParams
 from iprank.graphs import InfluenceGraph
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent, url_counts
-from iprank.testkit import dense_pagerank_oracle, h_index, random_graph
+from iprank.testkit import by_id, dense_pagerank_oracle, h_index, random_graph
+
+
+def vector_from_tsv(text, tmp_path):
+    """The one vector in score-file text, read back through the CLI's reader."""
+    path = tmp_path / "scores.tsv"
+    path.write_text(text, encoding="utf-8")
+    label, columns = read_score_columns(str(path))
+    return columns[label]
 
 
 class TestInvertGraph:
@@ -42,13 +51,13 @@ class TestWeightedPagerank:
     def test_symmetric_pair_uniform(self):
         g = InfluenceGraph.from_arcs([("a", "b", 0.4), ("b", "a", 0.4)])
         pr = weighted_pagerank(g)
-        assert pr.values["a"] == pytest.approx(0.5, abs=1e-12)
-        assert pr.values["b"] == pytest.approx(0.5, abs=1e-12)
+        assert by_id(pr)["a"] == pytest.approx(0.5, abs=1e-12)
+        assert by_id(pr)["b"] == pytest.approx(0.5, abs=1e-12)
 
     def test_single_isolated_node(self):
         g = InfluenceGraph.from_arcs([], nodes=["solo"])
         pr = weighted_pagerank(g)
-        assert pr.values == {"solo": 1.0}
+        assert by_id(pr) == {"solo": 1.0}
 
     def test_empty_node_set(self):
         with pytest.raises(EmptyNodeSet):
@@ -60,7 +69,7 @@ class TestWeightedPagerank:
         pr = weighted_pagerank(g)
         oracle = dense_pagerank_oracle(g)
         for node in g.node_ids:
-            assert abs(pr.values[node] - oracle.values[node]) <= 1e-10
+            assert abs(by_id(pr)[node] - by_id(oracle)[node]) <= 1e-10
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_random_graphs_match_dense_oracle(self, seed):
@@ -68,16 +77,16 @@ class TestWeightedPagerank:
         pr = weighted_pagerank(g)
         oracle = dense_pagerank_oracle(g)
         for node in g.node_ids:
-            assert abs(pr.values[node] - oracle.values[node]) <= 1e-10
+            assert abs(by_id(pr)[node] - by_id(oracle)[node]) <= 1e-10
 
     def test_sum_and_floor_invariants(self):
         g = random_graph(200, 800, seed=8)
         params = PageRankParams()
         pr = weighted_pagerank(g, params)
-        total = sum(pr.values.values())
+        total = sum(by_id(pr).values())
         assert abs(total - 1.0) <= 1e-12
         floor = (1.0 - params.damping) / g.num_nodes - 1e-15
-        assert all(v >= floor for v in pr.values.values())
+        assert all(v >= floor for v in by_id(pr).values())
 
     def test_symmetric_ring_uniform(self):
         n = 12
@@ -86,7 +95,7 @@ class TestWeightedPagerank:
             arcs.append((f"n{k:02d}", f"n{(k + 1) % n:02d}", 0.5))
             arcs.append((f"n{(k + 1) % n:02d}", f"n{k:02d}", 0.5))
         pr = weighted_pagerank(InfluenceGraph.from_arcs(arcs))
-        for v in pr.values.values():
+        for v in by_id(pr).values():
             assert v == pytest.approx(1.0 / n, abs=1e-12)
 
     def test_params_validation(self):
@@ -151,7 +160,7 @@ class TestHIndex:
             events.append(TweetEvent(10 + t, user, url, source="w"))
         log = ActivityLog(events)
         assert h_index(log, "w") == 2
-        assert h_index_scores(log).values == {"w": 2.0, "r1": 0.0, "r2": 0.0}
+        assert by_id(h_index_scores(log)) == {"w": 2.0, "r1": 0.0, "r2": 0.0}
 
     def test_unretweeted_user(self):
         assert h_index(self.trace(), "r10") == 0
@@ -159,17 +168,17 @@ class TestHIndex:
     def test_scores_cover_all_log_users(self):
         scores = h_index_scores(self.trace())
         assert scores.label == "hindex"
-        assert scores.values["w"] == 2.0
-        assert set(scores.values) == set(self.trace().by_user)
+        assert by_id(scores)["w"] == 2.0
+        assert set(by_id(scores)) == set(self.trace().by_user)
 
 
 class TestCounts:
     def test_follower_count(self):
         follows = FollowEdgeList([("a", "b"), ("a", "c"), ("a", "d"), ("b", "a")])
         fc = follower_count(follows)
-        assert fc.values["a"] == 3.0
-        assert fc.values["b"] == 1.0
-        assert fc.values["c"] == 0.0  # appears only as a follower
+        assert by_id(fc)["a"] == 3.0
+        assert by_id(fc)["b"] == 1.0
+        assert by_id(fc)["c"] == 0.0  # appears only as a follower
 
     def test_retweet_count(self):
         log = ActivityLog(
@@ -181,8 +190,8 @@ class TestCounts:
             ]
         )
         rc = retweet_count(log)
-        assert rc.values["x"] == 2.0
-        assert rc.values["y"] == 0.0
+        assert by_id(rc)["x"] == 2.0
+        assert by_id(rc)["y"] == 0.0
 
     def test_counts_match_naive_recount(self):
         rng = np.random.default_rng(11)
@@ -206,21 +215,40 @@ class TestCounts:
             if ev.source is not None:
                 naive[ev.source] = naive.get(ev.source, 0) + 1
         for user, count in naive.items():
-            assert rc.values[user] == float(count)
+            assert by_id(rc)[user] == float(count)
 
 
 class TestVectorSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         fc = follower_count(FollowEdgeList([("a", "b"), ("c", "b")]))
         text = vector_to_tsv(fc)
         assert text.startswith("#measure=followers\n")
-        back = vector_from_tsv(text)
+        back = vector_from_tsv(text, tmp_path)
         assert back.label == "followers"
-        assert back.values == fc.values
+        assert by_id(back) == by_id(fc)
 
-    def test_float_precision_survives(self):
-        from iprank.baselines import ScoreVector
+    def test_float_precision_survives(self, tmp_path):
+        v = ScoreVector.from_mapping({"a": 1.0 / 3.0, "b": 0.07}, label="x")
+        back = vector_from_tsv(vector_to_tsv(v), tmp_path)
+        assert by_id(back) == by_id(v)
 
-        v = ScoreVector({"a": 1.0 / 3.0, "b": 0.07}, label="x")
-        back = vector_from_tsv(vector_to_tsv(v))
-        assert back.values == v.values
+
+class TestScoreVector:
+    def test_from_mapping_sorts_ids(self):
+        v = ScoreVector.from_mapping({"b": 2.0, "a": 1.0, "c": -0.0}, "m")
+        assert v.node_ids == ("a", "b", "c")
+        assert v.values.tolist() == [1.0, 2.0, -0.0]
+        assert v == ScoreVector(["a", "b", "c"], np.array([1.0, 2.0, 0.0]), "m")
+        assert v != ScoreVector(["a", "b", "c"], [1.0, 2.0, 0.0], "other")
+
+    @pytest.mark.parametrize("ids", [("b", "a"), ("a", "a")])
+    def test_ids_must_be_strictly_ascending(self, ids):
+        with pytest.raises(ValueError):
+            ScoreVector(ids, [1.0, 2.0], "m")
+
+    def test_rejects_nan_and_misaligned_values(self):
+        with pytest.raises(ValueError):
+            ScoreVector.from_mapping({"a": float("nan")}, "m")
+        with pytest.raises(ValueError):
+            ScoreVector(("a", "b"), [1.0], "m")
+        assert ScoreVector(("a",), [float("inf")], "m").values[0] == float("inf")

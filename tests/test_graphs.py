@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from iprank.errors import InvalidParams
+from iprank.errors import InvalidParams, UnparsableLine
 from iprank.graphs import (
     InfluenceGraph,
     build_comention,
@@ -358,3 +358,33 @@ class TestSerialization:
     def test_empty_graph(self):
         g = InfluenceGraph.from_arcs([])
         assert graph_from_tsv(graph_to_tsv(g)) == g
+
+    def test_truncated_file_fails_its_header(self):
+        g = InfluenceGraph.from_arcs([("a", "b", 0.5), ("b", "c", 0.25), ("c", "d", 0.75)])
+        text = graph_to_tsv(g)
+        assert text.startswith("#nodes=4 arcs=3\n")
+        cut = "".join(text.splitlines(keepends=True)[:2])
+        with pytest.raises(UnparsableLine) as info:
+            graph_from_tsv(cut)
+        assert info.value.line_no == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "a\tb\tzero", "a\tb", "a\tb\t0.5\textra", "a\tb\tnan", "a\tb\t0", "a\tb\t1.5",
+            "a\ta\t0.5",
+        ],
+    )
+    def test_malformed_line_reports_its_number(self, line):
+        with pytest.raises(UnparsableLine) as info:
+            graph_from_tsv(f"c\td\t0.5\n{line}\n")
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("header", ["#nodes=x arcs=1", "#nodes=2", "#nodes=2 arcs=2"])
+    def test_bad_or_wrong_header_rejected(self, header):
+        with pytest.raises(UnparsableLine):
+            graph_from_tsv(f"{header}\na\tb\t0.5\n")
+
+    def test_nan_weight_rejected_by_graph(self):
+        with pytest.raises(ValueError):
+            InfluenceGraph.from_arcs([("a", "b", float("nan"))])

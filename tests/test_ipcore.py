@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from iprank.errors import DegenerateGraph, EmptyGraph, InvalidParams, NodeSetMismatch
+from iprank.errors import DegenerateGraph, EmptyGraph, InvalidParams
 from iprank.graphs import InfluenceGraph
 from iprank.ipcore import (
     IpParams,
     ScorePair,
-    compute_rates,
-    delta,
+    _rate_arrays,
     run_ip,
     scores_to_tsv,
     trace_to_tsv,
@@ -17,29 +16,47 @@ from iprank.ipcore import (
 from iprank.testkit import dense_ip_oracle, random_graph
 
 
+class Rates:
+    """The rates of :func:`_rate_arrays`, keyed by arc (source, target)."""
+
+    def __init__(self, g):
+        arcs = [(i, j) for i, j, _ in g.arcs()]
+        u, v = _rate_arrays(g)
+        self.acceptance = dict(zip(arcs, u.tolist()))
+        self.rejection = dict(zip(arcs, v.tolist()))
+
+
+def sides(pair):
+    """Influence and passivity of a score pair as id -> value dicts."""
+    return (
+        dict(zip(pair.node_ids, pair.influence.tolist())),
+        dict(zip(pair.node_ids, pair.passivity.tolist())),
+    )
+
+
 class TestComputeRates:
     def test_acceptance_normalizes_in_weights(self):
         g = InfluenceGraph.from_arcs([("i", "j", 0.2), ("k", "j", 0.6)])
-        rates = compute_rates(g)
+        rates = Rates(g)
         assert rates.acceptance[("i", "j")] == pytest.approx(0.25)
         assert rates.acceptance[("k", "j")] == pytest.approx(0.75)
 
     def test_rejection_normalizes_out_rejections(self):
         g = InfluenceGraph.from_arcs([("j", "i", 0.2), ("j", "k", 0.6)])
-        rates = compute_rates(g)
+        rates = Rates(g)
         assert rates.rejection[("j", "i")] == pytest.approx(0.8 / 1.2)
         assert rates.rejection[("j", "k")] == pytest.approx(0.4 / 1.2)
 
     def test_zero_rejection_denominator(self):
         g = InfluenceGraph.from_arcs([("j", "i", 1.0)])
-        rates = compute_rates(g)
+        rates = Rates(g)
         assert rates.rejection[("j", "i")] == 0.0
         assert rates.acceptance[("j", "i")] == 1.0
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rate_invariants_on_random_graphs(self, seed):
         g = random_graph(25, 90, seed=seed)
-        rates = compute_rates(g)
+        rates = Rates(g)
         in_sums = {}
         for (i, j), u in rates.acceptance.items():
             assert 0.0 <= u <= 1.0
@@ -57,8 +74,9 @@ class TestRunIp:
     def test_single_arc_fixture(self):
         g = InfluenceGraph.from_arcs([("A", "B", 0.5)])
         pair, trace = run_ip(g)
-        assert pair.influence == {"A": 1.0, "B": 0.0}
-        assert pair.passivity == {"A": 0.0, "B": 1.0}
+        influence, passivity = sides(pair)
+        assert influence == {"A": 1.0, "B": 0.0}
+        assert passivity == {"A": 0.0, "B": 1.0}
         # fixed point reached at iteration 1; the loop needs one more to see it
         assert pair.iterations_run == 2
         assert trace.deltas[-1] == 0.0
@@ -66,7 +84,7 @@ class TestRunIp:
     def test_symmetric_pair_uniform(self):
         g = InfluenceGraph.from_arcs([("A", "B", 0.5), ("B", "A", 0.5)])
         pair, _ = run_ip(g)
-        for side in (pair.influence, pair.passivity):
+        for side in sides(pair):
             assert side["A"] == pytest.approx(0.5, abs=1e-12)
             assert side["B"] == pytest.approx(0.5, abs=1e-12)
 
@@ -75,7 +93,7 @@ class TestRunIp:
             [("a", "b", 0.4), ("b", "c", 0.4), ("c", "a", 0.4)]
         )
         pair, _ = run_ip(g)
-        for side in (pair.influence, pair.passivity):
+        for side in sides(pair):
             for node in "abc":
                 assert side[node] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -97,14 +115,14 @@ class TestRunIp:
 
     def test_sources_and_sinks_forced_to_zero(self):
         g = random_graph(40, 80, seed=9)
-        pair, _ = run_ip(g)
+        influence, passivity = sides(run_ip(g)[0])
         out_nodes = {g.node_ids[s] for s in g.src}
         in_nodes = {g.node_ids[d] for d in g.dst}
         for node in g.node_ids:
             if node not in out_nodes:
-                assert pair.influence[node] == 0.0
+                assert influence[node] == 0.0
             if node not in in_nodes:
-                assert pair.passivity[node] == 0.0
+                assert passivity[node] == 0.0
 
     def test_bit_identical_reruns(self):
         g = random_graph(80, 400, seed=12)
@@ -120,15 +138,11 @@ class TestRunIp:
             [(mapping[i], mapping[j], w) for i, j, w in g.arcs()],
             nodes=[mapping[u] for u in g.node_ids],
         )
-        pair, _ = run_ip(g)
-        pair2, _ = run_ip(relabeled)
+        influence, passivity = sides(run_ip(g)[0])
+        influence2, passivity2 = sides(run_ip(relabeled)[0])
         for u in g.node_ids:
-            assert pair2.influence[mapping[u]] == pytest.approx(
-                pair.influence[u], abs=1e-12
-            )
-            assert pair2.passivity[mapping[u]] == pytest.approx(
-                pair.passivity[u], abs=1e-12
-            )
+            assert influence2[mapping[u]] == pytest.approx(influence[u], abs=1e-12)
+            assert passivity2[mapping[u]] == pytest.approx(passivity[u], abs=1e-12)
 
     def test_matches_dense_oracle(self):
         for seed in (21, 22):
@@ -136,9 +150,10 @@ class TestRunIp:
             for iterations in (1, 3, 10):
                 pair, _ = run_ip(g, IpParams(max_iterations=iterations, epsilon=0.0))
                 oracle = dense_ip_oracle(g, iterations)
-                for u in g.node_ids:
-                    assert abs(pair.influence[u] - oracle.influence[u]) <= 1e-12
-                    assert abs(pair.passivity[u] - oracle.passivity[u]) <= 1e-12
+                assert pair.node_ids == oracle.node_ids == g.node_ids
+                for k in range(g.num_nodes):
+                    assert abs(pair.influence[k] - oracle.influence[k]) <= 1e-12
+                    assert abs(pair.passivity[k] - oracle.passivity[k]) <= 1e-12
 
     def test_nonconvergence_is_reported_not_raised(self):
         g = random_graph(50, 200, seed=33)
@@ -153,40 +168,33 @@ class TestRunIp:
             IpParams(epsilon=-1.0)
 
 
-class TestDelta:
-    def test_identical_pairs(self):
-        pair = ScorePair({"a": 0.5, "b": 0.5}, {"a": 1.0, "b": 0.0}, 1)
-        assert delta(pair, pair) == 0.0
+class TestScorePair:
+    def test_arrays_aligned_with_sorted_ids(self):
+        pair = ScorePair(["a", "b"], [0.25, 0.75], (1, 0), 3)
+        assert pair.node_ids == ("a", "b")
+        assert pair.influence.dtype == np.float64 and pair.passivity.tolist() == [1.0, 0.0]
 
-    def test_mass_shift(self):
-        prev = ScorePair({"a": 0.5, "b": 0.5}, {"a": 1.0, "b": 0.0}, 1)
-        nxt = ScorePair({"a": 0.6, "b": 0.4}, {"a": 1.0, "b": 0.0}, 2)
-        assert delta(prev, nxt) == pytest.approx(0.2)
+    @pytest.mark.parametrize("ids", [("b", "a"), ("a", "a")])
+    def test_ids_must_be_strictly_ascending(self, ids):
+        with pytest.raises(ValueError):
+            ScorePair(ids, [0.5, 0.5], [0.5, 0.5], 1)
 
-    def test_matches_naive_summation(self):
-        rng = np.random.default_rng(3)
-        users = [f"u{i}" for i in range(25)]
-        prev = ScorePair(
-            dict(zip(users, rng.random(25))), dict(zip(users, rng.random(25))), 1
-        )
-        nxt = ScorePair(
-            dict(zip(users, rng.random(25))), dict(zip(users, rng.random(25))), 2
-        )
-        naive = sum(abs(nxt.influence[u] - prev.influence[u]) for u in users) + sum(
-            abs(nxt.passivity[u] - prev.passivity[u]) for u in users
-        )
-        assert delta(prev, nxt) == pytest.approx(naive, abs=1e-12)
+    def test_rejects_nan_and_misaligned_scores(self):
+        with pytest.raises(ValueError):
+            ScorePair(("a", "b"), [0.5, float("nan")], [0.5, 0.5], 1)
+        with pytest.raises(ValueError):
+            ScorePair(("a", "b"), [1.0], [0.5, 0.5], 1)
 
-    def test_node_set_mismatch(self):
-        a = ScorePair({"a": 1.0}, {"a": 1.0}, 1)
-        b = ScorePair({"b": 1.0}, {"b": 1.0}, 1)
-        with pytest.raises(NodeSetMismatch):
-            delta(a, b)
+    def test_equality_compares_values(self):
+        pair = ScorePair(("a", "b"), [0.5, 0.5], [1.0, 0.0], 1)
+        assert pair == ScorePair(("a", "b"), np.array([0.5, 0.5]), [1.0, 0.0], 1)
+        assert pair != ScorePair(("a", "b"), [0.5, 0.5], [0.0, 1.0], 1)
+        assert pair != ScorePair(("a", "b"), [0.5, 0.5], [1.0, 0.0], 2)
 
 
 class TestSerialization:
     def test_scores_format(self):
-        pair = ScorePair({"a": 1.0 / 3.0, "b": 2.0 / 3.0}, {"a": 1.0, "b": 0.0}, 4)
+        pair = ScorePair(("a", "b"), [1.0 / 3.0, 2.0 / 3.0], [1.0, 0.0], 4)
         text = scores_to_tsv(pair)
         lines = text.strip().split("\n")
         assert lines[0] == "a\t0.33333333333333331\t1"

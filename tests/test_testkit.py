@@ -14,6 +14,7 @@ from iprank.testkit import (
     PLANTED_B,
     SynthParams,
     audience_retweeting_rate,
+    by_id,
     dense_ip_oracle,
     dense_pagerank_oracle,
     h_index,
@@ -95,10 +96,11 @@ class TestPlantedContrast:
     def test_dedicated_audience_wins(self):
         log, follows = planted_contrast_trace(audience_size=4)
         g = build_retweet(log, min_urls=3)
+        a, b = g.index_of(PLANTED_A), g.index_of(PLANTED_B)
         oracle = dense_ip_oracle(g, 30)
-        assert oracle.influence[PLANTED_A] > oracle.influence[PLANTED_B]
+        assert oracle.influence[a] > oracle.influence[b]
         pair, _ = run_ip(g)
-        assert pair.influence[PLANTED_A] > pair.influence[PLANTED_B]
+        assert pair.influence[a] > pair.influence[b]
 
     def test_audiences_have_equal_size(self):
         _, follows = planted_contrast_trace(audience_size=6)
@@ -127,14 +129,16 @@ class TestDenseOracles:
     def test_ip_oracle_single_arc(self):
         g = InfluenceGraph.from_arcs([("A", "B", 0.5)])
         pair = dense_ip_oracle(g, 5)
-        assert pair.influence == {"A": 1.0, "B": 0.0}
-        assert pair.passivity == {"A": 0.0, "B": 1.0}
+        assert pair.node_ids == ("A", "B")
+        assert pair.influence.tolist() == [1.0, 0.0]
+        assert pair.passivity.tolist() == [0.0, 1.0]
 
     def test_ip_oracle_symmetric_pair(self):
         g = InfluenceGraph.from_arcs([("A", "B", 0.5), ("B", "A", 0.5)])
         pair = dense_ip_oracle(g, 10)
-        assert pair.influence["A"] == pytest.approx(0.5, abs=1e-12)
-        assert pair.passivity["B"] == pytest.approx(0.5, abs=1e-12)
+        assert pair.node_ids == ("A", "B")
+        assert pair.influence[0] == pytest.approx(0.5, abs=1e-12)
+        assert pair.passivity[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_ip_oracle_limits(self):
         with pytest.raises(TooLarge):
@@ -145,11 +149,11 @@ class TestDenseOracles:
     def test_pagerank_oracle_symmetric_pair(self):
         g = InfluenceGraph.from_arcs([("A", "B", 0.3), ("B", "A", 0.3)])
         pr = dense_pagerank_oracle(g)
-        assert pr.values["A"] == pytest.approx(0.5, abs=1e-12)
+        assert by_id(pr)["A"] == pytest.approx(0.5, abs=1e-12)
 
     def test_pagerank_oracle_single_node(self):
         g = InfluenceGraph.from_arcs([], nodes=["only"])
-        assert dense_pagerank_oracle(g).values == {"only": 1.0}
+        assert by_id(dense_pagerank_oracle(g)) == {"only": 1.0}
 
 
 class TestEventOracles:
@@ -180,5 +184,5 @@ class TestEventOracles:
             assert report.user_rates == expected_user
             assert report.audience_rates == expected_audience
             scores = h_index_scores(log)
-            assert scores.values == {u: float(h_index(log, u)) for u in log.users}
-            assert max(scores.values.values()) >= 2.0
+            assert by_id(scores) == {u: float(h_index(log, u)) for u in log.users}
+            assert max(by_id(scores).values()) >= 2.0
