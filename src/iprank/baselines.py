@@ -137,10 +137,8 @@ def h_index_scores(log: ActivityLog) -> ScoreVector:
 
 def follower_count(follows: FollowEdgeList) -> ScoreVector:
     """Followers per user, zero for users appearing only as followers."""
-    counts = {user: 0 for user in follows.users()}
-    for followee, _ in follows.edges:
-        counts[followee] += 1
-    return ScoreVector.from_mapping(counts, label="followers")
+    counts = np.bincount(follows.followee, minlength=len(follows.user_ids))
+    return ScoreVector(follows.user_ids, counts, label="followers")
 
 
 def retweet_count(log: ActivityLog) -> ScoreVector:

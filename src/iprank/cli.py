@@ -88,26 +88,8 @@ class RunConfig:
     strict: bool = True
 
 
-_CONVERTERS = {
-    "events": str,
-    "follows": str,
-    "clicks": str,
-    "graph": str,
-    "out_dir": str,
-    "graph_type": str,
-    "min_urls": int,
-    "iterations": int,
-    "epsilon": float,
-    "damping": float,
-    "pagerank_iterations": int,
-    "pagerank_epsilon": float,
-    "q": float,
-    "bin_count": int,
-    "top_k": int,
-    "min_posted": int,
-    "threads": int,
-    "strict": None,  # parsed as a boolean word
-}
+# a config value is read as the type of its field's default; paths default to None
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -137,13 +119,11 @@ def load_config(path: str) -> dict[str, object]:
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in _CONVERTERS:
+        if key not in _DEFAULTS:
             raise ConfigInvalid(f"config line {line_no}: unknown key {key!r}")
+        convert = str if _DEFAULTS[key] is None else type(_DEFAULTS[key])
         try:
-            if _CONVERTERS[key] is None:
-                out[key] = _parse_bool(value)
-            else:
-                out[key] = _CONVERTERS[key](value)
+            out[key] = _parse_bool(value) if convert is bool else convert(value)
         except ValueError:
             raise ConfigInvalid(
                 f"config line {line_no}: bad value for {key!r}: {value!r}"
@@ -316,7 +296,8 @@ def _graph_params(cfg: RunConfig) -> dict[str, object]:
 def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     """Read a score file: either ``#measure=`` two-column vectors or the
     three-column influence/passivity output. Returns the file's label and one
-    vector per column, keyed by column name."""
+    vector per column, keyed by column name. A score that is not a number, or
+    an id listed twice in one column, is :class:`ConfigInvalid`."""
     label = "scores"
     columns: dict[str, dict[str, float]] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -335,12 +316,12 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
                     value = float(parts[1])
                     if math.isnan(value):
                         raise ValueError
-                    columns.setdefault(label, {})[parts[0]] = value
+                    column = columns.setdefault(label, {})
                 elif len(parts) == 3:
-                    influence, passivity = float(parts[1]), float(parts[2])
-                    if math.isnan(influence) or math.isnan(passivity):
+                    value, passivity = float(parts[1]), float(parts[2])
+                    if math.isnan(value) or math.isnan(passivity):
                         raise ValueError
-                    columns.setdefault("influence", {})[parts[0]] = influence
+                    column = columns.setdefault("influence", {})
                     columns.setdefault("passivity", {})[parts[0]] = passivity
                 else:
                     raise ConfigInvalid(f"unrecognized score line in {path}: {line!r}")
@@ -348,6 +329,9 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
                 raise ConfigInvalid(
                     f"line {line_no} of {path}: score is not a number: {line!r}"
                 ) from None
+            if parts[0] in column:
+                raise ConfigInvalid(f"line {line_no} of {path}: {parts[0]!r} is listed twice")
+            column[parts[0]] = value
     if not columns:
         raise MissingInput(f"no score rows found in {path}")
     return label, {name: ScoreVector.from_mapping(m, name) for name, m in columns.items()}

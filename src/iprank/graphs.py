@@ -18,13 +18,16 @@ All counts are over distinct URLs. Nodes must have mentioned at least
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvalidParams, UnparsableLine
-from .ingest import ActivityLog, FollowEdgeList, _iter_lines, _lookup, _run_starts
+from .ingest import (
+    ActivityLog, FollowEdgeList, _iter_lines, _lookup, _run_starts, _sorted_codes,
+)
 
 WEIGHT_HIST_BINS = 10
 
@@ -45,7 +48,7 @@ class InfluenceGraph:
     downstream computation.
     """
 
-    __slots__ = ("node_ids", "src", "dst", "weights", "_index", "_weight_map")
+    __slots__ = ("node_ids", "src", "dst", "weights", "_index")
 
     def __init__(
         self,
@@ -77,7 +80,6 @@ class InfluenceGraph:
         self.dst = dst
         self.weights = weights
         self._index = {uid: i for i, uid in enumerate(ids)}
-        self._weight_map: dict[tuple[str, str], float] | None = None
 
     @classmethod
     def from_arcs(
@@ -114,20 +116,8 @@ class InfluenceGraph:
 
     def arcs(self) -> Iterator[tuple[str, str, float]]:
         ids = self.node_ids
-        for s, d, w in zip(self.src, self.dst, self.weights):
-            yield ids[s], ids[d], float(w)
-
-    def weight(self, i: str, j: str) -> float:
-        if self._weight_map is None:
-            self._weight_map = {(a, b): w for a, b, w in self.arcs()}
-        return self._weight_map[(i, j)]
-
-    def has_arc(self, i: str, j: str) -> bool:
-        try:
-            self.weight(i, j)
-            return True
-        except KeyError:
-            return False
+        for s, d, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist()):
+            yield ids[s], ids[d], w
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InfluenceGraph):
@@ -260,26 +250,23 @@ def stats_to_tsv(stats: GraphStats) -> str:
 def graph_to_tsv(g: InfluenceGraph) -> str:
     """Serialize as ``i TAB j TAB w`` lines under a ``#nodes= arcs=`` header.
 
-    Isolated nodes are listed as ``i TAB - TAB -``; the id ``-`` is therefore
-    reserved and must not be used as a node id.
+    Isolated nodes are listed as ``i TAB - TAB -``.
     """
     lines = [f"#nodes={g.num_nodes} arcs={g.num_arcs}"]
-    touched: set[str] = set()
-    for i, j, w in g.arcs():
-        lines.append(f"{i}\t{j}\t{w!r}")
-        touched.add(i)
-        touched.add(j)
-    for uid in g.node_ids:
-        if uid not in touched:
-            lines.append(f"{uid}\t-\t-")
+    lines += (f"{i}\t{j}\t{w!r}" for i, j, w in g.arcs())
+    isolated = np.ones(g.num_nodes, dtype=bool)
+    isolated[g.src] = isolated[g.dst] = False
+    lines += (f"{g.node_ids[k]}\t-\t-" for k in np.flatnonzero(isolated).tolist())
     return "\n".join(lines) + "\n"
 
 
 def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
-    """Read :func:`graph_to_tsv` output. A malformed line, or a ``#nodes= arcs=``
-    header that the file's arcs and nodes do not match, raises :class:`UnparsableLine`."""
-    arcs: list[tuple[str, str, float]] = []
-    nodes: set[str] = set()
+    """Read :func:`graph_to_tsv` output. A malformed line, an arc listed twice,
+    or a ``#nodes= arcs=`` header that the file's arcs and nodes do not match
+    raises :class:`UnparsableLine`; a repeated arc is quoted as it reads back."""
+    users: dict[str, int] = {}
+    cols = src, dst, line_nos = array("q"), array("q"), array("q")
+    weights = array("d")
     header = None
     for line_no, raw in enumerate(_iter_lines(stream), start=1):
         line = raw.rstrip("\r\n")
@@ -292,7 +279,7 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
             if len(parts) != 3:
                 raise ValueError("expected 'source target weight' or 'node - -'")
             if parts[1] == "-" and parts[2] == "-":
-                nodes.add(parts[0])
+                users.setdefault(parts[0], len(users))
                 continue
             if parts[0] == parts[1]:
                 raise ValueError("self-arc")
@@ -301,8 +288,21 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
                 raise ValueError(f"weight outside (0, 1]: {parts[2]!r}")
         except ValueError as exc:
             raise UnparsableLine(line_no, line, str(exc)) from None
-        arcs.append((parts[0], parts[1], w))
-    g = InfluenceGraph.from_arcs(arcs, nodes=nodes)
+        src.append(users.setdefault(parts[0], len(users)))
+        dst.append(users.setdefault(parts[1], len(users)))
+        weights.append(w)
+        line_nos.append(line_no)
+    ids, rank = _sorted_codes(users)
+    src, dst, line_nos = (np.frombuffer(c, dtype=np.int64) for c in cols)
+    src, dst, weights = rank[src], rank[dst], np.frombuffer(weights, dtype=np.float64)
+    try:
+        g = InfluenceGraph(ids, src, dst, weights)
+    except ValueError:  # every other rule was checked line by line
+        order = np.lexsort((dst, src))  # stable: repeats follow their first line
+        s, d = src[order], dst[order]
+        k = order[1:][(s[1:] == s[:-1]) & (d[1:] == d[:-1])].min()
+        line = f"{ids[src[k]]}\t{ids[dst[k]]}\t{float(weights[k])!r}"
+        raise UnparsableLine(int(line_nos[k]), line, "duplicate arc") from None
     if header is not None and header[1] != f"#nodes={g.num_nodes} arcs={g.num_arcs}":
         raise UnparsableLine(*header, f"file holds {g.num_nodes} nodes and {g.num_arcs} arcs")
     return g

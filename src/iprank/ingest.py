@@ -9,20 +9,21 @@ File formats (UTF-8, one record per line, TAB-separated):
 
 ``time`` is a base-10 integer (milliseconds) that fits in 64 bits. Blank
 lines and lines starting with ``#`` are ignored, so serialized files may carry
-comment headers.
+comment headers; for the same reason no id may start with ``#``.
 """
 
 from __future__ import annotations
 
 import io
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidParams, NegativeCount, UnparsableLine
+from .errors import EmptyInput, NegativeCount, UnparsableLine
 
 MENTION = "M"
 RETWEET = "RT"
@@ -30,6 +31,8 @@ RETWEET = "RT"
 _TIME_MIN = -(2**63)
 _TIME_MAX = 2**63 - 1
 _EVENT_SHAPE = "expected 'time user url M' or 'time user url RT source'"
+# a written id starting with "#" would read back as a comment
+_HASH_ID = "id starts with '#'"
 # first characters of a time token; a line starting with one is never skippable
 _TIME_START = frozenset("-0123456789")
 
@@ -40,11 +43,26 @@ def _event_error(user: str, url: str, source: str | None) -> str | None:
         return "empty user id"
     if not url:
         return "empty url"
+    if user[0] == "#" or url[0] == "#":
+        return _HASH_ID
     if source is not None:
         if not source:
             return "empty retweet source"
         if source == user:
             return "retweet credits its own author"
+        if source[0] == "#":
+            return _HASH_ID
+    return None
+
+
+def _follow_error(followee: str, follower: str) -> str | None:
+    """Why (followee, follower) is not a valid follow edge, or None when it is."""
+    if not followee or not follower:
+        return "empty user id"
+    if followee == follower:
+        return "self-follow"
+    if followee[0] == "#" or follower[0] == "#":
+        return _HASH_ID
     return None
 
 
@@ -156,14 +174,6 @@ class ActivityLog:
             cols[3].append(-1 if ev.source is None else users.setdefault(ev.source, len(users)))
         self._load(users, urls, cols, skipped)
 
-    @classmethod
-    def _from_interned(
-        cls, users: dict[str, int], urls: dict[str, int], cols: tuple[array, ...], skipped: int
-    ) -> "ActivityLog":
-        log = cls.__new__(cls)
-        log._load(users, urls, cols, skipped)
-        return log
-
     def _load(
         self, users: dict[str, int], urls: dict[str, int], cols: tuple[array, ...], skipped: int
     ) -> None:
@@ -252,17 +262,13 @@ class ActivityLog:
         Ids the log never saw get codes from ``len(user_ids)`` up, in the
         order of the returned sorted tuple of extra ids.
         """
-        flat = [uid for edge in follows.edges for uid in edge]
-        codes = _positions(self.user_index, flat)
+        codes = _positions(self.user_index, follows.user_ids)
         missing = np.flatnonzero(codes < 0)
-        extra = tuple(sorted({flat[k] for k in missing.tolist()}))
-        if extra:
-            base = len(self.user_ids)
-            extra_code = {uid: base + k for k, uid in enumerate(extra)}
-            codes[missing] = [extra_code[flat[k]] for k in missing.tolist()]
-        pairs = codes.reshape(-1, 2)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order, 0], pairs[order, 1], extra
+        codes[missing] = np.arange(len(self.user_ids), len(self.user_ids) + missing.size)
+        extra = tuple(follows.user_ids[k] for k in missing.tolist())
+        followee, follower = codes[follows.followee], codes[follows.follower]
+        order = np.lexsort((follower, followee))
+        return followee[order], follower[order], extra
 
     def __len__(self) -> int:
         return int(self.time.size)
@@ -282,58 +288,65 @@ class ActivityLog:
             )
         )
 
-    def __hash__(self) -> int:
-        return hash((self.user_ids, self.url_ids, self.time.tobytes(), self.source.tobytes()))
-
     def __repr__(self) -> str:
         return f"ActivityLog({len(self)} events, {len(self.users)} users)"
 
 
 class FollowEdgeList:
-    """Directed follow relation stored as (followee, follower) pairs."""
+    """Directed follow relation as columns of interned codes.
 
-    __slots__ = ("edges", "skipped", "_followers", "_followees")
+    ``user_ids`` holds every edge endpoint, sorted; ``followee`` and
+    ``follower`` are int64 codes into it, one row per distinct edge, rows
+    sorted by (followee, follower).
+    """
+
+    __slots__ = ("user_ids", "followee", "follower", "skipped")
 
     def __init__(self, edges: Iterable[tuple[str, str]], skipped: int = 0) -> None:
-        collected: set[tuple[str, str]] = set()
+        users: dict[str, int] = {}
+        cols = array("q"), array("q")
         for followee, follower in edges:
-            if not followee or not follower:
-                raise ValueError("empty user id in follow edge")
-            if followee == follower:
-                raise ValueError(f"self-follow: {followee!r}")
-            collected.add((followee, follower))
-        self.edges: frozenset[tuple[str, str]] = frozenset(collected)
+            reason = _follow_error(followee, follower)
+            if reason is not None:
+                raise ValueError(reason)
+            cols[0].append(users.setdefault(followee, len(users)))
+            cols[1].append(users.setdefault(follower, len(users)))
+        self._load(users, cols, skipped)
+
+    def _load(self, users: dict[str, int], cols: tuple[array, array], skipped: int) -> None:
+        """Renumber codes into sorted-id order, then sort and dedupe the edges."""
+        self.user_ids, rank = _sorted_codes(users)
+        n = max(len(self.user_ids), 1)
+        followee, follower = (rank[np.frombuffer(c, dtype=np.int64)] for c in cols)
+        self.followee, self.follower = np.divmod(np.unique(followee * n + follower), n)
+        self.followee.flags.writeable = self.follower.flags.writeable = False
         self.skipped = skipped
-        followers: dict[str, set[str]] = {}
-        followees: dict[str, set[str]] = {}
-        for followee, follower in self.edges:
-            followers.setdefault(followee, set()).add(follower)
-            followees.setdefault(follower, set()).add(followee)
-        self._followers = {u: frozenset(s) for u, s in followers.items()}
-        self._followees = {u: frozenset(s) for u, s in followees.items()}
 
-    def followers_of(self, user: str) -> frozenset[str]:
-        return self._followers.get(user, frozenset())
-
-    def followees_of(self, user: str) -> frozenset[str]:
-        return self._followees.get(user, frozenset())
-
-    def users(self) -> frozenset[str]:
-        return frozenset(self._followers) | frozenset(self._followees)
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The (followee, follower) id pairs, built per access."""
+        ids = self.user_ids
+        return frozenset(
+            (ids[a], ids[b]) for a, b in zip(self.followee.tolist(), self.follower.tolist())
+        )
 
     def __contains__(self, edge: tuple[str, str]) -> bool:
-        return edge in self.edges
+        ids = self.user_ids
+        a, b = (bisect_left(ids, uid) for uid in edge)
+        lo, hi = np.searchsorted(self.followee, (a, a + 1))
+        return ids[a : a + 1] + ids[b : b + 1] == tuple(edge) and b in self.follower[lo:hi]
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return int(self.followee.size)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FollowEdgeList):
             return NotImplemented
-        return self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash(self.edges)
+        return (
+            self.user_ids == other.user_ids
+            and np.array_equal(self.followee, other.followee)
+            and np.array_equal(self.follower, other.follower)
+        )
 
 
 @dataclass(slots=True)
@@ -367,9 +380,7 @@ def _skippable(line: str) -> bool:
     return not line.strip() or line.lstrip().startswith("#")
 
 
-def parse_events(
-    stream: IO | str | bytes | Iterable[str], fmt: str = "tsv", strict: bool = True
-) -> ActivityLog:
+def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) -> ActivityLog:
     """Parse an events stream into a time-sorted :class:`ActivityLog`.
 
     Lines are read one at a time and their ids interned as they are read. In
@@ -377,8 +388,6 @@ def parse_events(
     lenient mode malformed lines are skipped and tallied on the returned
     log's ``skipped`` field.
     """
-    if fmt != "tsv":
-        raise InvalidParams(f"unknown events format: {fmt!r}")
     users: dict[str, int] = {}
     urls: dict[str, int] = {}
     cols = times, user_col, url_col, source_col = tuple(array("q") for _ in range(4))
@@ -413,36 +422,39 @@ def parse_events(
         source_col.append(-1 if source is None else users.setdefault(source, len(users)))
     if not times:
         raise EmptyInput("no events parsed")
-    return ActivityLog._from_interned(users, urls, cols, skipped)
+    log = ActivityLog.__new__(ActivityLog)
+    log._load(users, urls, cols, skipped)
+    return log
 
 
 def parse_follows(
     stream: IO | str | bytes | Iterable[str], strict: bool = True
 ) -> FollowEdgeList:
     """Parse ``followee TAB follower`` lines; duplicates collapse to one edge."""
-    edges: set[tuple[str, str]] = set()
+    users: dict[str, int] = {}
+    cols = followees, followers = array("q"), array("q")
     skipped = 0
     for line_no, raw in enumerate(_iter_lines(stream), start=1):
         line = raw.rstrip("\r\n")
         if _skippable(line):
             continue
         parts = line.split("\t")
-        reason = None
         if len(parts) != 2:
             reason = "expected 'followee follower'"
-        elif not parts[0] or not parts[1]:
-            reason = "empty user id"
-        elif parts[0] == parts[1]:
-            reason = "self-follow"
+        else:
+            reason = _follow_error(parts[0], parts[1])
         if reason is not None:
             if strict:
                 raise UnparsableLine(line_no, line, reason)
             skipped += 1
             continue
-        edges.add((parts[0], parts[1]))
-    if not edges:
+        followees.append(users.setdefault(parts[0], len(users)))
+        followers.append(users.setdefault(parts[1], len(users)))
+    if not followees:
         raise EmptyInput("no follow edges parsed")
-    return FollowEdgeList(edges, skipped=skipped)
+    follows = FollowEdgeList.__new__(FollowEdgeList)
+    follows._load(users, cols, skipped)
+    return follows
 
 
 def parse_clicks(
@@ -494,7 +506,10 @@ def events_to_tsv(log: ActivityLog) -> str:
 
 
 def follows_to_tsv(follows: FollowEdgeList) -> str:
-    lines = [f"{a}\t{b}" for a, b in sorted(follows.edges)]
+    ids = follows.user_ids
+    lines = [
+        f"{ids[a]}\t{ids[b]}" for a, b in zip(follows.followee.tolist(), follows.follower.tolist())
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

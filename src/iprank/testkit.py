@@ -4,9 +4,10 @@ The oracles deliberately share no code with the implementations they check:
 the dense ones build full matrices with plain loops and apply the defining
 operations naively, the per-user event oracles (co-mention counts,
 retweeting rates, the H-index) scan :class:`TweetEvent` objects one by one,
-and the ranking oracles sort id -> value dicts and walk runs of ties in a
-loop. Trace generation uses ``random.Random`` (Mersenne Twister), drawing
-in a fixed documented order so a seed fully determines the output:
+the follow oracles scan (followee, follower) id pairs, and the ranking
+oracles sort id -> value dicts and walk runs of ties in a loop. Trace
+generation uses ``random.Random`` (Mersenne Twister), drawing in a fixed
+documented order so a seed fully determines the output:
 
 1. follow edges: for each broadcaster in id order, for each other user in id
    order, one uniform draw against ``follow_prob``;
@@ -289,11 +290,39 @@ def pairwise_counts(log: ActivityLog, i: str, j: str) -> PairwiseCounts:
     return PairwiseCounts(s=len(later), f=len(first_i) - len(shared), p=len(first_i))
 
 
+def followers_of(follows: FollowEdgeList, user: str) -> set[str]:
+    """Followers of the user, by scanning every edge."""
+    return {follower for followee, follower in follows.edges if followee == user}
+
+
+def followees_of(follows: FollowEdgeList, user: str) -> set[str]:
+    """Users the user follows, by scanning every edge."""
+    return {followee for followee, follower in follows.edges if follower == user}
+
+
+def follower_counts(follows: FollowEdgeList) -> dict[str, int]:
+    """Followers per user, zero for users appearing only as followers."""
+    counts = {user: 0 for edge in follows.edges for user in edge}
+    for followee, _ in follows.edges:
+        counts[followee] += 1
+    return counts
+
+
+def follow_codes(
+    log: ActivityLog, follows: FollowEdgeList
+) -> tuple[list[tuple[int, int]], tuple[str, ...]]:
+    """Sorted (followee, follower) log-code pairs, and the ids the log lacks,
+    which get codes from ``len(log.user_ids)`` up in id order."""
+    extra = tuple(sorted({u for edge in follows.edges for u in edge} - set(log.user_ids)))
+    code = {uid: k for k, uid in enumerate(log.user_ids + extra)}
+    return sorted((code[a], code[b]) for a, b in follows.edges), extra
+
+
 def user_retweeting_rate(
     log: ActivityLog, follows: FollowEdgeList, user: str
 ) -> float | None:
     """Share of received URL posts the user retweeted; None when nothing received."""
-    followees = follows.followees_of(user)
+    followees = followees_of(follows, user)
     if not followees:
         return None
     received = 0
@@ -316,7 +345,7 @@ def audience_retweeting_rate(
     log: ActivityLog, follows: FollowEdgeList, user: str
 ) -> float | None:
     """Share of deliveries to the user's followers that came back as retweets."""
-    followers = follows.followers_of(user)
+    followers = followers_of(follows, user)
     if not followers:
         return None
     own_events = _events_of(log, user)
@@ -359,6 +388,11 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
         ranks[order[i : j + 1]] = (i + j + 2) / 2.0
         i = j + 1
     return ranks
+
+
+def arc_weights(g: InfluenceGraph) -> dict[tuple[str, str], float]:
+    """The graph's arcs as a (source, target) -> weight dict."""
+    return {(i, j): w for i, j, w in g.arcs()}
 
 
 def by_id(scores: ScoreVector) -> dict[str, float]:

@@ -22,6 +22,7 @@ from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
 from iprank.testkit import (
     SynthParams,
     audience_retweeting_rate,
+    followers_of,
     ranks_of,
     synth_trace,
     user_retweeting_rate,
@@ -104,9 +105,9 @@ class TestAudienceRetweetingRate:
                 seed=20,
             )
         )
-        for user in sorted(follows.users()):
+        for user in sorted(follows.user_ids):
             rate = audience_retweeting_rate(log, follows, user)
-            followers = follows.followers_of(user)
+            followers = followers_of(follows, user)
             own = [ev for ev in log if ev.user == user]
             if not followers or not own:
                 assert rate is None

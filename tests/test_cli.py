@@ -11,7 +11,7 @@ import iprank
 from iprank.cli import main, read_manifest, read_score_columns
 from iprank.graphs import graph_from_tsv
 from iprank.ingest import clicks_to_tsv, events_to_tsv, follows_to_tsv, ClickTable
-from iprank.testkit import SynthParams, synth_trace
+from iprank.testkit import SynthParams, arc_weights, synth_trace
 
 RT_FIXTURE = (
     "1\tposter\tl-a\tM\n"
@@ -57,7 +57,7 @@ class TestBuild:
         assert code == 0
         g = graph_from_tsv((out / "graph.tsv").read_text(encoding="utf-8"))
         assert g.num_arcs == 1
-        assert g.weight("poster", "reader") == 1.0 / 3.0
+        assert arc_weights(g)[("poster", "reader")] == 1.0 / 3.0
         raw = (out / "graph.tsv").read_text(encoding="utf-8")
         assert "poster\treader\t0.3333333333333333\n" in raw
 
@@ -222,6 +222,35 @@ class TestScoreFiles:
         scores = tmp_path / "scores.tsv"
         scores.write_text("a\t0.5\t0.5\nb\t0.5\tnan\n", encoding="utf-8")
         assert run("rank", "--scores", scores, "--out-dir", tmp_path / "out") == 2
+
+    def test_id_listed_twice_is_config_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("#measure=m\na\t1\nb\t2\na\t3\n", encoding="utf-8")
+        assert run("rank", "--scores", scores, "--out-dir", tmp_path / "out") == 2
+        assert "error: ConfigInvalid: line 4 of" in capsys.readouterr().err
+        scores.write_text("a\t0.5\t0.5\nb\t0.5\t0.5\nb\t0.5\t0.5\n", encoding="utf-8")
+        assert run("rank", "--scores", scores, "--out-dir", tmp_path / "out") == 2
+        assert "error: ConfigInvalid: line 3 of" in capsys.readouterr().err
+
+    def test_hash_led_user_is_rejected_before_any_score_file(self, tmp_path, capsys):
+        # written out, "#a" would read back as a comment and drop out of the ranking
+        events = tmp_path / "events.tsv"
+        events.write_text("1\t#a\tl-a\tM\n2\tb\tl-b\tM\n3\tc\tl-a\tRT\t#a\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("hindex", "--events", events, "--out-dir", out) == 1
+        assert "error: UnparsableLine: line 1: id starts with '#'" in capsys.readouterr().err
+        assert not (out / "hindex.tsv").exists()
+        assert run("hindex", "--events", events, "--lenient", "--out-dir", out) == 0
+        assert "skipped 2 malformed events line(s)" in capsys.readouterr().err
+        _, columns = read_score_columns(str(out / "hindex.tsv"))
+        assert columns["hindex"].node_ids == ("b",)
+
+    def test_repeated_graph_arc_is_unparsable(self, tmp_path, capsys):
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("a\tb\t0.5\nb\ta\t0.5\na\tb\t0.5\n", encoding="utf-8")
+        assert run("ip", "--graph", graph, "--out-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "error: UnparsableLine: line 3: duplicate arc: 'a\\tb\\t0.5'" in err
 
     def test_malformed_graph_line_is_unparsable(self, tmp_path, capsys):
         graph = tmp_path / "graph.tsv"

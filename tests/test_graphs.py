@@ -14,7 +14,7 @@ from iprank.graphs import (
     graph_to_tsv,
 )
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
-from iprank.testkit import PairwiseCounts, SynthParams, pairwise_counts, synth_trace
+from iprank.testkit import PairwiseCounts, SynthParams, arc_weights, pairwise_counts, synth_trace
 
 
 def mention(t, user, url):
@@ -32,7 +32,7 @@ class TestInfluenceGraphType:
         with pytest.raises(ValueError):
             InfluenceGraph.from_arcs([("a", "b", 1.0 + 1e-9)])
         g = InfluenceGraph.from_arcs([("a", "b", 1.0)])
-        assert g.weight("a", "b") == 1.0
+        assert arc_weights(g)[("a", "b")] == 1.0
 
     def test_no_self_arcs(self):
         with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ class TestComention:
         )
         follows = FollowEdgeList([("i", "j")])
         g = build_comention(log, follows, min_urls=1)
-        assert g.weight("i", "j") == pytest.approx(1.0 / 3.0)
+        assert arc_weights(g)[("i", "j")] == pytest.approx(1.0 / 3.0)
         assert g.num_arcs == 1
 
     def test_no_follow_no_arc(self):
@@ -105,7 +105,7 @@ class TestComention:
             [mention(0, "j", "a"), mention(1, "i", "a"), mention(9, "j", "a")]
         )
         g = build_comention(log, FollowEdgeList([("i", "j")]), min_urls=1)
-        assert g.weight("i", "j") == 1.0
+        assert arc_weights(g)[("i", "j")] == 1.0
 
     def test_min_urls_filters_both_endpoints(self):
         log = ActivityLog(
@@ -180,7 +180,7 @@ class TestRetweetBuilders:
 
     def test_weight_is_s_over_p(self):
         g = build_retweet(self.trace(), min_urls=3)
-        assert g.weight("i", "j") == pytest.approx(1.0 / 3.0)
+        assert arc_weights(g)[("i", "j")] == pytest.approx(1.0 / 3.0)
 
     def test_no_retweet_no_arc(self):
         log = ActivityLog([mention(1, "i", "a"), mention(2, "j", "b")])
@@ -198,14 +198,15 @@ class TestRetweetBuilders:
             ]
         )
         g = build_retweet(log, min_urls=3)
-        assert g.weight("i", "j") == 1.0
+        assert arc_weights(g)[("i", "j")] == 1.0
 
     def test_follower_variant_requires_follow(self):
         log = self.trace()
         with_follow = build_retweet_follower(log, FollowEdgeList([("i", "j")]), 3)
         without = build_retweet_follower(log, FollowEdgeList([("j", "i")]), 3)
         assert with_follow.num_arcs == 1
-        assert with_follow.weight("i", "j") == build_retweet(log, 3).weight("i", "j")
+        expected = arc_weights(build_retweet(log, 3))[("i", "j")]
+        assert arc_weights(with_follow)[("i", "j")] == expected
         assert without.num_arcs == 0
 
     def test_follow_without_retweet_gives_no_arc(self):
@@ -353,7 +354,7 @@ class TestSerialization:
     def test_weights_survive_exactly(self):
         w = 0.12345678901234567
         g = InfluenceGraph.from_arcs([("a", "b", w)])
-        assert graph_from_tsv(graph_to_tsv(g)).weight("a", "b") == w
+        assert arc_weights(graph_from_tsv(graph_to_tsv(g)))[("a", "b")] == w
 
     def test_empty_graph(self):
         g = InfluenceGraph.from_arcs([])
@@ -379,6 +380,19 @@ class TestSerialization:
         with pytest.raises(UnparsableLine) as info:
             graph_from_tsv(f"c\td\t0.5\n{line}\n")
         assert info.value.line_no == 2
+
+    def test_repeated_arc_reports_its_first_repeat(self):
+        text = "#nodes=3 arcs=3\nb\tc\t0.25\na\tb\t0.5\n\nb\tc\t0.75\na\tb\t0.50\n"
+        with pytest.raises(UnparsableLine) as info:
+            graph_from_tsv(text)
+        assert info.value.line_no == 5
+        assert info.value.reason == "duplicate arc"
+        assert info.value.line == "b\tc\t0.75"
+
+    def test_reverse_arc_is_not_a_repeat(self):
+        g = graph_from_tsv("a\tb\t0.5\nb\ta\t0.25\nc\t-\t-\n")
+        assert arc_weights(g) == {("a", "b"): 0.5, ("b", "a"): 0.25}
+        assert g.node_ids == ("a", "b", "c")
 
     @pytest.mark.parametrize("header", ["#nodes=x arcs=1", "#nodes=2", "#nodes=2 arcs=2"])
     def test_bad_or_wrong_header_rejected(self, header):

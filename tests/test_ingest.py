@@ -17,6 +17,7 @@ from iprank.ingest import (
     parse_follows,
     url_counts,
 )
+from iprank.testkit import followees_of, followers_of
 
 EVENTS = "1\tu1\turl-a\tM\n2\tu2\turl-b\tM\n3\tu3\turl-c\tM\n"
 
@@ -78,12 +79,6 @@ class TestParseEvents:
     def test_comments_and_blanks_ignored(self):
         log = parse_events("# header\n\n" + EVENTS)
         assert len(log) == 3
-
-    def test_unknown_format(self):
-        from iprank.errors import InvalidParams
-
-        with pytest.raises(InvalidParams):
-            parse_events(EVENTS, fmt="csv")
 
     def test_accepts_file_object(self, tmp_path):
         p = tmp_path / "events.tsv"
@@ -193,9 +188,55 @@ class TestParseFollows:
 
     def test_maps(self):
         f = parse_follows("a\tb\na\tc\nd\tb\n")
-        assert f.followers_of("a") == {"b", "c"}
-        assert f.followees_of("b") == {"a", "d"}
-        assert f.users() == {"a", "b", "c", "d"}
+        assert followers_of(f, "a") == {"b", "c"}
+        assert followees_of(f, "b") == {"a", "d"}
+        assert set(f.user_ids) == {"a", "b", "c", "d"}
+
+
+class TestHashLedIds:
+    """An id starting with "#" would read back as a comment, so ingest refuses it."""
+
+    @pytest.mark.parametrize(
+        "line", ["1\t#a\tu\tM", "1\ta\t#u\tM", "1\ta\tu\tRT\t#b", "1\t#a\tu\tRT\tb"]
+    )
+    def test_events_strict(self, line):
+        with pytest.raises(UnparsableLine) as info:
+            parse_events(f"# header\n{line}\n")
+        assert info.value.line_no == 2
+        assert info.value.reason == "id starts with '#'"
+
+    def test_events_lenient_tallies(self):
+        text = "1\t#a\tu\tM\n2\ta\t#u\tM\n3\ta\tu\tRT\t#b\n4\tb\tu\tM\n"
+        log = parse_events(text, strict=False)
+        assert log.skipped == 3
+        assert events_to_tsv(log) == "4\tb\tu\tM\n"
+
+    @pytest.mark.parametrize(
+        "user,url,source", [("#a", "u", None), ("a", "#u", None), ("a", "u", "#b")]
+    )
+    def test_tweet_event(self, user, url, source):
+        with pytest.raises(ValueError):
+            TweetEvent(1, user, url, source)
+
+    def test_follows_strict(self):
+        with pytest.raises(UnparsableLine) as info:
+            parse_follows("a\tb\nb\t#a\n")
+        assert info.value.line_no == 2
+        assert info.value.reason == "id starts with '#'"
+
+    def test_follows_lenient_tallies(self):
+        f = parse_follows("b\t#a\na\tb\n", strict=False)
+        assert f.skipped == 1
+        assert f.edges == frozenset({("a", "b")})
+
+    @pytest.mark.parametrize("edge", [("#a", "b"), ("b", "#a")])
+    def test_follow_edge_list(self, edge):
+        with pytest.raises(ValueError):
+            FollowEdgeList([edge])
+
+    def test_inner_hash_is_an_ordinary_character(self):
+        assert parse_follows("a#\tb#c\n").edges == frozenset({("a#", "b#c")})
+        assert parse_events("1\ta#\tu#1\tM\n").user_ids == ("a#",)
 
 
 class TestParseClicks:

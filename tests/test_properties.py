@@ -1,25 +1,43 @@
-"""Hypothesis properties of the events format, the columnar log, and the
-array rankings against their dict-and-loop oracles."""
+"""Hypothesis properties of the events, follows, graph and score formats, the
+columnar log and follow edges, and the array rankings against their
+dict-and-loop oracles."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from iprank.analytics import _average_ranks, rank_correlation, rank_join, top_k
-from iprank.baselines import ScoreVector
+from iprank.baselines import ScoreVector, follower_count, vector_to_tsv
+from iprank.cli import read_score_columns
 from iprank.errors import InsufficientOverlap
-from iprank.ingest import ActivityLog, TweetEvent, events_to_tsv, parse_events
-from iprank.testkit import average_ranks, by_id, ranking, ranks_of
+from iprank.graphs import InfluenceGraph, graph_from_tsv, graph_to_tsv
+from iprank.ingest import (
+    ActivityLog,
+    FollowEdgeList,
+    TweetEvent,
+    events_to_tsv,
+    parse_events,
+)
+from iprank.ipcore import ScorePair, scores_to_tsv
+from iprank.testkit import (
+    average_ranks,
+    by_id,
+    follow_codes,
+    follower_counts,
+    ranking,
+    ranks_of,
+)
 
-# every id the events format can carry: non-empty, no TAB/CR/LF, no leading
-# "#", and not the "-" that graph files reserve
+# every id the ingest accepts: non-empty, no TAB/CR/LF, no leading "#"
 IDS = st.text(
     alphabet=st.characters(exclude_categories=("Cs",), exclude_characters="\t\r\n"),
     min_size=1,
     max_size=6,
-).filter(lambda s: not s.startswith("#") and s != "-")
+).filter(lambda s: not s.startswith("#"))
 TIMES = st.integers(-3, 3) | st.integers(-(2**63), 2**63 - 1)
 
 
@@ -50,6 +68,90 @@ def test_log_is_invariant_under_permutation(data):
     shuffled = data.draw(st.permutations(events))
     assert ActivityLog(shuffled) == ActivityLog(events)
     assert ActivityLog(shuffled).events == ActivityLog(events).events
+
+
+@st.composite
+def edge_lists(draw, users=None):
+    """Follow edges over a small id pool, so users share many edges."""
+    if users is None:
+        users = draw(st.lists(IDS, min_size=2, max_size=5, unique=True))
+    pairs = st.tuples(st.sampled_from(users), st.sampled_from(users))
+    return draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=12))
+
+
+@given(st.data())
+def test_follow_edges_ignore_order_and_repeats(data):
+    edges = data.draw(edge_lists())
+    repeats = data.draw(st.lists(st.sampled_from(edges))) if edges else []
+    follows = FollowEdgeList(edges)
+    assert FollowEdgeList(data.draw(st.permutations(edges + repeats))) == follows
+    assert follows.edges == set(edges)
+    assert len(follows) == len(set(edges))
+    for a, b in edges:
+        assert (a, b) in follows
+        assert ((b, a) in follows) == ((b, a) in follows.edges)
+        assert (a, "\t") not in follows
+
+
+@given(edge_lists())
+def test_follower_count_matches_the_oracle(edges):
+    assert by_id(follower_count(FollowEdgeList(edges))) == follower_counts(FollowEdgeList(edges))
+
+
+@given(st.data())
+def test_follow_codes_match_the_oracle(data):
+    events = data.draw(event_lists())
+    log = ActivityLog(events)
+    # edges over some of the log's users and some it never saw
+    pool = data.draw(st.lists(IDS, max_size=3, unique=True)) + list(log.user_ids)
+    if len(set(pool)) < 2:
+        return
+    follows = FollowEdgeList(data.draw(edge_lists(sorted(set(pool)))))
+    followee, follower, extra = log.follow_codes(follows)
+    pairs, expected_extra = follow_codes(log, follows)
+    assert list(zip(followee.tolist(), follower.tolist())) == pairs
+    assert extra == expected_extra
+
+
+WEIGHTS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+# "-" often, since an isolated node is written as "i TAB - TAB -"
+@given(st.lists(IDS | st.just("-"), max_size=6, unique=True), st.data())
+def test_graph_round_trips_through_tsv(nodes, data):
+    arcs = {}
+    if len(nodes) >= 2:
+        pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+            lambda e: e[0] != e[1]
+        )
+        arcs = data.draw(st.dictionaries(pairs, WEIGHTS, max_size=10))
+    g = InfluenceGraph.from_arcs([(i, j, w) for (i, j), w in arcs.items()], nodes=nodes)
+    assert graph_from_tsv(graph_to_tsv(g)) == g
+
+
+SCORES = st.floats(allow_nan=False)
+
+
+def read_back(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.tsv"
+        path.write_text(text, encoding="utf-8")
+        return read_score_columns(str(path))
+
+
+@given(st.dictionaries(IDS, SCORES, min_size=1, max_size=8), IDS)
+def test_score_vector_round_trips_through_its_file(values, label):
+    vector = ScoreVector.from_mapping(values, label)
+    assert read_back(vector_to_tsv(vector)) == (label, {label: vector})
+
+
+@given(st.dictionaries(IDS, st.tuples(SCORES, SCORES), min_size=1, max_size=8))
+def test_score_pair_round_trips_through_its_file(values):
+    ids = sorted(values)
+    pair = ScorePair(ids, [values[u][0] for u in ids], [values[u][1] for u in ids], 1)
+    _, columns = read_back(scores_to_tsv(pair))
+    assert columns["influence"] == ScoreVector(pair.node_ids, pair.influence, "influence")
+    assert columns["passivity"] == ScoreVector(pair.node_ids, pair.passivity, "passivity")
 
 
 # few distinct values, so ties are common; signed zeros and infinities included

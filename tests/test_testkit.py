@@ -17,6 +17,7 @@ from iprank.testkit import (
     by_id,
     dense_ip_oracle,
     dense_pagerank_oracle,
+    followers_of,
     h_index,
     planted_contrast_trace,
     random_graph,
@@ -104,8 +105,8 @@ class TestPlantedContrast:
 
     def test_audiences_have_equal_size(self):
         _, follows = planted_contrast_trace(audience_size=6)
-        assert len(follows.followers_of(PLANTED_A)) == len(
-            follows.followers_of(PLANTED_B)
+        assert len(followers_of(follows, PLANTED_A)) == len(
+            followers_of(follows, PLANTED_B)
         )
 
 
@@ -173,7 +174,7 @@ class TestEventOracles:
             report = rate_report(log, follows)
             expected_user = {}
             expected_audience = {}
-            for user in sorted(log.users | follows.users()):
+            for user in sorted(log.users | set(follows.user_ids)):
                 rate = user_retweeting_rate(log, follows, user)
                 if rate is not None:
                     expected_user[user] = rate
