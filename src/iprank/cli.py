@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import __version__
 from .analytics import (
@@ -48,19 +49,12 @@ from .graphs import (
     graph_to_tsv,
     stats_to_tsv,
 )
-from .ingest import (
-    ActivityLog,
-    ClickTable,
-    FollowEdgeList,
-    parse_clicks,
-    parse_events,
-    parse_follows,
-    url_counts,
-)
+from .ingest import _records, parse_clicks, parse_events, parse_follows, url_counts
 from .ipcore import IpParams, run_ip, scores_to_tsv, trace_to_tsv
 
 GRAPH_TYPES = ("comention", "rt", "rt-follower")
 MEASURES = ("ip-influence", "ip-passivity", "pagerank", "hindex", "followers", "retweets")
+T = TypeVar("T")
 
 
 @dataclass
@@ -107,27 +101,23 @@ def _parse_bool(word: str) -> bool:
 def load_config(path: str) -> dict[str, object]:
     """Read a flat ``key=value`` config file."""
     out: dict[str, object] = {}
-    p = Path(path)
-    if not p.exists():
-        raise MissingInput(f"config file not found: {path}")
-    for line_no, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigInvalid(f"config line {line_no}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if key not in _DEFAULTS:
-            raise ConfigInvalid(f"config line {line_no}: unknown key {key!r}")
-        convert = str if _DEFAULTS[key] is None else type(_DEFAULTS[key])
-        try:
-            out[key] = _parse_bool(value) if convert is bool else convert(value)
-        except ValueError:
-            raise ConfigInvalid(
-                f"config line {line_no}: bad value for {key!r}: {value!r}"
-            ) from None
+    with open(_require(path, "config"), "r", encoding="utf-8") as fh:
+        for line_no, parts in _records(fh):
+            line = "\t".join(parts).strip()
+            if "=" not in line:
+                raise ConfigInvalid(f"config line {line_no}: expected key=value, got {line!r}")
+            key, value = line.split("=", 1)
+            key = key.strip()
+            value = value.strip()
+            if key not in _DEFAULTS:
+                raise ConfigInvalid(f"config line {line_no}: unknown key {key!r}")
+            convert = str if _DEFAULTS[key] is None else type(_DEFAULTS[key])
+            try:
+                out[key] = _parse_bool(value) if convert is bool else convert(value)
+            except ValueError:
+                raise ConfigInvalid(
+                    f"config line {line_no}: bad value for {key!r}: {value!r}"
+                ) from None
     return out
 
 
@@ -202,12 +192,11 @@ def manifest_lines(command: str, inputs: dict[str, str], params: dict[str, objec
 
 def read_manifest(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        if not raw.startswith("#manifest "):
-            continue
-        body = raw[len("#manifest ") :]
-        key, value = body.split("=", 1)
-        entries[key] = value
+    with open(path, "r", encoding="utf-8") as fh:
+        for _, parts in _records(fh, headers=("#manifest ",)):
+            if parts[0][:1] == "#":  # the header: no record starts with "#"
+                key, value = parts[0][len("#manifest ") :].split("=", 1)
+                entries[key] = value
     return entries
 
 
@@ -240,33 +229,16 @@ def _require(path: str | None, role: str) -> str:
     return path
 
 
-def _warn_skipped(role: str, path: str, skipped: int) -> None:
-    if skipped:
-        print(f"warning: skipped {skipped} malformed {role} line(s) in {path}", file=sys.stderr)
-
-
-def _load_events(cfg: RunConfig) -> tuple[ActivityLog, dict[str, str]]:
-    path = _require(cfg.events, "events")
+def _load(cfg: RunConfig, role: str, parse: Callable[..., T]) -> tuple[T, dict[str, str]]:
+    """Parse the ``role`` input file in the configured mode, warning of skipped lines."""
+    path = _require(getattr(cfg, role), role)
     with open(path, "r", encoding="utf-8") as fh:
-        log = parse_events(fh, strict=cfg.strict)
-    _warn_skipped("events", path, log.skipped)
-    return log, {"events": path}
-
-
-def _load_follows(cfg: RunConfig) -> tuple[FollowEdgeList, dict[str, str]]:
-    path = _require(cfg.follows, "follows")
-    with open(path, "r", encoding="utf-8") as fh:
-        follows = parse_follows(fh, strict=cfg.strict)
-    _warn_skipped("follows", path, follows.skipped)
-    return follows, {"follows": path}
-
-
-def _load_clicks(cfg: RunConfig) -> tuple[ClickTable, dict[str, str]]:
-    path = _require(cfg.clicks, "clicks")
-    with open(path, "r", encoding="utf-8") as fh:
-        clicks = parse_clicks(fh, strict=cfg.strict)
-    _warn_skipped("clicks", path, clicks.skipped)
-    return clicks, {"clicks": path}
+        data = parse(fh, strict=cfg.strict)
+    if data.skipped:
+        print(
+            f"warning: skipped {data.skipped} malformed {role} line(s) in {path}", file=sys.stderr
+        )
+    return data, {role: path}
 
 
 def _build_graph(cfg: RunConfig) -> tuple[InfluenceGraph, dict[str, str]]:
@@ -274,10 +246,10 @@ def _build_graph(cfg: RunConfig) -> tuple[InfluenceGraph, dict[str, str]]:
         path = _require(cfg.graph, "graph")
         with open(path, "r", encoding="utf-8") as fh:
             return graph_from_tsv(fh), {"graph": path}
-    log, inputs = _load_events(cfg)
+    log, inputs = _load(cfg, "events", parse_events)
     if cfg.graph_type == "rt":
         return build_retweet(log, cfg.min_urls), inputs
-    follows, follow_inputs = _load_follows(cfg)
+    follows, follow_inputs = _load(cfg, "follows", parse_follows)
     inputs.update(follow_inputs)
     if cfg.graph_type == "comention":
         return build_comention(log, follows, cfg.min_urls), inputs
@@ -301,16 +273,7 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     label = "scores"
     columns: dict[str, dict[str, float]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            if line.startswith("#measure="):
-                label = line.split("=", 1)[1]
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split("\t")
+        for line_no, parts in _records(fh, headers=("#measure=",)):
             try:
                 if len(parts) == 2:
                     value = float(parts[1])
@@ -323,12 +286,15 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
                         raise ValueError
                     column = columns.setdefault("influence", {})
                     columns.setdefault("passivity", {})[parts[0]] = passivity
+                elif parts[0][:1] == "#":  # the header: no record starts with "#"
+                    label = parts[0].split("=", 1)[1]
+                    continue
                 else:
-                    raise ConfigInvalid(f"unrecognized score line in {path}: {line!r}")
+                    raise ValueError
             except ValueError:
-                raise ConfigInvalid(
-                    f"line {line_no} of {path}: score is not a number: {line!r}"
-                ) from None
+                line = "\t".join(parts)
+                reason = "score is not a number" if len(parts) in (2, 3) else "unrecognized line"
+                raise ConfigInvalid(f"line {line_no} of {path}: {reason}: {line!r}") from None
             if parts[0] in column:
                 raise ConfigInvalid(f"line {line_no} of {path}: {parts[0]!r} is listed twice")
             column[parts[0]] = value
@@ -360,13 +326,13 @@ def _compute_measure(cfg: RunConfig, measure: str) -> tuple[ScoreVector, dict[st
         params = PageRankParams(cfg.damping, cfg.pagerank_epsilon, cfg.pagerank_iterations)
         return weighted_pagerank(invert_graph(g), params), inputs
     if measure == "hindex":
-        log, inputs = _load_events(cfg)
+        log, inputs = _load(cfg, "events", parse_events)
         return h_index_scores(log), inputs
     if measure == "followers":
-        follows, inputs = _load_follows(cfg)
+        follows, inputs = _load(cfg, "follows", parse_follows)
         return follower_count(follows), inputs
     if measure == "retweets":
-        log, inputs = _load_events(cfg)
+        log, inputs = _load(cfg, "events", parse_events)
         return retweet_count(log), inputs
     raise ConfigInvalid(f"unknown measure {measure!r}; choose from {MEASURES}")
 
@@ -447,7 +413,7 @@ def cmd_pagerank(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_hindex(cfg: RunConfig, args: argparse.Namespace) -> None:
-    log, inputs = _load_events(cfg)
+    log, inputs = _load(cfg, "events", parse_events)
     vector = h_index_scores(log)
     write_artifact(
         cfg.out_dir, "hindex.tsv", "hindex", inputs, {"strict": cfg.strict}, vector_to_tsv(vector)
@@ -456,8 +422,8 @@ def cmd_hindex(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_rates(cfg: RunConfig, args: argparse.Namespace) -> None:
-    log, inputs = _load_events(cfg)
-    follows, follow_inputs = _load_follows(cfg)
+    log, inputs = _load(cfg, "events", parse_events)
+    follows, follow_inputs = _load(cfg, "follows", parse_follows)
     inputs.update(follow_inputs)
     report = rate_report(log, follows)
     write_artifact(
@@ -471,8 +437,8 @@ def cmd_rates(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_curve(cfg: RunConfig, args: argparse.Namespace) -> None:
     vector, inputs = _resolve_vector(cfg, args.scores, args.column, args.measure)
-    log, event_inputs = _load_events(cfg)
-    clicks, click_inputs = _load_clicks(cfg)
+    log, event_inputs = _load(cfg, "events", parse_events)
+    clicks, click_inputs = _load(cfg, "clicks", parse_clicks)
     inputs.update(event_inputs)
     inputs.update(click_inputs)
     averages = url_attribute_average(log, vector)
@@ -492,7 +458,7 @@ def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> None:
     eligible = None
     params: dict[str, object] = {"top_k": cfg.top_k, "measure": vector.label}
     if cfg.min_posted > 0:
-        log, event_inputs = _load_events(cfg)
+        log, event_inputs = _load(cfg, "events", parse_events)
         inputs.update(event_inputs)
         counts = url_counts(log)
         eligible = [counts.get(user, 0) >= cfg.min_posted for user in vector.node_ids]

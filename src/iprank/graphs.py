@@ -17,26 +17,42 @@ All counts are over distinct URLs. Nodes must have mentioned at least
 
 from __future__ import annotations
 
+import heapq
 import operator
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvalidParams, UnparsableLine
 from .ingest import (
-    ActivityLog, FollowEdgeList, _iter_lines, _lookup, _run_starts, _sorted_codes,
+    _HASH_ID, ActivityLog, FollowEdgeList, _lookup, _records, _run_starts, _sorted_codes,
 )
 
 WEIGHT_HIST_BINS = 10
 
 
+def _id_error(uid: str) -> str | None:
+    """Why ``uid`` would not read back from a file, or None when it would."""
+    if uid[:1] == "#":
+        return _HASH_ID
+    if "\t" in uid or "\r" in uid or "\n" in uid:
+        return "id contains TAB, CR or LF"
+    return None
+
+
 def _sorted_ids(node_ids: Sequence[str]) -> tuple[str, ...]:
-    """``node_ids`` as a tuple, checked to be strictly ascending (so distinct)."""
+    """``node_ids`` as a tuple, checked to be strictly ascending (so distinct)
+    and to pass :func:`_id_error`."""
     ids = tuple(node_ids)
     if not all(map(operator.lt, ids, ids[1:])):
         raise ValueError("node ids must be distinct and sorted ascending; use from_arcs")
+    text = "\n".join(("", *ids))  # each id after its own LF: one string holds them all
+    if "\n#" in text or "\t" in text or "\r" in text or text.count("\n") != len(ids):
+        uid = next(filter(_id_error, ids))
+        raise ValueError(f"{_id_error(uid)}: {uid!r}")
     return ids
 
 
@@ -261,25 +277,25 @@ def graph_to_tsv(g: InfluenceGraph) -> str:
 
 
 def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
-    """Read :func:`graph_to_tsv` output. A malformed line, an arc listed twice,
-    or a ``#nodes= arcs=`` header that the file's arcs and nodes do not match
-    raises :class:`UnparsableLine`; a repeated arc is quoted as it reads back."""
+    """Read :func:`graph_to_tsv` output. A malformed line, an id that
+    :class:`InfluenceGraph` rejects, an arc listed twice, or a
+    ``#nodes= arcs=`` header that the file's arcs and nodes do not match
+    raises :class:`UnparsableLine`; a rejected id or repeat is quoted as it reads back."""
     users: dict[str, int] = {}
     cols = src, dst, line_nos = array("q"), array("q"), array("q")
+    nodes, node_lines = array("q"), array("q")
     weights = array("d")
     header = None
-    for line_no, raw in enumerate(_iter_lines(stream), start=1):
-        line = raw.rstrip("\r\n")
-        if line.startswith("#nodes="):
-            header = (line_no, line)
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    for line_no, parts in _records(stream, headers=("#nodes=",)):
         try:
             if len(parts) != 3:
+                if parts[0][:1] == "#":  # the header: no record starts with "#"
+                    header = (line_no, parts[0])
+                    continue
                 raise ValueError("expected 'source target weight' or 'node - -'")
             if parts[1] == "-" and parts[2] == "-":
-                users.setdefault(parts[0], len(users))
+                nodes.append(users.setdefault(parts[0], len(users)))
+                node_lines.append(line_no)
                 continue
             if parts[0] == parts[1]:
                 raise ValueError("self-arc")
@@ -287,7 +303,7 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
             if not 0.0 < w <= 1.0:
                 raise ValueError(f"weight outside (0, 1]: {parts[2]!r}")
         except ValueError as exc:
-            raise UnparsableLine(line_no, line, str(exc)) from None
+            raise UnparsableLine(line_no, "\t".join(parts), str(exc)) from None
         src.append(users.setdefault(parts[0], len(users)))
         dst.append(users.setdefault(parts[1], len(users)))
         weights.append(w)
@@ -297,12 +313,31 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
     src, dst, weights = rank[src], rank[dst], np.frombuffer(weights, dtype=np.float64)
     try:
         g = InfluenceGraph(ids, src, dst, weights)
-    except ValueError:  # every other rule was checked line by line
-        order = np.lexsort((dst, src))  # stable: repeats follow their first line
-        s, d = src[order], dst[order]
-        k = order[1:][(s[1:] == s[:-1]) & (d[1:] == d[:-1])].min()
-        line = f"{ids[src[k]]}\t{ids[dst[k]]}\t{float(weights[k])!r}"
-        raise UnparsableLine(int(line_nos[k]), line, "duplicate arc") from None
+    except ValueError as exc:  # every other rule was checked line by line
+        node = rank[np.frombuffer(nodes, dtype=np.int64)].tolist()
+        rows = heapq.merge(
+            zip(line_nos.tolist(), src.tolist(), dst.tolist(), weights.tolist()),
+            zip(node_lines, node, node, repeat(0.0)),
+        )
+        raise _first_fault(ids, rows) or exc from None
     if header is not None and header[1] != f"#nodes={g.num_nodes} arcs={g.num_arcs}":
         raise UnparsableLine(*header, f"file holds {g.num_nodes} nodes and {g.num_arcs} arcs")
     return g
+
+
+def _first_fault(
+    ids: tuple[str, ...], rows: Iterable[tuple[int, int, int, float]]
+) -> UnparsableLine | None:
+    """The first of the ``(line_no, source, target, weight)`` rows, which come
+    in line order, that names an id :func:`_id_error` rejects or repeats an
+    arc; a node line is a row from the node to itself with weight 0."""
+    seen: set[tuple[int, int]] = set()
+    for line_no, s, d, w in rows:
+        reason = _id_error(ids[s]) or _id_error(ids[d])
+        if w and not reason:
+            reason = "duplicate arc" if (s, d) in seen else None
+            seen.add((s, d))
+        if reason:
+            line = f"{ids[s]}\t{ids[d]}\t{w!r}" if w else f"{ids[s]}\t-\t-"
+            return UnparsableLine(line_no, line, reason)
+    return None

@@ -7,9 +7,13 @@ File formats (UTF-8, one record per line, TAB-separated):
   follows: ``followee<TAB>follower``
   clicks:  ``url<TAB>count``
 
-``time`` is a base-10 integer (milliseconds) that fits in 64 bits. Blank
-lines and lines starting with ``#`` are ignored, so serialized files may carry
-comment headers; for the same reason no id may start with ``#``.
+``time`` is a base-10 integer (milliseconds) that fits in 64 bits.
+
+Every reader in the package takes its lines from :func:`_records`: a line is
+skipped when its first character is ``#``, or when it has no TAB and is
+empty, whitespace only, or whitespace then ``#``. No record of any format has
+that shape, so every line a writer emits reads back; files may carry ``#``
+headers, and no id may start with ``#``.
 """
 
 from __future__ import annotations
@@ -23,18 +27,14 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, NegativeCount, UnparsableLine
+from .errors import EmptyInput, IpRankError, NegativeCount, UnparsableLine
 
 MENTION = "M"
 RETWEET = "RT"
 
-_TIME_MIN = -(2**63)
-_TIME_MAX = 2**63 - 1
 _EVENT_SHAPE = "expected 'time user url M' or 'time user url RT source'"
 # a written id starting with "#" would read back as a comment
 _HASH_ID = "id starts with '#'"
-# first characters of a time token; a line starting with one is never skippable
-_TIME_START = frozenset("-0123456789")
 
 
 def _event_error(user: str, url: str, source: str | None) -> str | None:
@@ -357,14 +357,34 @@ class ClickTable:
     skipped: int = field(default=0, compare=False)
 
 
-def _iter_lines(stream: IO | str | bytes | Iterable[str]) -> Iterator[str]:
+def _records(
+    stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = ()
+) -> Iterator[tuple[int, list[str]]]:
+    """``(line_no, fields)`` for each record, split at TABs, and ``(line_no,
+    [line])`` for a line starting with one of ``headers``. Line numbers count
+    every line; ``"\\t".join(fields)`` is the line without its ending."""
     if isinstance(stream, bytes):
-        return io.StringIO(stream.decode("utf-8"))
+        stream = stream.decode("utf-8")
     if isinstance(stream, str):
-        return io.StringIO(stream)
-    if isinstance(stream, io.TextIOBase):
-        return iter(stream)
-    return (raw.decode("utf-8") if isinstance(raw, bytes) else raw for raw in stream)
+        stream = io.StringIO(stream)
+    elif not isinstance(stream, io.TextIOBase):
+        stream = (raw.decode("utf-8") if isinstance(raw, bytes) else raw for raw in stream)
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\r\n")
+        if line[:1] == "#":
+            if line.startswith(headers):
+                yield line_no, [line]
+            continue
+        fields = line.split("\t")
+        if len(fields) > 1 or line.lstrip()[:1] not in ("", "#"):
+            yield line_no, fields
+
+
+def _reject(strict: bool, error: IpRankError) -> int:
+    """Raise ``error`` in strict mode; in lenient mode count one skipped line."""
+    if strict:
+        raise error from None
+    return 1
 
 
 def _parse_int(token: str) -> int:
@@ -374,10 +394,6 @@ def _parse_int(token: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a base-10 integer: {token!r}")
     return int(token)
-
-
-def _skippable(line: str) -> bool:
-    return not line.strip() or line.lstrip().startswith("#")
 
 
 def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) -> ActivityLog:
@@ -392,11 +408,7 @@ def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) 
     urls: dict[str, int] = {}
     cols = times, user_col, url_col, source_col = tuple(array("q") for _ in range(4))
     skipped = 0
-    for line_no, raw in enumerate(_iter_lines(stream), start=1):
-        line = raw.rstrip("\r\n")
-        if line[:1] not in _TIME_START and _skippable(line):
-            continue
-        parts = line.split("\t")
+    for line_no, parts in _records(stream):
         try:
             if len(parts) == 4 and parts[3] == MENTION:
                 source = None
@@ -406,20 +418,20 @@ def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) 
                 raise ValueError(_EVENT_SHAPE)
             token = parts[0]
             time = int(token) if token.isascii() and token.isdigit() else _parse_int(token)
-            if not _TIME_MIN <= time <= _TIME_MAX:
-                raise ValueError(f"time out of 64-bit range: {parts[0]!r}")
             reason = _event_error(parts[1], parts[2], source)
             if reason is not None:
                 raise ValueError(reason)
+            times.append(time)  # the int64 column checks the range
         except ValueError as exc:
-            if strict:
-                raise UnparsableLine(line_no, line, str(exc)) from None
-            skipped += 1
+            reason = str(exc)
+        except OverflowError:
+            reason = f"time out of 64-bit range: {parts[0]!r}"
+        else:
+            user_col.append(users.setdefault(parts[1], len(users)))
+            url_col.append(urls.setdefault(parts[2], len(urls)))
+            source_col.append(-1 if source is None else users.setdefault(source, len(users)))
             continue
-        times.append(time)
-        user_col.append(users.setdefault(parts[1], len(users)))
-        url_col.append(urls.setdefault(parts[2], len(urls)))
-        source_col.append(-1 if source is None else users.setdefault(source, len(users)))
+        skipped += _reject(strict, UnparsableLine(line_no, "\t".join(parts), reason))
     if not times:
         raise EmptyInput("no events parsed")
     log = ActivityLog.__new__(ActivityLog)
@@ -434,22 +446,13 @@ def parse_follows(
     users: dict[str, int] = {}
     cols = followees, followers = array("q"), array("q")
     skipped = 0
-    for line_no, raw in enumerate(_iter_lines(stream), start=1):
-        line = raw.rstrip("\r\n")
-        if _skippable(line):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            reason = "expected 'followee follower'"
+    for line_no, parts in _records(stream):
+        reason = _follow_error(*parts) if len(parts) == 2 else "expected 'followee follower'"
+        if reason is None:
+            followees.append(users.setdefault(parts[0], len(users)))
+            followers.append(users.setdefault(parts[1], len(users)))
         else:
-            reason = _follow_error(parts[0], parts[1])
-        if reason is not None:
-            if strict:
-                raise UnparsableLine(line_no, line, reason)
-            skipped += 1
-            continue
-        followees.append(users.setdefault(parts[0], len(users)))
-        followers.append(users.setdefault(parts[1], len(users)))
+            skipped += _reject(strict, UnparsableLine(line_no, "\t".join(parts), reason))
     if not followees:
         raise EmptyInput("no follow edges parsed")
     follows = FollowEdgeList.__new__(FollowEdgeList)
@@ -463,28 +466,18 @@ def parse_clicks(
     """Parse ``url TAB count`` lines; duplicate URLs keep the maximum count."""
     clicks: dict[str, int] = {}
     skipped = 0
-    for line_no, raw in enumerate(_iter_lines(stream), start=1):
-        line = raw.rstrip("\r\n")
-        if _skippable(line):
-            continue
-        parts = line.split("\t")
+    for line_no, parts in _records(stream):
         try:
             if len(parts) != 2 or not parts[0]:
                 raise ValueError("expected 'url count'")
             count = _parse_int(parts[1])
         except ValueError as exc:
-            if strict:
-                raise UnparsableLine(line_no, line, str(exc)) from None
-            skipped += 1
+            skipped += _reject(strict, UnparsableLine(line_no, "\t".join(parts), str(exc)))
             continue
         if count < 0:
-            if strict:
-                raise NegativeCount(f"line {line_no}: negative count {count}")
-            skipped += 1
-            continue
-        url = parts[0]
-        if url not in clicks or count > clicks[url]:
-            clicks[url] = count
+            skipped += _reject(strict, NegativeCount(f"line {line_no}: negative count {count}"))
+        elif count > clicks.get(parts[0], -1):
+            clicks[parts[0]] = count
     return ClickTable(clicks, skipped=skipped)
 
 

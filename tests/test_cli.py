@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import iprank
-from iprank.cli import main, read_manifest, read_score_columns
+from iprank.cli import load_config, main, read_manifest, read_score_columns
 from iprank.graphs import graph_from_tsv
 from iprank.ingest import clicks_to_tsv, events_to_tsv, follows_to_tsv, ClickTable
 from iprank.testkit import SynthParams, arc_weights, synth_trace
@@ -252,6 +252,16 @@ class TestScoreFiles:
         err = capsys.readouterr().err
         assert "error: UnparsableLine: line 3: duplicate arc: 'a\\tb\\t0.5'" in err
 
+    def test_hash_led_graph_id_is_unparsable(self, tmp_path, capsys):
+        # scored, "#b" would start a line of the score file and drop out of the ranking
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("a\tc\t0.5\na\t#b\t0.5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("pagerank", "--graph", graph, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "error: UnparsableLine: line 2: id starts with '#': 'a\\t#b\\t0.5'" in err
+        assert not (out / "pagerank.tsv").exists()
+
     def test_malformed_graph_line_is_unparsable(self, tmp_path, capsys):
         graph = tmp_path / "graph.tsv"
         graph.write_text("#nodes=3 arcs=2\na\tb\t0.5\na\tc\tzero\n", encoding="utf-8")
@@ -280,6 +290,13 @@ class TestManifests:
         rebuilt = [f"#manifest {k}={v}" for k, v in manifest.items()]
         assert sorted(raw) == sorted(rebuilt)
 
+    def test_label_with_line_break_like_characters_reads_back(self, tmp_path):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("#measure=a\x85b\u2028c\nu\t1\nv\t2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("rank", "--scores", scores, "--out-dir", out) == 0
+        assert read_manifest(str(out / "rank.tsv"))["param.measure"] == "a\x85b\u2028c"
+
 
 class TestConfigHandling:
     def test_config_file_and_flag_override(self, trace_dir):
@@ -297,6 +314,14 @@ class TestConfigHandling:
         ) == 0
         text = (out / "rank.tsv").read_text(encoding="utf-8")
         assert "#report=top2_retweets" in text  # flag beat the config value
+
+    def test_config_value_with_line_break_like_characters(self, tmp_path):
+        events = tmp_path / "ev\x85ents\x1c.tsv"
+        events.write_text(RT_FIXTURE, encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# paths\nevents={events}\n\n  min_urls = 1\n", encoding="utf-8")
+        assert load_config(str(cfg)) == {"events": str(events), "min_urls": 1}
+        assert run("build", "--config", cfg, "--out-dir", tmp_path / "out") == 0
 
     def test_unknown_config_key(self, trace_dir):
         cfg = trace_dir / "bad.cfg"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from iprank.baselines import ScoreVector
 from iprank.errors import InvalidParams, UnparsableLine
 from iprank.graphs import (
     InfluenceGraph,
@@ -14,6 +15,7 @@ from iprank.graphs import (
     graph_to_tsv,
 )
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
+from iprank.ipcore import ScorePair
 from iprank.testkit import PairwiseCounts, SynthParams, arc_weights, pairwise_counts, synth_trace
 
 
@@ -402,3 +404,30 @@ class TestSerialization:
     def test_nan_weight_rejected_by_graph(self):
         with pytest.raises(ValueError):
             InfluenceGraph.from_arcs([("a", "b", float("nan"))])
+
+    @pytest.mark.parametrize(
+        "text,line_no,line,reason",
+        [
+            ("a\tb\t0.5\nb\t#c\t0.5\n", 2, "b\t#c\t0.5", "id starts with '#'"),
+            ("a\tb\t0.5\n\nc\rd\t-\t-\n", 3, "c\rd\t-\t-", "id contains TAB, CR or LF"),
+            ("a\tb\t0.5\nb\tc\rd\t0.25\n", 2, "b\tc\rd\t0.25", "id contains TAB, CR or LF"),
+            # a rejected id ahead of a repeated arc is the fault reported
+            ("a\t#b\t0.5\na\t#b\t0.5\n", 1, "a\t#b\t0.5", "id starts with '#'"),
+        ],
+    )
+    def test_id_the_graph_rejects_reports_its_line(self, text, line_no, line, reason):
+        with pytest.raises(UnparsableLine) as info:
+            graph_from_tsv(text)
+        assert (info.value.line_no, info.value.line, info.value.reason) == (line_no, line, reason)
+
+
+@pytest.mark.parametrize("bad", ["#x", "a\tb", "a\rb", "a\nb", "b\n#c"])
+def test_constructors_reject_ids_that_would_not_read_back(bad):
+    for make in (
+        lambda ids: InfluenceGraph.from_arcs([], nodes=ids),
+        lambda ids: ScoreVector(sorted(ids), np.zeros(len(ids)), "m"),
+        lambda ids: ScorePair(sorted(ids), np.zeros(len(ids)), np.zeros(len(ids)), 1),
+    ):
+        with pytest.raises(ValueError):
+            make(["a", bad])
+        assert make(["a", "b#c", "d e"]).node_ids == ("a", "b#c", "d e")

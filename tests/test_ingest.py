@@ -1,10 +1,13 @@
 """Parsing, container invariants, and serialization round-trips."""
 
 import random
+import re
 
 import pytest
 
-from iprank.errors import EmptyInput, NegativeCount, UnparsableLine
+from iprank.cli import load_config, read_manifest, read_score_columns
+from iprank.errors import ConfigInvalid, EmptyInput, MissingInput, NegativeCount, UnparsableLine
+from iprank.graphs import graph_from_tsv
 from iprank.ingest import (
     ActivityLog,
     FollowEdgeList,
@@ -321,3 +324,81 @@ class TestConstructors:
     def test_follow_edge_list_rejects_self(self):
         with pytest.raises(ValueError):
             FollowEdgeList([("a", "a")])
+
+
+def _file(tmp_path, text):
+    path = tmp_path / "input.tsv"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _score_rows(tmp_path, text):
+    # a last row keeps a header-only file from being empty; a label counts as read
+    label, columns = read_score_columns(_file(tmp_path, text + "z\t1\n"))
+    return (label != "scores") + sum(len(v.node_ids) for v in columns.values()) - 1
+
+
+# what each reader keeps of a text: some count that is 0 when it kept nothing
+READERS = {
+    "events": lambda tmp_path, text: len(parse_events(text)),
+    "follows": lambda tmp_path, text: len(parse_follows(text)),
+    "clicks": lambda tmp_path, text: len(parse_clicks(text).clicks),
+    "graph": lambda tmp_path, text: graph_from_tsv(text).num_nodes,
+    "scores": _score_rows,
+    "config": lambda tmp_path, text: len(load_config(_file(tmp_path, text))),
+}
+HEADERS = {"graph": "#nodes=1 arcs=0", "scores": "#measure=m", "manifest": "#manifest k=v\x85w"}
+READ, SKIPPED = ("read", 1), ("skipped", 2)
+LINE_CASES = [
+    ("", SKIPPED),
+    ("   ", SKIPPED),
+    ("\t\t", READ),
+    ("  # c", SKIPPED),
+    (" # c\tx", READ),
+    ("# c", SKIPPED),
+    ("\x1c\t\x1d", READ),
+]
+
+
+def _line_of(exc):
+    if isinstance(exc, UnparsableLine):
+        return exc.line_no
+    return int(re.search(r"line (\d+)", str(exc))[1])
+
+
+def _decision(read, tmp_path, line):
+    """("read", n) when the reader keeps ``line`` or complains about it on line
+    n; else ("skipped", n), n being the number it gives the line after it."""
+    try:
+        kept = read(tmp_path, line + "\n")
+    except (UnparsableLine, ConfigInvalid) as exc:
+        return "read", _line_of(exc)
+    except (EmptyInput, MissingInput):
+        kept = 0
+    if kept:
+        return "read", 1
+    with pytest.raises((UnparsableLine, ConfigInvalid)) as info:
+        read(tmp_path, line + "\n\u00a4\n")  # no record of any format
+    return "skipped", _line_of(info.value)
+
+
+class TestOneLineRule:
+    """Every reader skips and numbers lines by the same rule: a line is
+    skipped when it starts with "#", or has no TAB and is blank or whitespace
+    then "#"; a reader also reads its own header."""
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_same_decisions_in_every_reader(self, tmp_path, reader):
+        cases = LINE_CASES + [(h, READ if r == reader else SKIPPED) for r, h in HEADERS.items()]
+        got = [(line, _decision(READERS[reader], tmp_path, line)) for line, _ in cases]
+        assert got == cases
+
+    def test_manifest_reads_its_header_lines_whole(self, tmp_path):
+        lines = [line for line, _ in LINE_CASES] + list(HEADERS.values())
+        assert read_manifest(_file(tmp_path, "\n".join(lines) + "\n")) == {"k": "v\x85w"}
+
+    @pytest.mark.parametrize("line", ["\t\t", " # c\tx", " \t", "\t# c"])
+    def test_an_error_quotes_the_line_as_written(self, line):
+        with pytest.raises(UnparsableLine) as info:
+            parse_events(f"1\tu\ta\tM\n{line}\r\n")
+        assert (info.value.line_no, info.value.line) == (2, line)

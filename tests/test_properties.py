@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from iprank.analytics import _average_ranks, rank_correlation, rank_join, top_k
 from iprank.baselines import ScoreVector, follower_count, vector_to_tsv
@@ -17,10 +17,15 @@ from iprank.errors import InsufficientOverlap
 from iprank.graphs import InfluenceGraph, graph_from_tsv, graph_to_tsv
 from iprank.ingest import (
     ActivityLog,
+    ClickTable,
     FollowEdgeList,
     TweetEvent,
+    clicks_to_tsv,
     events_to_tsv,
+    follows_to_tsv,
+    parse_clicks,
     parse_events,
+    parse_follows,
 )
 from iprank.ipcore import ScorePair, scores_to_tsv
 from iprank.testkit import (
@@ -93,6 +98,25 @@ def test_follow_edges_ignore_order_and_repeats(data):
         assert (a, "\t") not in follows
 
 
+# ids a looser line rule would skip: whitespace only, or whitespace then "#"
+WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\t\r\n"]
+SPACES = st.text(alphabet=st.sampled_from(WHITESPACE), min_size=1, max_size=3)
+EDGE_IDS = IDS | SPACES | st.tuples(SPACES, IDS | st.just("")).map(lambda t: t[0] + "#" + t[1])
+
+
+@given(st.lists(EDGE_IDS, min_size=2, max_size=5, unique=True).flatmap(edge_lists))
+def test_follows_round_trip_through_tsv(edges):
+    assume(edges)
+    follows = FollowEdgeList(edges)
+    assert parse_follows(follows_to_tsv(follows)) == follows
+
+
+@given(st.dictionaries(EDGE_IDS, st.integers(0, 2**63 - 1), max_size=8))
+def test_clicks_round_trip_through_tsv(clicks):
+    table = ClickTable(clicks)
+    assert parse_clicks(clicks_to_tsv(table)).clicks == table.clicks
+
+
 @given(edge_lists())
 def test_follower_count_matches_the_oracle(edges):
     assert by_id(follower_count(FollowEdgeList(edges))) == follower_counts(FollowEdgeList(edges))
@@ -127,6 +151,19 @@ def test_graph_round_trips_through_tsv(nodes, data):
         arcs = data.draw(st.dictionaries(pairs, WEIGHTS, max_size=10))
     g = InfluenceGraph.from_arcs([(i, j, w) for (i, j), w in arcs.items()], nodes=nodes)
     assert graph_from_tsv(graph_to_tsv(g)) == g
+
+
+# ids from characters that matter to the line format, so the rule is often broken
+@given(st.lists(st.text(alphabet="#\t\r\n a", max_size=3), max_size=5, unique=True))
+def test_constructor_scan_matches_the_per_id_rule(ids):
+    ids = sorted(ids)
+    bad = any(u.startswith("#") or "\t" in u or "\r" in u or "\n" in u for u in ids)
+    try:
+        InfluenceGraph(ids, [], [], [])
+    except ValueError:
+        assert bad
+    else:
+        assert not bad
 
 
 SCORES = st.floats(allow_nan=False)
