@@ -172,10 +172,9 @@ def percentile_curve(
         bin_count = 1
     else:
         edges = np.logspace(math.log10(lo), math.log10(hi), bin_count + 1)
+    bin_of = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, bin_count - 1)
     buckets: dict[int, list[float]] = {}
-    for x, clicks in usable:
-        idx = int(np.searchsorted(edges, x, side="right")) - 1
-        idx = min(max(idx, 0), bin_count - 1)
+    for idx, (_, clicks) in zip(bin_of.tolist(), usable):
         buckets.setdefault(idx, []).append(clicks)
     bins = []
     for idx in sorted(buckets):

@@ -64,7 +64,7 @@ class InfluenceGraph:
     downstream computation.
     """
 
-    __slots__ = ("node_ids", "src", "dst", "weights", "_index")
+    __slots__ = ("node_ids", "src", "dst", "weights")
 
     def __init__(
         self,
@@ -95,7 +95,6 @@ class InfluenceGraph:
         self.src = src
         self.dst = dst
         self.weights = weights
-        self._index = {uid: i for i, uid in enumerate(ids)}
 
     @classmethod
     def from_arcs(
@@ -123,12 +122,6 @@ class InfluenceGraph:
     @property
     def num_arcs(self) -> int:
         return int(self.src.size)
-
-    def index_of(self, user: str) -> int:
-        return self._index[user]
-
-    def __contains__(self, user: str) -> bool:
-        return user in self._index
 
     def arcs(self) -> Iterator[tuple[str, str, float]]:
         ids = self.node_ids

@@ -357,18 +357,30 @@ class ClickTable:
     skipped: int = field(default=0, compare=False)
 
 
+def _split_lines(lines: Iterable[str | bytes]) -> Iterator[str]:
+    """Each of ``lines``, decoded, with a line holding a CR split as a file
+    opened in text mode would split it."""
+    for raw in lines:
+        raw = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        yield from io.StringIO(raw, newline=None) if "\r" in raw else (raw,)
+
+
 def _records(
     stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = ()
 ) -> Iterator[tuple[int, list[str]]]:
     """``(line_no, fields)`` for each record, split at TABs, and ``(line_no,
     [line])`` for a line starting with one of ``headers``. Line numbers count
-    every line; ``"\\t".join(fields)`` is the line without its ending."""
+    every line; ``"\\t".join(fields)`` is the line without its ending.
+
+    LF, CR and CRLF each end a line of a string or bytes, and split a line
+    of an iterable, as in a file opened in text mode; a text stream is read
+    as it was opened."""
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
     if isinstance(stream, str):
-        stream = io.StringIO(stream)
+        stream = io.StringIO(stream, newline=None)
     elif not isinstance(stream, io.TextIOBase):
-        stream = (raw.decode("utf-8") if isinstance(raw, bytes) else raw for raw in stream)
+        stream = _split_lines(stream)
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\r\n")
         if line[:1] == "#":

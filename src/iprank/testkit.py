@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .baselines import PageRankParams, ScoreVector, h_from_counts
+from .baselines import PageRankParams, ScoreVector
 from .errors import DegenerateGraph, EmptyGraph, EmptyNodeSet, InvalidParams, TooLarge
 from .graphs import InfluenceGraph
 from .ingest import ActivityLog, FollowEdgeList, TweetEvent
@@ -358,6 +359,17 @@ def audience_retweeting_rate(
             if ev.source == user and ev.url in posted:
                 pairs.add((follower, ev.url))
     return len(pairs) / (len(own_events) * len(followers))
+
+
+def h_from_counts(counts: Iterable[int]) -> int:
+    """Largest h such that at least h of the counts are >= h."""
+    h = 0
+    for rank, count in enumerate(sorted(counts, reverse=True), start=1):
+        if count >= rank:
+            h = rank
+        else:
+            break
+    return h
 
 
 def h_index(log: ActivityLog, user: str) -> int:

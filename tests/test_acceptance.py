@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from iprank.analytics import percentile_curve, rank_correlation
-from iprank.baselines import ScoreVector, h_from_counts, weighted_pagerank
+from iprank.baselines import ScoreVector, weighted_pagerank
 from iprank.cli import main
 from iprank.graphs import (
     InfluenceGraph,
@@ -30,6 +30,7 @@ from iprank.testkit import (
     SynthParams,
     dense_ip_oracle,
     dense_pagerank_oracle,
+    h_from_counts,
     planted_contrast_trace,
     random_graph,
     synth_trace,
@@ -218,7 +219,7 @@ def test_criterion_06_planted_contrast():
     with criterion(6, "planted contrast ordering"):
         log, _ = planted_contrast_trace(audience_size=5)
         g = build_retweet(log, min_urls=3)
-        a, b = g.index_of(PLANTED_A), g.index_of(PLANTED_B)
+        a, b = g.node_ids.index(PLANTED_A), g.node_ids.index(PLANTED_B)
         oracle = dense_ip_oracle(g, 50)
         assert oracle.influence[a] > oracle.influence[b]
         pair, _ = run_ip(g)

@@ -7,7 +7,6 @@ from iprank.baselines import (
     PageRankParams,
     ScoreVector,
     follower_count,
-    h_from_counts,
     h_index_scores,
     invert_graph,
     retweet_count,
@@ -18,7 +17,9 @@ from iprank.cli import read_score_columns
 from iprank.errors import EmptyNodeSet, InvalidParams
 from iprank.graphs import InfluenceGraph
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent, url_counts
-from iprank.testkit import arc_weights, by_id, dense_pagerank_oracle, h_index, random_graph
+from iprank.testkit import (
+    arc_weights, by_id, dense_pagerank_oracle, h_from_counts, h_index, random_graph,
+)
 
 
 def vector_from_tsv(text, tmp_path):
@@ -45,6 +46,52 @@ class TestInvertGraph:
         inv = invert_graph(g)
         naive = sorted((j, i, w) for i, j, w in g.arcs())
         assert sorted(inv.arcs()) == naive
+
+
+def arc_order_pagerank(g, params):
+    """PageRank by plain loops: out-weight totals and each node's incoming
+    mass add their arcs one at a time in arc order; the dangling mass, the
+    change and the final scaling are numpy sums, as in the kernel."""
+    n, d = g.num_nodes, params.damping
+    src, dst, w = g.src.tolist(), g.dst.tolist(), g.weights.tolist()
+    out_sum = [0.0] * n
+    for k in range(g.num_arcs):
+        out_sum[src[k]] += w[k]
+    dangling = [i for i in range(n) if out_sum[i] == 0.0]
+    x = np.full(n, 1.0 / n)
+    for _ in range(params.max_iterations):
+        teleport = (d * float(x[dangling].sum()) + (1.0 - d)) / n
+        mass = [0.0] * n
+        for k in range(g.num_arcs):
+            mass[dst[k]] += w[k] / out_sum[src[k]] * x[src[k]]
+        new_x = np.array([d * m + teleport for m in mass])
+        change = float(np.abs(new_x - x).sum())
+        x = new_x
+        if change < params.epsilon:
+            break
+    return x / x.sum()
+
+
+class TestPagerankArcOrder:
+    """The kernel adds each arc's product in arc order, so a loop doing the
+    same gives the same bits."""
+
+    GRAPHS = {
+        # "d" is dangling
+        "dangling": lambda: InfluenceGraph.from_arcs(
+            [("a", "b", 1.0), ("a", "c", 1.0), ("b", "d", 0.3), ("c", "a", 0.25)]
+        ),
+        "arcless": lambda: InfluenceGraph.from_arcs([], nodes=["a", "b", "c"]),
+        "random-30": lambda: random_graph(30, 100, seed=5),
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize(
+        "params", [PageRankParams(), PageRankParams(max_iterations=3, epsilon=0.0)]
+    )
+    def test_weighted_pagerank_equals_the_arc_order_loop(self, graph, params):
+        g = self.GRAPHS[graph]()
+        assert np.array_equal(weighted_pagerank(g, params).values, arc_order_pagerank(g, params))
 
 
 class TestWeightedPagerank:

@@ -375,16 +375,35 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.sparse is imported inside the two kernels that use it
-    code = "import sys, iprank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def scipy_modules_after(code, *args):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter
+    with ``args`` as ``sys.argv[1:]``."""
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(iprank.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", f"import sys\n{code}\n{report}", *map(str, args)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()[-1]  # after anything the commands printed
+
+
+def test_cli_import_loads_no_scipy():
+    # iprank depends on numpy alone; importing the CLI must not pull scipy in
+    assert scipy_modules_after("import iprank.cli") == "[]"
+
+
+def test_ip_and_pagerank_load_no_scipy(trace_dir):
+    # the IP and PageRank kernels are numpy only, so scoring loads no scipy either
+    code = (
+        "from iprank.cli import main\n"
+        "for cmd in ('ip', 'pagerank'):\n"
+        "    argv = [cmd, '--events', sys.argv[1], '--graph-type', 'rt', '--min-urls', '1']\n"
+        "    assert main(argv + ['--out-dir', sys.argv[2]]) == 0, cmd"
+    )
+    out = trace_dir / "out"
+    assert scipy_modules_after(code, trace_dir / "events.tsv", out) == "[]"
+    assert (out / "ip_scores.tsv").exists() and (out / "pagerank.tsv").exists()

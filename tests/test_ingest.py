@@ -242,6 +242,51 @@ class TestHashLedIds:
         assert parse_events("1\ta#\tu#1\tM\n").user_ids == ("a#",)
 
 
+class TestCarriageReturnEndsALine:
+    """LF, CR and CRLF each end a line of a string, of bytes and of an
+    iterable's items, as in a file opened in text mode, so no id holds a CR."""
+
+    FORMS = {
+        "str": lambda text: text,
+        "bytes": lambda text: text.encode("utf-8"),
+        # items split at LF only: splitlines() would split at the CR too
+        "lines": lambda text: [f"{line}\n" for line in text.split("\n")[:-1]],
+        "byte lines": lambda text: [line.encode("utf-8") for line in text.split("\n")[:-1]],
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_events_strict(self, form):
+        with pytest.raises(UnparsableLine) as info:
+            parse_events(self.FORMS[form]("1\tu\tx\tM\n1\ta\rb\tu\tM\n"))
+        assert (info.value.line_no, info.value.line) == (2, "1\ta")
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_events_lenient(self, form):
+        text = "1\tu\tx\tM\r\n1\ta\rb\tu\tM\r2\tv\ty\tRT\tu\r\n"
+        log = parse_events(self.FORMS[form](text), strict=False)
+        assert log.skipped == 2  # "1<TAB>a" and "b<TAB>u<TAB>M"
+        assert events_to_tsv(log) == "1\tu\tx\tM\n2\tv\ty\tRT\tu\n"
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_follows_strict(self, form):
+        with pytest.raises(UnparsableLine) as info:
+            parse_follows(self.FORMS[form]("a\tb\nc\rd\ta\n"))
+        assert (info.value.line_no, info.value.line) == (2, "c")
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_follows_lenient(self, form):
+        f = parse_follows(self.FORMS[form]("a\tb\r\nc\rd\ta\n"), strict=False)
+        assert f.skipped == 1
+        assert f.edges == frozenset({("a", "b"), ("d", "a")})
+
+    def test_a_cr_split_line_numbers_the_rest(self):
+        log = parse_events(["1\tu\tx\tM\rbad\n", "\n", "#c\n", "2\tu\ty\tM\n"], strict=False)
+        assert log.skipped == 1
+        with pytest.raises(UnparsableLine) as info:
+            parse_events(["1\tu\tx\tM\rbad\n", "bad\n"])
+        assert (info.value.line_no, info.value.line) == (2, "bad")
+
+
 class TestParseClicks:
     def test_basic(self):
         assert parse_clicks("u1\t5\n").clicks == {"u1": 5}

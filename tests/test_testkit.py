@@ -97,7 +97,7 @@ class TestPlantedContrast:
     def test_dedicated_audience_wins(self):
         log, follows = planted_contrast_trace(audience_size=4)
         g = build_retweet(log, min_urls=3)
-        a, b = g.index_of(PLANTED_A), g.index_of(PLANTED_B)
+        a, b = g.node_ids.index(PLANTED_A), g.node_ids.index(PLANTED_B)
         oracle = dense_ip_oracle(g, 30)
         assert oracle.influence[a] > oracle.influence[b]
         pair, _ = run_ip(g)
