@@ -50,7 +50,7 @@ from .graphs import (
     stats_to_tsv,
 )
 from .ingest import _records, parse_clicks, parse_events, parse_follows, url_counts
-from .ipcore import IpParams, run_ip, scores_to_tsv, trace_to_tsv
+from .ipcore import IpParams, IterationTrace, ScorePair, run_ip, scores_to_tsv, trace_to_tsv
 
 GRAPH_TYPES = ("comention", "rt", "rt-follower")
 MEASURES = ("ip-influence", "ip-passivity", "pagerank", "hindex", "followers", "retweets")
@@ -178,13 +178,13 @@ def _fmt_param(value: object) -> str:
     return str(value)
 
 
-def manifest_lines(command: str, inputs: dict[str, str], params: dict[str, object]) -> list[str]:
+def manifest_lines(command: str, digests: dict[str, str], params: dict[str, object]) -> list[str]:
     lines = [
         f"#manifest tool=iprank/{__version__}",
         f"#manifest command={command}",
     ]
-    for role, path in sorted(inputs.items()):
-        lines.append(f"#manifest input.{role}=sha256:{_sha256(path)}")
+    for role, digest in sorted(digests.items()):
+        lines.append(f"#manifest input.{role}=sha256:{digest}")
     for key, value in sorted(params.items()):
         lines.append(f"#manifest param.{key}={_fmt_param(value)}")
     return lines
@@ -204,14 +204,14 @@ def write_artifact(
     out_dir: str,
     name: str,
     command: str,
-    inputs: dict[str, str],
+    digests: dict[str, str],
     params: dict[str, object],
     body: str,
 ) -> Path:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / name
-    text = "\n".join(manifest_lines(command, inputs, params)) + "\n" + body
+    text = "\n".join(manifest_lines(command, digests, params)) + "\n" + body
     path.write_text(text, encoding="utf-8")
     return path
 
@@ -229,40 +229,115 @@ def _require(path: str | None, role: str) -> str:
     return path
 
 
-def _load(cfg: RunConfig, role: str, parse: Callable[..., T]) -> tuple[T, dict[str, str]]:
-    """Parse the ``role`` input file in the configured mode, warning of skipped lines."""
-    path = _require(getattr(cfg, role), role)
-    with open(path, "r", encoding="utf-8") as fh:
-        data = parse(fh, strict=cfg.strict)
-    if data.skipped:
-        print(
-            f"warning: skipped {data.skipped} malformed {role} line(s) in {path}", file=sys.stderr
-        )
-    return data, {role: path}
+class _Inputs:
+    """The input files of one command: each is parsed at most once and hashed
+    at most once. ``read`` maps each role read through this holder to its
+    path, for the manifests. A holder made with ``shared`` reuses the other's
+    parses and digests but lists only its own roles, as each side of
+    ``compare`` does."""
+
+    def __init__(self, cfg: RunConfig, shared: _Inputs | None = None) -> None:
+        self.cfg = cfg
+        self.read: dict[str, str] = {}
+        # parses by (role, path), digests by ("sha256", path), the graph and the IP run
+        self._done: dict[object, object] = {} if shared is None else shared._done
+
+    def once(self, key: object, make: Callable[[], T]) -> T:
+        """``make()``, called only the first time ``key`` is asked for."""
+        if key not in self._done:
+            self._done[key] = make()
+        return self._done[key]  # type: ignore[return-value]
+
+    def path(self, role: str, path: str | None = None) -> str:
+        """Record ``role`` as read from ``path``, by default its configured file."""
+        self.read[role] = _require(getattr(self.cfg, role) if path is None else path, role)
+        return self.read[role]
+
+    def load(self, role: str, parse: Callable[..., T]) -> T:
+        """The ``role`` file through ``parse(stream, strict=...)``, warning of
+        the lines lenient mode skipped."""
+        path = self.path(role)
+
+        def parsed() -> T:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = parse(fh, strict=self.cfg.strict)
+            skipped = getattr(data, "skipped", 0)  # a graph file is always read strictly
+            if skipped:
+                warning = f"warning: skipped {skipped} malformed {role} line(s) in {path}"
+                print(warning, file=sys.stderr)
+            return data
+
+        return self.once((role, path), parsed)
+
+    def graph(self) -> InfluenceGraph:
+        cfg = self.cfg
+        if cfg.graph is not None:
+            return self.load("graph", lambda fh, strict: graph_from_tsv(fh))
+        log = self.load("events", parse_events)
+        if cfg.graph_type == "rt":
+            return self.once("built graph", lambda: build_retweet(log, cfg.min_urls))
+        follows = self.load("follows", parse_follows)
+        build = build_comention if cfg.graph_type == "comention" else build_retweet_follower
+        return self.once("built graph", lambda: build(log, follows, cfg.min_urls))
+
+    def digests(self, prefix: str = "") -> dict[str, str]:
+        """``{prefix + role: SHA-256}`` of each input read through this holder."""
+        return {
+            prefix + role: self.once(("sha256", path), lambda: _sha256(path))
+            for role, path in self.read.items()
+        }
+
+    def write(self, name: str, command: str, params: dict[str, object], body: str) -> None:
+        """Write artifact ``name``, its manifest listing this holder's inputs."""
+        write_artifact(self.cfg.out_dir, name, command, self.digests(), params, body)
 
 
-def _build_graph(cfg: RunConfig) -> tuple[InfluenceGraph, dict[str, str]]:
-    if cfg.graph is not None:
-        path = _require(cfg.graph, "graph")
-        with open(path, "r", encoding="utf-8") as fh:
-            return graph_from_tsv(fh), {"graph": path}
-    log, inputs = _load(cfg, "events", parse_events)
-    if cfg.graph_type == "rt":
-        return build_retweet(log, cfg.min_urls), inputs
-    follows, follow_inputs = _load(cfg, "follows", parse_follows)
-    inputs.update(follow_inputs)
-    if cfg.graph_type == "comention":
-        return build_comention(log, follows, cfg.min_urls), inputs
-    return build_retweet_follower(log, follows, cfg.min_urls), inputs
+# settings that shape a graph, recorded by every artifact computed from one
+_GRAPH_KEYS = ("graph_type", "min_urls", "strict")
 
 
-def _graph_params(cfg: RunConfig) -> dict[str, object]:
-    return {"graph_type": cfg.graph_type, "min_urls": cfg.min_urls, "strict": cfg.strict}
+def _params(cfg: RunConfig, *keys: str) -> dict[str, object]:
+    return {key: getattr(cfg, key) for key in keys}
 
 
 # ---------------------------------------------------------------------------
-# Score sources for the report commands
+# Measures and score sources
 # ---------------------------------------------------------------------------
+
+
+def _ip(inputs: _Inputs) -> tuple[ScorePair, IterationTrace, dict[str, object]]:
+    """IP on the command's graph, run at most once per command with its
+    convergence reported on stdout, and the settings its artifacts record."""
+    cfg, g = inputs.cfg, inputs.graph()  # records the graph's inputs even when IP has run
+
+    def run() -> tuple[ScorePair, IterationTrace]:
+        pair, trace = run_ip(g, IpParams(cfg.iterations, cfg.epsilon))
+        last = trace.deltas[-1] if trace.deltas else float("nan")
+        converged = trace.converged(cfg.epsilon)
+        print(f"ip: {pair.iterations_run} iterations, converged={converged}, last delta {last:.3g}")
+        return pair, trace
+
+    return (*inputs.once("ip run", run), _params(cfg, *_GRAPH_KEYS, "iterations", "epsilon"))
+
+
+def _measure(inputs: _Inputs, name: str) -> tuple[ScoreVector, dict[str, object]]:
+    """The ``name`` measure over the command's inputs, and the settings its
+    artifact records."""
+    cfg = inputs.cfg
+    if name in ("ip-influence", "ip-passivity"):
+        pair, _, params = _ip(inputs)
+        values = pair.influence if name == "ip-influence" else pair.passivity
+        return ScoreVector(pair.node_ids, values, label=name), params
+    if name == "pagerank":
+        params = _params(cfg, *_GRAPH_KEYS, "damping", "pagerank_epsilon", "pagerank_iterations")
+        settings = PageRankParams(cfg.damping, cfg.pagerank_epsilon, cfg.pagerank_iterations)
+        return weighted_pagerank(invert_graph(inputs.graph()), settings), params
+    if name in ("hindex", "retweets"):
+        score = h_index_scores if name == "hindex" else retweet_count
+        return score(inputs.load("events", parse_events)), _params(cfg, "strict")
+    if name == "followers":
+        return follower_count(inputs.load("follows", parse_follows)), _params(cfg, "strict")
+    raise ConfigInvalid(f"unknown measure {name!r}; choose from {MEASURES}")
 
 
 def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
@@ -303,63 +378,25 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     return label, {name: ScoreVector.from_mapping(m, name) for name, m in columns.items()}
 
 
-def _vector_from_file(path: str, column: str | None) -> tuple[ScoreVector, dict[str, str]]:
-    _require(path, "scores")
-    _, columns = read_score_columns(path)
-    if column is None:
-        column = "influence" if "influence" in columns else next(iter(sorted(columns)))
-    if column not in columns:
-        raise ConfigInvalid(
-            f"column {column!r} not present in {path}; has {sorted(columns)}"
-        )
-    return columns[column], {"scores": path}
-
-
-def _compute_measure(cfg: RunConfig, measure: str) -> tuple[ScoreVector, dict[str, str]]:
-    if measure in ("ip-influence", "ip-passivity"):
-        g, inputs = _build_graph(cfg)
-        pair, _ = run_ip(g, IpParams(cfg.iterations, cfg.epsilon))
-        values = pair.influence if measure == "ip-influence" else pair.passivity
-        return ScoreVector(pair.node_ids, values, label=measure), inputs
-    if measure == "pagerank":
-        g, inputs = _build_graph(cfg)
-        params = PageRankParams(cfg.damping, cfg.pagerank_epsilon, cfg.pagerank_iterations)
-        return weighted_pagerank(invert_graph(g), params), inputs
-    if measure == "hindex":
-        log, inputs = _load(cfg, "events", parse_events)
-        return h_index_scores(log), inputs
-    if measure == "followers":
-        follows, inputs = _load(cfg, "follows", parse_follows)
-        return follower_count(follows), inputs
-    if measure == "retweets":
-        log, inputs = _load(cfg, "events", parse_events)
-        return retweet_count(log), inputs
-    raise ConfigInvalid(f"unknown measure {measure!r}; choose from {MEASURES}")
-
-
 def _resolve_vector(
-    cfg: RunConfig,
-    scores_path: str | None,
-    column: str | None,
-    measure: str | None,
-    side: str = "",
-) -> tuple[ScoreVector, dict[str, str]]:
+    inputs: _Inputs, scores: str | None, column: str | None, measure: str | None, side: str = ""
+) -> ScoreVector:
     suffix = f"-{side}" if side else ""
-    if scores_path is not None and measure is not None:
+    if scores is not None and measure is not None:
         raise ConfigInvalid(f"give either --scores{suffix} or --measure{suffix}, not both")
-    if scores_path is not None:
-        return _vector_from_file(scores_path, column)
+    if scores is not None:
+        path = inputs.path("scores", scores)
+        _, columns = read_score_columns(path)  # not kept: it holds columns left unused
+        if column is None:
+            column = "influence" if "influence" in columns else min(columns)
+        if column not in columns:
+            raise ConfigInvalid(f"column {column!r} not present in {path}; has {sorted(columns)}")
+        return columns[column]
     if measure is not None:
-        vector, inputs = _compute_measure(cfg, measure)
-        write_artifact(
-            cfg.out_dir,
-            f"measure_{vector.label}.tsv",
-            f"measure:{vector.label}",
-            inputs,
-            _graph_params(cfg),
-            vector_to_tsv(vector),
-        )
-        return vector, inputs
+        vector, params = _measure(inputs, measure)
+        label = vector.label
+        inputs.write(f"measure_{label}.tsv", f"measure:{label}", params, vector_to_tsv(vector))
+        return vector
     raise ConfigInvalid(f"a score source is required: --scores{suffix} or --measure{suffix}")
 
 
@@ -369,115 +406,78 @@ def _resolve_vector(
 
 
 def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> None:
-    g, inputs = _build_graph(cfg)
-    params = _graph_params(cfg)
-    write_artifact(cfg.out_dir, "graph.tsv", "build", inputs, params, graph_to_tsv(g))
+    inputs = _Inputs(cfg)
+    g = inputs.graph()
+    params = _params(cfg, *_GRAPH_KEYS)
+    inputs.write("graph.tsv", "build", params, graph_to_tsv(g))
     stats = graph_stats(g)
-    write_artifact(
-        cfg.out_dir, "graph_stats.tsv", "build", inputs, params, stats_to_tsv(stats)
-    )
+    inputs.write("graph_stats.tsv", "build", params, stats_to_tsv(stats))
     print(f"graph: {stats.nodes} nodes, {stats.arcs} arcs, mean weight {stats.mean_weight:.6g}")
 
 
 def cmd_ip(cfg: RunConfig, args: argparse.Namespace) -> None:
-    g, inputs = _build_graph(cfg)
-    pair, trace = run_ip(g, IpParams(cfg.iterations, cfg.epsilon))
-    params = _graph_params(cfg)
-    params.update({"iterations": cfg.iterations, "epsilon": cfg.epsilon})
-    body = "#measure=ip\n" + scores_to_tsv(pair)
-    write_artifact(cfg.out_dir, "ip_scores.tsv", "ip", inputs, params, body)
-    write_artifact(cfg.out_dir, "ip_trace.tsv", "ip", inputs, params, trace_to_tsv(trace))
-    converged = trace.converged(cfg.epsilon)
-    last = trace.deltas[-1] if trace.deltas else float("nan")
-    print(
-        f"ip: {pair.iterations_run} iterations, converged={converged}, last delta {last:.3g}"
-    )
+    inputs = _Inputs(cfg)
+    pair, trace, params = _ip(inputs)
+    inputs.write("ip_scores.tsv", "ip", params, "#measure=ip\n" + scores_to_tsv(pair))
+    inputs.write("ip_trace.tsv", "ip", params, trace_to_tsv(trace))
 
 
-def cmd_pagerank(cfg: RunConfig, args: argparse.Namespace) -> None:
-    g, inputs = _build_graph(cfg)
-    params = _graph_params(cfg)
-    params.update(
-        {
-            "damping": cfg.damping,
-            "pagerank_epsilon": cfg.pagerank_epsilon,
-            "pagerank_iterations": cfg.pagerank_iterations,
-        }
-    )
-    vector = weighted_pagerank(
-        invert_graph(g),
-        PageRankParams(cfg.damping, cfg.pagerank_epsilon, cfg.pagerank_iterations),
-    )
-    write_artifact(cfg.out_dir, "pagerank.tsv", "pagerank", inputs, params, vector_to_tsv(vector))
-    print(f"pagerank: {len(vector.node_ids)} nodes scored")
-
-
-def cmd_hindex(cfg: RunConfig, args: argparse.Namespace) -> None:
-    log, inputs = _load(cfg, "events", parse_events)
-    vector = h_index_scores(log)
-    write_artifact(
-        cfg.out_dir, "hindex.tsv", "hindex", inputs, {"strict": cfg.strict}, vector_to_tsv(vector)
-    )
-    print(f"hindex: {len(vector.node_ids)} users scored")
+def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> None:
+    """``pagerank`` and ``hindex``: the measure the command names, in ``<command>.tsv``."""
+    inputs = _Inputs(cfg)
+    vector, params = _measure(inputs, args.command)
+    inputs.write(f"{args.command}.tsv", args.command, params, vector_to_tsv(vector))
+    scored = "nodes" if args.command == "pagerank" else "users"
+    print(f"{args.command}: {len(vector.node_ids)} {scored} scored")
 
 
 def cmd_rates(cfg: RunConfig, args: argparse.Namespace) -> None:
-    log, inputs = _load(cfg, "events", parse_events)
-    follows, follow_inputs = _load(cfg, "follows", parse_follows)
-    inputs.update(follow_inputs)
-    report = rate_report(log, follows)
-    write_artifact(
-        cfg.out_dir, "rates.tsv", "rates", inputs, {"strict": cfg.strict}, rates_to_tsv(report)
-    )
-    print(
-        f"rates: {len(report.user_rates)} user rates, "
-        f"{len(report.audience_rates)} audience rates"
-    )
+    inputs = _Inputs(cfg)
+    log = inputs.load("events", parse_events)
+    report = rate_report(log, inputs.load("follows", parse_follows))
+    inputs.write("rates.tsv", "rates", _params(cfg, "strict"), rates_to_tsv(report))
+    users, audiences = len(report.user_rates), len(report.audience_rates)
+    print(f"rates: {users} user rates, {audiences} audience rates")
 
 
 def cmd_curve(cfg: RunConfig, args: argparse.Namespace) -> None:
-    vector, inputs = _resolve_vector(cfg, args.scores, args.column, args.measure)
-    log, event_inputs = _load(cfg, "events", parse_events)
-    clicks, click_inputs = _load(cfg, "clicks", parse_clicks)
-    inputs.update(event_inputs)
-    inputs.update(click_inputs)
+    inputs = _Inputs(cfg)
+    vector = _resolve_vector(inputs, args.scores, args.column, args.measure)
+    log = inputs.load("events", parse_events)
+    clicks = inputs.load("clicks", parse_clicks).clicks
     averages = url_attribute_average(log, vector)
-    points = [
-        (averages[url], float(clicks.clicks[url]))
-        for url in sorted(averages)
-        if url in clicks.clicks
-    ]
+    points = [(averages[url], float(clicks[url])) for url in sorted(averages) if url in clicks]
     curve = percentile_curve(points, q=cfg.q, bin_count=cfg.bin_count)
-    params = {"q": cfg.q, "bin_count": cfg.bin_count, "measure": vector.label}
-    write_artifact(cfg.out_dir, "curve.tsv", "curve", inputs, params, curve_to_tsv(curve))
+    params = {**_params(cfg, "q", "bin_count"), "measure": vector.label}
+    inputs.write("curve.tsv", "curve", params, curve_to_tsv(curve))
     print(f"curve: {len(curve.bins)} bins, fit slope {curve.slope:.6g}")
 
 
 def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> None:
-    vector, inputs = _resolve_vector(cfg, args.scores, args.column, args.measure)
+    inputs = _Inputs(cfg)
+    vector = _resolve_vector(inputs, args.scores, args.column, args.measure)
     eligible = None
     params: dict[str, object] = {"top_k": cfg.top_k, "measure": vector.label}
     if cfg.min_posted > 0:
-        log, event_inputs = _load(cfg, "events", parse_events)
-        inputs.update(event_inputs)
-        counts = url_counts(log)
+        counts = url_counts(inputs.load("events", parse_events))
         eligible = [counts.get(user, 0) >= cfg.min_posted for user in vector.node_ids]
         params["min_posted"] = cfg.min_posted
     report = top_k(vector, cfg.top_k, eligible)
-    write_artifact(cfg.out_dir, "rank.tsv", "rank", inputs, params, report_to_tsv(report))
+    inputs.write("rank.tsv", "rank", params, report_to_tsv(report))
     print(f"rank: {len(report.rows)} rows for {vector.label}")
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> None:
-    vec_a, inputs_a = _resolve_vector(cfg, args.scores_a, args.column_a, args.measure_a, "a")
-    vec_b, inputs_b = _resolve_vector(cfg, args.scores_b, args.column_b, args.measure_b, "b")
-    inputs = {f"a.{k}": v for k, v in inputs_a.items()}
-    inputs.update({f"b.{k}": v for k, v in inputs_b.items()})
+    side_a = _Inputs(cfg)
+    side_b = _Inputs(cfg, shared=side_a)
+    vec_a = _resolve_vector(side_a, args.scores_a, args.column_a, args.measure_a, "a")
+    vec_b = _resolve_vector(side_b, args.scores_b, args.column_b, args.measure_b, "b")
     correlation = rank_correlation(vec_a, vec_b)
     joined = rank_join(vec_a, vec_b)
     body = f"#spearman={correlation!r}\n" + report_to_tsv(joined)
     params = {"measure_a": vec_a.label, "measure_b": vec_b.label}
-    write_artifact(cfg.out_dir, "compare.tsv", "compare", inputs, params, body)
+    digests = {**side_a.digests("a."), **side_b.digests("b.")}
+    write_artifact(cfg.out_dir, "compare.tsv", "compare", digests, params, body)
     print(f"compare: spearman {correlation:.6g} over {len(joined.rows)} shared users")
 
 
@@ -512,10 +512,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     mode.add_argument("--lenient", dest="strict", action="store_false", default=None)
 
 
-def _add_score_source(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scores", help="score file produced by a previous command")
-    sub.add_argument("--column", help="column to read from a multi-column score file")
-    sub.add_argument("--measure", choices=MEASURES, help="recompute a measure from inputs")
+def _add_score_source(sub: argparse.ArgumentParser, suffix: str) -> None:
+    sub.add_argument(f"--scores{suffix}", help="score file produced by a previous command")
+    sub.add_argument(f"--column{suffix}", help="column to read from a multi-column score file")
+    sub.add_argument(f"--measure{suffix}", choices=MEASURES, help="recompute a measure from inputs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     specs = [
         ("build", cmd_build, "build an influence graph and its stats"),
         ("ip", cmd_ip, "run the influence-passivity iteration"),
-        ("pagerank", cmd_pagerank, "weighted PageRank on the inverted graph"),
-        ("hindex", cmd_hindex, "post/retweet H-index per user"),
+        ("pagerank", cmd_score, "weighted PageRank on the inverted graph"),
+        ("hindex", cmd_score, "post/retweet H-index per user"),
         ("rates", cmd_rates, "user and audience retweeting rates"),
         ("curve", cmd_curve, "percentile-bound click curve for a measure"),
         ("rank", cmd_rank, "top-k report for a measure"),
@@ -539,15 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in specs:
         sub = subs.add_parser(name, help=help_text)
         _add_common_flags(sub)
-        if name in ("curve", "rank"):
-            _add_score_source(sub)
-        if name == "compare":
-            sub.add_argument("--scores-a", dest="scores_a")
-            sub.add_argument("--column-a", dest="column_a")
-            sub.add_argument("--measure-a", dest="measure_a", choices=MEASURES)
-            sub.add_argument("--scores-b", dest="scores_b")
-            sub.add_argument("--column-b", dest="column_b")
-            sub.add_argument("--measure-b", dest="measure_b", choices=MEASURES)
+        for suffix in {"curve": ("",), "rank": ("",), "compare": ("-a", "-b")}.get(name, ()):
+            _add_score_source(sub, suffix)
         sub.set_defaults(func=func)
     return parser
 

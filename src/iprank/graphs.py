@@ -279,7 +279,8 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
     nodes, node_lines = array("q"), array("q")
     weights = array("d")
     header = None
-    for line_no, parts in _records(stream, headers=("#nodes=",)):
+    # an id holding a CR is left for InfluenceGraph to reject, naming its line
+    for line_no, parts in _records(stream, headers=("#nodes=",), as_opened=True):
         try:
             if len(parts) != 3:
                 if parts[0][:1] == "#":  # the header: no record starts with "#"

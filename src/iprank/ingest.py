@@ -22,7 +22,7 @@ import io
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -366,21 +366,26 @@ def _split_lines(lines: Iterable[str | bytes]) -> Iterator[str]:
 
 
 def _records(
-    stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = ()
+    stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = (), as_opened: bool = False
 ) -> Iterator[tuple[int, list[str]]]:
     """``(line_no, fields)`` for each record, split at TABs, and ``(line_no,
     [line])`` for a line starting with one of ``headers``. Line numbers count
     every line; ``"\\t".join(fields)`` is the line without its ending.
 
     LF, CR and CRLF each end a line of a string or bytes, and split a line
-    of an iterable, as in a file opened in text mode; a text stream is read
-    as it was opened."""
+    of an iterable or of a text stream that ends lines at LF only, as in a
+    file opened in text mode. A stream is judged once, by the ``newlines``
+    that only text mode sets once the first line is read; with ``as_opened``
+    every stream is read as it was opened."""
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
     elif not isinstance(stream, io.TextIOBase):
         stream = _split_lines(stream)
+    elif not as_opened:
+        lines = chain((stream.readline(),), stream)
+        stream = _split_lines(lines) if stream.newlines is None else lines
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\r\n")
         if line[:1] == "#":

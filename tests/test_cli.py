@@ -1,13 +1,16 @@
 """Command-line pipeline: artifacts, manifests, exit codes, config handling."""
 
+import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import iprank
+from iprank import cli
 from iprank.cli import load_config, main, read_manifest, read_score_columns
 from iprank.graphs import graph_from_tsv
 from iprank.ingest import clicks_to_tsv, events_to_tsv, follows_to_tsv, ClickTable
@@ -296,6 +299,136 @@ class TestManifests:
         out = tmp_path / "out"
         assert run("rank", "--scores", scores, "--out-dir", out) == 0
         assert read_manifest(str(out / "rank.tsv"))["param.measure"] == "a\x85b\u2028c"
+
+
+class TestEachInputReadOnce:
+    """A command parses each input file once and hashes each path once, however
+    many measures and artifacts use it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the CLI's parse and hash calls, by function and path."""
+        counts = Counter()
+        for name in ("parse_events", "parse_follows", "parse_clicks", "_sha256"):
+
+            def counted(source, *args, _name=name, _func=getattr(cli, name), **kwargs):
+                counts[_name, getattr(source, "name", source)] += 1
+                return _func(source, *args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        return counts
+
+    def expect_once(self, calls, trace_dir, parsed):
+        paths = {role: str(trace_dir / f"{role}.tsv") for role in parsed}
+        expected = {(f"parse_{role}", path): 1 for role, path in paths.items()}
+        expected.update({("_sha256", path): 1 for path in paths.values()})
+        assert dict(calls) == expected
+
+    def test_curve_over_a_comention_measure(self, trace_dir, calls):
+        assert run(
+            "curve", "--measure", "ip-influence", "--graph-type", "comention", "--min-urls", "1",
+            "--events", trace_dir / "events.tsv", "--follows", trace_dir / "follows.tsv",
+            "--clicks", trace_dir / "clicks.tsv", "--bin-count", "5", "--out-dir", trace_dir / "out",
+        ) == 0
+        self.expect_once(calls, trace_dir, ("events", "follows", "clicks"))
+
+    def test_rank_by_hindex_of_users_who_posted(self, trace_dir, calls):
+        assert run(
+            "rank", "--measure", "hindex", "--min-posted", "1",
+            "--events", trace_dir / "events.tsv", "--out-dir", trace_dir / "out",
+        ) == 0
+        self.expect_once(calls, trace_dir, ("events",))
+
+    def test_compare_two_measures_of_one_trace(self, trace_dir, calls):
+        assert run(
+            "compare", "--measure-a", "ip-influence", "--measure-b", "retweets", "--min-urls", "1",
+            "--events", trace_dir / "events.tsv", "--out-dir", trace_dir / "out",
+        ) == 0
+        self.expect_once(calls, trace_dir, ("events",))
+
+    def test_lenient_curve_warns_once_per_input(self, trace_dir, capsys):
+        events = trace_dir / "events.tsv"
+        events.write_text(events.read_text(encoding="utf-8") + "garbage\n", encoding="utf-8")
+        assert run(
+            "curve", "--measure", "hindex", "--lenient", "--events", events,
+            "--clicks", trace_dir / "clicks.tsv", "--bin-count", "5", "--out-dir", trace_dir / "out",
+        ) == 0
+        assert capsys.readouterr().err.count("skipped 1 malformed events line(s)") == 1
+
+
+class TestIpConvergenceReported:
+    """Every path that runs IP prints the convergence line ``iprank ip`` prints, once."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("curve", "--measure", "ip-influence", "--clicks", "clicks.tsv", "--bin-count", "5"),
+            ("rank", "--measure", "ip-passivity"),
+            ("compare", "--measure-a", "ip-influence", "--measure-b", "ip-passivity"),
+        ],
+    )
+    def test_ip_measures_report_convergence_once(self, trace_dir, capsys, argv):
+        flags = ("--events", trace_dir / "events.tsv", "--min-urls", "1", "--out-dir", trace_dir)
+        assert run("ip", *flags) == 0
+        ip_line = capsys.readouterr().out.strip()
+        argv = [str(trace_dir / a) if a.endswith(".tsv") else a for a in argv]
+        assert run(*argv, *flags) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert ip_line.startswith("ip: ") and "converged=" in ip_line
+        assert [line for line in out if line.startswith("ip: ")] == [ip_line]
+
+
+def manifest_of(path):
+    """The ``input.*`` digests and ``param.*`` values of an artifact's manifest."""
+    manifest = read_manifest(str(path))
+    inputs = {k[len("input."):]: v for k, v in manifest.items() if k.startswith("input.")}
+    params = {k: v for k, v in manifest.items() if k.startswith("param.")}
+    return inputs, params
+
+
+def sha256_of(path):
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestManifestInputs:
+    def test_each_artifact_lists_the_inputs_it_was_computed_from(self, trace_dir):
+        events, follows = sha256_of(trace_dir / "events.tsv"), sha256_of(trace_dir / "follows.tsv")
+        out = trace_dir / "out"
+        flags = ("--min-urls", "1", "--out-dir", out)
+        assert run("ip", "--events", trace_dir / "events.tsv", *flags) == 0
+        assert run(
+            "compare", "--measure-a", "ip-influence", "--measure-b", "followers",
+            "--events", trace_dir / "events.tsv", "--follows", trace_dir / "follows.tsv", *flags,
+        ) == 0
+        assert manifest_of(out / "compare.tsv")[0] == {"a.events": events, "b.follows": follows}
+        assert manifest_of(out / "measure_ip-influence.tsv")[0] == {"events": events}
+        assert manifest_of(out / "measure_followers.tsv")[0] == {"follows": follows}
+        assert run(
+            "compare", "--scores-a", out / "ip_scores.tsv", "--scores-b", out / "ip_scores.tsv",
+            "--column-b", "passivity", *flags,
+        ) == 0
+        scores = sha256_of(out / "ip_scores.tsv")
+        assert manifest_of(out / "compare.tsv")[0] == {"a.scores": scores, "b.scores": scores}
+
+    def test_a_measure_file_records_its_measure_settings(self, trace_dir):
+        out = trace_dir / "out"
+        events = ("--events", trace_dir / "events.tsv", "--min-urls", "1", "--out-dir", out)
+        for command in ("ip", "pagerank", "hindex"):
+            assert run(command, *events) == 0
+        for measure, artifact in [
+            ("ip-influence", "ip_scores.tsv"),
+            ("pagerank", "pagerank.tsv"),
+            ("hindex", "hindex.tsv"),
+        ]:
+            assert run("rank", "--measure", measure, *events) == 0
+            assert manifest_of(out / f"measure_{measure}.tsv") == manifest_of(out / artifact)
+        bodies = {}
+        for iterations in ("3", "100"):
+            assert run("rank", "--measure", "ip-influence", "--iterations", iterations, *events) == 0
+            _, params = manifest_of(out / "measure_ip-influence.tsv")
+            assert params["param.iterations"] == iterations
+            bodies[iterations] = (out / "measure_ip-influence.tsv").read_text(encoding="utf-8")
+        assert bodies["3"] != bodies["100"]
 
 
 class TestConfigHandling:

@@ -1,5 +1,6 @@
 """Parsing, container invariants, and serialization round-trips."""
 
+import io
 import random
 import re
 
@@ -243,8 +244,9 @@ class TestHashLedIds:
 
 
 class TestCarriageReturnEndsALine:
-    """LF, CR and CRLF each end a line of a string, of bytes and of an
-    iterable's items, as in a file opened in text mode, so no id holds a CR."""
+    """LF, CR and CRLF each end a line of a string, of bytes, of an
+    iterable's items and of a text stream that ends lines at LF only, as in a
+    file opened in text mode, so no id holds a CR."""
 
     FORMS = {
         "str": lambda text: text,
@@ -252,6 +254,8 @@ class TestCarriageReturnEndsALine:
         # items split at LF only: splitlines() would split at the CR too
         "lines": lambda text: [f"{line}\n" for line in text.split("\n")[:-1]],
         "byte lines": lambda text: [line.encode("utf-8") for line in text.split("\n")[:-1]],
+        # an io.StringIO ends lines at LF only, unlike a file opened in text mode
+        "LF-only stream": io.StringIO,
     }
 
     @pytest.mark.parametrize("form", sorted(FORMS))
@@ -276,6 +280,37 @@ class TestCarriageReturnEndsALine:
     @pytest.mark.parametrize("form", sorted(FORMS))
     def test_follows_lenient(self, form):
         f = parse_follows(self.FORMS[form]("a\tb\r\nc\rd\ta\n"), strict=False)
+        assert f.skipped == 1
+        assert f.edges == frozenset({("a", "b"), ("d", "a")})
+
+    @pytest.fixture
+    def lf_only_file(self, tmp_path):
+        """A function that writes text to a file and opens it to end lines at LF only."""
+        opened = []
+
+        def open_lf_only(text):
+            path = tmp_path / "lines.tsv"
+            path.write_text(text, encoding="utf-8", newline="")
+            opened.append(open(path, "r", encoding="utf-8", newline="\n"))
+            return opened[-1]
+
+        yield open_lf_only
+        for fh in opened:
+            fh.close()
+
+    def test_events_from_a_file_opened_lf_only(self, lf_only_file):
+        with pytest.raises(UnparsableLine) as info:
+            parse_events(lf_only_file("1\ta\rb\tu\tM\n"))
+        assert (info.value.line_no, info.value.line) == (1, "1\ta")
+        log = parse_events(lf_only_file("1\tu\tx\tM\n1\ta\rb\tu\tM\n"), strict=False)
+        assert log.skipped == 2
+        assert log.user_ids == ("u",)
+
+    def test_follows_from_a_file_opened_lf_only(self, lf_only_file):
+        with pytest.raises(UnparsableLine) as info:
+            parse_follows(lf_only_file("a\tb\nc\rd\ta\n"))
+        assert (info.value.line_no, info.value.line) == (2, "c")
+        f = parse_follows(lf_only_file("a\tb\nc\rd\ta\n"), strict=False)
         assert f.skipped == 1
         assert f.edges == frozenset({("a", "b"), ("d", "a")})
 
