@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, TypeVar
+
+import numpy as np
 
 from . import __version__
 from .analytics import (
@@ -49,7 +51,9 @@ from .graphs import (
     graph_to_tsv,
     stats_to_tsv,
 )
-from .ingest import _records, parse_clicks, parse_events, parse_follows, url_counts
+from .ingest import (
+    _Fields, _floats, _records, parse_clicks, parse_events, parse_follows, url_counts,
+)
 from .ipcore import IpParams, IterationTrace, ScorePair, run_ip, scores_to_tsv, trace_to_tsv
 
 GRAPH_TYPES = ("comention", "rt", "rt-follower")
@@ -102,22 +106,27 @@ def load_config(path: str) -> dict[str, object]:
     """Read a flat ``key=value`` config file."""
     out: dict[str, object] = {}
     with open(_require(path, "config"), "r", encoding="utf-8") as fh:
-        for line_no, parts in _records(fh):
-            line = "\t".join(parts).strip()
-            if "=" not in line:
-                raise ConfigInvalid(f"config line {line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if key not in _DEFAULTS:
-                raise ConfigInvalid(f"config line {line_no}: unknown key {key!r}")
-            convert = str if _DEFAULTS[key] is None else type(_DEFAULTS[key])
-            try:
-                out[key] = _parse_bool(value) if convert is bool else convert(value)
-            except ValueError:
-                raise ConfigInvalid(
-                    f"config line {line_no}: bad value for {key!r}: {value!r}"
-                ) from None
+        lines = [
+            (line_no, line)
+            for numbers, text, _ in _records(fh)
+            for line_no, line in zip(numbers.tolist(), text.split("\n"))
+        ]
+    for line_no, line in lines:
+        line = line.strip()
+        if "=" not in line:
+            raise ConfigInvalid(f"config line {line_no}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        if key not in _DEFAULTS:
+            raise ConfigInvalid(f"config line {line_no}: unknown key {key!r}")
+        convert = str if _DEFAULTS[key] is None else type(_DEFAULTS[key])
+        try:
+            out[key] = _parse_bool(value) if convert is bool else convert(value)
+        except ValueError:
+            raise ConfigInvalid(
+                f"config line {line_no}: bad value for {key!r}: {value!r}"
+            ) from None
     return out
 
 
@@ -191,11 +200,17 @@ def manifest_lines(command: str, digests: dict[str, str], params: dict[str, obje
 
 
 def read_manifest(path: str) -> dict[str, str]:
+    """The ``#manifest key=value`` lines of an artifact; a manifest line
+    without ``=`` is :class:`ConfigInvalid`."""
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for _, parts in _records(fh, headers=("#manifest ",)):
-            if parts[0][:1] == "#":  # the header: no record starts with "#"
-                key, value = parts[0][len("#manifest ") :].split("=", 1)
+        for numbers, text, _ in _records(fh, headers=("#manifest ",)):
+            if text[:1] == "#":  # the header: no record starts with "#"
+                key, eq, value = text[len("#manifest ") :].partition("=")
+                if not eq:
+                    raise ConfigInvalid(
+                        f"line {numbers[0]} of {path}: expected '#manifest key=value': {text!r}"
+                    )
                 entries[key] = value
     return entries
 
@@ -343,39 +358,67 @@ def _measure(inputs: _Inputs, name: str) -> tuple[ScoreVector, dict[str, object]
 def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     """Read a score file: either ``#measure=`` two-column vectors or the
     three-column influence/passivity output. Returns the file's label and one
-    vector per column, keyed by column name. A score that is not a number, or
-    an id listed twice in one column, is :class:`ConfigInvalid`."""
+    vector per column, keyed by column name. A score that is not a number, a
+    row whose column count is not that of the first row, or an id listed
+    twice in one column is :class:`ConfigInvalid`."""
     label = "scores"
-    columns: dict[str, dict[str, float]] = {}
+    first = (0, 0)  # line number and column count of the first row
+    # per column: its ids, and blocks of its scores and of their line numbers
+    columns: dict[str, tuple[list[str], list[np.ndarray], list[np.ndarray]]] = {}
+
+    def fault(line_no: int, line: str) -> ConfigInvalid | None:
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            reason = "unrecognized line"
+        elif len(parts) != first[1]:
+            reason = f"{len(parts)} columns, unlike the {first[1]} of line {first[0]}"
+        elif np.isnan(_floats(parts[1:])).any():
+            reason = "score is not a number"
+        else:
+            return None
+        return ConfigInvalid(f"line {line_no} of {path}: {reason}: {line!r}")
+
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, parts in _records(fh, headers=("#measure=",)):
-            try:
-                if len(parts) == 2:
-                    value = float(parts[1])
-                    if math.isnan(value):
-                        raise ValueError
-                    column = columns.setdefault(label, {})
-                elif len(parts) == 3:
-                    value, passivity = float(parts[1]), float(parts[2])
-                    if math.isnan(value) or math.isnan(passivity):
-                        raise ValueError
-                    column = columns.setdefault("influence", {})
-                    columns.setdefault("passivity", {})[parts[0]] = passivity
-                elif parts[0][:1] == "#":  # the header: no record starts with "#"
-                    label = parts[0].split("=", 1)[1]
-                    continue
-                else:
-                    raise ValueError
-            except ValueError:
-                line = "\t".join(parts)
-                reason = "score is not a number" if len(parts) in (2, 3) else "unrecognized line"
-                raise ConfigInvalid(f"line {line_no} of {path}: {reason}: {line!r}") from None
-            if parts[0] in column:
-                raise ConfigInvalid(f"line {line_no} of {path}: {parts[0]!r} is listed twice")
-            column[parts[0]] = value
+        for numbers, text, tabs in _records(fh, headers=("#measure=",)):
+            if text[:1] == "#":  # the header: no record starts with "#"
+                label = text.split("=", 1)[1]
+                continue
+            first = first if first[1] else (int(numbers[0]), int(tabs[0]) + 1)
+            f = _Fields(numbers, text, tabs)
+            f.suspect = (tabs + 1 != first[1]) | (tabs < 1) | (tabs > 2)
+            names = (label,) if first[1] == 2 else ("influence", "passivity")
+            scores = [_floats(f.take(k)) for k in range(1, len(names) + 1)]
+            for values in scores:
+                f.suspect |= np.isnan(values)
+            f.screen(fault, strict=True)
+            ids = f.take(0)
+            for name, values in zip(names, scores):
+                column = columns.setdefault(name, ([], [], []))
+                column[0].extend(ids)
+                column[1].append(values)
+                column[2].append(numbers)
     if not columns:
         raise MissingInput(f"no score rows found in {path}")
-    return label, {name: ScoreVector.from_mapping(m, name) for name, m in columns.items()}
+    return label, {name: _score_vector(path, name, *column) for name, column in columns.items()}
+
+
+def _score_vector(
+    path: str, name: str, ids: list[str], scores: list[np.ndarray], line_nos: list[np.ndarray]
+) -> ScoreVector:
+    """The ``name`` column of a score file, its ids sorted; an id listed
+    twice is :class:`ConfigInvalid`, naming the line that repeats it."""
+    values = np.concatenate(scores)
+    if not all(map(operator.lt, ids, ids[1:])):  # not written in id order
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) < len(ids):
+            seen: set[str] = set()
+            for line_no, uid in zip(np.concatenate(line_nos).tolist(), ids):
+                if uid in seen:
+                    raise ConfigInvalid(f"line {line_no} of {path}: {uid!r} is listed twice")
+                seen.add(uid)
+        ids = sorted(index)
+        values = values[np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))]
+    return ScoreVector(ids, values, name)
 
 
 def _resolve_vector(

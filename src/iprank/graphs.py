@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import heapq
 import operator
-from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvalidParams, UnparsableLine
 from .ingest import (
-    _HASH_ID, ActivityLog, FollowEdgeList, _lookup, _records, _run_starts, _sorted_codes,
+    _HASH_ID, ActivityLog, FollowEdgeList, _Codes, _Columns, _Fields, _floats, _lookup, _records,
+    _run_starts, _sorted_codes, _unparsable,
 )
 
 WEIGHT_HIST_BINS = 10
@@ -75,9 +75,9 @@ class InfluenceGraph:
     ) -> None:
         ids = _sorted_ids(node_ids)
         n = len(ids)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
+        src = np.array(src, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)
+        weights = np.array(weights, dtype=np.float64)
         if not (src.shape == dst.shape == weights.shape):
             raise ValueError("arc arrays must have identical shape")
         if src.size:
@@ -87,10 +87,12 @@ class InfluenceGraph:
                 raise ValueError("self-arcs are not allowed")
             if not np.all((weights > 0.0) & (weights <= 1.0)):
                 raise ValueError("arc weights must lie in (0, 1]")
-            order = np.lexsort((dst, src))
-            src, dst, weights = src[order], dst[order], weights[order]
-            if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
-                raise ValueError("duplicate arcs")
+            same = src[1:] == src[:-1]
+            if not np.all((src[1:] > src[:-1]) | same & (dst[1:] > dst[:-1])):  # unsorted
+                order = np.lexsort((dst, src))
+                src, dst, weights = src[order], dst[order], weights[order]
+                if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
+                    raise ValueError("duplicate arcs")
         self.node_ids = ids
         self.src = src
         self.dst = dst
@@ -269,49 +271,65 @@ def graph_to_tsv(g: InfluenceGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _graph_reason(parts: list[str]) -> str | None:
+    """Why the fields of a graph line are neither an arc nor a node line, or None."""
+    if len(parts) != 3:
+        return "expected 'source target weight' or 'node - -'"
+    if parts[1] == "-" and parts[2] == "-":
+        return None
+    if parts[0] == parts[1]:
+        return "self-arc"
+    try:
+        w = float(parts[2])
+    except ValueError as exc:
+        return str(exc)
+    return None if 0.0 < w <= 1.0 else f"weight outside (0, 1]: {parts[2]!r}"
+
+
+def _node_line(target: str, weight: str) -> bool:
+    return target == "-" and weight == "-"
+
+
 def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
     """Read :func:`graph_to_tsv` output. A malformed line, an id that
     :class:`InfluenceGraph` rejects, an arc listed twice, or a
     ``#nodes= arcs=`` header that the file's arcs and nodes do not match
     raises :class:`UnparsableLine`; a rejected id or repeat is quoted as it reads back."""
-    users: dict[str, int] = {}
-    cols = src, dst, line_nos = array("q"), array("q"), array("q")
-    nodes, node_lines = array("q"), array("q")
-    weights = array("d")
+    users = _Codes()
+    arcs, nodes = _Columns("qqdq"), _Columns("qq")  # source, target, weight, line; node, line
     header = None
     # an id holding a CR is left for InfluenceGraph to reject, naming its line
-    for line_no, parts in _records(stream, headers=("#nodes=",), as_opened=True):
-        try:
-            if len(parts) != 3:
-                if parts[0][:1] == "#":  # the header: no record starts with "#"
-                    header = (line_no, parts[0])
-                    continue
-                raise ValueError("expected 'source target weight' or 'node - -'")
-            if parts[1] == "-" and parts[2] == "-":
-                nodes.append(users.setdefault(parts[0], len(users)))
-                node_lines.append(line_no)
-                continue
-            if parts[0] == parts[1]:
-                raise ValueError("self-arc")
-            w = float(parts[2])
-            if not 0.0 < w <= 1.0:
-                raise ValueError(f"weight outside (0, 1]: {parts[2]!r}")
-        except ValueError as exc:
-            raise UnparsableLine(line_no, "\t".join(parts), str(exc)) from None
-        src.append(users.setdefault(parts[0], len(users)))
-        dst.append(users.setdefault(parts[1], len(users)))
-        weights.append(w)
-        line_nos.append(line_no)
+    for numbers, text, tabs in _records(stream, headers=("#nodes=",), as_opened=True):
+        if text[:1] == "#":  # the header: no record starts with "#"
+            header = (int(numbers[0]), text)
+            continue
+        f = _Fields(numbers, text, tabs)
+        f.suspect = f.tabs != 2
+        source, target, weight = f.take(0), f.take(1), f.take(2)
+        node = np.zeros(len(source), dtype=bool)
+        if "\t-\t-" in f.text:
+            node = np.fromiter(map(_node_line, target, weight), dtype=bool, count=len(source))
+            source, target, weight = (list(compress(c, ~node)) for c in (source, target, weight))
+        arc = np.flatnonzero(~node)
+        if any(map(operator.eq, source, target)):
+            f.flag(operator.eq, source, target, rows=arc)
+        w = _floats(weight)
+        f.suspect[arc[~((w > 0.0) & (w <= 1.0))]] = True
+        f.screen(_unparsable(_graph_reason), strict=True)
+        arcs.append(users.of(source), users.of(target), w, f.numbers[arc])
+        if node.any():
+            nodes.append(users.of(f.take(0, np.flatnonzero(node))), f.numbers[node])
     ids, rank = _sorted_codes(users)
-    src, dst, line_nos = (np.frombuffer(c, dtype=np.int64) for c in cols)
-    src, dst, weights = rank[src], rank[dst], np.frombuffer(weights, dtype=np.float64)
+    src, dst, weights, line_nos = arcs.arrays()
+    node, node_lines = nodes.arrays()
+    src, dst = rank[src], rank[dst]
     try:
         g = InfluenceGraph(ids, src, dst, weights)
-    except ValueError as exc:  # every other rule was checked line by line
-        node = rank[np.frombuffer(nodes, dtype=np.int64)].tolist()
+    except ValueError as exc:  # every other rule was checked as the lines were read
+        node = rank[node].tolist()
         rows = heapq.merge(
             zip(line_nos.tolist(), src.tolist(), dst.tolist(), weights.tolist()),
-            zip(node_lines, node, node, repeat(0.0)),
+            zip(node_lines.tolist(), node, node, repeat(0.0)),
         )
         raise _first_fault(ids, rows) or exc from None
     if header is not None and header[1] != f"#nodes={g.num_nodes} arcs={g.num_arcs}":

@@ -9,21 +9,26 @@ File formats (UTF-8, one record per line, TAB-separated):
 
 ``time`` is a base-10 integer (milliseconds) that fits in 64 bits.
 
-Every reader in the package takes its lines from :func:`_records`: a line is
-skipped when its first character is ``#``, or when it has no TAB and is
-empty, whitespace only, or whitespace then ``#``. No record of any format has
-that shape, so every line a writer emits reads back; files may carry ``#``
-headers, and no id may start with ``#``.
+Every reader in the package takes its lines from :func:`_records`, which
+reads the input in blocks of 64 KiB of text and applies one line rule to a
+whole block at once: a line is skipped when its first character is ``#``, or
+when it has no TAB and is empty, whitespace only, or whitespace then ``#``. No
+record of any format has that shape, so every line a writer emits reads back;
+files may carry ``#`` headers, and no id may start with ``#``. Each reader
+then checks a block column by column, and only the lines those checks single
+out go through its per-line rule, which alone decides and words the error.
 """
 
 from __future__ import annotations
 
 import io
+import math
+import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import compress, repeat
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -175,10 +180,10 @@ class ActivityLog:
         self._load(users, urls, cols, skipped)
 
     def _load(
-        self, users: dict[str, int], urls: dict[str, int], cols: tuple[array, ...], skipped: int
+        self, users: dict[str, int], urls: dict[str, int], cols: Sequence, skipped: int
     ) -> None:
         """Renumber codes into sorted-id order and sort the rows."""
-        time, user, url, source = (np.frombuffer(c, dtype=np.int64) for c in cols)
+        time, user, url, source = (np.asarray(c, dtype=np.int64) for c in cols)
         self.user_ids, user_rank = _sorted_codes(users)
         self.url_ids, url_rank = _sorted_codes(urls)
         user = user_rank[user]
@@ -313,11 +318,11 @@ class FollowEdgeList:
             cols[1].append(users.setdefault(follower, len(users)))
         self._load(users, cols, skipped)
 
-    def _load(self, users: dict[str, int], cols: tuple[array, array], skipped: int) -> None:
+    def _load(self, users: dict[str, int], cols: Sequence, skipped: int) -> None:
         """Renumber codes into sorted-id order, then sort and dedupe the edges."""
         self.user_ids, rank = _sorted_codes(users)
         n = max(len(self.user_ids), 1)
-        followee, follower = (rank[np.frombuffer(c, dtype=np.int64)] for c in cols)
+        followee, follower = (rank[np.asarray(c, dtype=np.int64)] for c in cols)
         self.followee, self.follower = np.divmod(np.unique(followee * n + follower), n)
         self.followee.flags.writeable = self.follower.flags.writeable = False
         self.skipped = skipped
@@ -357,145 +362,351 @@ class ClickTable:
     skipped: int = field(default=0, compare=False)
 
 
-def _split_lines(lines: Iterable[str | bytes]) -> Iterator[str]:
-    """Each of ``lines``, decoded, with a line holding a CR split as a file
-    opened in text mode would split it."""
-    for raw in lines:
-        raw = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        yield from io.StringIO(raw, newline=None) if "\r" in raw else (raw,)
+_BLOCK = 1 << 16  # characters read at a time: a fixed size, not a setting
 
 
-def _records(
-    stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = (), as_opened: bool = False
-) -> Iterator[tuple[int, list[str]]]:
-    """``(line_no, fields)`` for each record, split at TABs, and ``(line_no,
-    [line])`` for a line starting with one of ``headers``. Line numbers count
-    every line; ``"\\t".join(fields)`` is the line without its ending.
+def _cut(read: Callable[[int], str]) -> Iterator[str]:
+    """What ``read`` returns, regrouped into whole lines about ``_BLOCK``
+    characters at a time: every piece but the last ends at an LF."""
+    head: list[str] = []  # the start of a line longer than a block
+    while chunk := read(_BLOCK):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join((*head, chunk[:cut]))
+            head, chunk = [], chunk[cut:]
+        if chunk:
+            head.append(chunk)
+    if head:
+        yield "".join(head)
 
-    LF, CR and CRLF each end a line of a string or bytes, and split a line
-    of an iterable or of a text stream that ends lines at LF only, as in a
-    file opened in text mode. A stream is judged once, by the ``newlines``
-    that only text mode sets once the first line is read; with ``as_opened``
-    every stream is read as it was opened."""
+
+def _item_texts(items: Iterable[str | bytes]) -> Iterator[str]:
+    """The items, decoded and each ending a line, about ``_BLOCK`` characters at a time."""
+    texts: list[str] = []
+    size = 0
+    for item in items:
+        text = item.decode("utf-8") if isinstance(item, bytes) else item
+        texts.append(text if text[-1:] == "\n" else text + "\n")
+        size += len(text)
+        if size >= _BLOCK:
+            yield "".join(texts)
+            texts, size = [], 0
+    if texts:
+        yield "".join(texts)
+
+
+def _texts(stream: IO | str | bytes | Iterable[str], as_opened: bool) -> Iterator[str]:
+    """``stream`` in blocks of whole lines, each line ended by one LF but
+    perhaps the last.
+
+    LF, CR and CRLF each end a line of a string, of bytes, of an iterable's
+    items and of a text stream. With ``as_opened``, a text stream that ends
+    lines at LF only, as ``io.StringIO`` does, keeps a CR inside a line and
+    drops only those before a line's end; such a stream is told by its
+    ``newlines``, which text mode sets once a CR or LF is read."""
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
-    elif not isinstance(stream, io.TextIOBase):
-        stream = _split_lines(stream)
-    elif not as_opened:
-        lines = chain((stream.readline(),), stream)
-        stream = _split_lines(lines) if stream.newlines is None else lines
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if line[:1] == "#":
-            if line.startswith(headers):
-                yield line_no, [line]
+    text_mode = isinstance(stream, io.TextIOBase)
+    for text in _cut(stream.read) if text_mode else _item_texts(stream):
+        if "\r" not in text:
+            yield text
+        elif as_opened and text_mode and stream.newlines is None:
+            while "\r\n" in text:
+                text = text.replace("\r\n", "\n")
+            yield text.rstrip("\r")
+        else:
+            yield text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _tab_counts(text: str, n: int) -> np.ndarray:
+    """The number of TABs in each of the ``n`` lines of ``text``."""
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)  # TAB, LF: one byte
+    ends = np.append(np.flatnonzero(raw == 10), raw.size)[:n]
+    return np.diff(np.searchsorted(np.flatnonzero(raw == 9), ends), prepend=0)
+
+
+def _records(
+    stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = (), as_opened: bool = False
+) -> Iterator[tuple[np.ndarray, str, np.ndarray]]:
+    """``(line_nos, text, tabs)`` for the records of each block of
+    ``stream``: their line numbers, the records joined by LF without a final
+    one, and the number of TABs in each. A line starting with one of
+    ``headers`` comes as a block of its own. Line numbers count every line;
+    :func:`_texts` says where lines end."""
+    line_no = 1
+    for text in _texts(stream, as_opened):
+        text = text[:-1] if text[-1:] == "\n" else text
+        n = text.count("\n") + 1
+        numbers = np.arange(line_no, line_no + n)
+        line_no += n
+        tabs = _tab_counts(text, n)
+        # the lines the rule may skip: those with no TAB, and those starting with "#"
+        odd = np.flatnonzero(tabs == 0).tolist()
+        if not odd and text[:1] != "#" and "\n#" not in text:
+            yield numbers, text, tabs
             continue
-        fields = line.split("\t")
-        if len(fields) > 1 or line.lstrip()[:1] not in ("", "#"):
-            yield line_no, fields
+        lines = text.split("\n")
+        odd = sorted({*odd, *compress(range(n), map(str.startswith, lines, repeat("#")))})
+        keep = np.ones(n, dtype=bool)
+        keep[odd] = [
+            line[:1] != "#" and line.lstrip()[:1] not in ("", "#")
+            for line in map(lines.__getitem__, odd)
+        ]
+        heads = [k for k in odd if lines[k].startswith(headers)]
+        for lo, hi in zip([0, *(k + 1 for k in heads)], [*heads, n]):
+            rows = lo + np.flatnonzero(keep[lo:hi])
+            if rows.size:
+                yield numbers[rows], "\n".join(map(lines.__getitem__, rows.tolist())), tabs[rows]
+            if hi < n:
+                yield numbers[hi : hi + 1], lines[hi], tabs[hi : hi + 1]
 
 
-def _reject(strict: bool, error: IpRankError) -> int:
-    """Raise ``error`` in strict mode; in lenient mode count one skipped line."""
-    if strict:
-        raise error from None
-    return 1
+class _Fields:
+    """One block of records split at every TAB and LF at once. ``take``
+    gives a column; ``suspect`` marks the lines that bulk checks did not
+    clear, and ``keep`` those that :meth:`screen` let through."""
+
+    def __init__(self, numbers: np.ndarray, text: str, tabs: np.ndarray) -> None:
+        self.numbers, self.text, self.tabs = numbers, text, tabs
+        self.flat = text.replace("\n", "\t").split("\t")
+        self.start = np.cumsum(tabs + 1) - (tabs + 1)
+        # fields per line when every line has as many, else 0
+        self.width = int(tabs[0]) + 1 if tabs.min() == tabs.max() else 0
+        self.suspect = np.zeros(len(tabs), dtype=bool)
+        self.keep = np.ones(len(tabs), dtype=bool)
+
+    def take(self, field: int, rows: np.ndarray | None = None) -> list[str]:
+        """Field ``field`` of every line, or of each of ``rows``. A line with
+        fewer fields gives some other field of the block."""
+        if rows is None and field < self.width:
+            return self.flat[field :: self.width]
+        at = self.start if rows is None else self.start[rows]
+        at = np.minimum(at + field, len(self.flat) - 1)
+        return list(map(self.flat.__getitem__, at.tolist()))
+
+    def flag(
+        self, test: Callable[..., object], *cols: list[str], rows: np.ndarray | None = None
+    ) -> None:
+        """Mark as suspect every line, or each of ``rows``, whose fields in
+        ``cols`` pass ``test``."""
+        hit = np.fromiter(map(test, *cols), dtype=bool, count=len(cols[0]))
+        self.suspect[hit if rows is None else rows[hit]] = True
+
+    def screen(self, fault: Callable[[int, str], IpRankError | None], strict: bool) -> int:
+        """Judge each suspect line by ``fault(line_no, line)``, its error or
+        None. Strict mode raises the first error; lenient mode drops the
+        lines in error from ``keep`` and returns how many it dropped."""
+        for k in np.flatnonzero(self.suspect).tolist():
+            start = int(self.start[k])
+            line = "\t".join(self.flat[start : start + int(self.tabs[k]) + 1])
+            error = fault(int(self.numbers[k]), line)
+            if error is not None:
+                if strict:
+                    raise error
+                self.keep[k] = False
+        return len(self.tabs) - int(np.count_nonzero(self.keep))
+
+    def kept(self, col: list[str], rows: np.ndarray | None = None) -> list[str]:
+        """``col``, a column of every line or of each of ``rows``, for the lines kept."""
+        keep = self.keep if rows is None else self.keep[rows]
+        return col if keep.all() else list(compress(col, keep))
 
 
-def _parse_int(token: str) -> int:
-    """Integer matching ``-?[0-9]+``; ``int()`` alone would also accept
-    signs, spaces, underscores and non-ASCII digits."""
+def _unparsable(
+    reason: Callable[[list[str]], str | None]
+) -> Callable[[int, str], UnparsableLine | None]:
+    """A fault function for :meth:`_Fields.screen` from a line rule that
+    gives the reason the fields of a line are rejected, or None."""
+
+    def fault(line_no: int, line: str) -> UnparsableLine | None:
+        why = reason(line.split("\t"))
+        return None if why is None else UnparsableLine(line_no, line, why)
+
+    return fault
+
+
+class _Columns:
+    """Number columns filled a block at a time, viewed as arrays without a copy."""
+
+    def __init__(self, typecodes: str) -> None:
+        self._cols = [array(code) for code in typecodes]
+
+    def append(self, *blocks: np.ndarray) -> None:
+        for col, block in zip(self._cols, blocks):
+            col.frombytes(block.tobytes())
+
+    def arrays(self) -> list[np.ndarray]:
+        return [np.frombuffer(col, dtype=col.typecode) for col in self._cols]
+
+
+class _Codes(dict):
+    """Codes of interned ids, in the order first seen: looking up a new id
+    gives it the next code."""
+
+    def __missing__(self, uid: str) -> int:
+        code = self[uid] = len(self)
+        return code
+
+    def of(self, ids: list[str]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
+def _int_error(token: str) -> str | None:
+    """Why ``token`` is not an integer matching ``-?[0-9]+``, or None; ``int()``
+    alone would also accept signs, spaces, underscores and non-ASCII digits."""
     digits = token[1:] if token[:1] == "-" else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a base-10 integer: {token!r}")
-    return int(token)
+    return None if digits.isascii() and digits.isdigit() else f"not a base-10 integer: {token!r}"
+
+
+def _all_digits(tokens: list[str]) -> bool:
+    """Whether every token is a non-empty run of ASCII digits."""
+    digits = "".join(tokens)
+    return all(tokens) and digits.isascii() and digits.isdigit()
+
+
+def _not_digits(token: str) -> bool:
+    return not (token.isascii() and token.isdigit())
+
+
+def _blank_or_hash(uid: str) -> bool:
+    return uid[:1] in ("", "#")
+
+
+def _float_or_nan(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
+
+
+def _floats(tokens: list[str]) -> np.ndarray:
+    """``float()`` of each token, NaN where ``float()`` rejects it."""
+    try:
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        return np.fromiter(map(_float_or_nan, tokens), dtype=np.float64, count=len(tokens))
+
+
+def _time_suspect(token: str) -> bool:
+    """Whether ``token`` might not be a time: not only digits, or too long for 64 bits."""
+    return _not_digits(token) or len(token) > 18
+
+
+def _event_reason(parts: list[str]) -> str | None:
+    """Why the fields of an events line are not an event, or None when they are."""
+    if len(parts) == 4 and parts[3] == MENTION:
+        source = None
+    elif len(parts) == 5 and parts[3] == RETWEET:
+        source = parts[4]
+    else:
+        return _EVENT_SHAPE
+    reason = _int_error(parts[0]) or _event_error(parts[1], parts[2], source)
+    if reason is None and not -(2**63) <= int(parts[0]) < 2**63:
+        return f"time out of 64-bit range: {parts[0]!r}"
+    return reason
 
 
 def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) -> ActivityLog:
     """Parse an events stream into a time-sorted :class:`ActivityLog`.
 
-    Lines are read one at a time and their ids interned as they are read. In
-    strict mode the first malformed line raises :class:`UnparsableLine`; in
-    lenient mode malformed lines are skipped and tallied on the returned
-    log's ``skipped`` field.
+    Each block of lines is checked column by column and its ids interned as
+    it is read. In strict mode the first malformed line raises
+    :class:`UnparsableLine`; in lenient mode malformed lines are skipped and
+    tallied on the returned log's ``skipped`` field.
     """
-    users: dict[str, int] = {}
-    urls: dict[str, int] = {}
-    cols = times, user_col, url_col, source_col = tuple(array("q") for _ in range(4))
+    users, urls = _Codes(), _Codes()
+    cols = _Columns("qqqq")
     skipped = 0
-    for line_no, parts in _records(stream):
-        try:
-            if len(parts) == 4 and parts[3] == MENTION:
-                source = None
-            elif len(parts) == 5 and parts[3] == RETWEET:
-                source = parts[4]
-            else:
-                raise ValueError(_EVENT_SHAPE)
-            token = parts[0]
-            time = int(token) if token.isascii() and token.isdigit() else _parse_int(token)
-            reason = _event_error(parts[1], parts[2], source)
-            if reason is not None:
-                raise ValueError(reason)
-            times.append(time)  # the int64 column checks the range
-        except ValueError as exc:
-            reason = str(exc)
-        except OverflowError:
-            reason = f"time out of 64-bit range: {parts[0]!r}"
-        else:
-            user_col.append(users.setdefault(parts[1], len(users)))
-            url_col.append(urls.setdefault(parts[2], len(urls)))
-            source_col.append(-1 if source is None else users.setdefault(source, len(users)))
-            continue
-        skipped += _reject(strict, UnparsableLine(line_no, "\t".join(parts), reason))
-    if not times:
+    for block in _records(stream):
+        f = _Fields(*block)
+        retweet = f.tabs == 4
+        rt = np.flatnonzero(retweet)
+        f.suspect = ~retweet & (f.tabs != 3)
+        time, user, url, kind = (f.take(k) for k in range(4))
+        source, rt_user, rt_kind = f.take(4, rt), f.take(1, rt), f.take(3, rt)
+        if kind.count(MENTION) != len(kind) - rt.size or rt_kind.count(RETWEET) != rt.size:
+            f.flag(operator.ne, kind, np.where(retweet, RETWEET, MENTION).tolist())
+        if not _all_digits(time) or max(map(len, time)) > 18:
+            f.flag(_time_suspect, time)
+        if not (all(user) and all(url) and all(source)) or "\t#" in f.text:
+            f.flag(_blank_or_hash, user)
+            f.flag(_blank_or_hash, url)
+            f.flag(_blank_or_hash, source, rows=rt)
+        if any(map(operator.eq, rt_user, source)):
+            f.flag(operator.eq, rt_user, source, rows=rt)
+        skipped += f.screen(_unparsable(_event_reason), strict)
+        time, user = f.kept(time), f.kept(user)
+        codes = np.full(len(user), -1, dtype=np.int64)
+        codes[retweet[f.keep]] = users.of(f.kept(source, rt))
+        times = np.fromiter(map(int, time), dtype=np.int64, count=len(time))
+        cols.append(times, users.of(user), urls.of(f.kept(url)), codes)
+    cols = cols.arrays()
+    if not cols[0].size:
         raise EmptyInput("no events parsed")
     log = ActivityLog.__new__(ActivityLog)
     log._load(users, urls, cols, skipped)
     return log
 
 
+def _follow_reason(parts: list[str]) -> str | None:
+    return _follow_error(*parts) if len(parts) == 2 else "expected 'followee follower'"
+
+
 def parse_follows(
     stream: IO | str | bytes | Iterable[str], strict: bool = True
 ) -> FollowEdgeList:
     """Parse ``followee TAB follower`` lines; duplicates collapse to one edge."""
-    users: dict[str, int] = {}
-    cols = followees, followers = array("q"), array("q")
+    users = _Codes()
+    cols = _Columns("qq")
     skipped = 0
-    for line_no, parts in _records(stream):
-        reason = _follow_error(*parts) if len(parts) == 2 else "expected 'followee follower'"
-        if reason is None:
-            followees.append(users.setdefault(parts[0], len(users)))
-            followers.append(users.setdefault(parts[1], len(users)))
-        else:
-            skipped += _reject(strict, UnparsableLine(line_no, "\t".join(parts), reason))
-    if not followees:
+    for block in _records(stream):
+        f = _Fields(*block)
+        f.suspect = f.tabs != 1
+        followee, follower = f.take(0), f.take(1)
+        if not (all(followee) and all(follower)) or "\t#" in f.text:
+            f.flag(_blank_or_hash, followee)
+            f.flag(_blank_or_hash, follower)
+        if any(map(operator.eq, followee, follower)):
+            f.flag(operator.eq, followee, follower)
+        skipped += f.screen(_unparsable(_follow_reason), strict)
+        cols.append(users.of(f.kept(followee)), users.of(f.kept(follower)))
+    cols = cols.arrays()
+    if not cols[0].size:
         raise EmptyInput("no follow edges parsed")
     follows = FollowEdgeList.__new__(FollowEdgeList)
     follows._load(users, cols, skipped)
     return follows
 
 
+def _click_fault(line_no: int, line: str) -> IpRankError | None:
+    parts = line.split("\t")
+    reason = "expected 'url count'" if len(parts) != 2 or not parts[0] else _int_error(parts[1])
+    if reason is not None:
+        return UnparsableLine(line_no, line, reason)
+    count = int(parts[1])
+    return NegativeCount(f"line {line_no}: negative count {count}") if count < 0 else None
+
+
 def parse_clicks(
     stream: IO | str | bytes | Iterable[str], strict: bool = True
 ) -> ClickTable:
     """Parse ``url TAB count`` lines; duplicate URLs keep the maximum count."""
-    clicks: dict[str, int] = {}
+    rows: list[tuple[str, int]] = []
     skipped = 0
-    for line_no, parts in _records(stream):
-        try:
-            if len(parts) != 2 or not parts[0]:
-                raise ValueError("expected 'url count'")
-            count = _parse_int(parts[1])
-        except ValueError as exc:
-            skipped += _reject(strict, UnparsableLine(line_no, "\t".join(parts), str(exc)))
-            continue
-        if count < 0:
-            skipped += _reject(strict, NegativeCount(f"line {line_no}: negative count {count}"))
-        elif count > clicks.get(parts[0], -1):
-            clicks[parts[0]] = count
-    return ClickTable(clicks, skipped=skipped)
+    for block in _records(stream):
+        f = _Fields(*block)
+        f.suspect = f.tabs != 1
+        url, count = f.take(0), f.take(1)
+        if not all(url):
+            f.flag(operator.not_, url)
+        if not _all_digits(count):
+            f.flag(_not_digits, count)
+        skipped += f.screen(_click_fault, strict)
+        rows += zip(f.kept(url), map(int, f.kept(count)))
+    # in count order, so each URL's largest count is the last one stored
+    return ClickTable(dict(sorted(rows, key=operator.itemgetter(1))), skipped=skipped)
 
 
 def url_counts(log: ActivityLog) -> dict[str, int]:

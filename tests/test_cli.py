@@ -12,6 +12,7 @@ import pytest
 import iprank
 from iprank import cli
 from iprank.cli import load_config, main, read_manifest, read_score_columns
+from iprank.errors import ConfigInvalid
 from iprank.graphs import graph_from_tsv
 from iprank.ingest import clicks_to_tsv, events_to_tsv, follows_to_tsv, ClickTable
 from iprank.testkit import SynthParams, arc_weights, synth_trace
@@ -235,6 +236,26 @@ class TestScoreFiles:
         assert run("rank", "--scores", scores, "--out-dir", tmp_path / "out") == 2
         assert "error: ConfigInvalid: line 3 of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            ("a\t1\nb\t2\t3\n", 3),
+            ("a\t1\t2\nb\t2\t3\nc\t3\n", 4),
+            ("a\t1\n# comment\n\nb\t2\t3\nc\t4\n", 5),
+        ],
+    )
+    def test_rows_of_two_shapes_are_config_error(self, tmp_path, capsys, rows, line):
+        # read as one shape, a two-column file with one stray three-column row
+        # used to rank that row alone, as "influence"
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("#measure=m\n" + rows, encoding="utf-8")
+        assert run("rank", "--scores", scores, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: ConfigInvalid: line {line} of {scores}: " in err
+        assert "columns, unlike the" in err and "of line 2" in err
+        with pytest.raises(ConfigInvalid, match=f"^line {line} of "):
+            read_score_columns(str(scores))
+
     def test_hash_led_user_is_rejected_before_any_score_file(self, tmp_path, capsys):
         # written out, "#a" would read back as a comment and drop out of the ranking
         events = tmp_path / "events.tsv"
@@ -292,6 +313,12 @@ class TestManifests:
         ]
         rebuilt = [f"#manifest {k}={v}" for k, v in manifest.items()]
         assert sorted(raw) == sorted(rebuilt)
+
+    def test_manifest_line_without_equals_is_config_error(self, tmp_path):
+        artifact = tmp_path / "rank.tsv"
+        artifact.write_text("#manifest tool=iprank/0\n#manifest oops\nu\t1\t1\n", encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match=r"^line 2 of .*: '#manifest oops'$"):
+            read_manifest(str(artifact))
 
     def test_label_with_line_break_like_characters_reads_back(self, tmp_path):
         scores = tmp_path / "scores.tsv"

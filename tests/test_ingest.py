@@ -1,8 +1,11 @@
 """Parsing, container invariants, and serialization round-trips."""
 
+import gc
 import io
+import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -482,3 +485,115 @@ class TestOneLineRule:
         with pytest.raises(UnparsableLine) as info:
             parse_events(f"1\tu\ta\tM\n{line}\r\n")
         assert (info.value.line_no, info.value.line) == (2, line)
+
+
+def _float_or_none(token):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+# float() accepts spaces, underscores, non-ASCII digits, "inf" and "nan", and
+# rejects hexadecimal and the empty string
+FLOAT_TOKENS = [" 0.5", "1_0", "٠.٥", "inf", "nan", "0x1p-3", "", "0.5", "1", "-0.25"]
+# -?[0-9]+ within 64 bits; int() would accept more
+TIME_TOKENS = [
+    "+5", " 5", "5 ", "5_0", "٣", "--5", "-", "", "0x1", "-0", "007", "0" * 30 + "1",
+    "-9223372036854775808", "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+]
+
+
+def _amid(line, good):
+    """``line`` as line 21 of 41, among good lines, so the block-wide checks run."""
+    return "\n".join(good[:20] + [line] + good[20:40]) + "\n"
+
+
+class TestNumbersParseAsFloatAndIntDo:
+    """Graph weights and score values accept and reject exactly what float()
+    does, then apply their own range; event times keep the -?[0-9]+ rule and
+    the 64-bit bound."""
+
+    @pytest.mark.parametrize("token", FLOAT_TOKENS)
+    def test_graph_weight(self, token):
+        text = _amid(f"a\tb\t{token}", [f"n{k}\tm{k}\t0.5" for k in range(40)])
+        w = _float_or_none(token)
+        if w is not None and 0.0 < w <= 1.0:
+            weights = {(i, j): x for i, j, x in graph_from_tsv(text).arcs()}
+            assert weights[("a", "b")] == w
+            return
+        with pytest.raises(UnparsableLine) as info:
+            graph_from_tsv(text)
+        if w is None:
+            reason = f"could not convert string to float: {token!r}"
+        else:
+            reason = f"weight outside (0, 1]: {token!r}"
+        assert (info.value.line_no, info.value.reason) == (21, reason)
+
+    @pytest.mark.parametrize("columns", [2, 3])
+    @pytest.mark.parametrize("token", FLOAT_TOKENS)
+    def test_score_value(self, tmp_path, token, columns):
+        rest = "\t0.5" * (columns - 2)
+        text = _amid(f"x\t{token}{rest}", [f"u{k:02}\t{k}{rest}" for k in range(40)])
+        path = _file(tmp_path, text)
+        value = _float_or_none(token)
+        if value is not None and not math.isnan(value):
+            _, read = read_score_columns(path)
+            vector = read["influence" if columns == 3 else "scores"]
+            assert vector.values[vector.node_ids.index("x")] == value
+            return
+        line = f"x\t{token}{rest}"
+        with pytest.raises(ConfigInvalid) as info:
+            read_score_columns(path)
+        assert str(info.value) == f"line 21 of {path}: score is not a number: {line!r}"
+
+    @pytest.mark.parametrize("token", TIME_TOKENS)
+    def test_event_time(self, token):
+        text = _amid(f"{token}\tu\tx\tM", [f"{k}\tv\ty\tM" for k in range(40)])
+        if not re.fullmatch("-?[0-9]+", token):
+            reason = f"not a base-10 integer: {token!r}"
+        elif not -(2**63) <= int(token) < 2**63:
+            reason = f"time out of 64-bit range: {token!r}"
+        else:
+            log = parse_events(text)
+            assert log.time[log.user == log.user_ids.index("u")].tolist() == [int(token)]
+            return
+        with pytest.raises(UnparsableLine) as info:
+            parse_events(text)
+        assert (info.value.line_no, info.value.reason) == (21, reason)
+        log = parse_events(text, strict=False)
+        assert (log.skipped, log.user_ids) == (1, ("v",))
+
+
+class TestMemoryIsBoundedByTheBlock:
+    """Text is read a block at a time, so what a reader allocates and frees
+    again stays under one bound for inputs 4x apart. Over the whole of the
+    larger inputs, the tokens alone would take more than twice that bound."""
+
+    BOUND_MB = 4.0
+
+    @staticmethod
+    def _transient_mb(read, path):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                result = read(fh)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result
+        return (peak - current) / 1e6
+
+    @pytest.mark.parametrize("lines", [5000, 20000])
+    def test_events(self, tmp_path, lines):
+        text = "".join(
+            f"{t}\tu{t % 97}\tl{t % 89}\t" + (f"RT\tu{(t + 1) % 97}\n" if t % 3 == 0 else "M\n")
+            for t in range(lines)
+        )
+        assert self._transient_mb(parse_events, _file(tmp_path, text)) < self.BOUND_MB
+
+    @pytest.mark.parametrize("lines", [5000, 20000])
+    def test_graph(self, tmp_path, lines):
+        text = "".join(f"n{k % 199:03}\tm{k // 199:03}\t0.{k % 9 + 1}\n" for k in range(lines))
+        assert self._transient_mb(graph_from_tsv, _file(tmp_path, text)) < self.BOUND_MB

@@ -2,18 +2,25 @@
 columnar log and follow edges, and the array rankings against their
 dict-and-loop oracles."""
 
+import io
 import math
+import os
+import re
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from iprank import ingest
 from iprank.analytics import _average_ranks, rank_correlation, rank_join, top_k
 from iprank.baselines import ScoreVector, follower_count, vector_to_tsv
-from iprank.cli import read_score_columns
-from iprank.errors import InsufficientOverlap
+from iprank.cli import load_config, read_manifest, read_score_columns
+from iprank.errors import (
+    ConfigInvalid, EmptyInput, InsufficientOverlap, MissingInput, NegativeCount, UnparsableLine,
+)
 from iprank.graphs import InfluenceGraph, graph_from_tsv, graph_to_tsv
 from iprank.ingest import (
     ActivityLog,
@@ -243,3 +250,115 @@ def test_rank_join_matches_the_oracle(a, b):
     ra, rb = ranks_of(a), ranks_of(b)
     common = sorted(ra.keys() & rb.keys(), key=lambda u: (ra[u], u))
     assert rank_join(a, b).rows == tuple((u, ra[u], rb[u]) for u in common)
+
+
+# pieces of text that make records of every reader, their headers, comments,
+# blank lines and malformed lines when strung together
+PIECES = st.sampled_from([
+    "\n", "\n", "\r\n", "\r", "\t", "#", " ", "-", "x", "1",
+    "1\tu\tx\tM", "2\tv\tx\tRT\tu", "3\tw\ty\tRT\tw", "9223372036854775808\tu\tz\tM",
+    "u\tv", "v\tu", "v\tv", "x\t5", "y\t-2",
+    "u\tv\t0.5", "v\tu\t1", "u\t-\t-", "u\tw\t2",
+    "z\t0.25", "w\t0.5\t0.75", "#nodes=2 arcs=1", "#measure=m", "#manifest k=v",
+    "#manifest oops", "min_urls=2", "strict=no",
+])
+TEXTS = st.lists(PIECES | st.text(alphabet="ab#\t \r\n-1", max_size=3), max_size=24).map("".join)
+
+
+def _outcome(read, source):
+    """What a reader makes of ``source``: its result, or its error's type and message."""
+    try:
+        return read(source)
+    except (UnparsableLine, NegativeCount, EmptyInput, ConfigInvalid, MissingInput) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reader(parse, write, strict):
+    """``parse`` in one mode, its result written out with the lines it skipped."""
+
+    def read(source):
+        result = parse(source, strict=strict)
+        return write(result), result.skipped
+
+    return read
+
+
+def _scores(path):
+    label, columns = read_score_columns(path)
+    return label, {name: (v.node_ids, v.values.tolist()) for name, v in columns.items()}
+
+
+STREAM_READERS = {
+    **{
+        f"{name} {mode}": _reader(parse, write, mode == "strict")
+        for name, parse, write in [
+            ("events", parse_events, events_to_tsv),
+            ("follows", parse_follows, follows_to_tsv),
+            ("clicks", parse_clicks, clicks_to_tsv),
+        ]
+        for mode in ("strict", "lenient")
+    },
+    "graph": lambda source: graph_to_tsv(graph_from_tsv(source)),
+}
+PATH_READERS = {
+    "scores": _scores,
+    "manifest": read_manifest,
+    "config": load_config,
+}
+# each form is made from the text and a file holding it
+STREAM_FORMS = {
+    "str": lambda text, path: text,
+    "bytes": lambda text, path: text.encode("utf-8"),
+    # items ending at their LF, as a file opened in binary mode gives them
+    "lines": lambda text, path: re.split("(?<=\n)", text),
+    # items without their LF: each item ends a line
+    "byte lines": lambda text, path: [line.encode("utf-8") for line in text.split("\n")],
+    "file": lambda text, path: open(path, encoding="utf-8"),
+    "LF-only stream": lambda text, path: io.StringIO(text),
+}
+
+
+def _written(text):
+    fd, path = tempfile.mkstemp(suffix=".tsv")
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(TEXTS, st.integers(1, 300))
+@example("1\tu\tx\tM\r\n2\tv\tx\tRT\tu\r\nu\tv\t0.5\r\n", 10)  # a CRLF split at 10
+@example("1\tu\ta\rb\tM\nu\tv\t0\r.5\n", 7)  # CRs inside lines of an LF-only stream
+@example("1\tu\t" + "x" * 40 + "\tM\n1\t" + "y" * 50, 16)  # long lines, no final LF
+@example("u\tv\t0.5\n#nodes=9 arcs=9\n#c\n\t\n#measure=m\nz\t1\n#manifest oops\n", 9)
+def test_every_reader_reads_alike_at_every_block_size(text, drawn):
+    """Each reader gives the same result, skipped count or first error,
+    whatever the block size: cuts fall everywhere, including inside a CRLF,
+    a long line, a comment and a header."""
+    sizes = sorted({1, 2, 3, 5, drawn, len(text) + 1})
+    path = _written(text)
+    try:
+        for name, read in STREAM_READERS.items():
+            seen = {}
+            for form, make in STREAM_FORMS.items():
+                outcomes = []
+                for size in sizes:
+                    with patch.object(ingest, "_BLOCK", size):
+                        source = make(text, path)
+                        outcomes.append(_outcome(read, source))
+                        if hasattr(source, "close"):
+                            source.close()
+                assert outcomes == [outcomes[0]] * len(sizes), (name, form)
+                seen[form] = outcomes[0]
+            # a CR ends a line of every form, but the graph reader keeps one
+            # inside a line of a stream that ends lines at LF only
+            forms = [form for form in seen if name != "graph" or form != "LF-only stream"]
+            assert all(seen[form] == seen["str"] for form in forms), name
+        for name, read in PATH_READERS.items():
+            outcomes = []
+            for size in sizes:
+                with patch.object(ingest, "_BLOCK", size):
+                    outcomes.append(_outcome(read, path))
+            assert outcomes == [outcomes[0]] * len(sizes), name
+    finally:
+        os.unlink(path)
