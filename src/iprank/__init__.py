@@ -16,7 +16,6 @@ from .baselines import (
     ScoreVector,
     follower_count,
     h_index_scores,
-    invert_graph,
     retweet_count,
     weighted_pagerank,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "follower_count",
     "graph_stats",
     "h_index_scores",
-    "invert_graph",
     "parse_clicks",
     "parse_events",
     "parse_follows",

@@ -1,10 +1,8 @@
 """Comparison measures: weighted PageRank, the post/retweet H-index, and counts.
 
-PageRank is intended to run on the inverted influence graph (influenced users
-pointing at their influencers); callers compose :func:`invert_graph` with
-:func:`weighted_pagerank`. The random surfer moves along out-arcs with
-probability proportional to weight, dangling mass and teleportation are spread
-uniformly over all nodes.
+PageRank scores the influence graph it is given by walking its arcs backward,
+from each influenced user to its influencers, with probability proportional to
+weight; dangling mass and teleportation are spread uniformly over all nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import numpy as np
 from .errors import EmptyNodeSet, InvalidParams
 from .graphs import InfluenceGraph
 from .ingest import ActivityLog, FollowEdgeList
-from .ipcore import _arc_sum, _l1_change, _same_scores, _set_scores
+from .ipcore import IterationTrace, _arc_sum, _l1_change, _same_scores, _set_scores
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,42 +63,39 @@ class ScoreVector:
         return _same_scores(self, other, "values") and self.label == other.label
 
 
-def invert_graph(g: InfluenceGraph) -> InfluenceGraph:
-    """Reverse every arc, carrying its weight; an involution."""
-    return InfluenceGraph(g.node_ids, g.dst.copy(), g.src.copy(), g.weights.copy())
-
-
 def weighted_pagerank(
     g: InfluenceGraph, params: PageRankParams | None = None
-) -> ScoreVector:
-    """Damped power iteration with weight-proportional transitions.
+) -> tuple[ScoreVector, IterationTrace]:
+    """Damped power iteration with weight-proportional transitions, each arc
+    (i, j) of ``g`` moving mass from j to i.
 
-    Dangling nodes redistribute their mass uniformly over all nodes, as does
-    the teleport term. Iterates until the L1 change drops below
-    ``params.epsilon`` or the iteration cap is hit, then renormalizes to unit
-    sum.
+    A node no arc enters is dangling: it redistributes its mass uniformly over
+    all nodes, as does the teleport term. Iterates until the L1 change drops
+    below ``params.epsilon`` or the iteration cap is hit, then renormalizes to
+    unit sum. The trace holds the change of each iteration.
     """
     if params is None:
         params = PageRankParams()
     n = g.num_nodes
     if n == 0:
         raise EmptyNodeSet("pagerank needs at least one node")
-    out_sum = np.bincount(g.src, weights=g.weights, minlength=n)
+    out_sum = np.bincount(g.dst, weights=g.weights, minlength=n)
     dangling = out_sum == 0.0
-    data = g.weights / out_sum[g.src]
+    data = g.weights / out_sum[g.dst]
     products = np.empty(g.num_arcs)
     d = params.damping
     x = np.full(n, 1.0 / n)
+    deltas: list[float] = []
     for _ in range(params.max_iterations):
         dangle_mass = float(x[dangling].sum())
-        new_x = _arc_sum(x, g.src, data, g.dst, products)
+        new_x = _arc_sum(x, g.dst, data, g.src, products)
         new_x *= d
         new_x += (d * dangle_mass + (1.0 - d)) / n
-        err = _l1_change(new_x, x)
+        deltas.append(_l1_change(new_x, x))
         x = new_x
-        if err < params.epsilon:
+        if deltas[-1] < params.epsilon:
             break
-    return ScoreVector(g.node_ids, x / x.sum(), label="pagerank")
+    return ScoreVector(g.node_ids, x / x.sum(), label="pagerank"), IterationTrace(tuple(deltas))
 
 
 def h_index_scores(log: ActivityLog) -> ScoreVector:

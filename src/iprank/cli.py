@@ -35,7 +35,6 @@ from .baselines import (
     ScoreVector,
     follower_count,
     h_index_scores,
-    invert_graph,
     retweet_count,
     vector_to_tsv,
     weighted_pagerank,
@@ -137,7 +136,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigInvalid(f"min_urls must be >= 1, got {cfg.min_urls}")
     if cfg.iterations < 1 or cfg.pagerank_iterations < 1:
         raise ConfigInvalid("iteration caps must be >= 1")
-    if cfg.epsilon < 0 or cfg.pagerank_epsilon < 0:
+    if not (cfg.epsilon >= 0 and cfg.pagerank_epsilon >= 0):  # NaN too
         raise ConfigInvalid("epsilon values must be >= 0")
     if not 0.0 < cfg.damping < 1.0:
         raise ConfigInvalid(f"damping must be in (0, 1), got {cfg.damping}")
@@ -226,8 +225,9 @@ def write_artifact(
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / name
-    text = "\n".join(manifest_lines(command, digests, params)) + "\n" + body
-    path.write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in manifest_lines(command, digests, params))
+        fh.write(body)
     return path
 
 
@@ -254,7 +254,7 @@ class _Inputs:
     def __init__(self, cfg: RunConfig, shared: _Inputs | None = None) -> None:
         self.cfg = cfg
         self.read: dict[str, str] = {}
-        # parses by (role, path), digests by ("sha256", path), the graph and the IP run
+        # parses by (role, path), digests by ("sha256", path), the graph and the measure runs
         self._done: dict[object, object] = {} if shared is None else shared._done
 
     def once(self, key: object, make: Callable[[], T]) -> T:
@@ -320,19 +320,29 @@ def _params(cfg: RunConfig, *keys: str) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _ip(inputs: _Inputs) -> tuple[ScorePair, IterationTrace, dict[str, object]]:
-    """IP on the command's graph, run at most once per command with its
-    convergence reported on stdout, and the settings its artifacts record."""
-    cfg, g = inputs.cfg, inputs.graph()  # records the graph's inputs even when IP has run
+def _iterate(
+    inputs: _Inputs, name: str, run: Callable[..., tuple[T, IterationTrace]],
+    params: IpParams | PageRankParams,
+) -> tuple[T, IterationTrace]:
+    """``run(graph, params)`` on the command's graph, at most once per
+    command, with the convergence of the ``name`` measure reported on stdout."""
+    g = inputs.graph()  # records the graph's inputs even when the measure has run
 
-    def run() -> tuple[ScorePair, IterationTrace]:
-        pair, trace = run_ip(g, IpParams(cfg.iterations, cfg.epsilon))
+    def report() -> tuple[T, IterationTrace]:
+        scores, trace = run(g, params)
         last = trace.deltas[-1] if trace.deltas else float("nan")
-        converged = trace.converged(cfg.epsilon)
-        print(f"ip: {pair.iterations_run} iterations, converged={converged}, last delta {last:.3g}")
-        return pair, trace
+        converged, count = trace.converged(params.epsilon), len(trace.deltas)
+        print(f"{name}: {count} iterations, converged={converged}, last delta {last:.3g}")
+        return scores, trace
 
-    return (*inputs.once("ip run", run), _params(cfg, *_GRAPH_KEYS, "iterations", "epsilon"))
+    return inputs.once(f"{name} run", report)
+
+
+def _ip(inputs: _Inputs) -> tuple[ScorePair, IterationTrace, dict[str, object]]:
+    """IP on the command's graph, and the settings its artifacts record."""
+    cfg = inputs.cfg
+    pair, trace = _iterate(inputs, "ip", run_ip, IpParams(cfg.iterations, cfg.epsilon))
+    return pair, trace, _params(cfg, *_GRAPH_KEYS, "iterations", "epsilon")
 
 
 def _measure(inputs: _Inputs, name: str) -> tuple[ScoreVector, dict[str, object]]:
@@ -346,7 +356,7 @@ def _measure(inputs: _Inputs, name: str) -> tuple[ScoreVector, dict[str, object]
     if name == "pagerank":
         params = _params(cfg, *_GRAPH_KEYS, "damping", "pagerank_epsilon", "pagerank_iterations")
         settings = PageRankParams(cfg.damping, cfg.pagerank_epsilon, cfg.pagerank_iterations)
-        return weighted_pagerank(invert_graph(inputs.graph()), settings), params
+        return _iterate(inputs, "pagerank", weighted_pagerank, settings)[0], params
     if name in ("hindex", "retweets"):
         score = h_index_scores if name == "hindex" else retweet_count
         return score(inputs.load("events", parse_events)), _params(cfg, "strict")
@@ -425,6 +435,8 @@ def _resolve_vector(
     inputs: _Inputs, scores: str | None, column: str | None, measure: str | None, side: str = ""
 ) -> ScoreVector:
     suffix = f"-{side}" if side else ""
+    if column is not None and scores is None:
+        raise ConfigInvalid(f"--column{suffix} reads a score file: give --scores{suffix}")
     if scores is not None and measure is not None:
         raise ConfigInvalid(f"give either --scores{suffix} or --measure{suffix}, not both")
     if scores is not None:
@@ -572,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     specs = [
         ("build", cmd_build, "build an influence graph and its stats"),
         ("ip", cmd_ip, "run the influence-passivity iteration"),
-        ("pagerank", cmd_score, "weighted PageRank on the inverted graph"),
+        ("pagerank", cmd_score, "weighted PageRank from the influenced to their influencers"),
         ("hindex", cmd_score, "post/retweet H-index per user"),
         ("rates", cmd_rates, "user and audience retweeting rates"),
         ("curve", cmd_curve, "percentile-bound click curve for a measure"),

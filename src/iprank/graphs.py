@@ -298,8 +298,7 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
     users = _Codes()
     arcs, nodes = _Columns("qqdq"), _Columns("qq")  # source, target, weight, line; node, line
     header = None
-    # an id holding a CR is left for InfluenceGraph to reject, naming its line
-    for numbers, text, tabs in _records(stream, headers=("#nodes=",), as_opened=True):
+    for numbers, text, tabs in _records(stream, headers=("#nodes=",)):
         if text[:1] == "#":  # the header: no record starts with "#"
             header = (int(numbers[0]), text)
             continue

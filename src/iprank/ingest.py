@@ -395,29 +395,18 @@ def _item_texts(items: Iterable[str | bytes]) -> Iterator[str]:
         yield "".join(texts)
 
 
-def _texts(stream: IO | str | bytes | Iterable[str], as_opened: bool) -> Iterator[str]:
+def _texts(stream: IO | str | bytes | Iterable[str]) -> Iterator[str]:
     """``stream`` in blocks of whole lines, each line ended by one LF but
-    perhaps the last.
-
-    LF, CR and CRLF each end a line of a string, of bytes, of an iterable's
-    items and of a text stream. With ``as_opened``, a text stream that ends
-    lines at LF only, as ``io.StringIO`` does, keeps a CR inside a line and
-    drops only those before a line's end; such a stream is told by its
-    ``newlines``, which text mode sets once a CR or LF is read."""
+    perhaps the last. LF, CR and CRLF each end a line of a string, of bytes,
+    of an iterable's items and of a text stream, whatever newline mode the
+    stream was opened with."""
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
     text_mode = isinstance(stream, io.TextIOBase)
     for text in _cut(stream.read) if text_mode else _item_texts(stream):
-        if "\r" not in text:
-            yield text
-        elif as_opened and text_mode and stream.newlines is None:
-            while "\r\n" in text:
-                text = text.replace("\r\n", "\n")
-            yield text.rstrip("\r")
-        else:
-            yield text.replace("\r\n", "\n").replace("\r", "\n")
+        yield text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _tab_counts(text: str, n: int) -> np.ndarray:
@@ -428,7 +417,7 @@ def _tab_counts(text: str, n: int) -> np.ndarray:
 
 
 def _records(
-    stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = (), as_opened: bool = False
+    stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = ()
 ) -> Iterator[tuple[np.ndarray, str, np.ndarray]]:
     """``(line_nos, text, tabs)`` for the records of each block of
     ``stream``: their line numbers, the records joined by LF without a final
@@ -436,7 +425,7 @@ def _records(
     ``headers`` comes as a block of its own. Line numbers count every line;
     :func:`_texts` says where lines end."""
     line_no = 1
-    for text in _texts(stream, as_opened):
+    for text in _texts(stream):
         text = text[:-1] if text[-1:] == "\n" else text
         n = text.count("\n") + 1
         numbers = np.arange(line_no, line_no + n)

@@ -79,11 +79,12 @@ class ScorePair:
 
 @dataclass(frozen=True, slots=True)
 class IterationTrace:
-    """Per-iteration L1 change of the normalized score pair, plus the sums."""
+    """Per-iteration L1 change of an iterative measure's scores; for IP, of
+    the normalized score pair, plus the sums of its two vectors."""
 
     deltas: tuple[float, ...]
-    influence_sums: tuple[float, ...]
-    passivity_sums: tuple[float, ...]
+    influence_sums: tuple[float, ...] = ()
+    passivity_sums: tuple[float, ...] = ()
 
     def converged(self, epsilon: float) -> bool:
         return bool(self.deltas) and self.deltas[-1] < epsilon

@@ -76,8 +76,12 @@ def test_criterion_02_oracle_equivalence():
                 for u in range(g.num_nodes):
                     assert abs(pair.influence[u] - oracle.influence[u]) <= 1e-12
                     assert abs(pair.passivity[u] - oracle.passivity[u]) <= 1e-12
-            sparse_pr = weighted_pagerank(g)
-            dense_pr = dense_pagerank_oracle(g)
+            sparse_pr, _ = weighted_pagerank(g)
+            # the oracle walks arcs forward; PageRank walks them toward influencers
+            reversed_g = InfluenceGraph.from_arcs(
+                ((j, i, w) for i, j, w in g.arcs()), nodes=g.node_ids
+            )
+            dense_pr = dense_pagerank_oracle(reversed_g)
             for u in range(g.num_nodes):
                 assert abs(sparse_pr.values[u] - dense_pr.values[u]) <= 1e-10
         elapsed = time.perf_counter() - start

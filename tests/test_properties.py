@@ -333,8 +333,8 @@ def _written(text):
 @example("u\tv\t0.5\n#nodes=9 arcs=9\n#c\n\t\n#measure=m\nz\t1\n#manifest oops\n", 9)
 def test_every_reader_reads_alike_at_every_block_size(text, drawn):
     """Each reader gives the same result, skipped count or first error,
-    whatever the block size: cuts fall everywhere, including inside a CRLF,
-    a long line, a comment and a header."""
+    whatever the block size and whatever form the text comes in: cuts fall
+    everywhere, including inside a CRLF, a long line, a comment and a header."""
     sizes = sorted({1, 2, 3, 5, drawn, len(text) + 1})
     path = _written(text)
     try:
@@ -350,10 +350,7 @@ def test_every_reader_reads_alike_at_every_block_size(text, drawn):
                             source.close()
                 assert outcomes == [outcomes[0]] * len(sizes), (name, form)
                 seen[form] = outcomes[0]
-            # a CR ends a line of every form, but the graph reader keeps one
-            # inside a line of a stream that ends lines at LF only
-            forms = [form for form in seen if name != "graph" or form != "LF-only stream"]
-            assert all(seen[form] == seen["str"] for form in forms), name
+            assert all(outcome == seen["str"] for outcome in seen.values()), name
         for name, read in PATH_READERS.items():
             outcomes = []
             for size in sizes:
