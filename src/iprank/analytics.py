@@ -55,10 +55,6 @@ class PercentileCurve:
     slope: float
     intercept: float
 
-    @property
-    def fit(self) -> tuple[float, float]:
-        return (self.slope, self.intercept)
-
 
 @dataclass(frozen=True, slots=True)
 class RankReport:

@@ -14,7 +14,7 @@ import operator
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -220,14 +220,15 @@ def write_artifact(
     command: str,
     digests: dict[str, str],
     params: dict[str, object],
-    body: str,
+    *body: str,
 ) -> Path:
+    """Write the manifest lines, then the parts of ``body`` in order."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / name
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{line}\n" for line in manifest_lines(command, digests, params))
-        fh.write(body)
+        fh.writelines(body)
     return path
 
 
@@ -302,9 +303,9 @@ class _Inputs:
             for role, path in self.read.items()
         }
 
-    def write(self, name: str, command: str, params: dict[str, object], body: str) -> None:
+    def write(self, name: str, command: str, params: dict[str, object], *body: str) -> None:
         """Write artifact ``name``, its manifest listing this holder's inputs."""
-        write_artifact(self.cfg.out_dir, name, command, self.digests(), params, body)
+        write_artifact(self.cfg.out_dir, name, command, self.digests(), params, *body)
 
 
 # settings that shape a graph, recorded by every artifact computed from one
@@ -369,12 +370,14 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     """Read a score file: either ``#measure=`` two-column vectors or the
     three-column influence/passivity output. Returns the file's label and one
     vector per column, keyed by column name. A score that is not a number, a
-    row whose column count is not that of the first row, or an id listed
-    twice in one column is :class:`ConfigInvalid`."""
-    label = "scores"
+    row whose column count is not that of the first row, an id listed twice,
+    or a ``#measure=`` header that is not the only one or follows a row is
+    :class:`ConfigInvalid`."""
+    label = None
     first = (0, 0)  # line number and column count of the first row
-    # per column: its ids, and blocks of its scores and of their line numbers
-    columns: dict[str, tuple[list[str], list[np.ndarray], list[np.ndarray]]] = {}
+    ids: list[str] = []
+    line_nos: list[np.ndarray] = []
+    blocks: list[list[np.ndarray]] = []  # each block's scores, column by column
 
     def fault(line_no: int, line: str) -> ConfigInvalid | None:
         parts = line.split("\t")
@@ -391,33 +394,22 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     with open(path, "r", encoding="utf-8") as fh:
         for numbers, text, tabs in _records(fh, headers=("#measure=",)):
             if text[:1] == "#":  # the header: no record starts with "#"
+                if label is not None or ids:
+                    raise ConfigInvalid(f"line {numbers[0]} of {path}: a second or late header")
                 label = text.split("=", 1)[1]
                 continue
             first = first if first[1] else (int(numbers[0]), int(tabs[0]) + 1)
             f = _Fields(numbers, text, tabs)
-            f.suspect = (tabs + 1 != first[1]) | (tabs < 1) | (tabs > 2)
-            names = (label,) if first[1] == 2 else ("influence", "passivity")
-            scores = [_floats(f.take(k)) for k in range(1, len(names) + 1)]
-            for values in scores:
-                f.suspect |= np.isnan(values)
-            f.screen(fault, strict=True)
-            ids = f.take(0)
-            for name, values in zip(names, scores):
-                column = columns.setdefault(name, ([], [], []))
-                column[0].extend(ids)
-                column[1].append(values)
-                column[2].append(numbers)
-    if not columns:
+            scores = [_floats(f.take(k)) for k in range(1, min(first[1], 3))]
+            if not (first[1] in (2, 3) and f.width == first[1] and not np.isnan(scores).any()):
+                f.screen(fault, strict=True)
+            ids += f.take(0)
+            line_nos.append(numbers)
+            blocks.append(scores)
+    if not ids:
         raise MissingInput(f"no score rows found in {path}")
-    return label, {name: _score_vector(path, name, *column) for name, column in columns.items()}
-
-
-def _score_vector(
-    path: str, name: str, ids: list[str], scores: list[np.ndarray], line_nos: list[np.ndarray]
-) -> ScoreVector:
-    """The ``name`` column of a score file, its ids sorted; an id listed
-    twice is :class:`ConfigInvalid`, naming the line that repeats it."""
-    values = np.concatenate(scores)
+    label = "scores" if label is None else label
+    values = [np.concatenate(column) for column in zip(*blocks)]
     if not all(map(operator.lt, ids, ids[1:])):  # not written in id order
         index = dict(zip(ids, range(len(ids))))
         if len(index) < len(ids):
@@ -427,32 +419,68 @@ def _score_vector(
                     raise ConfigInvalid(f"line {line_no} of {path}: {uid!r} is listed twice")
                 seen.add(uid)
         ids = sorted(index)
-        values = values[np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))]
-    return ScoreVector(ids, values, name)
+        order = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+        values = [column[order] for column in values]
+    names = (label,) if first[1] == 2 else ("influence", "passivity")
+    node_ids = tuple(ids)  # one tuple, shared by the columns
+    return label, {name: ScoreVector(node_ids, v, name) for name, v in zip(names, values)}
 
 
-def _resolve_vector(
-    inputs: _Inputs, scores: str | None, column: str | None, measure: str | None, side: str = ""
-) -> ScoreVector:
-    suffix = f"-{side}" if side else ""
-    if column is not None and scores is None:
-        raise ConfigInvalid(f"--column{suffix} reads a score file: give --scores{suffix}")
-    if scores is not None and measure is not None:
-        raise ConfigInvalid(f"give either --scores{suffix} or --measure{suffix}, not both")
-    if scores is not None:
-        path = inputs.path("scores", scores)
-        _, columns = read_score_columns(path)  # not kept: it holds columns left unused
-        if column is None:
-            column = "influence" if "influence" in columns else min(columns)
-        if column not in columns:
-            raise ConfigInvalid(f"column {column!r} not present in {path}; has {sorted(columns)}")
-        return columns[column]
-    if measure is not None:
+def _reads(cfg: RunConfig, measure: str) -> tuple[str, ...]:
+    """The input roles the ``measure`` reads; any but a baseline reads the graph."""
+    if measure in ("hindex", "retweets"):
+        return ("events",)
+    if measure == "followers":
+        return ("follows",)
+    if cfg.graph is not None:
+        return ("graph",)
+    return ("events",) if cfg.graph_type == "rt" else ("events", "follows")
+
+
+def _source(args: argparse.Namespace, side: str) -> list[str | None]:
+    key = f"_{side}" if side else ""  # no side: the command's one score source
+    return [getattr(args, name + key) for name in ("scores", "column", "measure")]
+
+
+def _check(
+    cfg: RunConfig, args: argparse.Namespace, roles: Iterable[str], sides: Iterable[str] = ()
+) -> None:
+    """Raise the usage error the command would meet, before it does any
+    work: first a bad score-source flag of any of ``sides``, then a missing
+    input file. ``roles`` are the inputs it reads besides its score sources."""
+    paths = [(getattr(cfg, role), role) for role in roles]
+    for side in sides:
+        scores, column, measure = _source(args, side)
+        suffix = f"-{side}" if side else ""
+        if column is not None and scores is None:
+            raise ConfigInvalid(f"--column{suffix} reads a score file: give --scores{suffix}")
+        if scores is not None and measure is not None:
+            raise ConfigInvalid(f"give either --scores{suffix} or --measure{suffix}, not both")
+        if scores is None and measure is None:
+            raise ConfigInvalid(f"a score source is required: --scores{suffix} or --measure{suffix}")
+        if scores is not None:
+            paths.append((scores, "scores"))
+        else:
+            paths += [(getattr(cfg, role), role) for role in _reads(cfg, measure)]
+    for path, role in paths:
+        _require(path, role)
+
+
+def _resolve_vector(inputs: _Inputs, args: argparse.Namespace, side: str = "") -> ScoreVector:
+    """The score vector of the source ``side`` names, its flags checked by :func:`_check`."""
+    scores, column, measure = _source(args, side)
+    if scores is None:
         vector, params = _measure(inputs, measure)
         label = vector.label
         inputs.write(f"measure_{label}.tsv", f"measure:{label}", params, vector_to_tsv(vector))
         return vector
-    raise ConfigInvalid(f"a score source is required: --scores{suffix} or --measure{suffix}")
+    path = inputs.path("scores", scores)
+    _, columns = inputs.once(("scores", path), lambda: read_score_columns(path))
+    if column is None:
+        column = "influence" if "influence" in columns else min(columns)
+    if column not in columns:
+        raise ConfigInvalid(f"column {column!r} not present in {path}; has {sorted(columns)}")
+    return columns[column]
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +489,7 @@ def _resolve_vector(
 
 
 def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> None:
+    _check(cfg, args, _reads(cfg, "graph"))
     inputs = _Inputs(cfg)
     g = inputs.graph()
     params = _params(cfg, *_GRAPH_KEYS)
@@ -471,14 +500,16 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_ip(cfg: RunConfig, args: argparse.Namespace) -> None:
+    _check(cfg, args, _reads(cfg, "graph"))
     inputs = _Inputs(cfg)
     pair, trace, params = _ip(inputs)
-    inputs.write("ip_scores.tsv", "ip", params, "#measure=ip\n" + scores_to_tsv(pair))
+    inputs.write("ip_scores.tsv", "ip", params, "#measure=ip\n", scores_to_tsv(pair))
     inputs.write("ip_trace.tsv", "ip", params, trace_to_tsv(trace))
 
 
 def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> None:
     """``pagerank`` and ``hindex``: the measure the command names, in ``<command>.tsv``."""
+    _check(cfg, args, _reads(cfg, args.command))
     inputs = _Inputs(cfg)
     vector, params = _measure(inputs, args.command)
     inputs.write(f"{args.command}.tsv", args.command, params, vector_to_tsv(vector))
@@ -487,6 +518,7 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_rates(cfg: RunConfig, args: argparse.Namespace) -> None:
+    _check(cfg, args, ("events", "follows"))
     inputs = _Inputs(cfg)
     log = inputs.load("events", parse_events)
     report = rate_report(log, inputs.load("follows", parse_follows))
@@ -496,8 +528,9 @@ def cmd_rates(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_curve(cfg: RunConfig, args: argparse.Namespace) -> None:
+    _check(cfg, args, ("events", "clicks"), [""])
     inputs = _Inputs(cfg)
-    vector = _resolve_vector(inputs, args.scores, args.column, args.measure)
+    vector = _resolve_vector(inputs, args)
     log = inputs.load("events", parse_events)
     clicks = inputs.load("clicks", parse_clicks).clicks
     averages = url_attribute_average(log, vector)
@@ -509,8 +542,9 @@ def cmd_curve(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> None:
+    _check(cfg, args, ("events",) if cfg.min_posted > 0 else (), [""])
     inputs = _Inputs(cfg)
-    vector = _resolve_vector(inputs, args.scores, args.column, args.measure)
+    vector = _resolve_vector(inputs, args)
     eligible = None
     params: dict[str, object] = {"top_k": cfg.top_k, "measure": vector.label}
     if cfg.min_posted > 0:
@@ -523,16 +557,17 @@ def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> None:
+    _check(cfg, args, (), ["a", "b"])
     side_a = _Inputs(cfg)
     side_b = _Inputs(cfg, shared=side_a)
-    vec_a = _resolve_vector(side_a, args.scores_a, args.column_a, args.measure_a, "a")
-    vec_b = _resolve_vector(side_b, args.scores_b, args.column_b, args.measure_b, "b")
+    vec_a = _resolve_vector(side_a, args, "a")
+    vec_b = _resolve_vector(side_b, args, "b")
     correlation = rank_correlation(vec_a, vec_b)
     joined = rank_join(vec_a, vec_b)
-    body = f"#spearman={correlation!r}\n" + report_to_tsv(joined)
     params = {"measure_a": vec_a.label, "measure_b": vec_b.label}
     digests = {**side_a.digests("a."), **side_b.digests("b.")}
-    write_artifact(cfg.out_dir, "compare.tsv", "compare", digests, params, body)
+    body = f"#spearman={correlation!r}\n", report_to_tsv(joined)
+    write_artifact(cfg.out_dir, "compare.tsv", "compare", digests, params, *body)
     print(f"compare: spearman {correlation:.6g} over {len(joined.rows)} shared users")
 
 

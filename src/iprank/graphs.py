@@ -303,19 +303,18 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
             header = (int(numbers[0]), text)
             continue
         f = _Fields(numbers, text, tabs)
-        f.suspect = f.tabs != 2
         source, target, weight = f.take(0), f.take(1), f.take(2)
         node = np.zeros(len(source), dtype=bool)
         if "\t-\t-" in f.text:
             node = np.fromiter(map(_node_line, target, weight), dtype=bool, count=len(source))
             source, target, weight = (list(compress(c, ~node)) for c in (source, target, weight))
-        arc = np.flatnonzero(~node)
-        if any(map(operator.eq, source, target)):
-            f.flag(operator.eq, source, target, rows=arc)
         w = _floats(weight)
-        f.suspect[arc[~((w > 0.0) & (w <= 1.0))]] = True
-        f.screen(_unparsable(_graph_reason), strict=True)
-        arcs.append(users.of(source), users.of(target), w, f.numbers[arc])
+        if not (
+            f.width == 3 and not any(map(operator.eq, source, target))
+            and ((w > 0.0) & (w <= 1.0)).all()
+        ):
+            f.screen(_unparsable(_graph_reason), strict=True)
+        arcs.append(users.of(source), users.of(target), w, f.numbers[~node])
         if node.any():
             nodes.append(users.of(f.take(0, np.flatnonzero(node))), f.numbers[node])
     ids, rank = _sorted_codes(users)

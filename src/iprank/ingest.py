@@ -15,8 +15,9 @@ whole block at once: a line is skipped when its first character is ``#``, or
 when it has no TAB and is empty, whitespace only, or whitespace then ``#``. No
 record of any format has that shape, so every line a writer emits reads back;
 files may carry ``#`` headers, and no id may start with ``#``. Each reader
-then checks a block column by column, and only the lines those checks single
-out go through its per-line rule, which alone decides and words the error.
+then checks a block column by column; a block that fails its check has every
+line judged by the reader's per-line rule, which alone decides and words the
+error.
 """
 
 from __future__ import annotations
@@ -454,8 +455,8 @@ def _records(
 
 class _Fields:
     """One block of records split at every TAB and LF at once. ``take``
-    gives a column; ``suspect`` marks the lines that bulk checks did not
-    clear, and ``keep`` those that :meth:`screen` let through."""
+    gives a column. A block that fails its reader's bulk check has every
+    line judged by :meth:`screen`; ``keep`` marks the lines it kept."""
 
     def __init__(self, numbers: np.ndarray, text: str, tabs: np.ndarray) -> None:
         self.numbers, self.text, self.tabs = numbers, text, tabs
@@ -463,7 +464,6 @@ class _Fields:
         self.start = np.cumsum(tabs + 1) - (tabs + 1)
         # fields per line when every line has as many, else 0
         self.width = int(tabs[0]) + 1 if tabs.min() == tabs.max() else 0
-        self.suspect = np.zeros(len(tabs), dtype=bool)
         self.keep = np.ones(len(tabs), dtype=bool)
 
     def take(self, field: int, rows: np.ndarray | None = None) -> list[str]:
@@ -475,22 +475,13 @@ class _Fields:
         at = np.minimum(at + field, len(self.flat) - 1)
         return list(map(self.flat.__getitem__, at.tolist()))
 
-    def flag(
-        self, test: Callable[..., object], *cols: list[str], rows: np.ndarray | None = None
-    ) -> None:
-        """Mark as suspect every line, or each of ``rows``, whose fields in
-        ``cols`` pass ``test``."""
-        hit = np.fromiter(map(test, *cols), dtype=bool, count=len(cols[0]))
-        self.suspect[hit if rows is None else rows[hit]] = True
-
     def screen(self, fault: Callable[[int, str], IpRankError | None], strict: bool) -> int:
-        """Judge each suspect line by ``fault(line_no, line)``, its error or
-        None. Strict mode raises the first error; lenient mode drops the
-        lines in error from ``keep`` and returns how many it dropped."""
-        for k in np.flatnonzero(self.suspect).tolist():
-            start = int(self.start[k])
-            line = "\t".join(self.flat[start : start + int(self.tabs[k]) + 1])
-            error = fault(int(self.numbers[k]), line)
+        """Judge every line by ``fault(line_no, line)``, its error or None.
+        Strict mode raises the first error; lenient mode drops the lines in
+        error from ``keep`` and returns how many it dropped."""
+        lines = zip(self.numbers.tolist(), self.start.tolist(), self.tabs.tolist())
+        for k, (line_no, start, tabs) in enumerate(lines):
+            error = fault(line_no, "\t".join(self.flat[start : start + tabs + 1]))
             if error is not None:
                 if strict:
                     raise error
@@ -555,14 +546,6 @@ def _all_digits(tokens: list[str]) -> bool:
     return all(tokens) and digits.isascii() and digits.isdigit()
 
 
-def _not_digits(token: str) -> bool:
-    return not (token.isascii() and token.isdigit())
-
-
-def _blank_or_hash(uid: str) -> bool:
-    return uid[:1] in ("", "#")
-
-
 def _float_or_nan(token: str) -> float:
     try:
         return float(token)
@@ -576,11 +559,6 @@ def _floats(tokens: list[str]) -> np.ndarray:
         return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
     except ValueError:
         return np.fromiter(map(_float_or_nan, tokens), dtype=np.float64, count=len(tokens))
-
-
-def _time_suspect(token: str) -> bool:
-    """Whether ``token`` might not be a time: not only digits, or too long for 64 bits."""
-    return _not_digits(token) or len(token) > 18
 
 
 def _event_reason(parts: list[str]) -> str | None:
@@ -612,20 +590,17 @@ def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) 
         f = _Fields(*block)
         retweet = f.tabs == 4
         rt = np.flatnonzero(retweet)
-        f.suspect = ~retweet & (f.tabs != 3)
         time, user, url, kind = (f.take(k) for k in range(4))
-        source, rt_user, rt_kind = f.take(4, rt), f.take(1, rt), f.take(3, rt)
-        if kind.count(MENTION) != len(kind) - rt.size or rt_kind.count(RETWEET) != rt.size:
-            f.flag(operator.ne, kind, np.where(retweet, RETWEET, MENTION).tolist())
-        if not _all_digits(time) or max(map(len, time)) > 18:
-            f.flag(_time_suspect, time)
-        if not (all(user) and all(url) and all(source)) or "\t#" in f.text:
-            f.flag(_blank_or_hash, user)
-            f.flag(_blank_or_hash, url)
-            f.flag(_blank_or_hash, source, rows=rt)
-        if any(map(operator.eq, rt_user, source)):
-            f.flag(operator.eq, rt_user, source, rows=rt)
-        skipped += f.screen(_unparsable(_event_reason), strict)
+        source = f.take(4, rt)
+        if not (
+            f.tabs.min() >= 3 and f.tabs.max() <= 4
+            and kind.count(MENTION) == len(kind) - rt.size
+            and f.take(3, rt).count(RETWEET) == rt.size
+            and _all_digits(time) and max(map(len, time)) <= 18  # so within 64 bits
+            and all(user) and all(url) and all(source) and "\t#" not in f.text
+            and not any(map(operator.eq, f.take(1, rt), source))
+        ):
+            skipped += f.screen(_unparsable(_event_reason), strict)
         time, user = f.kept(time), f.kept(user)
         codes = np.full(len(user), -1, dtype=np.int64)
         codes[retweet[f.keep]] = users.of(f.kept(source, rt))
@@ -652,14 +627,12 @@ def parse_follows(
     skipped = 0
     for block in _records(stream):
         f = _Fields(*block)
-        f.suspect = f.tabs != 1
         followee, follower = f.take(0), f.take(1)
-        if not (all(followee) and all(follower)) or "\t#" in f.text:
-            f.flag(_blank_or_hash, followee)
-            f.flag(_blank_or_hash, follower)
-        if any(map(operator.eq, followee, follower)):
-            f.flag(operator.eq, followee, follower)
-        skipped += f.screen(_unparsable(_follow_reason), strict)
+        if not (
+            f.width == 2 and all(followee) and all(follower) and "\t#" not in f.text
+            and not any(map(operator.eq, followee, follower))
+        ):
+            skipped += f.screen(_unparsable(_follow_reason), strict)
         cols.append(users.of(f.kept(followee)), users.of(f.kept(follower)))
     cols = cols.arrays()
     if not cols[0].size:
@@ -686,13 +659,9 @@ def parse_clicks(
     skipped = 0
     for block in _records(stream):
         f = _Fields(*block)
-        f.suspect = f.tabs != 1
         url, count = f.take(0), f.take(1)
-        if not all(url):
-            f.flag(operator.not_, url)
-        if not _all_digits(count):
-            f.flag(_not_digits, count)
-        skipped += f.screen(_click_fault, strict)
+        if not (f.width == 2 and all(url) and _all_digits(count)):
+            skipped += f.screen(_click_fault, strict)
         rows += zip(f.kept(url), map(int, f.kept(count)))
     # in count order, so each URL's largest count is the last one stored
     return ClickTable(dict(sorted(rows, key=operator.itemgetter(1))), skipped=skipped)

@@ -257,6 +257,20 @@ class TestScoreFiles:
         with pytest.raises(ConfigInvalid, match=f"^line {line} of "):
             read_score_columns(str(scores))
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [("#measure=a\n#measure=b\nx\t1\n", 2), ("x\t1\ny\t2\n#measure=b\nz\t3\n", 3)],
+        ids=["second", "late"],
+    )
+    def test_a_second_or_late_header_is_config_error(self, tmp_path, capsys, text, line):
+        # a late header used to start a column of its own, which rank then ranked alone
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(text, encoding="utf-8")
+        assert run("rank", "--scores", scores, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: ConfigInvalid: line {line} of {scores}: a second or late header" in err
+        assert not (tmp_path / "out").exists()
+
     def test_hash_led_user_is_rejected_before_any_score_file(self, tmp_path, capsys):
         # written out, "#a" would read back as a comment and drop out of the ranking
         events = tmp_path / "events.tsv"
@@ -373,6 +387,24 @@ class TestEachInputReadOnce:
             "--events", trace_dir / "events.tsv", "--out-dir", trace_dir / "out",
         ) == 0
         self.expect_once(calls, trace_dir, ("events",))
+
+    def test_compare_of_two_columns_of_one_score_file(self, trace_dir, monkeypatch):
+        out = trace_dir / "out"
+        assert run("ip", "--events", trace_dir / "events.tsv", "--min-urls", "1",
+                   "--out-dir", out) == 0
+        reads = []
+
+        def counted(path, _func=cli.read_score_columns):
+            reads.append(path)
+            return _func(path)
+
+        monkeypatch.setattr(cli, "read_score_columns", counted)
+        scores = out / "ip_scores.tsv"
+        assert run(
+            "compare", "--scores-a", scores, "--column-a", "influence",
+            "--scores-b", scores, "--column-b", "passivity", "--out-dir", out,
+        ) == 0
+        assert reads == [str(scores)]
 
     def test_lenient_curve_warns_once_per_input(self, trace_dir, capsys):
         events = trace_dir / "events.tsv"
@@ -586,6 +618,87 @@ class TestConfigHandling:
         events = ("--events", trace_dir / "events.tsv")
         assert run(*argv, *events, "--out-dir", trace_dir / "out") == 2
         assert f"error: ConfigInvalid: {flag} reads a score file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("compare", "--measure-a", "hindex", "--measure-b", "retweets",
+                 "--column-b", "passivity", "--events", "events.tsv"),
+                "ConfigInvalid: --column-b reads a score file",
+            ),
+            (
+                ("compare", "--measure-a", "hindex", "--events", "events.tsv",
+                 "--scores-b", "missing.tsv"),
+                "MissingInput: scores file not found",
+            ),
+            (
+                ("curve", "--measure", "hindex", "--events", "events.tsv"),
+                "MissingInput: --clicks is required",
+            ),
+            (
+                ("rank", "--measure", "followers", "--follows", "follows.tsv", "--min-posted", "2"),
+                "MissingInput: --events is required",
+            ),
+            (
+                ("build", "--graph-type", "comention", "--events", "events.tsv"),
+                "MissingInput: --follows is required",
+            ),
+        ],
+        ids=["compare-column", "compare-missing-scores", "curve", "rank", "build"],
+    )
+    def test_usage_errors_come_before_any_work(self, trace_dir, capsys, monkeypatch, argv, message):
+        def parse_nothing(*args, **kwargs):
+            raise AssertionError("an input was parsed")
+
+        for name in ("parse_events", "parse_follows"):
+            monkeypatch.setattr(cli, name, parse_nothing)
+        out = trace_dir / "out"
+        out.mkdir()
+        argv = [str(trace_dir / a) if a.endswith(".tsv") else a for a in argv]
+        assert run(*argv, "--out-dir", out) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,config,message",
+        [
+            ((), "strict=maybe", "not a boolean: 'maybe'"),
+            ((), "min_urls=abc", "config line 1: bad value for 'min_urls': 'abc'"),
+            ((), "graph_type=star", "graph_type must be one of"),
+            (("--iterations", "0"), "", "iteration caps must be >= 1"),
+            ((), "pagerank_iterations=0", "iteration caps must be >= 1"),
+            (("--damping", "1"), "", "damping must be in (0, 1), got 1.0"),
+            (("--q", "0"), "", "q must be in (0, 1], got 0.0"),
+            (("--bin-count", "0"), "", "bin_count must be >= 1, got 0"),
+            (("--top-k", "0"), "", "top_k must be >= 1, got 0"),
+            (("--min-posted", "-1"), "", "min_posted must be >= 0, got -1"),
+            (("--threads", "-1"), "", "threads must be >= 0, got -1"),
+            (
+                ("rank", "--scores", "scores.tsv", "--measure", "hindex"), "",
+                "give either --scores or --measure, not both",
+            ),
+            (
+                ("rank", "--scores", "scores.tsv", "--column", "nosuch"), "",
+                "column 'nosuch' not present in",
+            ),
+            (("rank",), "", "a score source is required: --scores or --measure"),
+            (
+                ("compare", "--measure-a", "hindex"), "",
+                "a score source is required: --scores-b or --measure-b",
+            ),
+        ],
+    )
+    def test_bad_settings_and_flags_exit_2(self, trace_dir, capsys, argv, config, message):
+        (trace_dir / "scores.tsv").write_text("#measure=m\nu\t1\n", encoding="utf-8")
+        cfg = trace_dir / "run.cfg"
+        cfg.write_text(config + "\n", encoding="utf-8")
+        argv = [str(trace_dir / a) if a.endswith(".tsv") else a for a in argv]
+        if not argv or argv[0].startswith("--"):
+            argv = ["build", *argv]
+        flags = ("--events", trace_dir / "events.tsv", "--config", cfg)
+        assert run(*argv, *flags, "--out-dir", trace_dir / "out") == 2
+        assert message in capsys.readouterr().err
 
     def test_threads_flag_accepted(self, trace_dir):
         out = trace_dir / "out"

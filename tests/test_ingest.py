@@ -6,14 +6,17 @@ import math
 import random
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
 
+from iprank import ingest
 from iprank.cli import load_config, read_manifest, read_score_columns
 from iprank.errors import ConfigInvalid, EmptyInput, MissingInput, NegativeCount, UnparsableLine
-from iprank.graphs import graph_from_tsv
+from iprank.graphs import InfluenceGraph, graph_from_tsv
 from iprank.ingest import (
     ActivityLog,
+    ClickTable,
     FollowEdgeList,
     TweetEvent,
     clicks_to_tsv,
@@ -563,6 +566,63 @@ class TestNumbersParseAsFloatAndIntDo:
         assert (info.value.line_no, info.value.reason) == (21, reason)
         log = parse_events(text, strict=False)
         assert (log.skipped, log.user_ids) == (1, ("v",))
+
+
+# per reader: valid lines that no bulk check clears, the malformed third line's
+# reason, and what the valid lines read to
+UNUSUAL = {
+    "events": (
+        parse_events,
+        [
+            "-5\tu#\tl1\tM", "9223372036854775807\tv\tl#2\tM", "3\tv\tl1\tRT\tv",
+            "-9223372036854775808\tw\tl1\tRT\tu#", "007\t-\t-\tM",
+        ],
+        "retweet credits its own author",
+        ActivityLog([
+            TweetEvent(-5, "u#", "l1"), TweetEvent(2**63 - 1, "v", "l#2"),
+            TweetEvent(-(2**63), "w", "l1", "u#"), TweetEvent(7, "-", "-"),
+        ]),
+    ),
+    "follows": (
+        parse_follows,
+        ["u#\tv", "v\tu#", "w\tw", "a b\t-", "é\tu#"],
+        "self-follow",
+        FollowEdgeList([("u#", "v"), ("v", "u#"), ("a b", "-"), ("é", "u#")]),
+    ),
+    "clicks": (
+        parse_clicks,
+        ["u#\t0", "a b\t007", "x\t1.5", "l\t99999999999999999999", "-\t3"],
+        "not a base-10 integer: '1.5'",
+        ClickTable({"u#": 0, "a b": 7, "l": 99999999999999999999, "-": 3}),
+    ),
+    "graph": (
+        lambda text, strict=True: graph_from_tsv(text),
+        ["u#\tv\t1", "v\tu#\t1e-300", "a\ta\t0.5", "w\t-\t-", "-\tw\t0.5"],
+        "self-arc",
+        InfluenceGraph.from_arcs(
+            [("u#", "v", 1.0), ("v", "u#", 1e-300), ("-", "w", 0.5)], nodes=["w"]
+        ),
+    ),
+}
+
+
+class TestABlockThatFailsItsCheck:
+    """A block holding one malformed line among valid lines that no bulk
+    check clears has every line judged: strict mode names the malformed
+    line, lenient mode keeps every other line, whatever the block size."""
+
+    @pytest.mark.parametrize("block", [1, ingest._BLOCK])
+    @pytest.mark.parametrize("reader", sorted(UNUSUAL))
+    def test_strict_names_the_line_and_lenient_keeps_the_rest(self, reader, block):
+        parse, lines, reason, expected = UNUSUAL[reader]
+        with patch.object(ingest, "_BLOCK", block):
+            with pytest.raises(UnparsableLine) as info:
+                parse("\n".join(lines) + "\n")
+            assert (info.value.line_no, info.value.reason) == (3, reason)
+            assert parse("\n".join(lines[:2] + lines[3:])) == expected
+            if reader != "graph":  # a graph file is always read strictly
+                lenient = parse("\n".join(lines) + "\n", strict=False)
+                assert (lenient, lenient.skipped) == (expected, 1)
 
 
 class TestMemoryIsBoundedByTheBlock:
