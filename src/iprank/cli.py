@@ -51,7 +51,7 @@ from .graphs import (
     stats_to_tsv,
 )
 from .ingest import (
-    _Fields, _floats, _records, parse_clicks, parse_events, parse_follows, url_counts,
+    _Check, _judge, _records, parse_clicks, parse_events, parse_follows, url_counts,
 )
 from .ipcore import IpParams, IterationTrace, ScorePair, run_ip, scores_to_tsv, trace_to_tsv
 
@@ -107,8 +107,8 @@ def load_config(path: str) -> dict[str, object]:
     with open(_require(path, "config"), "r", encoding="utf-8") as fh:
         lines = [
             (line_no, line)
-            for numbers, text, _ in _records(fh)
-            for line_no, line in zip(numbers.tolist(), text.split("\n"))
+            for f in _records(fh)
+            for line_no, line in zip(f.numbers.tolist(), f.text.split("\n"))
         ]
     for line_no, line in lines:
         line = line.strip()
@@ -203,12 +203,12 @@ def read_manifest(path: str) -> dict[str, str]:
     without ``=`` is :class:`ConfigInvalid`."""
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for numbers, text, _ in _records(fh, headers=("#manifest ",)):
-            if text[:1] == "#":  # the header: no record starts with "#"
-                key, eq, value = text[len("#manifest ") :].partition("=")
+        for f in _records(fh, headers=("#manifest ",)):
+            if f.text[:1] == "#":  # the header: no record starts with "#"
+                key, eq, value = f.text[len("#manifest ") :].partition("=")
                 if not eq:
                     raise ConfigInvalid(
-                        f"line {numbers[0]} of {path}: expected '#manifest key=value': {text!r}"
+                        f"line {f.numbers[0]} of {path}: expected '#manifest key=value': {f.text!r}"
                     )
                 entries[key] = value
     return entries
@@ -366,6 +366,27 @@ def _measure(inputs: _Inputs, name: str) -> tuple[ScoreVector, dict[str, object]
     raise ConfigInvalid(f"unknown measure {name!r}; choose from {MEASURES}")
 
 
+def _score_checks(path: str, first: int, width: int) -> tuple[_Check, ...]:
+    """The checks of the rows of score file ``path``, in order, its first
+    row being line ``first`` with ``width`` columns."""
+
+    def error(line_no: int, line: str, reason: str) -> ConfigInvalid:
+        return ConfigInvalid(f"line {line_no} of {path}: {reason}: {line!r}")
+
+    def unlike(parts: list[str]) -> str:
+        return f"{len(parts)} columns, unlike the {width} of line {first}"
+
+    return (
+        _Check("unrecognized line", lambda f: (f.fields() < 2) | (f.fields() > 3), error),
+        _Check(unlike, lambda f: f.fields() != width, error),
+        _Check(
+            "score is not a number",
+            lambda f: np.isnan([f.floats(k) for k in range(1, width)]).any(axis=0),
+            error,
+        ),
+    )
+
+
 def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     """Read a score file: either ``#measure=`` two-column vectors or the
     three-column influence/passivity output. Returns the file's label and one
@@ -374,38 +395,25 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     or a ``#measure=`` header that is not the only one or follows a row is
     :class:`ConfigInvalid`."""
     label = None
-    first = (0, 0)  # line number and column count of the first row
+    checks: tuple[_Check, ...] = ()
+    width = 0  # the column count of the first row
     ids: list[str] = []
     line_nos: list[np.ndarray] = []
     blocks: list[list[np.ndarray]] = []  # each block's scores, column by column
-
-    def fault(line_no: int, line: str) -> ConfigInvalid | None:
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            reason = "unrecognized line"
-        elif len(parts) != first[1]:
-            reason = f"{len(parts)} columns, unlike the {first[1]} of line {first[0]}"
-        elif np.isnan(_floats(parts[1:])).any():
-            reason = "score is not a number"
-        else:
-            return None
-        return ConfigInvalid(f"line {line_no} of {path}: {reason}: {line!r}")
-
     with open(path, "r", encoding="utf-8") as fh:
-        for numbers, text, tabs in _records(fh, headers=("#measure=",)):
-            if text[:1] == "#":  # the header: no record starts with "#"
+        for f in _records(fh, headers=("#measure=",)):
+            if f.text[:1] == "#":  # the header: no record starts with "#"
                 if label is not None or ids:
-                    raise ConfigInvalid(f"line {numbers[0]} of {path}: a second or late header")
-                label = text.split("=", 1)[1]
+                    raise ConfigInvalid(f"line {f.numbers[0]} of {path}: a second or late header")
+                label = f.text.split("=", 1)[1]
                 continue
-            first = first if first[1] else (int(numbers[0]), int(tabs[0]) + 1)
-            f = _Fields(numbers, text, tabs)
-            scores = [_floats(f.take(k)) for k in range(1, min(first[1], 3))]
-            if not (first[1] in (2, 3) and f.width == first[1] and not np.isnan(scores).any()):
-                f.screen(fault, strict=True)
+            if not checks:
+                width = int(f.tabs[0]) + 1
+                checks = _score_checks(path, int(f.numbers[0]), width)
+            _judge(f, checks, strict=True)
             ids += f.take(0)
-            line_nos.append(numbers)
-            blocks.append(scores)
+            line_nos.append(f.numbers)
+            blocks.append([f.floats(k) for k in range(1, width)])
     if not ids:
         raise MissingInput(f"no score rows found in {path}")
     label = "scores" if label is None else label
@@ -421,7 +429,7 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
         ids = sorted(index)
         order = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
         values = [column[order] for column in values]
-    names = (label,) if first[1] == 2 else ("influence", "passivity")
+    names = (label,) if width == 2 else ("influence", "passivity")
     node_ids = tuple(ids)  # one tuple, shared by the columns
     return label, {name: ScoreVector(node_ids, v, name) for name, v in zip(names, values)}
 
@@ -558,14 +566,16 @@ def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> None:
     _check(cfg, args, (), ["a", "b"])
-    side_a = _Inputs(cfg)
-    side_b = _Inputs(cfg, shared=side_a)
-    vec_a = _resolve_vector(side_a, args, "a")
-    vec_b = _resolve_vector(side_b, args, "b")
+    sides = {"a": _Inputs(cfg)}
+    sides["b"] = _Inputs(cfg, shared=sides["a"])
+    # score-file sides first: reading one may still fail, and a measure side writes an artifact
+    order = sorted(sides, key=lambda side: _source(args, side)[0] is None)
+    vectors = {side: _resolve_vector(sides[side], args, side) for side in order}
+    vec_a, vec_b = vectors["a"], vectors["b"]
     correlation = rank_correlation(vec_a, vec_b)
     joined = rank_join(vec_a, vec_b)
     params = {"measure_a": vec_a.label, "measure_b": vec_b.label}
-    digests = {**side_a.digests("a."), **side_b.digests("b.")}
+    digests = {**sides["a"].digests("a."), **sides["b"].digests("b.")}
     body = f"#spearman={correlation!r}\n", report_to_tsv(joined)
     write_artifact(cfg.out_dir, "compare.tsv", "compare", digests, params, *body)
     print(f"compare: spearman {correlation:.6g} over {len(joined.rows)} shared users")

@@ -20,15 +20,15 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvalidParams, UnparsableLine
 from .ingest import (
-    _HASH_ID, ActivityLog, FollowEdgeList, _Codes, _Columns, _Fields, _floats, _lookup, _records,
-    _run_starts, _sorted_codes, _unparsable,
+    _HASH_ID, ActivityLog, FollowEdgeList, _Check, _Codes, _Columns, _judge, _line_test, _lookup,
+    _records, _rejects_float, _run_starts, _same, _sorted_codes,
 )
 
 WEIGHT_HIST_BINS = 10
@@ -271,52 +271,40 @@ def graph_to_tsv(g: InfluenceGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _graph_reason(parts: list[str]) -> str | None:
-    """Why the fields of a graph line are neither an arc nor a node line, or None."""
-    if len(parts) != 3:
-        return "expected 'source target weight' or 'node - -'"
-    if parts[1] == "-" and parts[2] == "-":
-        return None
-    if parts[0] == parts[1]:
-        return "self-arc"
-    try:
-        w = float(parts[2])
-    except ValueError as exc:
-        return str(exc)
-    return None if 0.0 < w <= 1.0 else f"weight outside (0, 1]: {parts[2]!r}"
-
-
-def _node_line(target: str, weight: str) -> bool:
-    return target == "-" and weight == "-"
+# the checks of an arc line, in order
+_GRAPH = (
+    _Check("expected 'source target weight' or 'node - -'", lambda f: f.fields() != 3),
+    _Check("self-arc", _same(0, 1)),
+    _Check(
+        "could not convert string to float: {2!r}",
+        _line_test(lambda f: np.isnan(f.floats(2)), _rejects_float, 2),
+    ),
+    _Check("weight outside (0, 1]: {2!r}", lambda f: ~((f.floats(2) > 0) & (f.floats(2) <= 1))),
+)
 
 
 def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
     """Read :func:`graph_to_tsv` output. A malformed line, an id that
-    :class:`InfluenceGraph` rejects, an arc listed twice, or a
-    ``#nodes= arcs=`` header that the file's arcs and nodes do not match
-    raises :class:`UnparsableLine`; a rejected id or repeat is quoted as it reads back."""
+    :class:`InfluenceGraph` rejects, an arc listed twice, a second
+    ``#nodes= arcs=`` header, or one that the file's arcs and nodes do not
+    match raises :class:`UnparsableLine`; a rejected id or repeat is quoted
+    as it reads back."""
     users = _Codes()
     arcs, nodes = _Columns("qqdq"), _Columns("qq")  # source, target, weight, line; node, line
     header = None
-    for numbers, text, tabs in _records(stream, headers=("#nodes=",)):
-        if text[:1] == "#":  # the header: no record starts with "#"
-            header = (int(numbers[0]), text)
+    for f in _records(stream, headers=("#nodes=",)):
+        if f.text[:1] == "#":  # the header: no record starts with "#"
+            if header is not None:
+                raise UnparsableLine(int(f.numbers[0]), f.text, "a second header")
+            header = (int(f.numbers[0]), f.text)
             continue
-        f = _Fields(numbers, text, tabs)
-        source, target, weight = f.take(0), f.take(1), f.take(2)
-        node = np.zeros(len(source), dtype=bool)
-        if "\t-\t-" in f.text:
-            node = np.fromiter(map(_node_line, target, weight), dtype=bool, count=len(source))
-            source, target, weight = (list(compress(c, ~node)) for c in (source, target, weight))
-        w = _floats(weight)
-        if not (
-            f.width == 3 and not any(map(operator.eq, source, target))
-            and ((w > 0.0) & (w <= 1.0)).all()
-        ):
-            f.screen(_unparsable(_graph_reason), strict=True)
-        arcs.append(users.of(source), users.of(target), w, f.numbers[~node])
-        if node.any():
-            nodes.append(users.of(f.take(0, np.flatnonzero(node))), f.numbers[node])
+        if "\t-\t-" in f.text:  # a node line ``i - -`` is no arc; others have no "\t-\t-"
+            node = (f.fields() == 3) & (f.size(1) == 1) & (f.size(2) == 1)
+            node &= f.starts(1, "-") & f.starts(2, "-")
+            nodes.append(users.of(f.take(0, np.flatnonzero(node))), f.numbers[f.rows[node]])
+            f.drop(node)
+        _judge(f, _GRAPH, strict=True)
+        arcs.append(users.of(f.take(0)), users.of(f.take(1)), f.floats(2), f.numbers[f.rows])
     ids, rank = _sorted_codes(users)
     src, dst, weights, line_nos = arcs.arrays()
     node, node_lines = nodes.arrays()

@@ -14,10 +14,11 @@ reads the input in blocks of 64 KiB of text and applies one line rule to a
 whole block at once: a line is skipped when its first character is ``#``, or
 when it has no TAB and is empty, whitespace only, or whitespace then ``#``. No
 record of any format has that shape, so every line a writer emits reads back;
-files may carry ``#`` headers, and no id may start with ``#``. Each reader
-then checks a block column by column; a block that fails its check has every
-line judged by the reader's per-line rule, which alone decides and words the
-error.
+files may carry ``#`` headers, and no id may start with ``#``. Each format is
+declared once, as an ordered list of column checks (``_EVENTS``, ``_FOLLOWS``
+and ``_CLICKS`` here, ``graphs._GRAPH``, ``cli._score_checks``), which
+:func:`_judge` runs over each block: a line's error is the first check it
+fails, so the order decides which error a line with several faults reports.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,8 +39,15 @@ from .errors import EmptyInput, IpRankError, NegativeCount, UnparsableLine
 
 MENTION = "M"
 RETWEET = "RT"
+T = TypeVar("T")
 
+# the reasons a record is rejected, by the readers and by the constructors alike
 _EVENT_SHAPE = "expected 'time user url M' or 'time user url RT source'"
+_EMPTY_USER = "empty user id"
+_EMPTY_URL = "empty url"
+_EMPTY_SOURCE = "empty retweet source"
+_SELF_CREDIT = "retweet credits its own author"
+_SELF_FOLLOW = "self-follow"
 # a written id starting with "#" would read back as a comment
 _HASH_ID = "id starts with '#'"
 
@@ -46,16 +55,16 @@ _HASH_ID = "id starts with '#'"
 def _event_error(user: str, url: str, source: str | None) -> str | None:
     """Why (user, url, source) is not a valid event, or None when it is."""
     if not user:
-        return "empty user id"
+        return _EMPTY_USER
     if not url:
-        return "empty url"
+        return _EMPTY_URL
     if user[0] == "#" or url[0] == "#":
         return _HASH_ID
     if source is not None:
         if not source:
-            return "empty retweet source"
+            return _EMPTY_SOURCE
         if source == user:
-            return "retweet credits its own author"
+            return _SELF_CREDIT
         if source[0] == "#":
             return _HASH_ID
     return None
@@ -64,9 +73,9 @@ def _event_error(user: str, url: str, source: str | None) -> str | None:
 def _follow_error(followee: str, follower: str) -> str | None:
     """Why (followee, follower) is not a valid follow edge, or None when it is."""
     if not followee or not follower:
-        return "empty user id"
+        return _EMPTY_USER
     if followee == follower:
-        return "self-follow"
+        return _SELF_FOLLOW
     if followee[0] == "#" or follower[0] == "#":
         return _HASH_ID
     return None
@@ -410,32 +419,108 @@ def _texts(stream: IO | str | bytes | Iterable[str]) -> Iterator[str]:
         yield text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _tab_counts(text: str, n: int) -> np.ndarray:
-    """The number of TABs in each of the ``n`` lines of ``text``."""
-    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)  # TAB, LF: one byte
-    ends = np.append(np.flatnonzero(raw == 10), raw.size)[:n]
-    return np.diff(np.searchsorted(np.flatnonzero(raw == 9), ends), prepend=0)
+class _Fields:
+    """One block of records, split at every TAB and LF at once.
+
+    ``rows`` are the lines still in play: all at first, fewer once
+    :func:`_judge` has dropped those failing a check. Each accessor gives a
+    value per line in play, computed once while they stay in play. Field
+    sizes and leading bytes come from the block's bytes, with no Python work
+    per line.
+    """
+
+    def __init__(self, numbers: np.ndarray, text: str) -> None:
+        self.numbers, self.text = numbers, text
+        # TAB and LF are one byte each; the LF appended ends the last line
+        self.raw = np.frombuffer(text.encode("utf-8", "surrogatepass") + b"\n", dtype=np.uint8)
+        sep = np.flatnonzero((self.raw == 9) | (self.raw == 10))
+        lf = np.flatnonzero(self.raw[sep] == 10)
+        self.begin = np.concatenate(([0], sep[:-1] + 1))  # first byte of each field
+        self.sizes = sep - self.begin
+        self.start = np.concatenate(([0], lf[:-1] + 1))  # first field of each line
+        self.tabs = lf - self.start
+        # fields per line when every line has as many, else 0
+        self.width = int(self.tabs[0]) + 1 if self.tabs.min() == self.tabs.max() else 0
+        self.rows = np.arange(lf.size)
+        self._memo: dict[object, object] = {}
+
+    flat = cached_property(lambda self: self.text.replace("\n", "\t").split("\t"))
+
+    def drop(self, out: np.ndarray) -> None:
+        """Take the lines ``out`` marks out of play."""
+        self.rows = self.rows[~out]
+        self._memo.clear()
+
+    def line(self, row: int) -> list[str]:
+        """The fields of line ``row`` of the block."""
+        return self.flat[self.start[row] : self.start[row] + self.tabs[row] + 1]
+
+    def _once(self, key: object, make: Callable[[], T]) -> T:
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]  # type: ignore[return-value]
+
+    def fields(self) -> np.ndarray:
+        return self._once("fields", lambda: self.tabs[self.rows] + 1)
+
+    def _at(self, k: int) -> np.ndarray:
+        """The index of field ``k`` of each line; where it has none, some other index."""
+        return self._once("start", lambda: self.start[self.rows]) + k
+
+    def size(self, k: int) -> np.ndarray:
+        """The UTF-8 length of field ``k``, -1 where the line has none."""
+        return self._once(("size", k), lambda: np.where(
+            self.fields() > k, self.sizes.take(self._at(k), mode="clip"), -1
+        ))
+
+    def starts(self, k: int, prefix: str) -> np.ndarray:
+        """Whether field ``k`` starts with the ASCII ``prefix``."""
+
+        def make() -> np.ndarray:
+            begin = self.begin.take(self._at(k), mode="clip")
+            out = self.size(k) >= len(prefix)
+            for i, byte in enumerate(prefix.encode("ascii")):
+                out &= self.raw.take(begin + i, mode="clip") == byte
+            return out
+
+        return self._once((k, prefix), make)
+
+    def take(self, k: int, sel: np.ndarray | None = None) -> list[str]:
+        """Field ``k`` of every line in play, or of each of the ascending
+        positions ``sel`` among them. A line without field ``k`` gives some
+        other field of the block."""
+        whole = sel is None or sel.size == self.rows.size
+        if whole and ("take", k) in self._memo:
+            return self._memo["take", k]  # type: ignore[return-value]
+        if whole and k < self.width and self.rows.size == self.tabs.size:
+            col = self.flat[k :: self.width]
+        else:
+            at = self._at(k) if whole else self.start[self.rows[sel]] + k
+            col = list(map(self.flat.__getitem__, np.minimum(at, len(self.flat) - 1).tolist()))
+        if whole:
+            self._memo["take", k] = col
+        return col
+
+    def floats(self, k: int) -> np.ndarray:
+        return self._once(("floats", k), lambda: _floats(self.take(k)))
 
 
 def _records(
     stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = ()
-) -> Iterator[tuple[np.ndarray, str, np.ndarray]]:
-    """``(line_nos, text, tabs)`` for the records of each block of
-    ``stream``: their line numbers, the records joined by LF without a final
-    one, and the number of TABs in each. A line starting with one of
-    ``headers`` comes as a block of its own. Line numbers count every line;
-    :func:`_texts` says where lines end."""
+) -> Iterator[_Fields]:
+    """The records of ``stream``, a block at a time. A line starting with
+    one of ``headers`` comes as a block of its own. Line numbers count every
+    line; :func:`_texts` says where lines end."""
     line_no = 1
     for text in _texts(stream):
         text = text[:-1] if text[-1:] == "\n" else text
-        n = text.count("\n") + 1
-        numbers = np.arange(line_no, line_no + n)
+        f = _Fields(np.arange(line_no, line_no + text.count("\n") + 1), text)
+        n = f.tabs.size
         line_no += n
-        tabs = _tab_counts(text, n)
         # the lines the rule may skip: those with no TAB, and those starting with "#"
-        odd = np.flatnonzero(tabs == 0).tolist()
+        odd = np.flatnonzero(f.tabs == 0).tolist()
         if not odd and text[:1] != "#" and "\n#" not in text:
-            yield numbers, text, tabs
+            yield f
             continue
         lines = text.split("\n")
         odd = sorted({*odd, *compress(range(n), map(str.startswith, lines, repeat("#")))})
@@ -448,63 +533,139 @@ def _records(
         for lo, hi in zip([0, *(k + 1 for k in heads)], [*heads, n]):
             rows = lo + np.flatnonzero(keep[lo:hi])
             if rows.size:
-                yield numbers[rows], "\n".join(map(lines.__getitem__, rows.tolist())), tabs[rows]
+                yield _Fields(f.numbers[rows], "\n".join(map(lines.__getitem__, rows.tolist())))
             if hi < n:
-                yield numbers[hi : hi + 1], lines[hi], tabs[hi : hi + 1]
+                yield _Fields(f.numbers[hi : hi + 1], lines[hi])
 
 
-class _Fields:
-    """One block of records split at every TAB and LF at once. ``take``
-    gives a column. A block that fails its reader's bulk check has every
-    line judged by :meth:`screen`; ``keep`` marks the lines it kept."""
+@dataclass(frozen=True, slots=True)
+class _Check:
+    """One rule of a line format. ``bad(f)`` marks the lines in play of
+    block ``f`` that break it. ``reason`` says why: a ``str.format``
+    template over the line's fields, or a function of them. ``error`` makes
+    the exception from the line number, the line and the reason."""
 
-    def __init__(self, numbers: np.ndarray, text: str, tabs: np.ndarray) -> None:
-        self.numbers, self.text, self.tabs = numbers, text, tabs
-        self.flat = text.replace("\n", "\t").split("\t")
-        self.start = np.cumsum(tabs + 1) - (tabs + 1)
-        # fields per line when every line has as many, else 0
-        self.width = int(tabs[0]) + 1 if tabs.min() == tabs.max() else 0
-        self.keep = np.ones(len(tabs), dtype=bool)
-
-    def take(self, field: int, rows: np.ndarray | None = None) -> list[str]:
-        """Field ``field`` of every line, or of each of ``rows``. A line with
-        fewer fields gives some other field of the block."""
-        if rows is None and field < self.width:
-            return self.flat[field :: self.width]
-        at = self.start if rows is None else self.start[rows]
-        at = np.minimum(at + field, len(self.flat) - 1)
-        return list(map(self.flat.__getitem__, at.tolist()))
-
-    def screen(self, fault: Callable[[int, str], IpRankError | None], strict: bool) -> int:
-        """Judge every line by ``fault(line_no, line)``, its error or None.
-        Strict mode raises the first error; lenient mode drops the lines in
-        error from ``keep`` and returns how many it dropped."""
-        lines = zip(self.numbers.tolist(), self.start.tolist(), self.tabs.tolist())
-        for k, (line_no, start, tabs) in enumerate(lines):
-            error = fault(line_no, "\t".join(self.flat[start : start + tabs + 1]))
-            if error is not None:
-                if strict:
-                    raise error
-                self.keep[k] = False
-        return len(self.tabs) - int(np.count_nonzero(self.keep))
-
-    def kept(self, col: list[str], rows: np.ndarray | None = None) -> list[str]:
-        """``col``, a column of every line or of each of ``rows``, for the lines kept."""
-        keep = self.keep if rows is None else self.keep[rows]
-        return col if keep.all() else list(compress(col, keep))
+    reason: str | Callable[[list[str]], str]
+    bad: Callable[[_Fields], np.ndarray]
+    error: Callable[[int, str, str], IpRankError] = UnparsableLine
 
 
-def _unparsable(
-    reason: Callable[[list[str]], str | None]
-) -> Callable[[int, str], UnparsableLine | None]:
-    """A fault function for :meth:`_Fields.screen` from a line rule that
-    gives the reason the fields of a line are rejected, or None."""
+def _judge(f: _Fields, checks: Sequence[_Check], strict: bool) -> int:
+    """Run a format's ``checks``, in order, over block ``f``. Each check
+    sees only the lines that passed the checks before it, and takes the
+    lines that fail it out of play, so a line's error is the first check it
+    fails. Strict mode raises the error of the block's first failing line;
+    lenient mode returns how many lines failed."""
+    failed: list[tuple[int, _Check]] = []
+    for check in checks:
+        if not f.rows.size:
+            break
+        bad = check.bad(f)
+        if bad.any():
+            failed += zip(f.rows[bad].tolist(), repeat(check))
+            f.drop(bad)
+    if strict and failed:
+        row, check = min(failed, key=operator.itemgetter(0))
+        parts = f.line(row)
+        reason = check.reason(parts) if callable(check.reason) else check.reason.format(*parts)
+        raise check.error(int(f.numbers[row]), "\t".join(parts), reason)
+    return len(failed)
 
-    def fault(line_no: int, line: str) -> UnparsableLine | None:
-        why = reason(line.split("\t"))
-        return None if why is None else UnparsableLine(line_no, line, why)
 
-    return fault
+# Column checks: each marks the lines in play that fail it, and may assume
+# the checks before it in its format. A line's fields are numbered from 0.
+
+
+def _line_test(
+    marks: Callable[[_Fields], np.ndarray], test: Callable[..., bool], *ks: int
+) -> Callable[[_Fields], np.ndarray]:
+    """The check that runs ``test`` on fields ``ks`` of each line that
+    ``marks`` picks out, and fails the lines it passes: the Python work is
+    only for the lines the vectorized ``marks`` leaves in doubt."""
+
+    def bad(f: _Fields) -> np.ndarray:
+        rows = np.flatnonzero(marks(f))
+        cols = [f.take(k, rows) for k in ks]
+        out = np.zeros(f.rows.size, dtype=bool)
+        if any(map(test, *cols)):  # seldom: so the mask is made only then
+            out[rows] = np.fromiter(map(test, *cols), bool, rows.size)
+        return out
+
+    return bad
+
+
+def _same(a: int, b: int) -> Callable[[_Fields], np.ndarray]:
+    """Lines whose fields ``a`` and ``b`` hold the same text; a line
+    without field ``b`` does not."""
+    return _line_test(lambda f: f.fields() > b, operator.eq, a, b)
+
+
+def _not_integer(k: int) -> Callable[[_Fields], np.ndarray]:
+    """Lines whose field ``k`` does not match ``-?[0-9]+``; ``int()`` alone
+    would also accept signs, spaces, underscores and non-ASCII digits."""
+
+    def bad(f: _Fields) -> np.ndarray:
+        size, sign = f.size(k), f.starts(k, "-")
+        data = np.frombuffer("".join(f.take(k)).encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        others = np.concatenate(([0], np.cumsum((data - 48) > 9)))  # non-digit bytes so far
+        end = np.cumsum(size)
+        return (size <= sign) | (others[end] > others[end - size + sign])
+
+    return bad
+
+
+def _floats(tokens: list[str]) -> np.ndarray:
+    """``float()`` of each token, NaN where ``float()`` rejects it."""
+    try:
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        return np.array([math.nan if _rejects_float(t) else float(t) for t in tokens])
+
+
+def _rejects_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
+# The checks of each format, in the order that decides which error a line
+# with several faults reports; fields 4 on are a retweet's.
+_EVENTS = (
+    _Check(_EVENT_SHAPE, lambda f: ~(
+        (f.fields() == 4) & f.starts(3, MENTION) & (f.size(3) == 1)
+        | (f.fields() == 5) & f.starts(3, RETWEET) & (f.size(3) == 2)
+    )),
+    _Check("not a base-10 integer: {0!r}", _not_integer(0)),
+    _Check(_EMPTY_USER, lambda f: f.size(1) == 0),
+    _Check(_EMPTY_URL, lambda f: f.size(2) == 0),
+    _Check(_HASH_ID, lambda f: f.starts(1, "#") | f.starts(2, "#")),
+    _Check(_EMPTY_SOURCE, lambda f: f.size(4) == 0),
+    _Check(_SELF_CREDIT, _same(1, 4)),
+    _Check(_HASH_ID, lambda f: f.starts(4, "#")),
+    _Check(  # only a time of over 18 digits may not fit in 64 bits
+        "time out of 64-bit range: {0!r}",
+        _line_test(
+            lambda f: f.size(0) - f.starts(0, "-") > 18, lambda t: not -(2**63) <= int(t) < 2**63, 0
+        ),
+    ),
+)
+_FOLLOWS = (
+    _Check("expected 'followee follower'", lambda f: f.fields() != 2),
+    _Check(_EMPTY_USER, lambda f: (f.size(0) == 0) | (f.size(1) == 0)),
+    _Check(_SELF_FOLLOW, _same(0, 1)),
+    _Check(_HASH_ID, lambda f: f.starts(0, "#") | f.starts(1, "#")),
+)
+_CLICKS = (
+    _Check("expected 'url count'", lambda f: (f.fields() != 2) | (f.size(0) == 0)),
+    _Check("not a base-10 integer: {1!r}", _not_integer(1)),
+    _Check(
+        lambda parts: f"negative count {int(parts[1])}",
+        _line_test(lambda f: f.starts(1, "-"), lambda t: int(t) < 0, 1),
+        lambda line_no, line, reason: NegativeCount(f"line {line_no}: {reason}"),
+    ),
+)
 
 
 class _Columns:
@@ -533,48 +694,6 @@ class _Codes(dict):
         return np.fromiter(map(self.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
-def _int_error(token: str) -> str | None:
-    """Why ``token`` is not an integer matching ``-?[0-9]+``, or None; ``int()``
-    alone would also accept signs, spaces, underscores and non-ASCII digits."""
-    digits = token[1:] if token[:1] == "-" else token
-    return None if digits.isascii() and digits.isdigit() else f"not a base-10 integer: {token!r}"
-
-
-def _all_digits(tokens: list[str]) -> bool:
-    """Whether every token is a non-empty run of ASCII digits."""
-    digits = "".join(tokens)
-    return all(tokens) and digits.isascii() and digits.isdigit()
-
-
-def _float_or_nan(token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        return math.nan
-
-
-def _floats(tokens: list[str]) -> np.ndarray:
-    """``float()`` of each token, NaN where ``float()`` rejects it."""
-    try:
-        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-    except ValueError:
-        return np.fromiter(map(_float_or_nan, tokens), dtype=np.float64, count=len(tokens))
-
-
-def _event_reason(parts: list[str]) -> str | None:
-    """Why the fields of an events line are not an event, or None when they are."""
-    if len(parts) == 4 and parts[3] == MENTION:
-        source = None
-    elif len(parts) == 5 and parts[3] == RETWEET:
-        source = parts[4]
-    else:
-        return _EVENT_SHAPE
-    reason = _int_error(parts[0]) or _event_error(parts[1], parts[2], source)
-    if reason is None and not -(2**63) <= int(parts[0]) < 2**63:
-        return f"time out of 64-bit range: {parts[0]!r}"
-    return reason
-
-
 def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) -> ActivityLog:
     """Parse an events stream into a time-sorted :class:`ActivityLog`.
 
@@ -586,36 +705,19 @@ def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) 
     users, urls = _Codes(), _Codes()
     cols = _Columns("qqqq")
     skipped = 0
-    for block in _records(stream):
-        f = _Fields(*block)
-        retweet = f.tabs == 4
-        rt = np.flatnonzero(retweet)
-        time, user, url, kind = (f.take(k) for k in range(4))
-        source = f.take(4, rt)
-        if not (
-            f.tabs.min() >= 3 and f.tabs.max() <= 4
-            and kind.count(MENTION) == len(kind) - rt.size
-            and f.take(3, rt).count(RETWEET) == rt.size
-            and _all_digits(time) and max(map(len, time)) <= 18  # so within 64 bits
-            and all(user) and all(url) and all(source) and "\t#" not in f.text
-            and not any(map(operator.eq, f.take(1, rt), source))
-        ):
-            skipped += f.screen(_unparsable(_event_reason), strict)
-        time, user = f.kept(time), f.kept(user)
-        codes = np.full(len(user), -1, dtype=np.int64)
-        codes[retweet[f.keep]] = users.of(f.kept(source, rt))
-        times = np.fromiter(map(int, time), dtype=np.int64, count=len(time))
-        cols.append(times, users.of(user), urls.of(f.kept(url)), codes)
+    for f in _records(stream):
+        skipped += _judge(f, _EVENTS, strict)
+        rt = np.flatnonzero(f.fields() == 5)
+        source = np.full(f.rows.size, -1, dtype=np.int64)
+        source[rt] = users.of(f.take(4, rt))
+        times = np.fromiter(map(int, f.take(0)), dtype=np.int64, count=f.rows.size)
+        cols.append(times, users.of(f.take(1)), urls.of(f.take(2)), source)
     cols = cols.arrays()
     if not cols[0].size:
         raise EmptyInput("no events parsed")
     log = ActivityLog.__new__(ActivityLog)
     log._load(users, urls, cols, skipped)
     return log
-
-
-def _follow_reason(parts: list[str]) -> str | None:
-    return _follow_error(*parts) if len(parts) == 2 else "expected 'followee follower'"
 
 
 def parse_follows(
@@ -625,15 +727,9 @@ def parse_follows(
     users = _Codes()
     cols = _Columns("qq")
     skipped = 0
-    for block in _records(stream):
-        f = _Fields(*block)
-        followee, follower = f.take(0), f.take(1)
-        if not (
-            f.width == 2 and all(followee) and all(follower) and "\t#" not in f.text
-            and not any(map(operator.eq, followee, follower))
-        ):
-            skipped += f.screen(_unparsable(_follow_reason), strict)
-        cols.append(users.of(f.kept(followee)), users.of(f.kept(follower)))
+    for f in _records(stream):
+        skipped += _judge(f, _FOLLOWS, strict)
+        cols.append(users.of(f.take(0)), users.of(f.take(1)))
     cols = cols.arrays()
     if not cols[0].size:
         raise EmptyInput("no follow edges parsed")
@@ -642,27 +738,15 @@ def parse_follows(
     return follows
 
 
-def _click_fault(line_no: int, line: str) -> IpRankError | None:
-    parts = line.split("\t")
-    reason = "expected 'url count'" if len(parts) != 2 or not parts[0] else _int_error(parts[1])
-    if reason is not None:
-        return UnparsableLine(line_no, line, reason)
-    count = int(parts[1])
-    return NegativeCount(f"line {line_no}: negative count {count}") if count < 0 else None
-
-
 def parse_clicks(
     stream: IO | str | bytes | Iterable[str], strict: bool = True
 ) -> ClickTable:
     """Parse ``url TAB count`` lines; duplicate URLs keep the maximum count."""
     rows: list[tuple[str, int]] = []
     skipped = 0
-    for block in _records(stream):
-        f = _Fields(*block)
-        url, count = f.take(0), f.take(1)
-        if not (f.width == 2 and all(url) and _all_digits(count)):
-            skipped += f.screen(_click_fault, strict)
-        rows += zip(f.kept(url), map(int, f.kept(count)))
+    for f in _records(stream):
+        skipped += _judge(f, _CLICKS, strict)
+        rows += zip(f.take(0), map(int, f.take(1)))
     # in count order, so each URL's largest count is the last one stored
     return ClickTable(dict(sorted(rows, key=operator.itemgetter(1))), skipped=skipped)
 

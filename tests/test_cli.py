@@ -661,6 +661,29 @@ class TestConfigHandling:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "scores,column,message",
+        [
+            ("#measure=m\nu\t1\n", "nosuch", "column 'nosuch' not present in"),
+            ("#measure=m\nu\tx\n", "m", "line 2 of {path}: score is not a number: 'u\\tx'"),
+        ],
+        ids=["missing-column", "malformed-row"],
+    )
+    def test_compare_reads_its_score_file_before_it_computes_a_measure(
+        self, trace_dir, capsys, scores, column, message
+    ):
+        path = trace_dir / "scores.tsv"
+        path.write_text(scores, encoding="utf-8")
+        out = trace_dir / "out"
+        out.mkdir()
+        argv = (
+            "compare", "--measure-a", "hindex", "--events", trace_dir / "events.tsv",
+            "--scores-b", path, "--column-b", column, "--out-dir", out,
+        )
+        assert run(*argv) == 2
+        assert f"error: ConfigInvalid: {message.format(path=path)}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv,config,message",
         [
             ((), "strict=maybe", "not a boolean: 'maybe'"),

@@ -403,6 +403,23 @@ class TestSerialization:
         with pytest.raises(UnparsableLine):
             graph_from_tsv(f"{header}\na\tb\t0.5\n")
 
+    @pytest.mark.parametrize(
+        "text,line_no",
+        [
+            ("#nodes=9 arcs=9\n#nodes=2 arcs=1\na\tb\t0.5\n", 2),
+            ("#nodes=2 arcs=1\na\tb\t0.5\n#c\n#nodes=2 arcs=1\n", 4),
+        ],
+    )
+    def test_second_header_rejected(self, text, line_no):
+        with pytest.raises(UnparsableLine) as info:
+            graph_from_tsv(text)
+        assert (info.value.line_no, info.value.reason) == (line_no, "a second header")
+        assert info.value.line == text.split("\n")[line_no - 1]
+
+    def test_one_header_may_come_anywhere(self):
+        g = graph_from_tsv("a\tb\t0.5\n#nodes=3 arcs=1\nc\t-\t-\n")
+        assert (g.num_nodes, g.num_arcs) == (3, 1)
+
     def test_nan_weight_rejected_by_graph(self):
         with pytest.raises(ValueError):
             InfluenceGraph.from_arcs([("a", "b", float("nan"))])

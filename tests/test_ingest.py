@@ -568,6 +568,81 @@ class TestNumbersParseAsFloatAndIntDo:
         assert (log.skipped, log.user_ids) == (1, ("v",))
 
 
+def _read_scores(tmp_path, text):
+    """``read_score_columns`` of ``text``, its path called PATH in an error."""
+    path = _file(tmp_path, text)
+    try:
+        return read_score_columns(path)
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(str(exc).replace(path, "PATH")) from None
+
+
+# lines, most with several faults, and the error each gives: that of the
+# first check of its format's order that it fails. Between them they try every
+# two checks adjacent in an order that one line can fail.
+EVENT_SHAPE = "expected 'time user url M' or 'time user url RT source'"
+SEVERAL_FAULTS = [
+    ("events", "x\t\tu\tM", UnparsableLine, "not a base-10 integer: 'x'"),
+    ("events", "1\tu\t#x\tRT\tu", UnparsableLine, "id starts with '#'"),
+    ("events", "9" * 20 + "\t\tx\tM", UnparsableLine, "empty user id"),
+    ("events", "1\tu\tx\tRT", UnparsableLine, EVENT_SHAPE),
+    ("events", "x\tu\tx\tRT", UnparsableLine, EVENT_SHAPE),
+    ("events", "1\t\t\tM", UnparsableLine, "empty user id"),
+    ("events", "1\tu\t\tRT\t", UnparsableLine, "empty url"),
+    ("events", "1\t#u\tx\tRT\t", UnparsableLine, "id starts with '#'"),
+    ("events", "1\tu\tx\tRT\t", UnparsableLine, "empty retweet source"),
+    ("events", "9" * 20 + "\tu\tx\tRT\tu", UnparsableLine, "retweet credits its own author"),
+    ("events", "9" * 20 + "\tu\tx\tRT\t#s", UnparsableLine, "id starts with '#'"),
+    ("events", "1\t#u\t\tM", UnparsableLine, "empty url"),
+    ("events", "9" * 20 + "\tu\tx\tRT\t", UnparsableLine, "empty retweet source"),
+    ("events", "9" * 20 + "\t#u\tx\tM", UnparsableLine, "id starts with '#'"),
+    ("follows", "a\ta\tb", UnparsableLine, "expected 'followee follower'"),
+    ("follows", "\t", UnparsableLine, "empty user id"),
+    ("follows", "a\t", UnparsableLine, "empty user id"),
+    ("follows", "a b\ta b", UnparsableLine, "self-follow"),
+    ("follows", "\t\t", UnparsableLine, "expected 'followee follower'"),
+    ("follows", "\t#a", UnparsableLine, "empty user id"),
+    ("clicks", "\t-x", UnparsableLine, "expected 'url count'"),
+    ("clicks", "u\t-x", UnparsableLine, "not a base-10 integer: '-x'"),
+    ("clicks", "u\t-007", NegativeCount, "negative count -7"),
+    ("clicks", "u\t1\t2", UnparsableLine, "expected 'url count'"),
+    ("clicks", "\t5", UnparsableLine, "expected 'url count'"),
+    ("graph", "a\ta\tnan", UnparsableLine, "self-arc"),
+    ("graph", "a\ta\t-", UnparsableLine, "self-arc"),
+    ("graph", "a\tb\tx", UnparsableLine, "could not convert string to float: 'x'"),
+    ("graph", "a\tb\tnan", UnparsableLine, "weight outside (0, 1]: 'nan'"),
+    ("graph", "a\t-\t-\tx", UnparsableLine, "expected 'source target weight' or 'node - -'"),
+    ("graph", "a\ta\t0.5\tx", UnparsableLine, "expected 'source target weight' or 'node - -'"),
+    ("scores", "a\t1\nb\tnan\tx", ConfigInvalid, "3 columns, unlike the 2 of line 1"),
+    ("scores", "a\tnan\tx\ty", ConfigInvalid, "unrecognized line"),
+    ("scores", "a\t1\nb\tx\tx\tx", ConfigInvalid, "unrecognized line"),
+    ("scores", "a\tx\t1", ConfigInvalid, "score is not a number"),
+]
+FAULT_READERS = {
+    "events": lambda tmp_path, text: parse_events(text),
+    "follows": lambda tmp_path, text: parse_follows(text),
+    "clicks": lambda tmp_path, text: parse_clicks(text),
+    "graph": lambda tmp_path, text: graph_from_tsv(text),
+    "scores": _read_scores,
+}
+
+
+class TestEachFormatChecksInOneOrder:
+    MESSAGE = {
+        UnparsableLine: "line {n}: {reason}: {line!r}",
+        NegativeCount: "line {n}: {reason}",
+        ConfigInvalid: "line {n} of PATH: {reason}: {line!r}",
+    }
+
+    @pytest.mark.parametrize("reader, text, error, reason", SEVERAL_FAULTS)
+    def test_a_line_reports_the_first_check_it_fails(self, tmp_path, reader, text, error, reason):
+        with pytest.raises(error) as info:
+            FAULT_READERS[reader](tmp_path, text + "\n")
+        *before, line = text.split("\n")
+        message = self.MESSAGE[error].format(n=len(before) + 1, reason=reason, line=line)
+        assert str(info.value) == message
+
+
 # per reader: valid lines that no bulk check clears, the malformed third line's
 # reason, and what the valid lines read to
 UNUSUAL = {

@@ -1,6 +1,6 @@
 """Hypothesis properties of the events, follows, graph and score formats, the
 columnar log and follow edges, and the array rankings against their
-dict-and-loop oracles."""
+dict-and-loop oracles; the block readers against their line-loop references."""
 
 import io
 import math
@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 from unittest.mock import patch
 
+import line_readers
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -359,3 +360,101 @@ def test_every_reader_reads_alike_at_every_block_size(text, drawn):
             assert outcomes == [outcomes[0]] * len(sizes), name
     finally:
         os.unlink(path)
+
+
+# valid lines of each format over a small id pool, so equal ids are common
+POOL = st.sampled_from(["a", "b", "-", "u#", "é", "a b"])
+PAIRS = st.tuples(POOL, POOL).filter(lambda p: p[0] != p[1])
+VALID_LINES = [
+    st.builds("{}\t{}\t{}\tM".format, TIMES, POOL, POOL),
+    st.builds(lambda t, p, url: f"{t}\t{p[0]}\t{url}\tRT\t{p[1]}", TIMES, PAIRS, POOL),
+    PAIRS.map("\t".join),
+    st.builds("{}\t{}".format, POOL, st.integers(0, 2**70)),
+    st.builds(lambda p, w: f"{p[0]}\t{p[1]}\t{w!r}", PAIRS, WEIGHTS) | POOL.map("{}\t-\t-".format),
+    st.builds("{}\t{!r}".format, POOL, SCORES),
+]
+# a valid line of each format, its ids made distinct by the number filled in
+TEMPLATES = [
+    "{0}\tu{0}\tl{0}\tM", "{0}\tu{0}\tl{0}\tRT\tv{0}", "u{0}\tv{0}", "l{0}\t{0}",
+    "u{0}\tv{0}\t0.5", "u{0}\t-\t-", "u{0}\t{0}", "u{0}\t{0}\t0.5",
+]
+FAULT_TOKENS = ["", "#a", "x", "-", "-0", "-7", "nan", "2", "RT", "9" * 20]
+
+
+def _one_fault_lines():
+    """``(template, line)``: the template's line 0 with one field swapped
+    for each fault token, or with one field too many or too few."""
+    for template in TEMPLATES:
+        fields = template.format(0).split("\t")
+        for k in range(len(fields)):
+            for token in FAULT_TOKENS:
+                yield template, "\t".join([*fields[:k], token, *fields[k + 1 :]])
+        yield template, "\t".join([*fields, "x"])
+        yield template, "\t".join(fields[:-1])
+
+
+ONE_FAULT_LINES = list(_one_fault_lines())
+
+
+@st.composite
+def mostly_valid_texts(draw):
+    """Valid lines of one format around one line that is likely malformed,
+    so a block that fails a check holds many lines."""
+    lines = draw(st.lists(draw(st.sampled_from(VALID_LINES)), min_size=1, max_size=40))
+    odd = draw(st.sampled_from([line for _, line in ONE_FAULT_LINES]) | PIECES | TEXTS)
+    lines.insert(draw(st.integers(0, len(lines))), odd)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_scores(path):
+    label, columns = line_readers.read_scores(path)
+    return label, {name: (v.node_ids, v.values.tolist()) for name, v in columns.items()}
+
+
+# each block reader, and its line-loop reference
+DIFFERENTIAL = {
+    **{
+        f"{name} {mode}": (
+            _reader(parse, write, mode == "strict"), _reader(reference, write, mode == "strict")
+        )
+        for name, parse, reference, write in [
+            ("events", parse_events, line_readers.read_events, events_to_tsv),
+            ("follows", parse_follows, line_readers.read_follows, follows_to_tsv),
+            ("clicks", parse_clicks, line_readers.read_clicks, clicks_to_tsv),
+        ]
+        for mode in ("strict", "lenient")
+    },
+    "graph": (STREAM_READERS["graph"], lambda text: graph_to_tsv(line_readers.read_graph(text))),
+}
+
+
+def _assert_readers_match_references(text, sizes):
+    path = _written(text)
+    try:
+        for size in sizes:
+            with patch.object(ingest, "_BLOCK", size):
+                for name, (read, reference) in DIFFERENTIAL.items():
+                    assert _outcome(read, text) == _outcome(reference, text), (name, size)
+                assert _outcome(_scores, path) == _outcome(_reference_scores, path), size
+    finally:
+        os.unlink(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(TEXTS | mostly_valid_texts())
+@example("x\t5\ny\t-007\nz\t-0\n")  # a negative count, and -0, which is none
+@example("#nodes=1 arcs=0\na\t-\t-\n#nodes=1 arcs=0\n")  # a second header
+def test_every_reader_matches_its_line_loop_reference(text):
+    """Each reader gives what its reference gives: the same result and
+    skipped count, or the same error type and message, at block sizes 1, 7
+    and the default."""
+    _assert_readers_match_references(text, (1, 7, ingest._BLOCK))
+
+
+def test_one_faulty_line_among_valid_ones_reads_as_the_reference_reads_it():
+    """Every field of a valid line of each format, swapped for each fault
+    token, as line 21 of 41: the failing block holds every line."""
+    for template, line in ONE_FAULT_LINES:
+        lines = [template.format(k) for k in range(1, 41)]
+        text = "\n".join([*lines[:20], line, *lines[20:]])
+        _assert_readers_match_references(text, [ingest._BLOCK])
