@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import ScoreVector
 from .errors import InsufficientOverlap, InvalidParams, NoData
-from .ingest import ActivityLog, FollowEdgeList, _lookup, _positions, _run_starts
+from .ingest import ActivityLog, FollowEdgeList, _lookup, _positions, _run_starts, _tsv_rows
 
 RATE_HIST_BINS = 10
 
@@ -58,6 +58,9 @@ class PercentileCurve:
 
 @dataclass(frozen=True, slots=True)
 class RankReport:
+    """Rows of a ranking; each column holds one type of value, and a column
+    of floats is written with 17 significant digits."""
+
     label: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
@@ -192,6 +195,9 @@ def percentile_curve(
 
 def _shared(a: ScoreVector, b: ScoreVector) -> tuple[np.ndarray, np.ndarray]:
     """Positions in ``a`` and in ``b`` of the ids both cover, in id order."""
+    if a.node_ids == b.node_ids:  # the common case: two measures over one graph
+        pos = np.arange(len(a.node_ids))
+        return pos, pos
     pos_b = _positions(dict(zip(b.node_ids, range(len(b.node_ids)))), a.node_ids)
     pos_a = np.flatnonzero(pos_b >= 0)
     return pos_a, pos_b[pos_a]
@@ -233,6 +239,13 @@ def _by_value(scores: ScoreVector) -> np.ndarray:
     return np.argsort(-scores.values, kind="stable")
 
 
+def _ranks(scores: ScoreVector) -> np.ndarray:
+    """Each position's 1-based place in :func:`_by_value`'s order."""
+    ranks = np.empty(len(scores.node_ids), dtype=np.int64)
+    ranks[_by_value(scores)] = np.arange(1, ranks.size + 1)
+    return ranks
+
+
 def top_k(scores: ScoreVector, k: int, eligible: Sequence[bool] | None = None) -> RankReport:
     """Best k users by value, ties by id; with a boolean ``eligible`` mask
     aligned with ``scores.node_ids``, only the users it marks are ranked."""
@@ -253,8 +266,7 @@ def top_k(scores: ScoreVector, k: int, eligible: Sequence[bool] | None = None) -
 
 def rank_join(a: ScoreVector, b: ScoreVector) -> RankReport:
     """Each shared user's rank under both measures, ranks over each full vector."""
-    # inverting the ranking permutation gives each position its rank
-    rank_a, rank_b = np.argsort(_by_value(a)) + 1, np.argsort(_by_value(b)) + 1
+    rank_a, rank_b = _ranks(a), _ranks(b)
     pos_a, pos_b = _shared(a, b)
     order = np.argsort(rank_a[pos_a])
     pos_a, pos_b = pos_a[order], pos_b[order]
@@ -267,17 +279,12 @@ def rank_join(a: ScoreVector, b: ScoreVector) -> RankReport:
     )
 
 
-def _cell(value: object) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def report_to_tsv(report: RankReport) -> str:
-    lines = [f"#report={report.label}", "#" + "\t".join(report.columns)]
-    for row in report.rows:
-        lines.append("\t".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    head = f"#report={report.label}\n#" + "\t".join(report.columns) + "\n"
+    if not report.rows:
+        return head
+    formats = ["%.17g" if isinstance(v, float) else "%s" for v in report.rows[0]]
+    return head + _tsv_rows(formats, *zip(*report.rows))
 
 
 def curve_to_tsv(curve: PercentileCurve) -> str:
@@ -297,13 +304,11 @@ def rates_to_tsv(report: RateReport) -> str:
     lines = [
         _summary_line("user_rate", report.user_summary),
         _summary_line("audience_rate", report.audience_summary),
-        "#user\tuser_rate\taudience_rate",
+        "#user\tuser_rate\taudience_rate\n",
     ]
-    for user in sorted(set(report.user_rates) | set(report.audience_rates)):
-        ur = report.user_rates.get(user)
-        ar = report.audience_rates.get(user)
-        lines.append(
-            f"{user}\t{'-' if ur is None else format(ur, '.17g')}"
-            f"\t{'-' if ar is None else format(ar, '.17g')}"
-        )
-    return "\n".join(lines) + "\n"
+    users = sorted(report.user_rates.keys() | report.audience_rates.keys())
+    rates = [
+        [format(r[u], ".17g") if u in r else "-" for u in users]
+        for r in (report.user_rates, report.audience_rates)
+    ]
+    return "\n".join(lines) + _tsv_rows(("%s", "%s", "%s"), users, *rates)

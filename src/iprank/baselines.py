@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptyNodeSet, InvalidParams
 from .graphs import InfluenceGraph
-from .ingest import ActivityLog, FollowEdgeList
+from .ingest import ActivityLog, FollowEdgeList, _tsv_rows
 from .ipcore import IterationTrace, _arc_sum, _l1_change, _same_scores, _set_scores
 
 
@@ -130,6 +130,5 @@ def retweet_count(log: ActivityLog) -> ScoreVector:
 
 
 def vector_to_tsv(vector: ScoreVector) -> str:
-    lines = [f"#measure={vector.label}"]
-    lines += (f"{user}\t{v:.17g}" for user, v in zip(vector.node_ids, vector.values.tolist()))
-    return "\n".join(lines) + "\n"
+    rows = _tsv_rows(("%s", "%.17g"), vector.node_ids, vector.values.tolist())
+    return f"#measure={vector.label}\n{rows}"

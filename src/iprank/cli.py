@@ -42,6 +42,7 @@ from .baselines import (
 from .errors import ConfigInvalid, IpRankError, MissingInput
 from .graphs import (
     InfluenceGraph,
+    _Ids,
     build_comention,
     build_retweet,
     build_retweet_follower,
@@ -51,7 +52,7 @@ from .graphs import (
     stats_to_tsv,
 )
 from .ingest import (
-    _Check, _judge, _records, parse_clicks, parse_events, parse_follows, url_counts,
+    _EMPTY_USER, _Check, _judge, _records, parse_clicks, parse_events, parse_follows, url_counts,
 )
 from .ipcore import IpParams, IterationTrace, ScorePair, run_ip, scores_to_tsv, trace_to_tsv
 
@@ -180,22 +181,15 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _fmt_param(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def manifest_lines(command: str, digests: dict[str, str], params: dict[str, object]) -> list[str]:
-    lines = [
+    """The manifest of an artifact; a float param is written as its shortest
+    round-trip decimal, since ``str`` of a float is its ``repr``."""
+    return [
         f"#manifest tool=iprank/{__version__}",
         f"#manifest command={command}",
+        *(f"#manifest input.{role}=sha256:{digest}" for role, digest in sorted(digests.items())),
+        *(f"#manifest param.{key}={value}" for key, value in sorted(params.items())),
     ]
-    for role, digest in sorted(digests.items()):
-        lines.append(f"#manifest input.{role}=sha256:{digest}")
-    for key, value in sorted(params.items()):
-        lines.append(f"#manifest param.{key}={_fmt_param(value)}")
-    return lines
 
 
 def read_manifest(path: str) -> dict[str, str]:
@@ -378,6 +372,7 @@ def _score_checks(path: str, first: int, width: int) -> tuple[_Check, ...]:
 
     return (
         _Check("unrecognized line", lambda f: (f.fields() < 2) | (f.fields() > 3), error),
+        _Check(_EMPTY_USER, lambda f: f.size(0) == 0, error),
         _Check(unlike, lambda f: f.fields() != width, error),
         _Check(
             "score is not a number",
@@ -419,18 +414,16 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     label = "scores" if label is None else label
     values = [np.concatenate(column) for column in zip(*blocks)]
     if not all(map(operator.lt, ids, ids[1:])):  # not written in id order
-        index = dict(zip(ids, range(len(ids))))
-        if len(index) < len(ids):
-            seen: set[str] = set()
-            for line_no, uid in zip(np.concatenate(line_nos).tolist(), ids):
-                if uid in seen:
-                    raise ConfigInvalid(f"line {line_no} of {path}: {uid!r} is listed twice")
-                seen.add(uid)
-        ids = sorted(index)
-        order = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+        order = sorted(range(len(ids)), key=ids.__getitem__)  # stable: repeats follow in file order
+        repeats = [k for j, k in zip(order, order[1:]) if ids[j] == ids[k]]
+        if repeats:
+            k = min(repeats)  # the first row whose id an earlier row listed
+            line_no = np.concatenate(line_nos)[k]
+            raise ConfigInvalid(f"line {line_no} of {path}: {ids[k]!r} is listed twice")
+        ids = [ids[k] for k in order]
         values = [column[order] for column in values]
     names = (label,) if width == 2 else ("influence", "passivity")
-    node_ids = tuple(ids)  # one tuple, shared by the columns
+    node_ids = _Ids(ids)  # ascending, and each a clean record's id: shared, not checked again
     return label, {name: ScoreVector(node_ids, v, name) for name, v in zip(names, values)}
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InvalidParams, UnparsableLine
 from .ingest import (
-    _HASH_ID, ActivityLog, FollowEdgeList, _Check, _Codes, _Columns, _judge, _line_test, _lookup,
-    _records, _rejects_float, _run_starts, _same, _sorted_codes,
+    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _Check, _Codes, _Columns, _judge,
+    _line_test, _lookup, _records, _rejects_float, _run_starts, _same, _sorted_codes, _tsv_rows,
 )
 
 WEIGHT_HIST_BINS = 10
@@ -36,24 +36,35 @@ WEIGHT_HIST_BINS = 10
 
 def _id_error(uid: str) -> str | None:
     """Why ``uid`` would not read back from a file, or None when it would."""
-    if uid[:1] == "#":
+    if not uid:
+        return _EMPTY_USER
+    if uid[0] == "#":
         return _HASH_ID
     if "\t" in uid or "\r" in uid or "\n" in uid:
         return "id contains TAB, CR or LF"
     return None
 
 
-def _sorted_ids(node_ids: Sequence[str]) -> tuple[str, ...]:
+class _Ids(tuple):
+    """Ids :func:`_sorted_ids` checked, which it takes back unchecked."""
+
+    __slots__ = ()
+
+
+def _sorted_ids(node_ids: Sequence[str]) -> _Ids:
     """``node_ids`` as a tuple, checked to be strictly ascending (so distinct)
-    and to pass :func:`_id_error`."""
+    and to pass :func:`_id_error`, unless it was checked already."""
+    if type(node_ids) is _Ids:
+        return node_ids
     ids = tuple(node_ids)
     if not all(map(operator.lt, ids, ids[1:])):
         raise ValueError("node ids must be distinct and sorted ascending; use from_arcs")
     text = "\n".join(("", *ids))  # each id after its own LF: one string holds them all
-    if "\n#" in text or "\t" in text or "\r" in text or text.count("\n") != len(ids):
+    bad = "\n#" in text or "\t" in text or "\r" in text or text.count("\n") != len(ids)
+    if bad or ids[:1] == ("",):  # sorted, so an empty id comes first
         uid = next(filter(_id_error, ids))
         raise ValueError(f"{_id_error(uid)}: {uid!r}")
-    return ids
+    return _Ids(ids)
 
 
 class InfluenceGraph:
@@ -263,17 +274,18 @@ def graph_to_tsv(g: InfluenceGraph) -> str:
 
     Isolated nodes are listed as ``i TAB - TAB -``.
     """
-    lines = [f"#nodes={g.num_nodes} arcs={g.num_arcs}"]
-    lines += (f"{i}\t{j}\t{w!r}" for i, j, w in g.arcs())
     isolated = np.ones(g.num_nodes, dtype=bool)
     isolated[g.src] = isolated[g.dst] = False
-    lines += (f"{g.node_ids[k]}\t-\t-" for k in np.flatnonzero(isolated).tolist())
-    return "\n".join(lines) + "\n"
+    codes = g.src, g.dst, np.flatnonzero(isolated)
+    src, dst, nodes = ([g.node_ids[k] for k in c.tolist()] for c in codes)
+    arcs = _tsv_rows(("%s", "%s", "%r"), src, dst, g.weights.tolist())
+    return f"#nodes={g.num_nodes} arcs={g.num_arcs}\n{arcs}" + _tsv_rows(("%s", "-", "-"), nodes)
 
 
 # the checks of an arc line, in order
 _GRAPH = (
     _Check("expected 'source target weight' or 'node - -'", lambda f: f.fields() != 3),
+    _Check(_EMPTY_USER, lambda f: (f.size(0) == 0) | (f.size(1) == 0)),
     _Check("self-arc", _same(0, 1)),
     _Check(
         "could not convert string to float: {2!r}",
@@ -299,7 +311,7 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
             header = (int(f.numbers[0]), f.text)
             continue
         if "\t-\t-" in f.text:  # a node line ``i - -`` is no arc; others have no "\t-\t-"
-            node = (f.fields() == 3) & (f.size(1) == 1) & (f.size(2) == 1)
+            node = (f.fields() == 3) & (f.size(0) > 0) & (f.size(1) == 1) & (f.size(2) == 1)
             node &= f.starts(1, "-") & f.starts(2, "-")
             nodes.append(users.of(f.take(0, np.flatnonzero(node))), f.numbers[f.rows[node]])
             f.drop(node)

@@ -132,12 +132,13 @@ class Retweets:
 
 
 def _sorted_codes(table: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Ids in sorted order, and the map from insertion code to sorted code."""
-    ids = sorted(table)
+    """Ids in sorted order, and the map from insertion code to sorted code;
+    ``table`` codes its ids 0, 1, ... in insertion order."""
+    ids = list(table)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.empty(len(ids), dtype=np.int64)
-    inserted = np.fromiter(map(table.__getitem__, ids), dtype=np.int64, count=len(ids))
-    rank[inserted] = np.arange(len(ids))
-    return tuple(ids), rank
+    rank[order] = np.arange(len(ids))
+    return tuple(map(ids.__getitem__, order)), rank
 
 
 def _run_starts(*cols: np.ndarray) -> np.ndarray:
@@ -751,6 +752,23 @@ def parse_clicks(
     return ClickTable(dict(sorted(rows, key=operator.itemgetter(1))), skipped=skipped)
 
 
+_ROW_BLOCK = 1024  # rows formatted by one ``%``
+
+
+def _tsv_rows(formats: Sequence[str], *columns: Sequence) -> str:
+    """One LF-ended line per position of the equal-length ``columns``: their
+    values through the ``%`` format of their column, joined by TAB. One
+    ``%`` formats a block of rows, so no Python code runs per row or cell."""
+    width = len(columns)
+    flat = [None] * (width * len(columns[0]))
+    for k, column in enumerate(columns):
+        flat[k::width] = column
+    step = width * _ROW_BLOCK
+    line = "\t".join(formats) + "\n"
+    blocks = (tuple(flat[lo : lo + step]) for lo in range(0, len(flat), step))
+    return "".join((line * (len(block) // width)) % block for block in blocks)
+
+
 def url_counts(log: ActivityLog) -> dict[str, int]:
     """Number of distinct URLs each user mentioned (mentions and retweets)."""
     codes, counts = np.unique(log.posts.user, return_counts=True)
@@ -759,21 +777,17 @@ def url_counts(log: ActivityLog) -> dict[str, int]:
 
 def events_to_tsv(log: ActivityLog) -> str:
     users, urls = log.user_ids, log.url_ids
-    lines = [
-        f"{t}\t{users[u]}\t{urls[r]}\t{MENTION}"
-        if s < 0
-        else f"{t}\t{users[u]}\t{urls[r]}\t{RETWEET}\t{users[s]}"
-        for t, u, r, s in zip(log.time.tolist(), log.user.tolist(), log.url.tolist(), log.source.tolist())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    kinds = [MENTION if s < 0 else f"{RETWEET}\t{users[s]}" for s in log.source.tolist()]
+    return _tsv_rows(
+        ("%d", "%s", "%s", "%s"), log.time.tolist(), [users[u] for u in log.user.tolist()],
+        [urls[r] for r in log.url.tolist()], kinds,
+    )
 
 
 def follows_to_tsv(follows: FollowEdgeList) -> str:
     ids = follows.user_ids
-    lines = [
-        f"{ids[a]}\t{ids[b]}" for a, b in zip(follows.followee.tolist(), follows.follower.tolist())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    pairs = follows.followee.tolist(), follows.follower.tolist()
+    return _tsv_rows(("%s", "%s"), *([ids[k] for k in codes] for codes in pairs))
 
 
 def clicks_to_tsv(table: ClickTable) -> str:

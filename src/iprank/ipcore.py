@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DegenerateGraph, EmptyGraph, InvalidParams
 from .graphs import InfluenceGraph, _sorted_ids
+from .ingest import _tsv_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,13 +180,9 @@ def run_ip(
 
 def scores_to_tsv(pair: ScorePair) -> str:
     """``user TAB influence TAB passivity`` with 17 significant digits."""
-    lines = [
-        f"{user}\t{i:.17g}\t{p:.17g}"
-        for user, i, p in zip(pair.node_ids, pair.influence.tolist(), pair.passivity.tolist())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    columns = pair.node_ids, pair.influence.tolist(), pair.passivity.tolist()
+    return _tsv_rows(("%s", "%.17g", "%.17g"), *columns)
 
 
 def trace_to_tsv(trace: IterationTrace) -> str:
-    lines = [f"{k}\t{d!r}" for k, d in enumerate(trace.deltas, start=1)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _tsv_rows(("%d", "%r"), range(1, len(trace.deltas) + 1), trace.deltas)

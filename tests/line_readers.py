@@ -135,6 +135,8 @@ def read_clicks(text, strict=True):
 def graph_reason(parts):
     if len(parts) != 3:
         return "expected 'source target weight' or 'node - -'"
+    if not parts[0] or not parts[1]:
+        return "empty user id"
     if parts[1] == "-" and parts[2] == "-":
         return None
     if parts[0] == parts[1]:
@@ -199,6 +201,8 @@ def read_scores(path):
         first = first or (line_no, len(parts))
         if len(parts) not in (2, 3):
             reason = "unrecognized line"
+        elif not parts[0]:
+            reason = "empty user id"
         elif len(parts) != first[1]:
             reason = f"{len(parts)} columns, unlike the {first[1]} of line {first[0]}"
         else:

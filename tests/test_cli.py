@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import iprank
-from iprank import cli
+from iprank import cli, graphs, ipcore
 from iprank.cli import load_config, main, read_manifest, read_score_columns
 from iprank.errors import ConfigInvalid
 from iprank.graphs import graph_from_tsv
@@ -228,6 +228,15 @@ class TestScoreFiles:
         scores.write_text("a\t0.5\t0.5\nb\t0.5\tnan\n", encoding="utf-8")
         assert run("rank", "--scores", scores, "--out-dir", tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("rows", ["#measure=m\na\t1\n\t2\n", "a\t1\t2\nb\t1\t2\n\t2\t3\n"])
+    def test_empty_id_is_config_error(self, tmp_path, capsys, rows):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(rows, encoding="utf-8")
+        assert run("rank", "--scores", scores, "--out-dir", tmp_path / "out") == 2
+        line = rows.split("\n")[2]
+        err = capsys.readouterr().err
+        assert f"error: ConfigInvalid: line 3 of {scores}: empty user id: {line!r}" in err
+
     def test_id_listed_twice_is_config_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.tsv"
         scores.write_text("#measure=m\na\t1\nb\t2\na\t3\n", encoding="utf-8")
@@ -414,6 +423,30 @@ class TestEachInputReadOnce:
             "--clicks", trace_dir / "clicks.tsv", "--bin-count", "5", "--out-dir", trace_dir / "out",
         ) == 0
         assert capsys.readouterr().err.count("skipped 1 malformed events line(s)") == 1
+
+
+def test_each_id_table_is_checked_once(tmp_path, monkeypatch):
+    """``ip`` and ``pagerank`` check the ids of the graph they read, once
+    each; ``rank`` and ``compare`` over their score files check none again."""
+    full = []
+    for module in (graphs, ipcore):
+
+        def counted(ids, _check=module._sorted_ids):
+            if type(ids) is not graphs._Ids:
+                full.append(len(ids))
+            return _check(ids)
+
+        monkeypatch.setattr(module, "_sorted_ids", counted)
+    graph, out = tmp_path / "graph.tsv", tmp_path / "out"
+    graph.write_text("a\tb\t0.5\nb\tc\t0.25\nc\ta\t0.5\nd\t-\t-\n", encoding="utf-8")
+    assert run("ip", "--graph", graph, "--out-dir", out) == 0
+    assert run("pagerank", "--graph", graph, "--out-dir", out) == 0
+    assert full == [4, 4]
+    full.clear()
+    assert run("rank", "--scores", out / "ip_scores.tsv", "--out-dir", out) == 0
+    scores = ("--scores-a", out / "ip_scores.tsv", "--scores-b", out / "pagerank.tsv")
+    assert run("compare", *scores, "--out-dir", out) == 0
+    assert full == []
 
 
 class TestIpConvergenceReported:

@@ -385,6 +385,13 @@ class TestSerialization:
             graph_from_tsv(f"c\td\t0.5\n{line}\n")
         assert info.value.line_no == 2
 
+    @pytest.mark.parametrize("line", ["\tb\t0.5", "a\t\t0.5", "\t\t0.5", "\t-\t-", "\t-\tx"])
+    def test_empty_id_reports_its_line(self, line):
+        with pytest.raises(UnparsableLine) as info:
+            graph_from_tsv(f"c\td\t0.5\n{line}\ne\t-\t-\n")
+        assert (info.value.line_no, info.value.line) == (2, line)
+        assert info.value.reason == "empty user id"
+
     def test_repeated_arc_reports_its_first_repeat(self):
         text = "#nodes=3 arcs=3\nb\tc\t0.25\na\tb\t0.5\n\nb\tc\t0.75\na\tb\t0.50\n"
         with pytest.raises(UnparsableLine) as info:
@@ -441,7 +448,7 @@ class TestSerialization:
         assert (info.value.line_no, info.value.line, info.value.reason) == (line_no, line, reason)
 
 
-@pytest.mark.parametrize("bad", ["#x", "a\tb", "a\rb", "a\nb", "b\n#c"])
+@pytest.mark.parametrize("bad", ["#x", "a\tb", "a\rb", "a\nb", "b\n#c", ""])
 def test_constructors_reject_ids_that_would_not_read_back(bad):
     for make in (
         lambda ids: InfluenceGraph.from_arcs([], nodes=ids),
@@ -451,3 +458,19 @@ def test_constructors_reject_ids_that_would_not_read_back(bad):
         with pytest.raises(ValueError):
             make(["a", bad])
         assert make(["a", "b#c", "d e"]).node_ids == ("a", "b#c", "d e")
+
+
+@pytest.mark.parametrize("ids", [("b", "a"), ("a", "a"), ("#x", "a"), ("a", "a\tb"), ("", "a")])
+def test_a_plain_tuple_is_checked_in_full(ids):
+    with pytest.raises(ValueError):
+        ScoreVector(ids, np.zeros(2), "m")
+    with pytest.raises(ValueError):
+        ScorePair(ids, np.zeros(2), np.zeros(2), 1)
+
+
+def test_a_checked_id_table_is_shared_not_checked_again():
+    g = graph_from_tsv("a\tb\t0.5\nc\t-\t-\n")
+    pair = ScorePair(g.node_ids, np.ones(3), np.ones(3), 1)
+    vector = ScoreVector(pair.node_ids, pair.influence, "m")
+    assert pair.node_ids is g.node_ids and vector.node_ids is g.node_ids
+    assert g.node_ids == ("a", "b", "c")

@@ -5,18 +5,23 @@ dict-and-loop oracles; the block readers against their line-loop references."""
 import io
 import math
 import os
+import random
 import re
 import tempfile
 from pathlib import Path
 from unittest.mock import patch
 
 import line_readers
+import line_writers
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from iprank import ingest
-from iprank.analytics import _average_ranks, rank_correlation, rank_join, top_k
+from iprank.analytics import (
+    RankReport, RateReport, RateSummary, _average_ranks, rank_correlation, rank_join,
+    rates_to_tsv, report_to_tsv, top_k,
+)
 from iprank.baselines import ScoreVector, follower_count, vector_to_tsv
 from iprank.cli import load_config, read_manifest, read_score_columns
 from iprank.errors import (
@@ -24,6 +29,7 @@ from iprank.errors import (
 )
 from iprank.graphs import InfluenceGraph, graph_from_tsv, graph_to_tsv
 from iprank.ingest import (
+    _ROW_BLOCK,
     ActivityLog,
     ClickTable,
     FollowEdgeList,
@@ -35,7 +41,7 @@ from iprank.ingest import (
     parse_events,
     parse_follows,
 )
-from iprank.ipcore import ScorePair, scores_to_tsv
+from iprank.ipcore import IterationTrace, ScorePair, scores_to_tsv, trace_to_tsv
 from iprank.testkit import (
     average_ranks,
     by_id,
@@ -165,7 +171,7 @@ def test_graph_round_trips_through_tsv(nodes, data):
 @given(st.lists(st.text(alphabet="#\t\r\n a", max_size=3), max_size=5, unique=True))
 def test_constructor_scan_matches_the_per_id_rule(ids):
     ids = sorted(ids)
-    bad = any(u.startswith("#") or "\t" in u or "\r" in u or "\n" in u for u in ids)
+    bad = any(not u or u[0] == "#" or "\t" in u or "\r" in u or "\n" in u for u in ids)
     try:
         InfluenceGraph(ids, [], [], [])
     except ValueError:
@@ -214,6 +220,10 @@ def test_average_ranks_match_the_loop(values):
 
 @given(VECTORS, VECTORS)
 def test_rank_correlation_matches_the_oracle(a, b):
+    assert_rank_correlation_matches_the_oracle(a, b)
+
+
+def assert_rank_correlation_matches_the_oracle(a, b):
     da, db = by_id(a), by_id(b)
     common = sorted(da.keys() & db.keys())
     if len(common) < 2:
@@ -248,9 +258,38 @@ def test_top_k_matches_the_oracle(scores, k, data):
 
 @given(VECTORS, VECTORS)
 def test_rank_join_matches_the_oracle(a, b):
+    assert_rank_join_matches_the_oracle(a, b)
+
+
+def assert_rank_join_matches_the_oracle(a, b):
     ra, rb = ranks_of(a), ranks_of(b)
     common = sorted(ra.keys() & rb.keys(), key=lambda u: (ra[u], u))
     assert rank_join(a, b).rows == tuple((u, ra[u], rb[u]) for u in common)
+
+
+@given(VECTORS, st.data())
+def test_alignment_does_not_depend_on_how_the_ids_are_shared(a, data):
+    """A second vector over the very id tuple of the first, over an equal
+    but distinct tuple, over those ids and one more, or over none of them:
+    each is joined and correlated as the oracle says."""
+    n = len(a.node_ids)
+    values = data.draw(st.lists(VALUES, min_size=n, max_size=n))
+    same = ScoreVector(a.node_ids, values, "b")
+    equal = ScoreVector(tuple(list(a.node_ids)), values, "b")
+    assert same.node_ids is a.node_ids
+    assert equal.node_ids == a.node_ids and equal.node_ids is not a.node_ids
+    # after every other id and valued least, the extra id leaves the others' ranks as they were
+    extra = max(a.node_ids, default="") + "\U0010ffff"
+    wider = ScoreVector((*a.node_ids, extra), [*values, -math.inf], "b")
+    for b in (same, equal, wider):
+        assert_rank_join_matches_the_oracle(a, b)
+        assert_rank_correlation_matches_the_oracle(a, b)
+    assert rank_join(a, same) == rank_join(a, equal) == rank_join(a, wider)
+    apart = sorted({u + "+" for u in a.node_ids} - set(a.node_ids))
+    disjoint = ScoreVector(apart, np.ones(len(apart)), "b")
+    with pytest.raises(InsufficientOverlap):
+        rank_correlation(a, disjoint)
+    assert rank_join(a, disjoint).rows == ()
 
 
 # pieces of text that make records of every reader, their headers, comments,
@@ -458,3 +497,89 @@ def test_one_faulty_line_among_valid_ones_reads_as_the_reference_reads_it():
         lines = [template.format(k) for k in range(1, 41)]
         text = "\n".join([*lines[:20], line, *lines[20:]])
         _assert_readers_match_references(text, [ingest._BLOCK])
+
+
+# values each format must carry exactly: signed zero, infinities, subnormals
+# and the largest magnitudes among any others
+FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [-0.0, math.inf, -math.inf, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300, 1 / 3]
+)
+INTS = st.integers() | st.sampled_from([2**53 + 1, -(2**53) - 1, 2**64, -(2**70)])
+# row counts at the edges of one block of rows
+ROW_COUNTS = st.sampled_from([0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+
+
+@st.composite
+def columns(draw, *kinds):
+    """Equal-length columns of ``ROW_COUNTS`` rows, each drawing its cells
+    from a few values of its kind; an ``"ids"`` column holds distinct ``IDS``
+    in ascending order."""
+    n = draw(ROW_COUNTS)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    out = []
+    for kind in kinds:
+        pool = draw(st.lists(IDS if kind == "ids" else kind, min_size=1, max_size=5))
+        if kind == "ids":  # a fixed-width suffix keeps the ids distinct
+            out.append(sorted(f"{rng.choice(pool)}|{k:05d}" for k in range(n)))
+        else:
+            out.append([rng.choice(pool) for _ in range(n)])
+    return out
+
+
+@settings(deadline=None)
+@given(columns("ids", FLOATS, FLOATS))
+def test_scores_to_tsv_matches_the_row_writer(cols):
+    pair = ScorePair(*cols, 1)
+    assert scores_to_tsv(pair) == line_writers.scores_to_tsv(pair)
+
+
+@settings(deadline=None)
+@given(columns("ids", FLOATS), IDS)
+def test_vector_to_tsv_matches_the_row_writer(cols, label):
+    vector = ScoreVector(*cols, label)
+    assert vector_to_tsv(vector) == line_writers.vector_to_tsv(vector)
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from(["ids", FLOATS | st.just(math.nan), INTS]), min_size=1, max_size=4)
+       .flatmap(lambda kinds: columns(*kinds)))
+def test_report_to_tsv_matches_the_row_writer(cols):
+    report = RankReport("r", tuple(f"c{k}" for k in range(len(cols))), tuple(zip(*cols)))
+    assert report_to_tsv(report) == line_writers.report_to_tsv(report)
+
+
+@settings(deadline=None)
+@given(columns(WEIGHTS), ROW_COUNTS, IDS)
+def test_graph_to_tsv_matches_the_row_writer(cols, isolated, prefix):
+    (weights,) = cols
+    arcs = len(weights)
+    ids = [f"{prefix}|{k:05d}" for k in range(2 * arcs + isolated)]
+    src = np.arange(0, 2 * arcs, 2)
+    g = InfluenceGraph(ids, src, src + 1, weights)
+    assert graph_to_tsv(g) == line_writers.graph_to_tsv(g)
+
+
+@settings(deadline=None)
+@given(columns(FLOATS))
+def test_trace_to_tsv_matches_the_row_writer(cols):
+    trace = IterationTrace(tuple(cols[0]))
+    assert trace_to_tsv(trace) == line_writers.trace_to_tsv(trace)
+
+
+@given(st.dictionaries(IDS, FLOATS), st.dictionaries(IDS, FLOATS))
+def test_rates_to_tsv_matches_the_row_writer(user_rates, audience_rates):
+    summary = RateSummary(0.5, math.nan, (1, 0, 2))
+    report = RateReport(user_rates, audience_rates, summary, summary)
+    assert rates_to_tsv(report) == line_writers.rates_to_tsv(report)
+
+
+@given(event_lists())
+def test_events_to_tsv_matches_the_row_writer(events):
+    log = ActivityLog(events)
+    assert events_to_tsv(log) == line_writers.events_to_tsv(log)
+
+
+@given(st.lists(EDGE_IDS, min_size=2, max_size=5, unique=True).flatmap(edge_lists))
+def test_follows_to_tsv_matches_the_row_writer(edges):
+    follows = FollowEdgeList(edges)
+    assert follows_to_tsv(follows) == line_writers.follows_to_tsv(follows)

@@ -1,0 +1,35 @@
+"""The benchmark's tracer still sees every layer of the score commands.
+
+``perfbench/tracing.py`` finds its layers by wrapping, by name, the
+functions ``iprank.cli`` imports; a layer whose function is renamed or
+reshaped would silently read 0 in the per-layer metrics.
+"""
+
+import importlib
+from pathlib import Path
+
+from iprank import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_rank_and_compare_enter_every_layer_they_use(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    scores, out = tmp_path / "ip_scores.tsv", tmp_path / "out"
+    scores.write_text("#measure=ip\na\t0.5\t0.25\nb\t0.25\t0.5\nc\t0.25\t0.25\n", encoding="utf-8")
+    commands = {
+        "rank": ["--scores", scores],
+        "compare": ["--scores-a", scores, "--scores-b", scores, "--column-b", "passivity"],
+    }
+    tracer = tracing.Tracer()
+    with tracing.instrumented(cli, tracer):
+        for name, flags in commands.items():
+            with tracer.span(f"cli.{name}"):
+                assert cli.main([name, *map(str, flags), "--out-dir", str(out)]) == 0
+    metrics = tracing.layer_metrics(tracer)
+    for name in (
+        "analytics.rank_correlation_s", "analytics.rank_join_s", "analytics.report_to_tsv_s",
+        "analytics.top_k_s", "cli.read_score_columns_s", "cli.rank_s", "cli.compare_s",
+    ):
+        assert metrics[name] > 0, name
