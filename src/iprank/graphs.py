@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InvalidParams, UnparsableLine
 from .ingest import (
-    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _Check, _Codes, _Columns, _judge,
-    _line_test, _lookup, _records, _rejects_float, _run_starts, _same, _sorted_codes, _tsv_rows,
+    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _ascending, _Check, _Columns, _Interner,
+    _judge, _line_test, _lookup, _records, _rejects_float, _run_starts, _same_id, _tsv_rows,
 )
 
 WEIGHT_HIST_BINS = 10
@@ -98,12 +98,11 @@ class InfluenceGraph:
                 raise ValueError("self-arcs are not allowed")
             if not np.all((weights > 0.0) & (weights <= 1.0)):
                 raise ValueError("arc weights must lie in (0, 1]")
-            same = src[1:] == src[:-1]
-            if not np.all((src[1:] > src[:-1]) | same & (dst[1:] > dst[:-1])):  # unsorted
+            if not _ascending(src, dst):
                 order = np.lexsort((dst, src))
                 src, dst, weights = src[order], dst[order], weights[order]
-                if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
-                    raise ValueError("duplicate arcs")
+            if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
+                raise ValueError("duplicate arcs")
         self.node_ids = ids
         self.src = src
         self.dst = dst
@@ -286,7 +285,7 @@ def graph_to_tsv(g: InfluenceGraph) -> str:
 _GRAPH = (
     _Check("expected 'source target weight' or 'node - -'", lambda f: f.fields() != 3),
     _Check(_EMPTY_USER, lambda f: (f.size(0) == 0) | (f.size(1) == 0)),
-    _Check("self-arc", _same(0, 1)),
+    _Check("self-arc", _same_id(0, 1)),
     _Check(
         "could not convert string to float: {2!r}",
         _line_test(lambda f: np.isnan(f.floats(2)), _rejects_float, 2),
@@ -301,7 +300,7 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
     ``#nodes= arcs=`` header, or one that the file's arcs and nodes do not
     match raises :class:`UnparsableLine`; a rejected id or repeat is quoted
     as it reads back."""
-    users = _Codes()
+    tokens = _Interner()
     arcs, nodes = _Columns("qqdq"), _Columns("qq")  # source, target, weight, line; node, line
     header = None
     for f in _records(stream, headers=("#nodes=",)):
@@ -313,11 +312,11 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
         if "\t-\t-" in f.text:  # a node line ``i - -`` is no arc; others have no "\t-\t-"
             node = (f.fields() == 3) & (f.size(0) > 0) & (f.size(1) == 1) & (f.size(2) == 1)
             node &= f.starts(1, "-") & f.starts(2, "-")
-            nodes.append(users.of(f.take(0, np.flatnonzero(node))), f.numbers[f.rows[node]])
+            nodes.append(tokens.of(f, (0,), np.flatnonzero(node))[0], f.numbers[f.rows[node]])
             f.drop(node)
         _judge(f, _GRAPH, strict=True)
-        arcs.append(users.of(f.take(0)), users.of(f.take(1)), f.floats(2), f.numbers[f.rows])
-    ids, rank = _sorted_codes(users)
+        arcs.append(*tokens.of(f, (0, 1)), f.floats(2), f.numbers[f.rows])
+    ids, rank = tokens.table()
     src, dst, weights, line_nos = arcs.arrays()
     node, node_lines = nodes.arrays()
     src, dst = rank[src], rank[dst]

@@ -150,6 +150,15 @@ def _run_starts(*cols: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def _ascending(*cols: np.ndarray) -> bool:
+    """Whether the rows of the equal-length ``cols`` never decrease, the
+    first column deciding first."""
+    ok = True
+    for col in reversed(cols):
+        ok = (col[:-1] < col[1:]) | (col[:-1] == col[1:]) & ok
+    return bool(np.all(ok))
+
+
 def _positions(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
     """``index[id]`` for each id, -1 where the id is absent."""
     return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
@@ -200,9 +209,11 @@ class ActivityLog:
         user = user_rank[user]
         url = url_rank[url]
         source = np.where(source >= 0, user_rank[np.maximum(source, 0)], -1)
-        order = np.lexsort((source, url, user, time))
-        for name, col in (("time", time), ("user", user), ("url", url), ("source", source)):
-            col = col[order]
+        cols = time, user, url, source
+        if not _ascending(*cols):  # files that events_to_tsv wrote are in order
+            order = np.lexsort(cols[::-1])
+            cols = tuple(col[order] for col in cols)
+        for name, col in zip(("time", "user", "url", "source"), cols):
             col.flags.writeable = False
             setattr(self, name, col)
         self.user_index = {uid: k for k, uid in enumerate(self.user_ids)}
@@ -505,6 +516,95 @@ class _Fields:
     def floats(self, k: int) -> np.ndarray:
         return self._once(("floats", k), lambda: _floats(self.take(k)))
 
+    def keys(self, *ks: int) -> np.ndarray:
+        """A sort key per line in play for each field of ``ks``: the field's
+        first ``_PREFIX`` UTF-8 bytes, zero-padded, then a byte holding its
+        size, or ``_PREFIX + 1`` when it is longer; read big-endian as the
+        fewest 64-bit words the longest of these fields needs. Keys sort as
+        their fields do, and equal keys hold equal fields unless
+        :func:`_is_long` says they are longer than ``_PREFIX``."""
+
+        def make() -> np.ndarray:
+            size = np.stack([self.size(k) for k in ks])
+            begin = np.stack([self.begin.take(self._at(k), mode="clip") for k in ks])
+            lanes = np.arange(min(int(size.max(initial=0)), _PREFIX) // 8 * 8 + 8)
+            key = self.raw.take(begin[..., None] + lanes, mode="clip")
+            key[lanes >= size[..., None]] = 0
+            key[..., -1] = np.minimum(size, _PREFIX + 1)
+            return key.view(">u8").astype(np.uint64)
+
+        return self._once(("keys", ks), make)
+
+
+_PREFIX = 15  # id bytes a key holds: with its size byte, two 64-bit words at most
+
+
+def _is_long(key: np.ndarray) -> np.ndarray:
+    return key[..., -1] & 255 > _PREFIX
+
+
+def _widen(key: np.ndarray, words: int) -> np.ndarray:
+    """Keys of :meth:`_Fields.keys` as ``words`` words each, the size byte moved last."""
+    out = np.zeros((len(key), words), dtype=np.uint64)
+    out[:, : key.shape[1]] = key
+    out[:, key.shape[1] - 1] ^= key[:, -1] & 255
+    out[:, -1] |= key[:, -1] & 255
+    return out
+
+
+class _Interner:
+    """Sorted codes of id tokens, from one key per token (:meth:`_Fields.keys`),
+    all sorted at once at the end. Only ids longer than ``_PREFIX`` bytes are
+    interned as strings; their sorted run is merged with that of the others."""
+
+    def __init__(self) -> None:
+        self._keys = [np.zeros((0, 1), dtype=np.uint64)]  # per block, one row per token
+        self._long = _Codes()
+        self._count = 0
+
+    def of(self, f: _Fields, ks: tuple[int, ...], sel: np.ndarray | None = None) -> np.ndarray:
+        """Numbers, in the order taken, for the tokens of fields ``ks`` of the
+        lines in play, or of the ascending positions ``sel`` among them."""
+        key = f.keys(*ks) if sel is None else f.keys(*ks)[:, sel]
+        long = _is_long(key)
+        if long.any():  # a long id's key keeps its string's code in its first word
+            key = key.copy()
+            for j, k in enumerate(ks):
+                rows = np.flatnonzero(long[j])
+                key[j, rows, 0] = self._long.of(f.take(k, rows if sel is None else sel[rows]))
+        self._keys.append(key.reshape(-1, key.shape[-1]))
+        tokens = self._count + np.arange(long.size).reshape(long.shape)
+        self._count += long.size
+        return tokens
+
+    def table(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The distinct ids, sorted, and each token's code among them."""
+        words = max(k.shape[1] for k in self._keys)
+        key = np.concatenate([_widen(k, words) for k in self._keys])
+        long = _is_long(key) if self._long else None
+        short = key if long is None else key[~long]
+        cols = list(short.T[::-1])  # the first word sorts first
+        order = np.lexsort(cols) if words > 1 else cols[0].argsort()
+        starts = _run_starts(*(col[order] for col in cols))
+        codes = np.empty(len(short), dtype=np.int64)
+        codes[order] = np.repeat(np.arange(starts.size), np.diff(np.append(starts, order.size)))
+        # each distinct key's bytes then an LF, decoded at once
+        data = short[order[starts]].astype(">u8").view(np.uint8)
+        size = data[:, -1].astype(np.int64)
+        data[np.arange(starts.size), size] = 10
+        text = data[np.arange(8 * words) <= size[:, None]].tobytes()
+        ids = text.decode("utf-8", "surrogatepass").split("\n")[:-1]
+        if long is not None:  # merge the sorted runs of short and long ids
+            long_ids, rank = _sorted_codes(self._long)
+            short_codes, codes = codes, np.empty(self._count, dtype=np.int64)
+            codes[~long], codes[long] = short_codes, len(ids) + rank[key[long, 0]]
+            ids += long_ids
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            at = np.empty(len(ids), dtype=np.int64)
+            at[order] = np.arange(len(ids))
+            codes, ids = at[codes], list(map(ids.__getitem__, order))
+        return tuple(ids), codes
+
 
 def _records(
     stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = ()
@@ -599,6 +699,14 @@ def _same(a: int, b: int) -> Callable[[_Fields], np.ndarray]:
     """Lines whose fields ``a`` and ``b`` hold the same text; a line
     without field ``b`` does not."""
     return _line_test(lambda f: f.fields() > b, operator.eq, a, b)
+
+
+def _same_id(a: int, b: int) -> Callable[[_Fields], np.ndarray]:
+    """:func:`_same` for lines with fields ``a`` and ``b``; only lines whose
+    keys (:meth:`_Fields.keys`) tie are compared as text."""
+    return _line_test(
+        lambda f: (f.keys(a, b)[0] == f.keys(a, b)[1]).all(axis=-1), operator.eq, a, b
+    )
 
 
 def _not_integer(k: int) -> Callable[[_Fields], np.ndarray]:

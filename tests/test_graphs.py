@@ -1,10 +1,12 @@
 """Graph construction against the weight formulas and naive counting oracles."""
 
 import io
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from iprank import ingest
 from iprank.baselines import ScoreVector
 from iprank.errors import InvalidParams, UnparsableLine
 from iprank.graphs import (
@@ -19,6 +21,8 @@ from iprank.graphs import (
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
 from iprank.ipcore import ScorePair
 from iprank.testkit import PairwiseCounts, SynthParams, arc_weights, pairwise_counts, synth_trace
+
+LONG = "0123456789abcdef"  # 16 bytes: longer than the graph reader's key prefix
 
 
 def mention(t, user, url):
@@ -446,6 +450,42 @@ class TestSerialization:
         with pytest.raises(UnparsableLine) as info:
             graph_from_tsv(io.StringIO(text, newline="\n"))  # a stream that keeps each CR
         assert (info.value.line_no, info.value.line, info.value.reason) == (line_no, line, reason)
+
+    # ids longer than the reader's key prefix, told apart by their text: the
+    # expected lines and reasons are those the string-interning reader gave
+    @pytest.mark.parametrize(
+        "text,line_no,line,reason",
+        [
+            (f"c\td\t0.5\n{LONG}x\t{LONG}x\t0.5\n", 2, f"{LONG}x\t{LONG}x\t0.5", "self-arc"),
+            # ends that first differ after byte 16 are no self-arc; line 3 is one
+            (
+                f"c\td\t0.5\n{LONG}x\t{LONG}y\t0.5\n{LONG}y\t{LONG}y\t0.5\n",
+                3, f"{LONG}y\t{LONG}y\t0.5", "self-arc",
+            ),
+            (
+                f"{LONG}x\t{LONG}y\t0.5\n{LONG}y\t{LONG}x\t0.5\n{LONG}x\t{LONG}y\t0.25\n",
+                3, f"{LONG}x\t{LONG}y\t0.25", "duplicate arc",
+            ),
+            (f"a\tb\t0.5\nb\t#{LONG}\t0.5\n", 2, f"b\t#{LONG}\t0.5", "id starts with '#'"),
+        ],
+    )
+    def test_long_ids_report_the_line_they_did_before(self, text, line_no, line, reason):
+        with pytest.raises(UnparsableLine) as info:
+            graph_from_tsv(text)
+        assert (info.value.line_no, info.value.line, info.value.reason) == (line_no, line, reason)
+
+    def test_an_id_reads_the_same_in_blocks_of_any_key_width(self):
+        # one line a block: "a" is read with 8-byte keys, then with 16-byte keys
+        text = f"a\tb\t0.5\nb\t{LONG[:9]}\t0.5\n{LONG[:9]}\ta\t0.5\n"
+        with patch.object(ingest, "_BLOCK", 1):
+            g = graph_from_tsv(text)
+        assert g == graph_from_tsv(text)
+        assert g.node_ids == (LONG[:9], "a", "b")
+
+    def test_a_trailing_nul_makes_another_id(self):
+        g = graph_from_tsv("a\tb\t0.5\na\x00\tb\t0.5\n")
+        assert g.node_ids == ("a", "a\x00", "b")
+        assert g.num_arcs == 2
 
 
 @pytest.mark.parametrize("bad", ["#x", "a\tb", "a\rb", "a\nb", "b\n#c", ""])

@@ -119,6 +119,23 @@ class TestParseEvents:
             logs.append(parse_events("\n".join(shuffled) + "\n"))
         assert all(lg == logs[0] for lg in logs)
 
+    def test_a_file_in_log_order_reads_as_its_shuffled_copy(self):
+        # ties on (time, user), so url, kind and source decide the order
+        lines = [
+            "5\tu2\tb\tM", "5\tu2\ta\tRT\tu3", "5\tu2\ta\tM", "5\tu2\ta\tRT\tu1",
+            "5\tu1\tc\tM", "1\tu3\ta\tM", "5\tu2\tb\tRT\tu1", "9\tu1\ta\tM",
+        ]
+        canonical = events_to_tsv(parse_events("\n".join(lines)))
+        assert canonical.splitlines() != lines
+        rows = canonical.splitlines(keepends=True)
+        log = parse_events(canonical)
+        for order in (rows[::-1], random.Random(3).sample(rows, len(rows))):
+            shuffled = parse_events("".join(order))
+            assert shuffled == log
+            assert events_to_tsv(shuffled) == canonical
+        for col in (log.time, log.user, log.url, log.source):
+            assert not col.flags.writeable
+
     def test_index_covers_exactly_the_events(self):
         log = parse_events(EVENTS + "9\tu1\turl-z\tM\n")
         positions = sorted(p for ps in log.by_user.values() for p in ps)

@@ -4,6 +4,7 @@ dict-and-loop oracles; the block readers against their line-loop references."""
 
 import io
 import math
+import operator
 import os
 import random
 import re
@@ -165,6 +166,32 @@ def test_graph_round_trips_through_tsv(nodes, data):
         arcs = data.draw(st.dictionaries(pairs, WEIGHTS, max_size=10))
     g = InfluenceGraph.from_arcs([(i, j, w) for (i, j), w in arcs.items()], nodes=nodes)
     assert graph_from_tsv(graph_to_tsv(g)) == g
+
+
+# ids that strain the graph reader's byte keys: stems of 7, 8, 9, 15, 16, 17 and
+# 40 bytes (long ones sharing their first 16), each perhaps with a tail of NUL,
+# DEL, multibyte characters or lone surrogates, so one id is often another's prefix
+KEY_STEMS = ["", "x" * 7, "x" * 8, "x" * 9, "y" * 15, "0123456789abcdef", "0123456789abcdefg"]
+KEY_STEMS += ["0123456789abcdef" + "z" * 24, "0123456789abcdef" + "w" * 24]
+KEY_CHARS = ["a", "b", "\x00", "\x7f", "é", "中", "\U0001f600", "\ud800", "\udfff"]
+KEY_TAILS = st.text(alphabet=st.sampled_from(KEY_CHARS), max_size=3)
+KEY_IDS = st.builds(operator.add, st.just("") | st.sampled_from(KEY_STEMS), KEY_TAILS).filter(bool)
+
+
+@settings(deadline=None)
+@given(st.lists(KEY_IDS, min_size=1, max_size=10), st.data())
+def test_graph_reader_sorts_and_tells_apart_every_id(ids, data):
+    nodes = sorted(set(ids))
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    pairs = pairs.filter(lambda e: e[0] != e[1])
+    arcs = data.draw(st.dictionaries(pairs, WEIGHTS, max_size=12)) if len(nodes) > 1 else {}
+    g = InfluenceGraph.from_arcs([(i, j, w) for (i, j), w in arcs.items()], nodes=ids)
+    text = graph_to_tsv(g)  # a str, so lone surrogates reach the reader
+    for size in (7, ingest._BLOCK):
+        with patch.object(ingest, "_BLOCK", size):
+            back = graph_from_tsv(text)
+        assert back == g
+        assert back.node_ids == tuple(nodes)
 
 
 # ids from characters that matter to the line format, so the rule is often broken

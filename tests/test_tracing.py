@@ -1,4 +1,4 @@
-"""The benchmark's tracer still sees every layer of the score commands.
+"""The benchmark's tracer still sees every layer of the score and graph commands.
 
 ``perfbench/tracing.py`` finds its layers by wrapping, by name, the
 functions ``iprank.cli`` imports; a layer whose function is renamed or
@@ -33,3 +33,23 @@ def test_rank_and_compare_enter_every_layer_they_use(tmp_path, monkeypatch):
         "analytics.top_k_s", "cli.read_score_columns_s", "cli.rank_s", "cli.compare_s",
     ):
         assert metrics[name] > 0, name
+
+
+def test_graph_commands_enter_every_layer_they_use(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    graph, out = tmp_path / "graph.tsv", tmp_path / "out"
+    text = "#nodes=4 arcs=3\na\tb\t0.5\nb\tc\t0.25\nc\ta\t1.0\nd\t-\t-\n"
+    graph.write_text(text, encoding="utf-8")
+    tracer = tracing.Tracer()
+    with tracing.instrumented(cli, tracer):
+        for name in ("ip", "pagerank"):
+            with tracer.span(f"cli.{name}"):
+                assert cli.main([name, "--graph", str(graph), "--out-dir", str(out)]) == 0
+    metrics = tracing.layer_metrics(tracer)
+    for name in (
+        "graphs.graph_from_tsv_s", "ipcore.run_ip_s", "ipcore.scores_to_tsv_s",
+        "baselines.weighted_pagerank_s", "baselines.vector_to_tsv_s", "cli.ip_s", "cli.pagerank_s",
+    ):
+        assert metrics[name] > 0, name
+    assert (metrics["graphs.nodes"], metrics["graphs.arcs"]) == (2 * 4, 2 * 3)
