@@ -312,10 +312,10 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
         if "\t-\t-" in f.text:  # a node line ``i - -`` is no arc; others have no "\t-\t-"
             node = (f.fields() == 3) & (f.size(0) > 0) & (f.size(1) == 1) & (f.size(2) == 1)
             node &= f.starts(1, "-") & f.starts(2, "-")
-            nodes.append(tokens.of(f, (0,), np.flatnonzero(node))[0], f.numbers[f.rows[node]])
+            nodes.append(tokens.of(f, (0,), sel=np.flatnonzero(node)), f.numbers[f.rows[node]])
             f.drop(node)
         _judge(f, _GRAPH, strict=True)
-        arcs.append(*tokens.of(f, (0, 1)), f.floats(2), f.numbers[f.rows])
+        arcs.append(tokens.of(f, (0, 1)), tokens.of(f, (0, 1), 1), f.floats(2), f.numbers[f.rows])
     ids, rank = tokens.table()
     src, dst, weights, line_nos = arcs.arrays()
     node, node_lines = nodes.arrays()

@@ -19,6 +19,10 @@ declared once, as an ordered list of column checks (``_EVENTS``, ``_FOLLOWS``
 and ``_CLICKS`` here, ``graphs._GRAPH``, ``cli._score_checks``), which
 :func:`_judge` runs over each block: a line's error is the first check it
 fails, so the order decides which error a line with several faults reports.
+The readers of ids (events, follows, ``graphs.graph_from_tsv``) intern them by
+a byte key per token (:class:`_Interner`) and read times from the digit
+bytes, so a block of events or follows whose lines all pass is never split
+into Python strings; a field of ids longer than ``_PREFIX`` bytes is.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import io
 import math
 import operator
+import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -40,6 +45,7 @@ from .errors import EmptyInput, IpRankError, NegativeCount, UnparsableLine
 MENTION = "M"
 RETWEET = "RT"
 T = TypeVar("T")
+_Table = tuple[tuple[str, ...], np.ndarray]  # sorted ids, and the code of each number
 
 # the reasons a record is rejected, by the readers and by the constructors alike
 _EVENT_SHAPE = "expected 'time user url M' or 'time user url RT source'"
@@ -131,9 +137,9 @@ class Retweets:
     count: np.ndarray
 
 
-def _sorted_codes(table: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+def _sorted_codes(table: Iterable[str]) -> _Table:
     """Ids in sorted order, and the map from insertion code to sorted code;
-    ``table`` codes its ids 0, 1, ... in insertion order."""
+    ``table`` codes its distinct ids 0, 1, ... in the order it gives them."""
     ids = list(table)
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.empty(len(ids), dtype=np.int64)
@@ -197,18 +203,17 @@ class ActivityLog:
             cols[1].append(users.setdefault(ev.user, len(users)))
             cols[2].append(urls.setdefault(ev.url, len(urls)))
             cols[3].append(-1 if ev.source is None else users.setdefault(ev.source, len(users)))
-        self._load(users, urls, cols, skipped)
+        self._load(_sorted_codes(users), _sorted_codes(urls), cols, skipped)
 
-    def _load(
-        self, users: dict[str, int], urls: dict[str, int], cols: Sequence, skipped: int
-    ) -> None:
-        """Renumber codes into sorted-id order and sort the rows."""
+    def _load(self, users: _Table, urls: _Table, cols: Sequence, skipped: int) -> None:
+        """Map the columns' numbers to codes of the sorted ``users`` and
+        ``urls`` ids, and sort the rows."""
         time, user, url, source = (np.asarray(c, dtype=np.int64) for c in cols)
-        self.user_ids, user_rank = _sorted_codes(users)
-        self.url_ids, url_rank = _sorted_codes(urls)
-        user = user_rank[user]
-        url = url_rank[url]
-        source = np.where(source >= 0, user_rank[np.maximum(source, 0)], -1)
+        self.user_ids, user_rank = users
+        self.url_ids, url_rank = urls
+        user[:], url[:] = user_rank[user], url_rank[url]  # in place: no second copy is kept
+        rt = np.flatnonzero(source >= 0)
+        source[rt] = user_rank[source[rt]]
         cols = time, user, url, source
         if not _ascending(*cols):  # files that events_to_tsv wrote are in order
             order = np.lexsort(cols[::-1])
@@ -338,11 +343,12 @@ class FollowEdgeList:
                 raise ValueError(reason)
             cols[0].append(users.setdefault(followee, len(users)))
             cols[1].append(users.setdefault(follower, len(users)))
-        self._load(users, cols, skipped)
+        self._load(_sorted_codes(users), cols, skipped)
 
-    def _load(self, users: dict[str, int], cols: Sequence, skipped: int) -> None:
-        """Renumber codes into sorted-id order, then sort and dedupe the edges."""
-        self.user_ids, rank = _sorted_codes(users)
+    def _load(self, users: _Table, cols: Sequence, skipped: int) -> None:
+        """Map the columns' numbers to codes of the sorted ``users`` ids, then
+        sort and dedupe the edges."""
+        self.user_ids, rank = users
         n = max(len(self.user_ids), 1)
         followee, follower = (rank[np.asarray(c, dtype=np.int64)] for c in cols)
         self.followee, self.follower = np.divmod(np.unique(followee * n + follower), n)
@@ -443,8 +449,11 @@ class _Fields:
 
     def __init__(self, numbers: np.ndarray, text: str) -> None:
         self.numbers, self.text = numbers, text
-        # TAB and LF are one byte each; the LF appended ends the last line
-        self.raw = np.frombuffer(text.encode("utf-8", "surrogatepass") + b"\n", dtype=np.uint8)
+        # TAB and LF are one byte each; the LF appended ends the last line, and
+        # 16 zero bytes keep the 8-byte loads of :meth:`keys` inside the block
+        data = text.encode("utf-8", "surrogatepass") + b"\n" + bytes(16)
+        self.raw = np.frombuffer(data, dtype=np.uint8)
+        self._word_at = np.ndarray((self.raw.size - 7,), ">u8", data, strides=(1,))  # bytes i..i+7
         sep = np.flatnonzero((self.raw == 9) | (self.raw == 10))
         lf = np.flatnonzero(self.raw[sep] == 10)
         self.begin = np.concatenate(([0], sep[:-1] + 1))  # first byte of each field
@@ -502,16 +511,41 @@ class _Fields:
         positions ``sel`` among them. A line without field ``k`` gives some
         other field of the block."""
         whole = sel is None or sel.size == self.rows.size
-        if whole and ("take", k) in self._memo:
-            return self._memo["take", k]  # type: ignore[return-value]
         if whole and k < self.width and self.rows.size == self.tabs.size:
-            col = self.flat[k :: self.width]
-        else:
-            at = self._at(k) if whole else self.start[self.rows[sel]] + k
-            col = list(map(self.flat.__getitem__, np.minimum(at, len(self.flat) - 1).tolist()))
-        if whole:
-            self._memo["take", k] = col
-        return col
+            return self.flat[k :: self.width]
+        at = self._at(k) if whole else self.start[self.rows[sel]] + k
+        return list(map(self.flat.__getitem__, np.minimum(at, len(self.flat) - 1).tolist()))
+
+    def digits(self, k: int) -> np.ndarray:
+        """The last bytes of field ``k`` after a leading "-", at most ``_DIGITS``,
+        each less 48 (a digit's value), a column per line, the last byte in
+        the last row; 0 above the field."""
+
+        def make() -> np.ndarray:
+            size, sign = self.size(k), self.starts(k, "-")
+            width = np.arange(-min(int((size - sign).max(initial=0)), _DIGITS), 0)
+            end = self.begin.take(self._at(k), mode="clip") + size
+            out = np.empty((width.size, end.size), dtype=np.uint8)
+            for row, w in zip(out, width):  # a row at a time: no temporary outgrows the block
+                self.raw.take(end + w, out=row, mode="clip")
+            out -= 48
+            out[width[:, None] < sign - size] = 0
+            return out
+
+        return self._once(("digits", k), make)
+
+    def integers(self, k: int) -> np.ndarray:
+        """Field ``k`` of lines that pass :func:`_not_integer` and fit in 64
+        bits: from :meth:`digits`, and through ``int()`` for longer fields."""
+        value = np.zeros(self.rows.size, dtype=np.int64)
+        for row in self.digits(k):
+            value = value * 10 + row
+        sign = self.starts(k, "-")
+        value = np.where(sign, -value, value)
+        long = np.flatnonzero(self.size(k) - sign > _DIGITS)
+        if long.size:
+            value[long] = list(map(int, self.take(k, long)))
+        return value
 
     def floats(self, k: int) -> np.ndarray:
         return self._once(("floats", k), lambda: _floats(self.take(k)))
@@ -527,16 +561,22 @@ class _Fields:
         def make() -> np.ndarray:
             size = np.stack([self.size(k) for k in ks])
             begin = np.stack([self.begin.take(self._at(k), mode="clip") for k in ks])
-            lanes = np.arange(min(int(size.max(initial=0)), _PREFIX) // 8 * 8 + 8)
-            key = self.raw.take(begin[..., None] + lanes, mode="clip")
-            key[lanes >= size[..., None]] = 0
-            key[..., -1] = np.minimum(size, _PREFIX + 1)
-            return key.view(">u8").astype(np.uint64)
+            words = min(int(size.max(initial=0)), _PREFIX) // 8 + 1
+            key = np.empty((*size.shape, words), dtype=np.uint64)
+            for w in range(words):  # the last word keeps its last byte for the size
+                held = np.clip(size - 8 * w, 0, 8 if w < words - 1 else 7)
+                # indexing, as ``take`` would first copy the unaligned words whole
+                key[..., w] = self._word_at[begin + 8 * w] & _MASKS[held]
+            key[..., -1] |= np.minimum(size, _PREFIX + 1).astype(np.uint64) & 255
+            return key
 
         return self._once(("keys", ks), make)
 
 
 _PREFIX = 15  # id bytes a key holds: with its size byte, two 64-bit words at most
+_DIGITS = 18  # digits of an integer field read at once: any 18 fit in 64 bits
+_INTEGER = re.compile("-?[0-9]+")
+_MASKS = np.array([((1 << 8 * n) - 1) << (64 - 8 * n) for n in range(9)], dtype=np.uint64)
 
 
 def _is_long(key: np.ndarray) -> np.ndarray:
@@ -555,32 +595,48 @@ def _widen(key: np.ndarray, words: int) -> np.ndarray:
 class _Interner:
     """Sorted codes of id tokens, from one key per token (:meth:`_Fields.keys`),
     all sorted at once at the end. Only ids longer than ``_PREFIX`` bytes are
-    interned as strings; their sorted run is merged with that of the others."""
+    interned as strings, and a field of such ids alone gets no key bytes;
+    the sorted run of long ids is merged with that of the others."""
 
     def __init__(self) -> None:
-        self._keys = [np.zeros((0, 1), dtype=np.uint64)]  # per block, one row per token
+        self._keys = array("Q")  # every token's key, ``_words`` words each
+        self._words = 1
         self._long = _Codes()
-        self._count = 0
 
-    def of(self, f: _Fields, ks: tuple[int, ...], sel: np.ndarray | None = None) -> np.ndarray:
-        """Numbers, in the order taken, for the tokens of fields ``ks`` of the
-        lines in play, or of the ascending positions ``sel`` among them."""
-        key = f.keys(*ks) if sel is None else f.keys(*ks)[:, sel]
-        long = _is_long(key)
-        if long.any():  # a long id's key keeps its string's code in its first word
-            key = key.copy()
-            for j, k in enumerate(ks):
-                rows = np.flatnonzero(long[j])
-                key[j, rows, 0] = self._long.of(f.take(k, rows if sel is None else sel[rows]))
-        self._keys.append(key.reshape(-1, key.shape[-1]))
-        tokens = self._count + np.arange(long.size).reshape(long.shape)
-        self._count += long.size
-        return tokens
+    def of(
+        self, f: _Fields, ks: tuple[int, ...], j: int = 0, sel: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Numbers, in the order taken, for the tokens of field ``ks[j]`` of
+        the lines in play, or of the ascending positions ``sel`` among them,
+        keyed by ``f.keys(*ks)[j]``."""
+        k = ks[j]
+        size = f.size(k) if sel is None else f.size(k)[sel]
+        if not size.size:
+            return np.zeros(0, dtype=np.int64)
+        if np.all(size > _PREFIX):  # a long id's key holds its string's code
+            codes = self._long.of(f.take(k, sel))
+            key = np.column_stack((codes, np.full(size.size, _PREFIX + 1))).astype(np.uint64)
+        else:
+            key = f.keys(*ks)[j] if sel is None else f.keys(*ks)[j, sel]
+            long = np.flatnonzero(_is_long(key))
+            if long.size:
+                key = key.copy()
+                key[long, 0] = self._long.of(f.take(k, long if sel is None else sel[long]))
+        words = key.shape[1]
+        if words > self._words:  # widen the keys stored so far
+            stored = np.frombuffer(self._keys, dtype=np.uint64).reshape(-1, self._words)
+            self._keys, self._words = array("Q", _widen(stored, words).tobytes()), words
+        if words < self._words:
+            key = _widen(key, self._words)
+        count = len(self._keys) // self._words
+        self._keys.frombytes(key.tobytes())
+        return np.arange(count, count + len(key))
 
-    def table(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The distinct ids, sorted, and each token's code among them."""
-        words = max(k.shape[1] for k in self._keys)
-        key = np.concatenate([_widen(k, words) for k in self._keys])
+    def table(self) -> _Table:
+        """The distinct ids, sorted, and each token's code among them; drops the keys."""
+        words = self._words
+        key = np.frombuffer(self._keys, dtype=np.uint64).reshape(-1, words)
+        self._keys = array("Q")
         long = _is_long(key) if self._long else None
         short = key if long is None else key[~long]
         cols = list(short.T[::-1])  # the first word sorts first
@@ -594,15 +650,11 @@ class _Interner:
         data[np.arange(starts.size), size] = 10
         text = data[np.arange(8 * words) <= size[:, None]].tobytes()
         ids = text.decode("utf-8", "surrogatepass").split("\n")[:-1]
-        if long is not None:  # merge the sorted runs of short and long ids
-            long_ids, rank = _sorted_codes(self._long)
-            short_codes, codes = codes, np.empty(self._count, dtype=np.int64)
-            codes[~long], codes[long] = short_codes, len(ids) + rank[key[long, 0]]
-            ids += long_ids
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            at = np.empty(len(ids), dtype=np.int64)
-            at[order] = np.arange(len(ids))
-            codes, ids = at[codes], list(map(ids.__getitem__, order))
+        if long is not None:  # sort the long ids, in code order, in among the others
+            short_codes, codes = codes, np.empty(len(key), dtype=np.int64)
+            codes[~long], codes[long] = short_codes, len(ids) + key[long, 0].astype(np.int64)
+            ids, rank = _sorted_codes([*ids, *self._long])
+            codes = rank[codes]
         return tuple(ids), codes
 
 
@@ -686,8 +738,10 @@ def _line_test(
 
     def bad(f: _Fields) -> np.ndarray:
         rows = np.flatnonzero(marks(f))
-        cols = [f.take(k, rows) for k in ks]
         out = np.zeros(f.rows.size, dtype=bool)
+        if not rows.size:
+            return out
+        cols = [f.take(k, rows) for k in ks]
         if any(map(test, *cols)):  # seldom: so the mask is made only then
             out[rows] = np.fromiter(map(test, *cols), bool, rows.size)
         return out
@@ -695,30 +749,32 @@ def _line_test(
     return bad
 
 
-def _same(a: int, b: int) -> Callable[[_Fields], np.ndarray]:
-    """Lines whose fields ``a`` and ``b`` hold the same text; a line
-    without field ``b`` does not."""
-    return _line_test(lambda f: f.fields() > b, operator.eq, a, b)
-
-
 def _same_id(a: int, b: int) -> Callable[[_Fields], np.ndarray]:
-    """:func:`_same` for lines with fields ``a`` and ``b``; only lines whose
-    keys (:meth:`_Fields.keys`) tie are compared as text."""
-    return _line_test(
-        lambda f: (f.keys(a, b)[0] == f.keys(a, b)[1]).all(axis=-1), operator.eq, a, b
-    )
+    """Lines whose fields ``a`` and ``b`` hold the same text; a line without
+    field ``b`` does not. Only lines whose sizes and keys (:meth:`_Fields.keys`)
+    tie are compared as text; keys are not built when every size tie is of
+    ids longer than ``_PREFIX`` bytes, which keys do not tell apart."""
+
+    def marks(f: _Fields) -> np.ndarray:
+        tie = f.size(a) == f.size(b)
+        if not np.all(f.size(a)[tie] > _PREFIX):
+            tie &= (f.keys(a, b)[0] == f.keys(a, b)[1]).all(axis=-1)
+        return tie
+
+    return _line_test(marks, operator.eq, a, b)
 
 
 def _not_integer(k: int) -> Callable[[_Fields], np.ndarray]:
     """Lines whose field ``k`` does not match ``-?[0-9]+``; ``int()`` alone
     would also accept signs, spaces, underscores and non-ASCII digits."""
 
+    # a field of more digits than :meth:`_Fields.digits` holds is checked as text
+    longer = _line_test(
+        lambda f: f.size(k) - f.starts(k, "-") > _DIGITS, lambda t: not _INTEGER.fullmatch(t), k
+    )
+
     def bad(f: _Fields) -> np.ndarray:
-        size, sign = f.size(k), f.starts(k, "-")
-        data = np.frombuffer("".join(f.take(k)).encode("utf-8", "surrogatepass"), dtype=np.uint8)
-        others = np.concatenate(([0], np.cumsum((data - 48) > 9)))  # non-digit bytes so far
-        end = np.cumsum(size)
-        return (size <= sign) | (others[end] > others[end - size + sign])
+        return (f.size(k) <= f.starts(k, "-")) | (f.digits(k) > 9).any(axis=0) | longer(f)
 
     return bad
 
@@ -751,7 +807,7 @@ _EVENTS = (
     _Check(_EMPTY_URL, lambda f: f.size(2) == 0),
     _Check(_HASH_ID, lambda f: f.starts(1, "#") | f.starts(2, "#")),
     _Check(_EMPTY_SOURCE, lambda f: f.size(4) == 0),
-    _Check(_SELF_CREDIT, _same(1, 4)),
+    _Check(_SELF_CREDIT, _same_id(1, 4)),
     _Check(_HASH_ID, lambda f: f.starts(4, "#")),
     _Check(  # only a time of over 18 digits may not fit in 64 bits
         "time out of 64-bit range: {0!r}",
@@ -763,7 +819,7 @@ _EVENTS = (
 _FOLLOWS = (
     _Check("expected 'followee follower'", lambda f: f.fields() != 2),
     _Check(_EMPTY_USER, lambda f: (f.size(0) == 0) | (f.size(1) == 0)),
-    _Check(_SELF_FOLLOW, _same(0, 1)),
+    _Check(_SELF_FOLLOW, _same_id(0, 1)),
     _Check(_HASH_ID, lambda f: f.starts(0, "#") | f.starts(1, "#")),
 )
 _CLICKS = (
@@ -811,21 +867,21 @@ def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) 
     :class:`UnparsableLine`; in lenient mode malformed lines are skipped and
     tallied on the returned log's ``skipped`` field.
     """
-    users, urls = _Codes(), _Codes()
+    users, urls = _Interner(), _Interner()
     cols = _Columns("qqqq")
     skipped = 0
     for f in _records(stream):
         skipped += _judge(f, _EVENTS, strict)
         rt = np.flatnonzero(f.fields() == 5)
         source = np.full(f.rows.size, -1, dtype=np.int64)
-        source[rt] = users.of(f.take(4, rt))
-        times = np.fromiter(map(int, f.take(0)), dtype=np.int64, count=f.rows.size)
-        cols.append(times, users.of(f.take(1)), urls.of(f.take(2)), source)
+        user = users.of(f, (1, 4))  # the keys of the self-credit check
+        source[rt] = users.of(f, (1, 4), 1, rt)
+        cols.append(f.integers(0), user, urls.of(f, (2,)), source)
     cols = cols.arrays()
     if not cols[0].size:
         raise EmptyInput("no events parsed")
     log = ActivityLog.__new__(ActivityLog)
-    log._load(users, urls, cols, skipped)
+    log._load(users.table(), urls.table(), cols, skipped)
     return log
 
 
@@ -833,17 +889,17 @@ def parse_follows(
     stream: IO | str | bytes | Iterable[str], strict: bool = True
 ) -> FollowEdgeList:
     """Parse ``followee TAB follower`` lines; duplicates collapse to one edge."""
-    users = _Codes()
+    users = _Interner()
     cols = _Columns("qq")
     skipped = 0
     for f in _records(stream):
         skipped += _judge(f, _FOLLOWS, strict)
-        cols.append(users.of(f.take(0)), users.of(f.take(1)))
+        cols.append(users.of(f, (0, 1)), users.of(f, (0, 1), 1))  # the self-follow check's keys
     cols = cols.arrays()
     if not cols[0].size:
         raise EmptyInput("no follow edges parsed")
     follows = FollowEdgeList.__new__(FollowEdgeList)
-    follows._load(users, cols, skipped)
+    follows._load(users.table(), cols, skipped)
     return follows
 
 

@@ -521,6 +521,8 @@ FLOAT_TOKENS = [" 0.5", "1_0", "٠.٥", "inf", "nan", "0x1p-3", "", "0.5", "1", 
 TIME_TOKENS = [
     "+5", " 5", "5 ", "5_0", "٣", "--5", "-", "", "0x1", "-0", "007", "0" * 30 + "1",
     "-9223372036854775808", "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+    # over 18 digits, a fault before the last 18 bytes
+    "+" + "1" * 19, "1_" + "0" * 18, "٣" + "0" * 18, "--" + "0" * 19, "0x" + "0" * 17 + "1",
 ]
 
 
@@ -749,3 +751,86 @@ class TestMemoryIsBoundedByTheBlock:
     def test_graph(self, tmp_path, lines):
         text = "".join(f"n{k % 199:03}\tm{k // 199:03}\t0.{k % 9 + 1}\n" for k in range(lines))
         assert self._transient_mb(graph_from_tsv, _file(tmp_path, text)) < self.BOUND_MB
+
+
+class TestACleanBlockMakesNoPythonCallPerToken:
+    """Blocks whose lines all pass are judged and interned from their bytes:
+    the reader never splits them into strings (``_Fields.flat``). A block
+    holding one bad line still reports that line as before."""
+
+    @staticmethod
+    def _events(lines):
+        # times of up to 18 digits, some negative or with leading zeros
+        times = [f"{(t * 7919) ** 5 % 10 ** (t % 18 + 1):0{t % 4 + 1}}" for t in range(lines)]
+        times = [f"-{t}" if k % 5 == 0 else t for k, t in enumerate(times)]
+        return [
+            f"{t}\tu{k % 97}\turl{k % 89}\t" + (f"RT\tu{(k + 1) % 97}" if k % 3 == 0 else "M")
+            for k, t in enumerate(times)
+        ]
+
+    @staticmethod
+    def _follows(lines):
+        return [f"u{k % 97}\tv{k % 89}" for k in range(lines)]
+
+    @staticmethod
+    def _splits(parse, lines):
+        """What ``parse`` makes of ``lines``, and how often a block was split."""
+        calls = []
+        split = ingest._Fields.flat.func
+
+        def counted(f):
+            calls.append(f)
+            return split(f)
+
+        with patch.object(ingest._Fields, "flat", property(counted)):
+            result = parse("\n".join(lines) + "\n")
+        return result, len(calls)
+
+    def test_clean_events_are_never_split(self):
+        lines = self._events(6000)  # several blocks
+        log, splits = self._splits(parse_events, lines)
+        assert splits == 0
+        events = []
+        for line in lines:
+            t, user, url, *rest = line.split("\t")
+            events.append(TweetEvent(int(t), user, url, rest[1] if len(rest) == 2 else None))
+        assert log == ActivityLog(events)
+
+    def test_clean_follows_are_never_split(self):
+        lines = self._follows(12000)
+        follows, splits = self._splits(parse_follows, lines)
+        assert splits == 0
+        assert follows == FollowEdgeList(line.split("\t") for line in lines)
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ("5\tu7\turl1\tRT\tu7", "retweet credits its own author"),
+            ("9223372036854775808\tu7\turl1\tM", "time out of 64-bit range: '9223372036854775808'"),
+            ("-9223372036854775809\tu7\turl1\tM", "time out of 64-bit range: '-9223372036854775809'"),
+        ],
+    )
+    def test_one_bad_event_still_names_its_line(self, line, reason):
+        lines = self._events(6000)
+        lines[4321] = line
+        with pytest.raises(UnparsableLine) as info:
+            self._splits(parse_events, lines)
+        assert (info.value.line_no, info.value.reason, info.value.line) == (4322, reason, line)
+        log = parse_events("\n".join(lines), strict=False)
+        assert (len(log), log.skipped) == (5999, 1)
+
+    def test_a_nineteen_digit_time_in_range_reads_through_int(self):
+        lines = self._events(6000)
+        lines[4321] = "-9223372036854775808\tu7\turl1\tM"
+        lines[4322] = "0000000000000000042\tu7\turl1\tM"
+        log, _ = self._splits(parse_events, lines)
+        assert log.time[:1].tolist() == [-(2**63)]
+        assert 42 in log.time.tolist()
+
+    def test_one_self_follow_still_names_its_line(self):
+        lines = self._follows(12000)
+        lines[9876] = "u5\tu5"
+        with pytest.raises(UnparsableLine) as info:
+            self._splits(parse_follows, lines)
+        assert (info.value.line_no, info.value.reason) == (9877, "self-follow")
+        assert parse_follows("\n".join(lines), strict=False).skipped == 1

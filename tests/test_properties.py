@@ -194,6 +194,57 @@ def test_graph_reader_sorts_and_tells_apart_every_id(ids, data):
         assert back.node_ids == tuple(nodes)
 
 
+# times of 1 to 19 digits, perhaps signed or led by zeros, so some do not fit in 64 bits
+TIME_TOKENS = st.builds(
+    operator.add, st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=19)
+) | st.sampled_from(["-0", str(-(2**63)), str(2**63 - 1)])
+
+
+@st.composite
+def keyed_event_texts(draw):
+    """Events over ``KEY_IDS`` users and urls; a source may be its own retweeter."""
+    users = draw(st.lists(KEY_IDS, min_size=1, max_size=5, unique=True))
+    urls = draw(st.lists(KEY_IDS, min_size=1, max_size=5, unique=True))
+    lines = []
+    for _ in range(draw(st.integers(1, 20))):
+        time, user, url = draw(TIME_TOKENS), draw(st.sampled_from(users)), draw(st.sampled_from(urls))
+        source = draw(st.none() | st.sampled_from(users))
+        lines.append(f"{time}\t{user}\t{url}\t" + ("M" if source is None else f"RT\t{source}"))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def keyed_follow_texts(draw):
+    """Follow edges over ``KEY_IDS``; a user may follow itself."""
+    users = draw(st.lists(KEY_IDS, min_size=1, max_size=6, unique=True))
+    pairs = st.tuples(st.sampled_from(users), st.sampled_from(users))
+    return "".join(f"{a}\t{b}\n" for a, b in draw(st.lists(pairs, min_size=1, max_size=20)))
+
+
+def _assert_keyed_reader(parse, reference, write, text):
+    """``parse`` reads ``text`` as ``reference`` does in both modes, at block
+    sizes 7 and the default, and what it reads round-trips through ``write``."""
+    for size in (7, ingest._BLOCK):
+        with patch.object(ingest, "_BLOCK", size):
+            for strict in (True, False):
+                read = _outcome(_reader(parse, write, strict), text)
+                assert read == _outcome(_reader(reference, write, strict), text), (size, strict)
+                if isinstance(read[1], int):  # read, not refused
+                    assert parse(read[0]) == parse(text, strict=False)
+
+
+@settings(deadline=None)
+@given(keyed_event_texts())
+def test_events_reader_tells_apart_every_id_and_time(text):
+    _assert_keyed_reader(parse_events, line_readers.read_events, events_to_tsv, text)
+
+
+@settings(deadline=None)
+@given(keyed_follow_texts())
+def test_follows_reader_tells_apart_every_id(text):
+    _assert_keyed_reader(parse_follows, line_readers.read_follows, follows_to_tsv, text)
+
+
 # ids from characters that matter to the line format, so the rule is often broken
 @given(st.lists(st.text(alphabet="#\t\r\n a", max_size=3), max_size=5, unique=True))
 def test_constructor_scan_matches_the_per_id_rule(ids):
