@@ -19,10 +19,6 @@ declared once, as an ordered list of column checks (``_EVENTS``, ``_FOLLOWS``
 and ``_CLICKS`` here, ``graphs._GRAPH``, ``cli._score_checks``), which
 :func:`_judge` runs over each block: a line's error is the first check it
 fails, so the order decides which error a line with several faults reports.
-The readers of ids (events, follows, ``graphs.graph_from_tsv``) intern them by
-a byte key per token (:class:`_Interner`) and read times from the digit
-bytes, so a block of events or follows whose lines all pass is never split
-into Python strings; a field of ids longer than ``_PREFIX`` bytes is.
 """
 
 from __future__ import annotations
@@ -540,12 +536,15 @@ class _Fields:
         value = np.zeros(self.rows.size, dtype=np.int64)
         for row in self.digits(k):
             value = value * 10 + row
-        sign = self.starts(k, "-")
-        value = np.where(sign, -value, value)
-        long = np.flatnonzero(self.size(k) - sign > _DIGITS)
+        value = np.where(self.starts(k, "-"), -value, value)
+        long = np.flatnonzero(self.overlong(k))
         if long.size:
             value[long] = list(map(int, self.take(k, long)))
         return value
+
+    def overlong(self, k: int) -> np.ndarray:
+        """Whether field ``k`` has more than ``_DIGITS`` bytes after a leading "-"."""
+        return self.size(k) - self.starts(k, "-") > _DIGITS
 
     def floats(self, k: int) -> np.ndarray:
         return self._once(("floats", k), lambda: _floats(self.take(k)))
@@ -595,13 +594,12 @@ def _widen(key: np.ndarray, words: int) -> np.ndarray:
 class _Interner:
     """Sorted codes of id tokens, from one key per token (:meth:`_Fields.keys`),
     all sorted at once at the end. Only ids longer than ``_PREFIX`` bytes are
-    interned as strings, and a field of such ids alone gets no key bytes;
-    the sorted run of long ids is merged with that of the others."""
+    interned as strings; their sorted run is merged with that of the others."""
 
     def __init__(self) -> None:
         self._keys = array("Q")  # every token's key, ``_words`` words each
         self._words = 1
-        self._long = _Codes()
+        self._long: dict[str, int] = {}  # codes of long ids, in the order first seen
 
     def of(
         self, f: _Fields, ks: tuple[int, ...], j: int = 0, sel: np.ndarray | None = None
@@ -609,25 +607,16 @@ class _Interner:
         """Numbers, in the order taken, for the tokens of field ``ks[j]`` of
         the lines in play, or of the ascending positions ``sel`` among them,
         keyed by ``f.keys(*ks)[j]``."""
-        k = ks[j]
-        size = f.size(k) if sel is None else f.size(k)[sel]
-        if not size.size:
-            return np.zeros(0, dtype=np.int64)
-        if np.all(size > _PREFIX):  # a long id's key holds its string's code
-            codes = self._long.of(f.take(k, sel))
-            key = np.column_stack((codes, np.full(size.size, _PREFIX + 1))).astype(np.uint64)
-        else:
-            key = f.keys(*ks)[j] if sel is None else f.keys(*ks)[j, sel]
-            long = np.flatnonzero(_is_long(key))
-            if long.size:
-                key = key.copy()
-                key[long, 0] = self._long.of(f.take(k, long if sel is None else sel[long]))
-        words = key.shape[1]
-        if words > self._words:  # widen the keys stored so far
+        key = f.keys(*ks)[j] if sel is None else f.keys(*ks)[j, sel]
+        if key.shape[1] > self._words:  # widen the keys stored so far
             stored = np.frombuffer(self._keys, dtype=np.uint64).reshape(-1, self._words)
-            self._keys, self._words = array("Q", _widen(stored, words).tobytes()), words
-        if words < self._words:
-            key = _widen(key, self._words)
+            self._words = key.shape[1]
+            self._keys = array("Q", _widen(stored, self._words).tobytes())
+        key = _widen(key, self._words)  # a copy
+        long = np.flatnonzero(_is_long(key))
+        if long.size:  # a long id's key keeps its string's code in its first word
+            ids = f.take(ks[j], long if sel is None else sel[long])
+            key[long, 0] = [self._long.setdefault(t, len(self._long)) for t in ids]
         count = len(self._keys) // self._words
         self._keys.frombytes(key.tobytes())
         return np.arange(count, count + len(key))
@@ -751,17 +740,11 @@ def _line_test(
 
 def _same_id(a: int, b: int) -> Callable[[_Fields], np.ndarray]:
     """Lines whose fields ``a`` and ``b`` hold the same text; a line without
-    field ``b`` does not. Only lines whose sizes and keys (:meth:`_Fields.keys`)
-    tie are compared as text; keys are not built when every size tie is of
-    ids longer than ``_PREFIX`` bytes, which keys do not tell apart."""
-
-    def marks(f: _Fields) -> np.ndarray:
-        tie = f.size(a) == f.size(b)
-        if not np.all(f.size(a)[tie] > _PREFIX):
-            tie &= (f.keys(a, b)[0] == f.keys(a, b)[1]).all(axis=-1)
-        return tie
-
-    return _line_test(marks, operator.eq, a, b)
+    field ``b`` does not. Only lines whose keys (:meth:`_Fields.keys`) tie
+    are compared as text."""
+    return _line_test(
+        lambda f: (f.keys(a, b)[0] == f.keys(a, b)[1]).all(axis=-1), operator.eq, a, b
+    )
 
 
 def _not_integer(k: int) -> Callable[[_Fields], np.ndarray]:
@@ -769,9 +752,7 @@ def _not_integer(k: int) -> Callable[[_Fields], np.ndarray]:
     would also accept signs, spaces, underscores and non-ASCII digits."""
 
     # a field of more digits than :meth:`_Fields.digits` holds is checked as text
-    longer = _line_test(
-        lambda f: f.size(k) - f.starts(k, "-") > _DIGITS, lambda t: not _INTEGER.fullmatch(t), k
-    )
+    longer = _line_test(lambda f: f.overlong(k), lambda t: not _INTEGER.fullmatch(t), k)
 
     def bad(f: _Fields) -> np.ndarray:
         return (f.size(k) <= f.starts(k, "-")) | (f.digits(k) > 9).any(axis=0) | longer(f)
@@ -809,11 +790,9 @@ _EVENTS = (
     _Check(_EMPTY_SOURCE, lambda f: f.size(4) == 0),
     _Check(_SELF_CREDIT, _same_id(1, 4)),
     _Check(_HASH_ID, lambda f: f.starts(4, "#")),
-    _Check(  # only a time of over 18 digits may not fit in 64 bits
+    _Check(  # only a time of over ``_DIGITS`` digits may not fit in 64 bits
         "time out of 64-bit range: {0!r}",
-        _line_test(
-            lambda f: f.size(0) - f.starts(0, "-") > 18, lambda t: not -(2**63) <= int(t) < 2**63, 0
-        ),
+        _line_test(lambda f: f.overlong(0), lambda t: not -(2**63) <= int(t) < 2**63, 0),
     ),
 )
 _FOLLOWS = (
@@ -845,18 +824,6 @@ class _Columns:
 
     def arrays(self) -> list[np.ndarray]:
         return [np.frombuffer(col, dtype=col.typecode) for col in self._cols]
-
-
-class _Codes(dict):
-    """Codes of interned ids, in the order first seen: looking up a new id
-    gives it the next code."""
-
-    def __missing__(self, uid: str) -> int:
-        code = self[uid] = len(self)
-        return code
-
-    def of(self, ids: list[str]) -> np.ndarray:
-        return np.fromiter(map(self.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
 def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) -> ActivityLog:
