@@ -192,22 +192,6 @@ def manifest_lines(command: str, digests: dict[str, str], params: dict[str, obje
     ]
 
 
-def read_manifest(path: str) -> dict[str, str]:
-    """The ``#manifest key=value`` lines of an artifact; a manifest line
-    without ``=`` is :class:`ConfigInvalid`."""
-    entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for f in _records(fh, headers=("#manifest ",)):
-            if f.text[:1] == "#":  # the header: no record starts with "#"
-                key, eq, value = f.text[len("#manifest ") :].partition("=")
-                if not eq:
-                    raise ConfigInvalid(
-                        f"line {f.numbers[0]} of {path}: expected '#manifest key=value': {f.text!r}"
-                    )
-                entries[key] = value
-    return entries
-
-
 def write_artifact(
     out_dir: str,
     name: str,

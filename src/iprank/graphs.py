@@ -27,22 +27,12 @@ import numpy as np
 
 from .errors import InvalidParams, UnparsableLine
 from .ingest import (
-    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _ascending, _Check, _Columns, _Interner,
-    _judge, _line_test, _lookup, _records, _rejects_float, _run_starts, _same_id, _tsv_rows,
+    _EMPTY_USER, ActivityLog, FollowEdgeList, _Check, _check_ids, _Columns, _id_error, _in_order,
+    _Interner, _judge, _line_test, _lookup, _records, _rejects_float, _run_starts, _same_id,
+    _tsv_rows,
 )
 
 WEIGHT_HIST_BINS = 10
-
-
-def _id_error(uid: str) -> str | None:
-    """Why ``uid`` would not read back from a file, or None when it would."""
-    if not uid:
-        return _EMPTY_USER
-    if uid[0] == "#":
-        return _HASH_ID
-    if "\t" in uid or "\r" in uid or "\n" in uid:
-        return "id contains TAB, CR or LF"
-    return None
 
 
 class _Ids(tuple):
@@ -62,8 +52,7 @@ def _sorted_ids(node_ids: Sequence[str]) -> _Ids:
     text = "\n".join(("", *ids))  # each id after its own LF: one string holds them all
     bad = "\n#" in text or "\t" in text or "\r" in text or text.count("\n") != len(ids)
     if bad or ids[:1] == ("",):  # sorted, so an empty id comes first
-        uid = next(filter(_id_error, ids))
-        raise ValueError(f"{_id_error(uid)}: {uid!r}")
+        _check_ids(*ids)
     return _Ids(ids)
 
 
@@ -98,9 +87,7 @@ class InfluenceGraph:
                 raise ValueError("self-arcs are not allowed")
             if not np.all((weights > 0.0) & (weights <= 1.0)):
                 raise ValueError("arc weights must lie in (0, 1]")
-            if not _ascending(src, dst):
-                order = np.lexsort((dst, src))
-                src, dst, weights = src[order], dst[order], weights[order]
+            src, dst, weights = _in_order(src, dst, weights, keys=2)
             if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
                 raise ValueError("duplicate arcs")
         self.node_ids = ids

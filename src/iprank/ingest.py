@@ -28,7 +28,6 @@ import math
 import operator
 import re
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
@@ -54,33 +53,22 @@ _SELF_FOLLOW = "self-follow"
 _HASH_ID = "id starts with '#'"
 
 
-def _event_error(user: str, url: str, source: str | None) -> str | None:
-    """Why (user, url, source) is not a valid event, or None when it is."""
-    if not user:
+def _id_error(uid: str) -> str | None:
+    """Why ``uid`` would not read back from a file, or None when it would."""
+    if not uid:
         return _EMPTY_USER
-    if not url:
-        return _EMPTY_URL
-    if user[0] == "#" or url[0] == "#":
+    if uid[0] == "#":
         return _HASH_ID
-    if source is not None:
-        if not source:
-            return _EMPTY_SOURCE
-        if source == user:
-            return _SELF_CREDIT
-        if source[0] == "#":
-            return _HASH_ID
+    if "\t" in uid or "\r" in uid or "\n" in uid:
+        return "id contains TAB, CR or LF"
     return None
 
 
-def _follow_error(followee: str, follower: str) -> str | None:
-    """Why (followee, follower) is not a valid follow edge, or None when it is."""
-    if not followee or not follower:
-        return _EMPTY_USER
-    if followee == follower:
-        return _SELF_FOLLOW
-    if followee[0] == "#" or follower[0] == "#":
-        return _HASH_ID
-    return None
+def _check_ids(*ids: str) -> None:
+    """Raise ``ValueError`` for the first of ``ids`` that :func:`_id_error` rejects."""
+    for uid in ids:
+        if reason := _id_error(uid):
+            raise ValueError(f"{reason}: {uid!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,17 +81,9 @@ class TweetEvent:
     source: str | None = None
 
     def __post_init__(self) -> None:
-        reason = _event_error(self.user, self.url, self.source)
-        if reason is not None:
-            raise ValueError(reason)
-
-    @property
-    def is_retweet(self) -> bool:
-        return self.source is not None
-
-    @property
-    def kind(self) -> str:
-        return RETWEET if self.source is not None else MENTION
+        _check_ids(self.user, self.url, *(() if self.source is None else (self.source,)))
+        if self.source == self.user:
+            raise ValueError(_SELF_CREDIT)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,13 +132,17 @@ def _run_starts(*cols: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _ascending(*cols: np.ndarray) -> bool:
-    """Whether the rows of the equal-length ``cols`` never decrease, the
-    first column deciding first."""
+def _in_order(*cols: np.ndarray, keys: int | None = None) -> tuple[np.ndarray, ...]:
+    """The rows of the equal-length ``cols`` sorted by their first ``keys``
+    columns (all by default), the first deciding first. Rows already in
+    order, as in a file that a writer here made, are not sorted again."""
     ok = True
-    for col in reversed(cols):
+    for col in reversed(cols[:keys]):  # whether the rows never decrease
         ok = (col[:-1] < col[1:]) | (col[:-1] == col[1:]) & ok
-    return bool(np.all(ok))
+    if np.all(ok):
+        return cols
+    order = np.lexsort(cols[:keys][::-1])
+    return tuple(col[order] for col in cols)
 
 
 def _positions(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
@@ -210,10 +194,7 @@ class ActivityLog:
         user[:], url[:] = user_rank[user], url_rank[url]  # in place: no second copy is kept
         rt = np.flatnonzero(source >= 0)
         source[rt] = user_rank[source[rt]]
-        cols = time, user, url, source
-        if not _ascending(*cols):  # files that events_to_tsv wrote are in order
-            order = np.lexsort(cols[::-1])
-            cols = tuple(col[order] for col in cols)
+        cols = _in_order(time, user, url, source)
         for name, col in zip(("time", "user", "url", "source"), cols):
             col.flags.writeable = False
             setattr(self, name, col)
@@ -243,11 +224,6 @@ class ActivityLog:
         for pos, code in enumerate(self.user.tolist()):
             index.setdefault(code, []).append(pos)
         return {self.user_ids[c]: tuple(index[c]) for c in sorted(index)}
-
-    @property
-    def users(self) -> frozenset[str]:
-        """Ids that posted at least one event."""
-        return frozenset(self.user_ids[c] for c in np.unique(self.user).tolist())
 
     def post_key(self, user: np.ndarray, url: np.ndarray) -> np.ndarray:
         """Key of (user, url) code pairs that sorts like the pairs."""
@@ -317,7 +293,7 @@ class ActivityLog:
         )
 
     def __repr__(self) -> str:
-        return f"ActivityLog({len(self)} events, {len(self.users)} users)"
+        return f"ActivityLog({len(self)} events, {np.unique(self.user).size} users)"
 
 
 class FollowEdgeList:
@@ -334,36 +310,22 @@ class FollowEdgeList:
         users: dict[str, int] = {}
         cols = array("q"), array("q")
         for followee, follower in edges:
-            reason = _follow_error(followee, follower)
-            if reason is not None:
-                raise ValueError(reason)
+            _check_ids(followee, follower)
+            if followee == follower:
+                raise ValueError(_SELF_FOLLOW)
             cols[0].append(users.setdefault(followee, len(users)))
             cols[1].append(users.setdefault(follower, len(users)))
         self._load(_sorted_codes(users), cols, skipped)
 
     def _load(self, users: _Table, cols: Sequence, skipped: int) -> None:
         """Map the columns' numbers to codes of the sorted ``users`` ids, then
-        sort and dedupe the edges."""
+        sort the edges and drop repeats."""
         self.user_ids, rank = users
-        n = max(len(self.user_ids), 1)
-        followee, follower = (rank[np.asarray(c, dtype=np.int64)] for c in cols)
-        self.followee, self.follower = np.divmod(np.unique(followee * n + follower), n)
+        followee, follower = _in_order(*(rank[np.asarray(c, dtype=np.int64)] for c in cols))
+        first = _run_starts(followee, follower)
+        self.followee, self.follower = followee[first], follower[first]
         self.followee.flags.writeable = self.follower.flags.writeable = False
         self.skipped = skipped
-
-    @property
-    def edges(self) -> frozenset[tuple[str, str]]:
-        """The (followee, follower) id pairs, built per access."""
-        ids = self.user_ids
-        return frozenset(
-            (ids[a], ids[b]) for a, b in zip(self.followee.tolist(), self.follower.tolist())
-        )
-
-    def __contains__(self, edge: tuple[str, str]) -> bool:
-        ids = self.user_ids
-        a, b = (bisect_left(ids, uid) for uid in edge)
-        lo, hi = np.searchsorted(self.followee, (a, a + 1))
-        return ids[a : a + 1] + ids[b : b + 1] == tuple(edge) and b in self.follower[lo:hi]
 
     def __len__(self) -> int:
         return int(self.followee.size)
@@ -384,6 +346,12 @@ class ClickTable:
 
     clicks: dict[str, int]
     skipped: int = field(default=0, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_ids(*self.clicks)
+        for url, count in self.clicks.items():
+            if count < 0:
+                raise ValueError(f"negative count {count}: {url!r}")
 
 
 _BLOCK = 1 << 16  # characters read at a time: a fixed size, not a setting

@@ -1,0 +1,222 @@
+"""Oracles and helpers that only the tests use.
+
+The per-user event oracles (co-mention counts, retweeting rates, the
+H-index) scan :class:`TweetEvent` objects one by one, the follow oracles
+scan (followee, follower) id pairs, and the ranking oracles sort id -> value
+dicts and walk runs of ties in a loop, so none shares code with the
+implementation it checks. :func:`read_manifest` reads an artifact's
+manifest back.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+
+from iprank.baselines import ScoreVector
+from iprank.errors import ConfigInvalid
+from iprank.graphs import InfluenceGraph
+from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent, _records
+
+
+def edges(follows: FollowEdgeList) -> frozenset[tuple[str, str]]:
+    """The (followee, follower) id pairs of the edge list."""
+    ids = follows.user_ids
+    return frozenset(
+        (ids[a], ids[b]) for a, b in zip(follows.followee.tolist(), follows.follower.tolist())
+    )
+
+
+def posters(log: ActivityLog) -> set[str]:
+    """Ids that posted at least one event, by scanning the events."""
+    return {ev.user for ev in log.events}
+
+
+def read_manifest(path: str) -> dict[str, str]:
+    """The ``#manifest key=value`` lines of an artifact; a manifest line
+    without ``=`` is :class:`ConfigInvalid`."""
+    entries: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for f in _records(fh, headers=("#manifest ",)):
+            if f.text[:1] == "#":  # the header: no record starts with "#"
+                key, eq, value = f.text[len("#manifest ") :].partition("=")
+                if not eq:
+                    raise ConfigInvalid(
+                        f"line {f.numbers[0]} of {path}: expected '#manifest key=value': {f.text!r}"
+                    )
+                entries[key] = value
+    return entries
+
+
+# ---------------------------------------------------------------------------
+# Per-user event oracles
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class PairwiseCounts:
+    """Distinct-URL counts behind a co-mention arc (i, j).
+
+    ``s``: URLs j mentioned strictly after i's first mention of them;
+    ``f``: URLs i mentioned that j never did; ``p``: all URLs i mentioned.
+    """
+
+    s: int
+    f: int
+    p: int
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.s <= self.p and 0 <= self.f <= self.p):
+            raise ValueError(f"counts out of range: s={self.s} f={self.f} p={self.p}")
+
+
+def _events_of(log: ActivityLog, user: str) -> list[TweetEvent]:
+    return [ev for ev in log.events if ev.user == user]
+
+
+def pairwise_counts(log: ActivityLog, i: str, j: str) -> PairwiseCounts:
+    """Co-mention counts for the ordered pair (i, j), by scanning both users' events."""
+    first_i: dict[str, int] = {}
+    for ev in _events_of(log, i):
+        first_i.setdefault(ev.url, ev.time)
+    shared: set[str] = set()
+    later: set[str] = set()
+    for ev in _events_of(log, j):
+        if ev.url in first_i:
+            shared.add(ev.url)
+            if ev.time > first_i[ev.url]:
+                later.add(ev.url)
+    return PairwiseCounts(s=len(later), f=len(first_i) - len(shared), p=len(first_i))
+
+
+def followers_of(follows: FollowEdgeList, user: str) -> set[str]:
+    """Followers of the user, by scanning every edge."""
+    return {follower for followee, follower in edges(follows) if followee == user}
+
+
+def followees_of(follows: FollowEdgeList, user: str) -> set[str]:
+    """Users the user follows, by scanning every edge."""
+    return {followee for followee, follower in edges(follows) if follower == user}
+
+
+def follower_counts(follows: FollowEdgeList) -> dict[str, int]:
+    """Followers per user, zero for users appearing only as followers."""
+    counts = {user: 0 for edge in edges(follows) for user in edge}
+    for followee, _ in edges(follows):
+        counts[followee] += 1
+    return counts
+
+
+def follow_codes(
+    log: ActivityLog, follows: FollowEdgeList
+) -> tuple[list[tuple[int, int]], tuple[str, ...]]:
+    """Sorted (followee, follower) log-code pairs, and the ids the log lacks,
+    which get codes from ``len(log.user_ids)`` up in id order."""
+    extra = tuple(sorted({u for edge in edges(follows) for u in edge} - set(log.user_ids)))
+    code = {uid: k for k, uid in enumerate(log.user_ids + extra)}
+    return sorted((code[a], code[b]) for a, b in edges(follows)), extra
+
+
+def user_retweeting_rate(
+    log: ActivityLog, follows: FollowEdgeList, user: str
+) -> float | None:
+    """Share of received URL posts the user retweeted; None when nothing received."""
+    followees = followees_of(follows, user)
+    if not followees:
+        return None
+    received = 0
+    received_pairs: set[tuple[str, str]] = set()
+    for followee in followees:
+        for ev in _events_of(log, followee):
+            received += 1
+            received_pairs.add((followee, ev.url))
+    if received == 0:
+        return None
+    retweeted = {
+        (ev.source, ev.url)
+        for ev in _events_of(log, user)
+        if ev.source is not None and (ev.source, ev.url) in received_pairs
+    }
+    return len(retweeted) / received
+
+
+def audience_retweeting_rate(
+    log: ActivityLog, follows: FollowEdgeList, user: str
+) -> float | None:
+    """Share of deliveries to the user's followers that came back as retweets."""
+    followers = followers_of(follows, user)
+    if not followers:
+        return None
+    own_events = _events_of(log, user)
+    if not own_events:
+        return None
+    posted = {ev.url for ev in own_events}
+    pairs: set[tuple[str, str]] = set()
+    for follower in followers:
+        for ev in _events_of(log, follower):
+            if ev.source == user and ev.url in posted:
+                pairs.add((follower, ev.url))
+    return len(pairs) / (len(own_events) * len(followers))
+
+
+def h_from_counts(counts: Iterable[int]) -> int:
+    """Largest h such that at least h of the counts are >= h."""
+    h = 0
+    for rank, count in enumerate(sorted(counts, reverse=True), start=1):
+        if count >= rank:
+            h = rank
+        else:
+            break
+    return h
+
+
+def h_index(log: ActivityLog, user: str) -> int:
+    """H-index analog: h of the user's posted URLs were each retweeted >= h times."""
+    posted = {ev.url for ev in _events_of(log, user)}
+    counts: dict[str, int] = {}
+    for ev in log.events:
+        if ev.source == user and ev.url in posted:
+            counts[ev.url] = counts.get(ev.url, 0) + 1
+    return h_from_counts(counts.values())
+
+
+# ---------------------------------------------------------------------------
+# Ranking oracles
+# ---------------------------------------------------------------------------
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties receiving the mean of their rank range, by walking
+    the sorted values one run of equal values at a time."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+def arc_weights(g: InfluenceGraph) -> dict[tuple[str, str], float]:
+    """The graph's arcs as a (source, target) -> weight dict."""
+    return {(i, j): w for i, j, w in g.arcs()}
+
+
+def by_id(scores: ScoreVector) -> dict[str, float]:
+    """The vector as an id -> value dict."""
+    return dict(zip(scores.node_ids, scores.values.tolist()))
+
+
+def ranking(scores: ScoreVector) -> list[tuple[str, float]]:
+    """(user, value) pairs by value descending, ties by user id ascending."""
+    return sorted(by_id(scores).items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def ranks_of(scores: ScoreVector) -> dict[str, int]:
+    """Rank 1 = highest value; ties broken by user id ascending."""
+    return {user: k for k, (user, _) in enumerate(ranking(scores), start=1)}

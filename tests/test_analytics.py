@@ -19,14 +19,8 @@ from iprank.analytics import (
 from iprank.baselines import ScoreVector
 from iprank.errors import InsufficientOverlap, InvalidParams, NoData
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
-from iprank.testkit import (
-    SynthParams,
-    audience_retweeting_rate,
-    followers_of,
-    ranks_of,
-    synth_trace,
-    user_retweeting_rate,
-)
+from iprank.testkit import SynthParams, synth_trace
+from oracles import audience_retweeting_rate, followers_of, ranks_of, user_retweeting_rate
 
 
 def mention(t, user, url):

@@ -16,9 +16,8 @@ from iprank.cli import read_score_columns
 from iprank.errors import EmptyNodeSet, InvalidParams
 from iprank.graphs import InfluenceGraph
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent, url_counts
-from iprank.testkit import (
-    by_id, dense_pagerank_oracle, h_from_counts, h_index, random_graph,
-)
+from iprank.testkit import dense_pagerank_oracle, random_graph
+from oracles import by_id, h_from_counts, h_index
 
 
 def vector_from_tsv(text, tmp_path):

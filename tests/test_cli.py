@@ -12,11 +12,12 @@ import pytest
 
 import iprank
 from iprank import cli, graphs, ipcore
-from iprank.cli import load_config, main, read_manifest, read_score_columns
+from iprank.cli import load_config, main, read_score_columns
 from iprank.errors import ConfigInvalid
 from iprank.graphs import graph_from_tsv
 from iprank.ingest import clicks_to_tsv, events_to_tsv, follows_to_tsv, ClickTable
-from iprank.testkit import SynthParams, arc_weights, synth_trace
+from iprank.testkit import SynthParams, synth_trace
+from oracles import arc_weights, read_manifest
 
 RT_FIXTURE = (
     "1\tposter\tl-a\tM\n"

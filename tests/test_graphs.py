@@ -20,7 +20,8 @@ from iprank.graphs import (
 )
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
 from iprank.ipcore import ScorePair
-from iprank.testkit import PairwiseCounts, SynthParams, arc_weights, pairwise_counts, synth_trace
+from iprank.testkit import SynthParams, synth_trace
+from oracles import PairwiseCounts, arc_weights, pairwise_counts, posters
 
 LONG = "0123456789abcdef"  # 16 bytes: longer than the graph reader's key prefix
 
@@ -159,7 +160,7 @@ class TestComention:
                 seed=9,
             )
         )
-        users = sorted(log.users)
+        users = sorted(posters(log))
         for i in users[:6]:
             for j in users[:6]:
                 if i == j:

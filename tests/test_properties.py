@@ -24,7 +24,7 @@ from iprank.analytics import (
     rates_to_tsv, report_to_tsv, top_k,
 )
 from iprank.baselines import ScoreVector, follower_count, vector_to_tsv
-from iprank.cli import load_config, read_manifest, read_score_columns
+from iprank.cli import load_config, read_score_columns
 from iprank.errors import (
     ConfigInvalid, EmptyInput, InsufficientOverlap, MissingInput, NegativeCount, UnparsableLine,
 )
@@ -43,13 +43,15 @@ from iprank.ingest import (
     parse_follows,
 )
 from iprank.ipcore import IterationTrace, ScorePair, scores_to_tsv, trace_to_tsv
-from iprank.testkit import (
+from oracles import (
     average_ranks,
     by_id,
+    edges,
     follow_codes,
     follower_counts,
     ranking,
     ranks_of,
+    read_manifest,
 )
 
 # every id the ingest accepts: non-empty, no TAB/CR/LF, no leading "#"
@@ -101,16 +103,16 @@ def edge_lists(draw, users=None):
 
 @given(st.data())
 def test_follow_edges_ignore_order_and_repeats(data):
-    edges = data.draw(edge_lists())
-    repeats = data.draw(st.lists(st.sampled_from(edges))) if edges else []
-    follows = FollowEdgeList(edges)
-    assert FollowEdgeList(data.draw(st.permutations(edges + repeats))) == follows
-    assert follows.edges == set(edges)
-    assert len(follows) == len(set(edges))
-    for a, b in edges:
-        assert (a, b) in follows
-        assert ((b, a) in follows) == ((b, a) in follows.edges)
-        assert (a, "\t") not in follows
+    drawn = data.draw(edge_lists())
+    repeats = data.draw(st.lists(st.sampled_from(drawn))) if drawn else []
+    follows = FollowEdgeList(drawn)
+    assert FollowEdgeList(data.draw(st.permutations(drawn + repeats))) == follows
+    pairs = edges(follows)
+    assert pairs == set(drawn)
+    assert len(follows) == len(set(drawn))
+    for a, b in drawn:
+        assert (a, b) in pairs
+        assert (a, "\t") not in pairs
 
 
 # ids a looser line rule would skip: whitespace only, or whitespace then "#"
@@ -256,6 +258,56 @@ def test_constructor_scan_matches_the_per_id_rule(ids):
         assert bad
     else:
         assert not bad
+
+
+# ids a writer can write back, and ids holding TAB, CR or LF or led by "#"
+MIXED_IDS = KEY_IDS | st.builds(
+    lambda head, mark, tail: head + mark + tail,
+    st.just("") | KEY_IDS, st.sampled_from(["\t", "\r", "\n", "\r\n", "#"]), st.just("") | KEY_IDS,
+)
+
+
+def _writable(uid):
+    return bool(uid) and uid[0] != "#" and not any(c in uid for c in "\t\r\n")
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_events_constructor_refuses_what_does_not_read_back(data):
+    ids = st.sampled_from(data.draw(st.lists(MIXED_IDS, min_size=1, max_size=4, unique=True)))
+    rows = data.draw(st.lists(st.tuples(TIMES, ids, ids, st.none() | ids), min_size=1, max_size=6))
+    try:
+        log = ActivityLog([TweetEvent(*row) for row in rows])
+    except ValueError:
+        assert any(
+            s == u or not all(map(_writable, (u, r) if s is None else (u, r, s)))
+            for _, u, r, s in rows
+        )
+    else:
+        assert parse_events(events_to_tsv(log)) == log
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_follows_constructor_refuses_what_does_not_read_back(data):
+    ids = st.sampled_from(data.draw(st.lists(MIXED_IDS, min_size=1, max_size=4, unique=True)))
+    pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=8))
+    try:
+        follows = FollowEdgeList(pairs)
+    except ValueError:
+        assert any(a == b or not (_writable(a) and _writable(b)) for a, b in pairs)
+    else:
+        assert parse_follows(follows_to_tsv(follows)) == follows
+
+
+@given(st.dictionaries(MIXED_IDS, st.integers(-3, 2**63 - 1), max_size=4))
+def test_clicks_constructor_refuses_what_does_not_read_back(clicks):
+    try:
+        table = ClickTable(clicks)
+    except ValueError:
+        assert not all(_writable(url) and count >= 0 for url, count in clicks.items())
+    else:
+        assert parse_clicks(clicks_to_tsv(table)).clicks == table.clicks
 
 
 SCORES = st.floats(allow_nan=False)

@@ -13,16 +13,14 @@ from iprank.testkit import (
     PLANTED_A,
     PLANTED_B,
     SynthParams,
-    audience_retweeting_rate,
-    by_id,
     dense_ip_oracle,
     dense_pagerank_oracle,
-    followers_of,
-    h_index,
     planted_contrast_trace,
     random_graph,
     synth_trace,
-    user_retweeting_rate,
+)
+from oracles import (
+    audience_retweeting_rate, by_id, edges, followers_of, h_index, posters, user_retweeting_rate,
 )
 
 PARAMS = SynthParams(
@@ -67,21 +65,21 @@ class TestSynthTrace:
             seed=3,
         )
         log, _ = synth_trace(p)
-        assert all(not ev.is_retweet for ev in log)
+        assert all(ev.source is None for ev in log)
 
     def test_outputs_satisfy_ingest_invariants(self):
         log, follows = synth_trace(PARAMS)
         times = [ev.time for ev in log]
         assert times == sorted(times)
         assert all(ev.source != ev.user for ev in log)
-        assert all(a != b for a, b in follows.edges)
+        assert all(a != b for a, b in edges(follows))
         # retweets always credit a URL the source actually posted, later in time
         posted_at = {}
         for ev in log:
-            if not ev.is_retweet:
+            if ev.source is None:
                 posted_at.setdefault((ev.user, ev.url), ev.time)
         for ev in log:
-            if ev.is_retweet:
+            if ev.source is not None:
                 assert posted_at[(ev.source, ev.url)] < ev.time
 
     def test_param_validation(self):
@@ -174,7 +172,7 @@ class TestEventOracles:
             report = rate_report(log, follows)
             expected_user = {}
             expected_audience = {}
-            for user in sorted(log.users | set(follows.user_ids)):
+            for user in sorted(posters(log) | set(follows.user_ids)):
                 rate = user_retweeting_rate(log, follows, user)
                 if rate is not None:
                     expected_user[user] = rate
@@ -185,5 +183,5 @@ class TestEventOracles:
             assert report.user_rates == expected_user
             assert report.audience_rates == expected_audience
             scores = h_index_scores(log)
-            assert by_id(scores) == {u: float(h_index(log, u)) for u in log.users}
+            assert by_id(scores) == {u: float(h_index(log, u)) for u in posters(log)}
             assert max(by_id(scores).values()) >= 2.0
