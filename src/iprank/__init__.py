@@ -36,7 +36,6 @@ from .ingest import (
     parse_clicks,
     parse_events,
     parse_follows,
-    url_counts,
 )
 from .ipcore import IpParams, IterationTrace, ScorePair, run_ip
 
@@ -75,6 +74,5 @@ __all__ = [
     "run_ip",
     "top_k",
     "url_attribute_average",
-    "url_counts",
     "weighted_pagerank",
 ]

@@ -12,9 +12,10 @@ import argparse
 import hashlib
 import operator
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -39,9 +40,10 @@ from .baselines import (
     vector_to_tsv,
     weighted_pagerank,
 )
-from .errors import ConfigInvalid, IpRankError, MissingInput
+from .errors import ConfigInvalid, IpRankError, MissingInput, UnparsableLine
 from .graphs import (
     InfluenceGraph,
+    _eligible,
     _Ids,
     build_comention,
     build_retweet,
@@ -52,7 +54,7 @@ from .graphs import (
     stats_to_tsv,
 )
 from .ingest import (
-    _EMPTY_USER, _Check, _judge, _records, parse_clicks, parse_events, parse_follows, url_counts,
+    _EMPTY_USER, _Check, _judge, _positions, _records, parse_clicks, parse_events, parse_follows,
 )
 from .ipcore import IpParams, IterationTrace, ScorePair, run_ip, scores_to_tsv, trace_to_tsv
 
@@ -105,7 +107,7 @@ def _parse_bool(word: str) -> bool:
 def load_config(path: str) -> dict[str, object]:
     """Read a flat ``key=value`` config file."""
     out: dict[str, object] = {}
-    with open(_require(path, "config"), "r", encoding="utf-8") as fh:
+    with _text(_require(path, "config"), _line_fault(path)) as fh:
         lines = [
             (line_no, line)
             for f in _records(fh)
@@ -151,6 +153,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigInvalid(f"min_posted must be >= 0, got {cfg.min_posted}")
     if cfg.threads < 0:
         raise ConfigInvalid(f"threads must be >= 0, got {cfg.threads}")
+    out = Path(cfg.out_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigInvalid(f"out_dir {cfg.out_dir}: {existing} is not a directory")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -220,7 +226,26 @@ def _require(path: str | None, role: str) -> str:
         raise MissingInput(f"--{role} is required for this command")
     if not Path(path).exists():
         raise MissingInput(f"{role} file not found: {path}")
+    if not Path(path).is_file():
+        raise MissingInput(f"{role} is not a regular file: {path}")
     return path
+
+
+@contextmanager
+def _text(path: str, fault: Callable[[int, str, str], IpRankError]) -> Iterator[IO[str]]:
+    """The file at ``path``, open as UTF-8 text. A read that meets bytes that
+    are not UTF-8 raises ``fault(line_no, line, reason)`` for the first line
+    holding some; LF, CR and CRLF end a line, as the readers count them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        lines = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+        for line_no, line in enumerate(lines, start=1):
+            text = line.decode("utf-8", "replace")
+            if text.encode("utf-8") != line:  # a byte that is no UTF-8 became U+FFFD
+                raise fault(line_no, text, "not UTF-8") from None
+        raise
 
 
 class _Inputs:
@@ -253,7 +278,7 @@ class _Inputs:
         path = self.path(role)
 
         def parsed() -> T:
-            with open(path, "r", encoding="utf-8") as fh:
+            with _text(path, UnparsableLine) as fh:
                 data = parse(fh, strict=self.cfg.strict)
             skipped = getattr(data, "skipped", 0)  # a graph file is always read strictly
             if skipped:
@@ -344,12 +369,17 @@ def _measure(inputs: _Inputs, name: str) -> tuple[ScoreVector, dict[str, object]
     raise ConfigInvalid(f"unknown measure {name!r}; choose from {MEASURES}")
 
 
+def _line_fault(path: str) -> Callable[[int, str, str], ConfigInvalid]:
+    """The error of a faulty line of the score or config file ``path``."""
+    return lambda line_no, line, reason: ConfigInvalid(
+        f"line {line_no} of {path}: {reason}: {line!r}"
+    )
+
+
 def _score_checks(path: str, first: int, width: int) -> tuple[_Check, ...]:
     """The checks of the rows of score file ``path``, in order, its first
     row being line ``first`` with ``width`` columns."""
-
-    def error(line_no: int, line: str, reason: str) -> ConfigInvalid:
-        return ConfigInvalid(f"line {line_no} of {path}: {reason}: {line!r}")
+    error = _line_fault(path)
 
     def unlike(parts: list[str]) -> str:
         return f"{len(parts)} columns, unlike the {width} of line {first}"
@@ -379,7 +409,7 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     ids: list[str] = []
     line_nos: list[np.ndarray] = []
     blocks: list[list[np.ndarray]] = []  # each block's scores, column by column
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text(path, _line_fault(path)) as fh:
         for f in _records(fh, headers=("#measure=",)):
             if f.text[:1] == "#":  # the header: no record starts with "#"
                 if label is not None or ids:
@@ -533,8 +563,9 @@ def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> None:
     eligible = None
     params: dict[str, object] = {"top_k": cfg.top_k, "measure": vector.label}
     if cfg.min_posted > 0:
-        counts = url_counts(inputs.load("events", parse_events))
-        eligible = [counts.get(user, 0) >= cfg.min_posted for user in vector.node_ids]
+        log = inputs.load("events", parse_events)
+        posted = np.append(_eligible(log, cfg.min_posted)[0], False)  # the last: not in the log
+        eligible = posted[_positions(log.user_index, vector.node_ids)]
         params["min_posted"] = cfg.min_posted
     report = top_k(vector, cfg.top_k, eligible)
     inputs.write("rank.tsv", "rank", params, report_to_tsv(report))

@@ -37,10 +37,6 @@ class EmptyNodeSet(IpRankError):
     """The graph has no nodes at all."""
 
 
-class TooLarge(IpRankError):
-    """The input exceeds the size limit of a dense reference computation."""
-
-
 class InvalidParams(IpRankError):
     """Parameter values are outside their documented range."""
 

@@ -17,17 +17,15 @@ All counts are over distinct URLs. Nodes must have mentioned at least
 
 from __future__ import annotations
 
-import heapq
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvalidParams, UnparsableLine
 from .ingest import (
-    _EMPTY_USER, ActivityLog, FollowEdgeList, _Check, _check_ids, _Columns, _id_error, _in_order,
+    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _Check, _check_ids, _Columns, _in_order,
     _Interner, _judge, _line_test, _lookup, _records, _rejects_float, _run_starts, _same_id,
     _tsv_rows,
 )
@@ -268,10 +266,11 @@ def graph_to_tsv(g: InfluenceGraph) -> str:
     return f"#nodes={g.num_nodes} arcs={g.num_arcs}\n{arcs}" + _tsv_rows(("%s", "-", "-"), nodes)
 
 
-# the checks of an arc line, in order
+# the checks of an arc line, in order; no source starts with "#", as that line is a comment
 _GRAPH = (
     _Check("expected 'source target weight' or 'node - -'", lambda f: f.fields() != 3),
     _Check(_EMPTY_USER, lambda f: (f.size(0) == 0) | (f.size(1) == 0)),
+    _Check(_HASH_ID, lambda f: f.starts(1, "#")),
     _Check("self-arc", _same_id(0, 1)),
     _Check(
         "could not convert string to float: {2!r}",
@@ -282,13 +281,12 @@ _GRAPH = (
 
 
 def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
-    """Read :func:`graph_to_tsv` output. A malformed line, an id that
-    :class:`InfluenceGraph` rejects, an arc listed twice, a second
-    ``#nodes= arcs=`` header, or one that the file's arcs and nodes do not
-    match raises :class:`UnparsableLine`; a rejected id or repeat is quoted
-    as it reads back."""
+    """Read :func:`graph_to_tsv` output. A malformed line, an arc listed
+    twice, a second ``#nodes= arcs=`` header, or one that the file's arcs and
+    nodes do not match raises :class:`UnparsableLine`. A repeat, quoted as
+    it reads back, and a mismatched header are found once the file is read."""
     tokens = _Interner()
-    arcs, nodes = _Columns("qqdq"), _Columns("qq")  # source, target, weight, line; node, line
+    arcs = _Columns("qqdq")  # source, target, weight, line
     header = None
     for f in _records(stream, headers=("#nodes=",)):
         if f.text[:1] == "#":  # the header: no record starts with "#"
@@ -299,41 +297,21 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
         if "\t-\t-" in f.text:  # a node line ``i - -`` is no arc; others have no "\t-\t-"
             node = (f.fields() == 3) & (f.size(0) > 0) & (f.size(1) == 1) & (f.size(2) == 1)
             node &= f.starts(1, "-") & f.starts(2, "-")
-            nodes.append(tokens.of(f, (0,), sel=np.flatnonzero(node)), f.numbers[f.rows[node]])
+            tokens.of(f, (0,), sel=np.flatnonzero(node))  # the node's id, for the table
             f.drop(node)
         _judge(f, _GRAPH, strict=True)
         arcs.append(tokens.of(f, (0, 1)), tokens.of(f, (0, 1), 1), f.floats(2), f.numbers[f.rows])
     ids, rank = tokens.table()
     src, dst, weights, line_nos = arcs.arrays()
-    node, node_lines = nodes.arrays()
     src, dst = rank[src], rank[dst]
     try:
         g = InfluenceGraph(ids, src, dst, weights)
-    except ValueError as exc:  # every other rule was checked as the lines were read
-        node = rank[node].tolist()
-        rows = heapq.merge(
-            zip(line_nos.tolist(), src.tolist(), dst.tolist(), weights.tolist()),
-            zip(node_lines.tolist(), node, node, repeat(0.0)),
-        )
-        raise _first_fault(ids, rows) or exc from None
+    except ValueError:  # every id passed the line rules, so an arc is repeated
+        key = src * len(ids) + dst
+        order = np.argsort(key, kind="stable")  # a repeat sorts after the arc it repeats
+        k = order[1:][key[order[1:]] == key[order[:-1]]].min()  # the first repeat in file order
+        line = f"{ids[src[k]]}\t{ids[dst[k]]}\t{float(weights[k])!r}"
+        raise UnparsableLine(int(line_nos[k]), line, "duplicate arc") from None
     if header is not None and header[1] != f"#nodes={g.num_nodes} arcs={g.num_arcs}":
         raise UnparsableLine(*header, f"file holds {g.num_nodes} nodes and {g.num_arcs} arcs")
     return g
-
-
-def _first_fault(
-    ids: tuple[str, ...], rows: Iterable[tuple[int, int, int, float]]
-) -> UnparsableLine | None:
-    """The first of the ``(line_no, source, target, weight)`` rows, which come
-    in line order, that names an id :func:`_id_error` rejects or repeats an
-    arc; a node line is a row from the node to itself with weight 0."""
-    seen: set[tuple[int, int]] = set()
-    for line_no, s, d, w in rows:
-        reason = _id_error(ids[s]) or _id_error(ids[d])
-        if w and not reason:
-            reason = "duplicate arc" if (s, d) in seen else None
-            seen.add((s, d))
-        if reason:
-            line = f"{ids[s]}\t{ids[d]}\t{w!r}" if w else f"{ids[s]}\t-\t-"
-            return UnparsableLine(line_no, line, reason)
-    return None

@@ -868,12 +868,6 @@ def _tsv_rows(formats: Sequence[str], *columns: Sequence) -> str:
     return "".join((line * (len(block) // width)) % block for block in blocks)
 
 
-def url_counts(log: ActivityLog) -> dict[str, int]:
-    """Number of distinct URLs each user mentioned (mentions and retweets)."""
-    codes, counts = np.unique(log.posts.user, return_counts=True)
-    return {log.user_ids[c]: n for c, n in zip(codes.tolist(), counts.tolist())}
-
-
 def events_to_tsv(log: ActivityLog) -> str:
     users, urls = log.user_ids, log.url_ids
     kinds = [MENTION if s < 0 else f"{RETWEET}\t{users[s]}" for s in log.source.tolist()]

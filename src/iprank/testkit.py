@@ -1,9 +1,6 @@
-"""Dense oracles and deterministic synthetic-trace generation.
-
-The dense oracles deliberately share no code with the implementations they
-check: they build full matrices with plain loops and apply the defining
-operations naively. The per-user, follow and ranking oracles, which only the
-tests use, live in ``tests/oracles.py``.
+"""Deterministic synthetic inputs: a trace (:func:`synth_trace`) and a
+weighted graph (:func:`random_graph`). The oracles that the tests check the
+package against, and the planted trace, live in ``tests/oracles.py``.
 
 Trace generation uses ``random.Random`` (Mersenne Twister), drawing in a
 fixed documented order so a seed fully determines the output:
@@ -28,16 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import PageRankParams, ScoreVector
-from .errors import DegenerateGraph, EmptyGraph, EmptyNodeSet, InvalidParams, TooLarge
+from .errors import InvalidParams
 from .graphs import InfluenceGraph
 from .ingest import ActivityLog, FollowEdgeList, TweetEvent
-from .ipcore import ScorePair
-
-DENSE_LIMIT = 200
-
-PLANTED_A = "brdA"
-PLANTED_B = "brdB"
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,50 +105,6 @@ def synth_trace(p: SynthParams) -> tuple[ActivityLog, FollowEdgeList]:
     return ActivityLog(events), FollowEdgeList(edges)
 
 
-def planted_contrast_trace(
-    audience_size: int = 5,
-) -> tuple[ActivityLog, FollowEdgeList]:
-    """Two broadcasters with equal audiences but opposite audience behavior.
-
-    ``brdA``'s audience follows brdA and the background broadcaster brdC but
-    retweets only part of brdA's output: dedicated and passive. ``brdB``'s
-    audience follows brdB and brdC and retweets every URL they see. On the
-    resulting retweet graph the influence of brdA exceeds that of brdB.
-    """
-    if audience_size < 1:
-        raise InvalidParams(f"audience_size must be >= 1, got {audience_size}")
-    posts_per_broadcaster = 5
-    events: list[TweetEvent] = []
-    clock = 0
-
-    def tick() -> int:
-        nonlocal clock
-        clock += 1000
-        return clock
-
-    pools = {}
-    for b, tag in ((PLANTED_A, "a"), (PLANTED_B, "b"), ("brdC", "c")):
-        pools[b] = [f"{tag}url{k}" for k in range(posts_per_broadcaster)]
-        for url in pools[b]:
-            events.append(TweetEvent(time=tick(), user=b, url=url))
-
-    edges: list[tuple[str, str]] = []
-    for k in range(audience_size):
-        dedicated = f"audA{k:02d}"
-        edges += [(PLANTED_A, dedicated), ("brdC", dedicated)]
-        for url in pools[PLANTED_A][:3]:
-            events.append(
-                TweetEvent(time=tick(), user=dedicated, url=url, source=PLANTED_A)
-            )
-        eager = f"audB{k:02d}"
-        edges += [(PLANTED_B, eager), ("brdC", eager)]
-        for url in pools[PLANTED_B]:
-            events.append(TweetEvent(time=tick(), user=eager, url=url, source=PLANTED_B))
-        for url in pools["brdC"]:
-            events.append(TweetEvent(time=tick(), user=eager, url=url, source="brdC"))
-    return ActivityLog(events), FollowEdgeList(edges)
-
-
 def random_graph(n: int, arcs: int, seed: int) -> InfluenceGraph:
     """Seeded random graph with weights in (0, 1), no self-arcs, no duplicates."""
     if n < 2:
@@ -180,69 +126,3 @@ def random_graph(n: int, arcs: int, seed: int) -> InfluenceGraph:
     width = max(3, len(str(n - 1)))
     node_ids = [f"n{i:0{width}d}" for i in range(n)]
     return InfluenceGraph(node_ids, codes // n, codes % n, weights)
-
-
-def dense_ip_oracle(g: InfluenceGraph, iterations: int) -> ScorePair:
-    """Reference influence-passivity computation via explicit dense matrices."""
-    if g.num_nodes > DENSE_LIMIT:
-        raise TooLarge(f"dense oracle is limited to {DENSE_LIMIT} nodes")
-    if g.num_arcs == 0:
-        raise EmptyGraph("influence graph has no arcs")
-    if iterations < 1:
-        raise InvalidParams(f"iterations must be >= 1, got {iterations}")
-    n = g.num_nodes
-    index = {uid: k for k, uid in enumerate(g.node_ids)}
-    triples = [(index[i], index[j], w) for i, j, w in g.arcs()]
-    in_sum = [0.0] * n
-    rej_sum = [0.0] * n
-    for i, j, w in triples:
-        in_sum[j] += w
-        rej_sum[i] += 1.0 - w
-    accept = np.zeros((n, n))
-    reject_t = np.zeros((n, n))
-    for i, j, w in triples:
-        accept[i, j] = w / in_sum[j]
-        if rej_sum[i] > 0.0:
-            reject_t[j, i] = (1.0 - w) / rej_sum[i]
-    influence = np.ones(n)
-    passivity = np.ones(n)
-    for _ in range(iterations):
-        raw_p = reject_t @ influence
-        if raw_p.sum() <= 0.0:
-            raise DegenerateGraph("raw passivity sums to zero")
-        raw_i = accept @ raw_p
-        influence = raw_i / raw_i.sum()
-        passivity = raw_p / raw_p.sum()
-    return ScorePair(g.node_ids, influence, passivity, iterations)
-
-
-def dense_pagerank_oracle(
-    g: InfluenceGraph, params: PageRankParams | None = None
-) -> ScoreVector:
-    """Reference weighted PageRank via a dense transition matrix."""
-    if params is None:
-        params = PageRankParams()
-    if g.num_nodes > DENSE_LIMIT:
-        raise TooLarge(f"dense oracle is limited to {DENSE_LIMIT} nodes")
-    n = g.num_nodes
-    if n == 0:
-        raise EmptyNodeSet("pagerank needs at least one node")
-    index = {uid: k for k, uid in enumerate(g.node_ids)}
-    transition = np.zeros((n, n))
-    out_sum = [0.0] * n
-    for i, j, w in g.arcs():
-        out_sum[index[i]] += w
-    for i, j, w in g.arcs():
-        transition[index[i], index[j]] = w / out_sum[index[i]]
-    for k in range(n):
-        if out_sum[k] == 0.0:
-            transition[k, :] = 1.0 / n
-    d = params.damping
-    x = np.full(n, 1.0 / n)
-    for _ in range(params.max_iterations):
-        new_x = d * (x @ transition) + (1.0 - d) / n
-        err = float(np.abs(new_x - x).sum())
-        x = new_x
-        if err < params.epsilon:
-            break
-    return ScoreVector(g.node_ids, x / x.sum(), label="pagerank")

@@ -139,6 +139,8 @@ def graph_reason(parts):
         return "empty user id"
     if parts[1] == "-" and parts[2] == "-":
         return None
+    if parts[1][0] == "#":
+        return HASH_ID
     if parts[0] == parts[1]:
         return "self-arc"
     try:
@@ -149,9 +151,9 @@ def graph_reason(parts):
 
 
 def read_graph(text):
-    """The graph in ``text``; after the line rules, the first line naming an
-    id that starts with "#" or repeating an arc, then a ``#nodes=`` header
-    that the file does not match, is an error."""
+    """The graph in ``text``; after the line rules, the first line repeating
+    an arc, then a ``#nodes=`` header that the file does not match, is an
+    error."""
     header = None
     rows = []  # (line_no, source, target, weight); a node line has no target
     for line_no, line, is_header in records(text, "#nodes="):
@@ -170,14 +172,10 @@ def read_graph(text):
             rows.append((line_no, source, target, float(weight)))
     seen = set()
     for line_no, source, target, weight in rows:
-        ids = (source,) if target is None else (source, target)
-        reason = HASH_ID if any(uid[:1] == "#" for uid in ids) else None
-        if target is not None and reason is None:
-            reason = "duplicate arc" if (source, target) in seen else None
+        if target is not None:
+            if (source, target) in seen:
+                raise UnparsableLine(line_no, f"{source}\t{target}\t{weight!r}", "duplicate arc")
             seen.add((source, target))
-        if reason:
-            line = f"{source}\t-\t-" if target is None else f"{source}\t{target}\t{weight!r}"
-            raise UnparsableLine(line_no, line, reason)
     g = InfluenceGraph.from_arcs(
         [(s, t, w) for _, s, t, w in rows if t is not None], [s for _, s, t, _ in rows]
     )

@@ -1,11 +1,13 @@
 """Oracles and helpers that only the tests use.
 
-The per-user event oracles (co-mention counts, retweeting rates, the
-H-index) scan :class:`TweetEvent` objects one by one, the follow oracles
-scan (followee, follower) id pairs, and the ranking oracles sort id -> value
-dicts and walk runs of ties in a loop, so none shares code with the
-implementation it checks. :func:`read_manifest` reads an artifact's
-manifest back.
+The dense oracles build full matrices with plain loops and apply the
+defining operations naively. The per-user event oracles (co-mention counts,
+retweeting rates, the H-index) scan :class:`TweetEvent` objects one by one,
+the follow oracles scan (followee, follower) id pairs, and the ranking
+oracles sort id -> value dicts and walk runs of ties in a loop, so none
+shares code with the implementation it checks. :func:`planted_contrast_trace`
+is a small trace whose IP ordering is known, and :func:`read_manifest` reads
+an artifact's manifest back.
 """
 
 from __future__ import annotations
@@ -15,10 +17,22 @@ from typing import Iterable
 
 import numpy as np
 
-from iprank.baselines import ScoreVector
-from iprank.errors import ConfigInvalid
+from iprank.baselines import PageRankParams, ScoreVector
+from iprank.errors import (
+    ConfigInvalid, DegenerateGraph, EmptyGraph, EmptyNodeSet, InvalidParams, IpRankError,
+)
 from iprank.graphs import InfluenceGraph
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent, _records
+from iprank.ipcore import ScorePair
+
+DENSE_LIMIT = 200
+
+PLANTED_A = "brdA"
+PLANTED_B = "brdB"
+
+
+class TooLarge(IpRankError):
+    """The input exceeds the size limit of a dense reference computation."""
 
 
 def edges(follows: FollowEdgeList) -> frozenset[tuple[str, str]]:
@@ -48,6 +62,126 @@ def read_manifest(path: str) -> dict[str, str]:
                     )
                 entries[key] = value
     return entries
+
+
+# ---------------------------------------------------------------------------
+# Dense oracles
+# ---------------------------------------------------------------------------
+
+
+def dense_ip_oracle(g: InfluenceGraph, iterations: int) -> ScorePair:
+    """Reference influence-passivity computation via explicit dense matrices."""
+    if g.num_nodes > DENSE_LIMIT:
+        raise TooLarge(f"dense oracle is limited to {DENSE_LIMIT} nodes")
+    if g.num_arcs == 0:
+        raise EmptyGraph("influence graph has no arcs")
+    if iterations < 1:
+        raise InvalidParams(f"iterations must be >= 1, got {iterations}")
+    n = g.num_nodes
+    index = {uid: k for k, uid in enumerate(g.node_ids)}
+    triples = [(index[i], index[j], w) for i, j, w in g.arcs()]
+    in_sum = [0.0] * n
+    rej_sum = [0.0] * n
+    for i, j, w in triples:
+        in_sum[j] += w
+        rej_sum[i] += 1.0 - w
+    accept = np.zeros((n, n))
+    reject_t = np.zeros((n, n))
+    for i, j, w in triples:
+        accept[i, j] = w / in_sum[j]
+        if rej_sum[i] > 0.0:
+            reject_t[j, i] = (1.0 - w) / rej_sum[i]
+    influence = np.ones(n)
+    passivity = np.ones(n)
+    for _ in range(iterations):
+        raw_p = reject_t @ influence
+        if raw_p.sum() <= 0.0:
+            raise DegenerateGraph("raw passivity sums to zero")
+        raw_i = accept @ raw_p
+        influence = raw_i / raw_i.sum()
+        passivity = raw_p / raw_p.sum()
+    return ScorePair(g.node_ids, influence, passivity, iterations)
+
+
+def dense_pagerank_oracle(
+    g: InfluenceGraph, params: PageRankParams | None = None
+) -> ScoreVector:
+    """Reference weighted PageRank via a dense transition matrix."""
+    if params is None:
+        params = PageRankParams()
+    if g.num_nodes > DENSE_LIMIT:
+        raise TooLarge(f"dense oracle is limited to {DENSE_LIMIT} nodes")
+    n = g.num_nodes
+    if n == 0:
+        raise EmptyNodeSet("pagerank needs at least one node")
+    index = {uid: k for k, uid in enumerate(g.node_ids)}
+    transition = np.zeros((n, n))
+    out_sum = [0.0] * n
+    for i, j, w in g.arcs():
+        out_sum[index[i]] += w
+    for i, j, w in g.arcs():
+        transition[index[i], index[j]] = w / out_sum[index[i]]
+    for k in range(n):
+        if out_sum[k] == 0.0:
+            transition[k, :] = 1.0 / n
+    d = params.damping
+    x = np.full(n, 1.0 / n)
+    for _ in range(params.max_iterations):
+        new_x = d * (x @ transition) + (1.0 - d) / n
+        err = float(np.abs(new_x - x).sum())
+        x = new_x
+        if err < params.epsilon:
+            break
+    return ScoreVector(g.node_ids, x / x.sum(), label="pagerank")
+
+
+# ---------------------------------------------------------------------------
+# A planted trace
+# ---------------------------------------------------------------------------
+
+
+def planted_contrast_trace(
+    audience_size: int = 5,
+) -> tuple[ActivityLog, FollowEdgeList]:
+    """Two broadcasters with equal audiences but opposite audience behavior.
+
+    ``brdA``'s audience follows brdA and the background broadcaster brdC but
+    retweets only part of brdA's output: dedicated and passive. ``brdB``'s
+    audience follows brdB and brdC and retweets every URL they see. On the
+    resulting retweet graph the influence of brdA exceeds that of brdB.
+    """
+    if audience_size < 1:
+        raise InvalidParams(f"audience_size must be >= 1, got {audience_size}")
+    posts_per_broadcaster = 5
+    events: list[TweetEvent] = []
+    clock = 0
+
+    def tick() -> int:
+        nonlocal clock
+        clock += 1000
+        return clock
+
+    pools = {}
+    for b, tag in ((PLANTED_A, "a"), (PLANTED_B, "b"), ("brdC", "c")):
+        pools[b] = [f"{tag}url{k}" for k in range(posts_per_broadcaster)]
+        for url in pools[b]:
+            events.append(TweetEvent(time=tick(), user=b, url=url))
+
+    edges: list[tuple[str, str]] = []
+    for k in range(audience_size):
+        dedicated = f"audA{k:02d}"
+        edges += [(PLANTED_A, dedicated), ("brdC", dedicated)]
+        for url in pools[PLANTED_A][:3]:
+            events.append(
+                TweetEvent(time=tick(), user=dedicated, url=url, source=PLANTED_A)
+            )
+        eager = f"audB{k:02d}"
+        edges += [(PLANTED_B, eager), ("brdC", eager)]
+        for url in pools[PLANTED_B]:
+            events.append(TweetEvent(time=tick(), user=eager, url=url, source=PLANTED_B))
+        for url in pools["brdC"]:
+            events.append(TweetEvent(time=tick(), user=eager, url=url, source="brdC"))
+    return ActivityLog(events), FollowEdgeList(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +293,14 @@ def audience_retweeting_rate(
             if ev.source == user and ev.url in posted:
                 pairs.add((follower, ev.url))
     return len(pairs) / (len(own_events) * len(followers))
+
+
+def distinct_urls(log: ActivityLog) -> dict[str, int]:
+    """Distinct URLs each poster mentioned or retweeted, by scanning the events."""
+    urls: dict[str, set[str]] = {}
+    for ev in log.events:
+        urls.setdefault(ev.user, set()).add(ev.url)
+    return {user: len(posted) for user, posted in urls.items()}
 
 
 def h_from_counts(counts: Iterable[int]) -> int:

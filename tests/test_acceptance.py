@@ -24,17 +24,11 @@ from iprank.graphs import (
 )
 from iprank.ingest import ClickTable, clicks_to_tsv, events_to_tsv, follows_to_tsv
 from iprank.ipcore import IpParams, run_ip
-from iprank.testkit import (
-    PLANTED_A,
-    PLANTED_B,
-    SynthParams,
-    dense_ip_oracle,
-    dense_pagerank_oracle,
+from iprank.testkit import SynthParams, random_graph, synth_trace
+from oracles import (
+    PLANTED_A, PLANTED_B, dense_ip_oracle, dense_pagerank_oracle, edges, h_from_counts,
     planted_contrast_trace,
-    random_graph,
-    synth_trace,
 )
-from oracles import edges, h_from_counts
 
 
 @contextlib.contextmanager

@@ -15,9 +15,9 @@ from iprank.baselines import (
 from iprank.cli import read_score_columns
 from iprank.errors import EmptyNodeSet, InvalidParams
 from iprank.graphs import InfluenceGraph
-from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent, url_counts
-from iprank.testkit import dense_pagerank_oracle, random_graph
-from oracles import by_id, h_from_counts, h_index
+from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
+from iprank.testkit import random_graph
+from oracles import by_id, dense_pagerank_oracle, distinct_urls, h_from_counts, h_index
 
 
 def vector_from_tsv(text, tmp_path):
@@ -193,7 +193,7 @@ class TestHIndex:
 
     def test_h_index_bounded_by_distinct_posts(self):
         log = self.trace()
-        assert h_index(log, "w") <= url_counts(log)["w"]
+        assert h_index(log, "w") <= distinct_urls(log)["w"]
 
     def test_repeat_retweets_count_as_events(self):
         # each URL retweeted twice by one retweeter: counts [2, 2] -> h = 2

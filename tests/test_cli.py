@@ -157,6 +157,27 @@ class TestReports:
         assert (out / "measure_followers.tsv").exists()
         assert (out / "rank.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "min_posted,rows",
+        [
+            (1, "poster\t0.40000000000000002\t1\nreader\t0.10000000000000001\t2\n"),
+            (2, "poster\t0.40000000000000002\t1\n"),
+        ],
+    )
+    def test_min_posted_counts_only_what_a_user_posted(self, tmp_path, min_posted, rows):
+        # "src" is only ever credited as a retweet source; "absent" is not in the log
+        events = tmp_path / "events.tsv"
+        events.write_text("1\tposter\tl-a\tM\n2\tposter\tl-b\tM\n3\treader\tl-a\tRT\tsrc\n")
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("#measure=m\nposter\t0.4\nsrc\t0.3\nabsent\t0.2\nreader\t0.1\n")
+        out = tmp_path / "out"
+        assert run(
+            "rank", "--scores", scores, "--events", events, "--min-posted", min_posted,
+            "--out-dir", out,
+        ) == 0
+        body = (out / "rank.tsv").read_text(encoding="utf-8").split("#user\tm\trank\n")[1]
+        assert body == rows
+
     def test_compare(self, trace_dir):
         out = self.setup_scores(trace_dir)
         assert run(
@@ -763,6 +784,76 @@ class TestConfigHandling:
             "build", "--events", trace_dir / "events.tsv", "--min-urls", "1",
             "--threads", "4", "--out-dir", out,
         ) == 0
+
+
+class TestUnreadableInput:
+    """Input that cannot be read is an ``error:`` line and an exit code,
+    reported before any work where no file needs reading to find it."""
+
+    @pytest.mark.parametrize("mode", ["--strict", "--lenient"])
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_events_that_are_not_utf8_name_their_line(self, tmp_path, capsys, mode, newline):
+        events = tmp_path / "events.tsv"
+        lines = ["1\tposter\tl-a\tM", "2\tposter\tl-b\tM", "3\tre\xffader\tl-a\tM"]
+        events.write_bytes(newline.join(lines).encode("latin-1") + b"\n")
+        code = run("build", "--events", events, "--min-urls", "1", mode, "--out-dir", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: UnparsableLine: line 3: not UTF-8: '3\\tre\ufffdader\\tl-a\\tM'" in err
+
+    def test_clicks_that_are_not_utf8_name_their_line(self, trace_dir, capsys):
+        clicks = trace_dir / "clicks.tsv"
+        clicks.write_bytes(clicks.read_bytes() + b"\xfe\t3\n")
+        lines = clicks.read_bytes().count(b"\n")
+        code = run(
+            "curve", "--measure", "hindex", "--events", trace_dir / "events.tsv",
+            "--clicks", clicks, "--out-dir", trace_dir / "out",
+        )
+        assert code == 1
+        assert f"error: UnparsableLine: line {lines}: not UTF-8" in capsys.readouterr().err
+
+    def test_graph_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        graph = tmp_path / "graph.tsv"
+        graph.write_bytes(b"a\tb\t0.5\nb\t\xc3\t0.5\n")
+        assert run("ip", "--graph", graph, "--out-dir", tmp_path / "out") == 1
+        assert "error: UnparsableLine: line 2: not UTF-8" in capsys.readouterr().err
+
+    def test_score_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_bytes(b"#measure=m\nu\t1\nv\xff\t2\n")
+        assert run("rank", "--scores", scores, "--out-dir", tmp_path / "out") == 2
+        assert f"error: ConfigInvalid: line 3 of {scores}: not UTF-8" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_config_error(self, trace_dir, capsys):
+        cfg = trace_dir / "run.cfg"
+        cfg.write_bytes(b"min_urls=1\ngraph_type=\xffrt\n")
+        code = run("build", "--events", trace_dir / "events.tsv", "--config", cfg)
+        assert code == 2
+        assert f"error: ConfigInvalid: line 2 of {cfg}: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["events", "config"])
+    def test_a_directory_is_no_input_file(self, trace_dir, capsys, monkeypatch, role):
+        monkeypatch.setattr(cli, "parse_events", None)  # no input is parsed
+        out = trace_dir / "out"
+        out.mkdir()
+        flags = {"events": trace_dir / "events.tsv", role: trace_dir}
+        code = run("build", *(f"--{k}={v}" for k, v in flags.items()), "--out-dir", out)
+        assert code == 2
+        assert f"error: MissingInput: {role} is not a regular file: {trace_dir}" in (
+            capsys.readouterr().err
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_out_dir_under_or_at_a_file_is_config_error(self, trace_dir, capsys, monkeypatch, sub):
+        monkeypatch.setattr(cli, "parse_events", None)  # no input is parsed
+        taken = trace_dir / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        out = taken / sub
+        assert run("build", "--events", trace_dir / "events.tsv", "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: ConfigInvalid: out_dir {out}: {taken} is not a directory" in err
+        assert taken.read_text(encoding="utf-8") == "kept\n"
 
 
 class TestDeterminism:

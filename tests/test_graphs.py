@@ -21,7 +21,7 @@ from iprank.graphs import (
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
 from iprank.ipcore import ScorePair
 from iprank.testkit import SynthParams, synth_trace
-from oracles import PairwiseCounts, arc_weights, pairwise_counts, posters
+from oracles import PairwiseCounts, arc_weights, distinct_urls, pairwise_counts, posters
 
 LONG = "0123456789abcdef"  # 16 bytes: longer than the graph reader's key prefix
 
@@ -276,11 +276,9 @@ class TestBuilderProperties:
                 prev_nodes, prev_arcs = nodes, arcs
 
     def test_retweet_weight_lower_bound(self):
-        from iprank.ingest import url_counts
-
         log, _ = self.synth(7)
         g = build_retweet(log, 2)
-        p = url_counts(log)
+        p = distinct_urls(log)
         assert g.num_arcs > 0
         for i, j, w in g.arcs():
             assert w >= 1.0 / p[i] - 1e-15
@@ -451,6 +449,22 @@ class TestSerialization:
         with pytest.raises(UnparsableLine) as info:
             graph_from_tsv(io.StringIO(text, newline="\n"))  # a stream that keeps each CR
         assert (info.value.line_no, info.value.line, info.value.reason) == (line_no, line, reason)
+
+    # a "#"-led target is a line rule: it is reported where its line is read,
+    # ahead of a repeat found only once the whole file is read, and ahead of
+    # a later malformed line
+    @pytest.mark.parametrize(
+        "text,line_no,line",
+        [
+            ("a\tb\t0.5\na\tb\t0.5\nc\t#d\t0.5\n", 3, "c\t#d\t0.5"),
+            ("a\t#b\t0.5\nc\td\tzero\n", 1, "a\t#b\t0.5"),
+        ],
+    )
+    def test_a_hash_target_is_reported_where_its_line_is_read(self, text, line_no, line):
+        with pytest.raises(UnparsableLine) as info:
+            graph_from_tsv(text)
+        assert (info.value.line_no, info.value.line) == (line_no, line)
+        assert info.value.reason == "id starts with '#'"
 
     # ids longer than the reader's key prefix, told apart by their text: the
     # expected lines and reasons are those the string-interning reader gave

@@ -25,7 +25,6 @@ from iprank.ingest import (
     parse_clicks,
     parse_events,
     parse_follows,
-    url_counts,
 )
 from oracles import edges, followees_of, followers_of, read_manifest
 
@@ -367,39 +366,6 @@ class TestParseClicks:
     def test_malformed(self):
         with pytest.raises(UnparsableLine):
             parse_clicks("u1\tfive\n")
-
-
-class TestUrlCounts:
-    def test_repeat_mentions_counted_once(self):
-        log = parse_events("1\tu\ta\tM\n2\tu\tb\tM\n3\tu\ta\tM\n")
-        assert url_counts(log) == {"u": 2}
-
-    def test_user_without_events_absent(self):
-        log = parse_events(EVENTS)
-        assert "ghost" not in url_counts(log)
-
-    def test_retweet_counts_as_mention(self):
-        log = parse_events("1\tv\tb\tM\n2\tu\ta\tM\n3\tu\tb\tRT\tv\n")
-        counts = url_counts(log)
-        # independent check: brute-force distinct-URL scan
-        naive = {}
-        for ev in log:
-            naive.setdefault(ev.user, set()).add(ev.url)
-        assert counts == {u: len(s) for u, s in naive.items()}
-        assert counts["u"] == 2
-
-    def test_matches_naive_scan_on_random_trace(self):
-        rng = random.Random(5)
-        events = []
-        for t in range(200):
-            user = f"u{rng.randrange(10)}"
-            url = f"l{rng.randrange(15)}"
-            events.append(TweetEvent(time=t, user=user, url=url))
-        log = ActivityLog(events)
-        naive = {}
-        for ev in log:
-            naive.setdefault(ev.user, set()).add(ev.url)
-        assert url_counts(log) == {u: len(s) for u, s in naive.items()}
 
 
 class TestRoundTrips:

@@ -13,7 +13,8 @@ from iprank.ipcore import (
     scores_to_tsv,
     trace_to_tsv,
 )
-from iprank.testkit import dense_ip_oracle, random_graph
+from iprank.testkit import random_graph
+from oracles import dense_ip_oracle
 
 
 class Rates:

@@ -5,22 +5,15 @@ import pytest
 
 from iprank.analytics import rate_report
 from iprank.baselines import h_index_scores
-from iprank.errors import EmptyGraph, InvalidParams, TooLarge
+from iprank.errors import EmptyGraph, InvalidParams
 from iprank.graphs import InfluenceGraph, build_retweet
 from iprank.ingest import events_to_tsv, follows_to_tsv
 from iprank.ipcore import run_ip
-from iprank.testkit import (
-    PLANTED_A,
-    PLANTED_B,
-    SynthParams,
-    dense_ip_oracle,
-    dense_pagerank_oracle,
-    planted_contrast_trace,
-    random_graph,
-    synth_trace,
-)
+from iprank.testkit import SynthParams, random_graph, synth_trace
 from oracles import (
-    audience_retweeting_rate, by_id, edges, followers_of, h_index, posters, user_retweeting_rate,
+    PLANTED_A, PLANTED_B, TooLarge, audience_retweeting_rate, by_id, dense_ip_oracle,
+    dense_pagerank_oracle, edges, followers_of, h_index, planted_contrast_trace, posters,
+    user_retweeting_rate,
 )
 
 PARAMS = SynthParams(
