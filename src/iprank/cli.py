@@ -9,6 +9,7 @@ files. Nothing in the pipeline is randomized or time-dependent.
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import operator
 import sys
@@ -233,14 +234,16 @@ def _require(path: str | None, role: str) -> str:
 
 @contextmanager
 def _text(path: str, fault: Callable[[int, str, str], IpRankError]) -> Iterator[IO[str]]:
-    """The file at ``path``, open as UTF-8 text. A read that meets bytes that
-    are not UTF-8 raises ``fault(line_no, line, reason)`` for the first line
-    holding some; LF, CR and CRLF end a line, as the readers count them."""
+    """The file at ``path``, open as UTF-8 text; a leading byte order mark is
+    no part of it. A read that meets bytes that are not UTF-8 raises
+    ``fault(line_no, line, reason)`` for the first line holding some; LF, CR
+    and CRLF end a line, as the readers count them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
-        lines = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+        lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
         for line_no, line in enumerate(lines, start=1):
             text = line.decode("utf-8", "replace")
             if text.encode("utf-8") != line:  # a byte that is no UTF-8 became U+FFFD

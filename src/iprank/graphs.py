@@ -31,6 +31,7 @@ from .ingest import (
 )
 
 WEIGHT_HIST_BINS = 10
+_RUN_ROWS = 1 << 16  # (edge, URL) rows build_comention holds at once, bar one larger edge
 
 
 class _Ids(tuple):
@@ -188,16 +189,25 @@ def build_comention(
     i, j = _in_log_edges(log, follows)
     keep = eligible[i] & eligible[j]
     i, j = i[keep], j[keep]
-    # one row per (edge, URL of i): i's posts are contiguous in the table
     posts = log.posts
     sizes = posted[i]
-    edge = np.repeat(np.arange(i.size), sizes)
-    row = np.repeat(np.searchsorted(posts.user, i) - (np.cumsum(sizes) - sizes), sizes)
-    row += np.arange(row.size)
-    pos, shared = _lookup(posts.key, log.post_key(j[edge], posts.url[row]))
-    later = shared & (posts.last[pos] > posts.first[row])
-    s = np.bincount(edge[later], minlength=i.size)
-    f = sizes - np.bincount(edge[shared], minlength=i.size)
+    ends = np.cumsum(sizes)
+    first = np.searchsorted(posts.user, i)  # i's posts are contiguous in the table
+    s = np.zeros(i.size, dtype=np.int64)
+    f = sizes.copy()
+    a = 0
+    while a < i.size:  # runs of whole edges, each of at most _RUN_ROWS rows or one edge
+        b = max(int(np.searchsorted(ends, ends[a] - sizes[a] + _RUN_ROWS, "right")), a + 1)
+        # one row per (edge, URL of i); every row belongs to one edge of the run
+        n = sizes[a:b]
+        edge = np.repeat(np.arange(b - a), n)
+        row = np.repeat(first[a:b] - (np.cumsum(n) - n), n)
+        row += np.arange(row.size)
+        pos, shared = _lookup(posts.key, log.post_key(j[a:b][edge], posts.url[row]))
+        later = shared & (posts.last[pos] > posts.first[row])
+        s[a:b] = np.bincount(edge[later], minlength=b - a)
+        f[a:b] -= np.bincount(edge[shared], minlength=b - a)
+        a = b
     arc = s >= 1
     return _from_codes(log, eligible, i[arc], j[arc], s[arc] / (f[arc] + s[arc]))
 

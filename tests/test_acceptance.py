@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from iprank import graphs
 from iprank.analytics import percentile_curve, rank_correlation
 from iprank.baselines import ScoreVector, weighted_pagerank
 from iprank.cli import main
@@ -22,12 +23,15 @@ from iprank.graphs import (
     build_retweet,
     build_retweet_follower,
 )
-from iprank.ingest import ClickTable, clicks_to_tsv, events_to_tsv, follows_to_tsv
+from iprank.ingest import (
+    ActivityLog, ClickTable, FollowEdgeList, TweetEvent, clicks_to_tsv, events_to_tsv,
+    follows_to_tsv,
+)
 from iprank.ipcore import IpParams, run_ip
 from iprank.testkit import SynthParams, random_graph, synth_trace
 from oracles import (
-    PLANTED_A, PLANTED_B, dense_ip_oracle, dense_pagerank_oracle, edges, h_from_counts,
-    planted_contrast_trace,
+    PLANTED_A, PLANTED_B, arc_weights, dense_ip_oracle, dense_pagerank_oracle, edges,
+    h_from_counts, planted_contrast_trace,
 )
 
 
@@ -178,19 +182,21 @@ def brute_force_comention(log, follows, min_urls):
     return arcs, eligible
 
 
+CRITERION_05_TRACES = (
+    SynthParams(
+        users=60, broadcasters=12, follow_prob=0.15, mention_rate=6.0,
+        retweet_prob=0.3, url_pool=40, seed=71,
+    ),
+    SynthParams(
+        users=200, broadcasters=20, follow_prob=0.05, mention_rate=4.0,
+        retweet_prob=0.25, url_pool=120, seed=72,
+    ),
+)
+
+
 def test_criterion_05_graph_builders_match_brute_force():
     with criterion(5, "graph builders match brute-force oracles"):
-        traces = [
-            SynthParams(
-                users=60, broadcasters=12, follow_prob=0.15, mention_rate=6.0,
-                retweet_prob=0.3, url_pool=40, seed=71,
-            ),
-            SynthParams(
-                users=200, broadcasters=20, follow_prob=0.05, mention_rate=4.0,
-                retweet_prob=0.25, url_pool=120, seed=72,
-            ),
-        ]
-        for params in traces:
+        for params in CRITERION_05_TRACES:
             log, follows = synth_trace(params)
             for min_urls in (1, 3):
                 rt = build_retweet(log, min_urls)
@@ -212,6 +218,39 @@ def test_criterion_05_graph_builders_match_brute_force():
                 }
                 assert rtf_arcs == expected
                 assert set(rtf_arcs) <= set(rt_arcs)
+
+
+def test_comention_graph_does_not_depend_on_its_run_size(monkeypatch):
+    """The co-mention builder works through follow edges in runs of whole
+    edges; runs of one edge, of a few edges and of the default size build one
+    graph, that of the oracle. "big" posts more URLs than a run of 3 rows
+    holds; in "idle" no follow edge joins two posters."""
+    default = graphs._RUN_ROWS
+    big = [TweetEvent(time=t, user="big", url=f"l-{t}") for t in range(1, 6)]
+    big += [
+        TweetEvent(time=0, user="fan", url="l-1"),
+        TweetEvent(time=7, user="fan", url="l-2"),
+        TweetEvent(time=8, user="fan", url="l-4"),
+        TweetEvent(time=9, user="other", url="l-5"),
+        TweetEvent(time=9, user="other", url="l-9"),
+    ]
+    big_follows = FollowEdgeList([("big", "fan"), ("big", "other"), ("fan", "big")])
+    idle = [TweetEvent(time=t, user=u, url="l-1") for t, u in enumerate(("a", "b", "c"))]
+    idle_follows = FollowEdgeList([("a", "ghost"), ("ghost", "b"), ("c", "c2")])
+    logs = [synth_trace(params) for params in CRITERION_05_TRACES]
+    logs += [(ActivityLog(big), big_follows), (ActivityLog(idle), idle_follows)]
+    for log, follows in logs:
+        for min_urls in (1, 3):
+            built = []
+            for run_rows in (1, 3, default):
+                monkeypatch.setattr(graphs, "_RUN_ROWS", run_rows)
+                built.append(build_comention(log, follows, min_urls))
+            assert built[0] == built[1] == built[2]
+            oracle, _ = brute_force_comention(log, follows, min_urls)
+            assert {(i, j): w for i, j, w in built[0].arcs()} == oracle
+    expected = {("big", "fan"): 2 / 4, ("big", "other"): 1 / 5, ("fan", "big"): 1.0}
+    assert arc_weights(build_comention(*logs[2], 1)) == expected
+    assert build_comention(*logs[3], 1).num_arcs == 0
 
 
 def test_criterion_06_planted_contrast():

@@ -801,6 +801,13 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert "error: UnparsableLine: line 3: not UTF-8: '3\\tre\ufffdader\\tl-a\\tM'" in err
 
+    def test_a_leading_bom_is_not_quoted_with_the_line(self, tmp_path, capsys):
+        events = tmp_path / "events.tsv"
+        events.write_bytes(b"\xef\xbb\xbf1\tpo\xffster\tl-a\tM\n")
+        assert run("build", "--events", events, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "error: UnparsableLine: line 1: not UTF-8: '1\\tpo\ufffdster\\tl-a\\tM'" in err
+
     def test_clicks_that_are_not_utf8_name_their_line(self, trace_dir, capsys):
         clicks = trace_dir / "clicks.tsv"
         clicks.write_bytes(clicks.read_bytes() + b"\xfe\t3\n")
@@ -854,6 +861,52 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert f"error: ConfigInvalid: out_dir {out}: {taken} is not a directory" in err
         assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte order mark opening an input file is no part of its first
+    line: the artifacts are those of the same file without it, and only the
+    manifest's digest, of the file's raw bytes, tells them apart."""
+
+    ROLES = ("events", "follows", "clicks", "graph", "scores", "config")
+
+    @staticmethod
+    def artifacts(out):
+        """Each artifact in ``out`` without its manifest lines."""
+        return {
+            path.name: [
+                line for line in path.read_text(encoding="utf-8").splitlines()
+                if not line.startswith("#manifest")
+            ]
+            for path in out.iterdir()
+        }
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_a_leading_bom_reads_as_the_file_without_it(self, trace_dir, role):
+        path = {name: trace_dir / f"{name}.tsv" for name in self.ROLES}
+        path["graph"].write_text("#nodes=3 arcs=2\na\tb\t0.5\nb\tc\t1\n", encoding="utf-8")
+        path["scores"].write_text("#measure=m\nu\t1\nv\t2\n", encoding="utf-8")
+        path["config"].write_text("min_urls=1\ngraph_type=rt\n", encoding="utf-8")
+        curve = (
+            "curve", "--events", path["events"], "--follows", path["follows"],
+            "--clicks", path["clicks"], "--measure", "ip-influence",
+            "--graph-type", "comention", "--min-urls", "1",
+        )
+        argv = {
+            "events": curve,
+            "follows": curve,
+            "clicks": curve,
+            "graph": ("ip", "--graph", path["graph"]),
+            "scores": ("rank", "--scores", path["scores"]),
+            "config": ("build", "--events", path["events"], "--config", path["config"]),
+        }[role]
+        assert run(*argv, "--out-dir", trace_dir / "plain") == 0
+        path[role].write_bytes(b"\xef\xbb\xbf" + path[role].read_bytes())
+        assert run(*argv, "--out-dir", trace_dir / "bom") == 0
+        assert self.artifacts(trace_dir / "bom") == self.artifacts(trace_dir / "plain")
+        if role != "config":
+            digests = [manifest_of(p)[0].get(role) for p in (trace_dir / "bom").iterdir()]
+            assert sha256_of(path[role]) in digests
 
 
 class TestDeterminism:

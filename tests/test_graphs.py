@@ -1,12 +1,13 @@
 """Graph construction against the weight formulas and naive counting oracles."""
 
 import io
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from iprank import ingest
+from iprank import graphs, ingest
 from iprank.baselines import ScoreVector
 from iprank.errors import InvalidParams, UnparsableLine
 from iprank.graphs import (
@@ -21,7 +22,9 @@ from iprank.graphs import (
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
 from iprank.ipcore import ScorePair
 from iprank.testkit import SynthParams, synth_trace
-from oracles import PairwiseCounts, arc_weights, distinct_urls, pairwise_counts, posters
+from oracles import (
+    PairwiseCounts, arc_weights, distinct_urls, edges, pairwise_counts, posters,
+)
 
 LONG = "0123456789abcdef"  # 16 bytes: longer than the graph reader's key prefix
 
@@ -134,6 +137,38 @@ class TestComention:
         log = ActivityLog([mention(1, "i", "a")])
         with pytest.raises(InvalidParams):
             build_comention(log, FollowEdgeList([("i", "j")]), min_urls=0)
+
+    def test_working_memory_is_bounded_by_the_run_size(self, monkeypatch):
+        # one (edge, URL) row per kept follow edge and URL its followee posted
+        log, follows = synth_trace(
+            SynthParams(
+                users=300,
+                broadcasters=30,
+                follow_prob=0.2,
+                mention_rate=6.0,
+                retweet_prob=0.2,
+                url_pool=300,
+                seed=5,
+            )
+        )
+        posted = distinct_urls(log)
+        rows = sum(posted[i] for i, j in edges(follows) if i in posted and j in posted)
+        log.posts  # built once and kept by the log, so neither build counts it
+
+        def peak(run_rows):
+            monkeypatch.setattr(graphs, "_RUN_ROWS", run_rows)
+            tracemalloc.start()
+            try:
+                g = build_comention(log, follows, min_urls=1)
+                return tracemalloc.get_traced_memory()[1], g
+            finally:
+                tracemalloc.stop()
+
+        assert rows // 8 >= 1000  # eight runs, each of many edges
+        runs, runs_graph = peak(rows // 8)
+        whole, whole_graph = peak(rows)
+        assert runs_graph == whole_graph
+        assert runs < whole / 2, (runs, whole)
 
     def test_pairwise_counts_worked_example(self):
         log = ActivityLog(
