@@ -152,8 +152,10 @@ def percentile_curve(
     """Bin (attribute, clicks) points on a log-spaced attribute axis and take
     the nearest-rank q-quantile of clicks per bin.
 
-    Points with a non-positive attribute are excluded (log-log axes); empty
-    bins are omitted. The fit is ordinary least squares on
+    An attribute that is not finite raises :class:`InvalidParams`; a URL's
+    average score is one when a poster of it scores infinite. Points with a
+    non-positive attribute are excluded (log-log axes); empty bins are
+    omitted. The fit is ordinary least squares on
     (log10 bin center, log10 max(percentile, 1)); with fewer than two distinct
     centers the slope is 0 and the intercept is the mean.
     """
@@ -161,6 +163,9 @@ def percentile_curve(
         raise InvalidParams(f"bin_count must be >= 1, got {bin_count}")
     if not 0.0 < q <= 1.0:
         raise InvalidParams(f"q must be in (0, 1], got {q}")
+    for x, _ in points:
+        if not math.isfinite(x):
+            raise InvalidParams(f"attribute {x!r} is not finite: a score is infinite")
     usable = [(x, c) for x, c in points if x > 0.0]
     if not usable:
         raise NoData("no points with positive attribute value")

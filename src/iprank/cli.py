@@ -9,14 +9,12 @@ files. Nothing in the pipeline is randomized or time-dependent.
 from __future__ import annotations
 
 import argparse
-import codecs
 import hashlib
 import operator
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -41,7 +39,7 @@ from .baselines import (
     vector_to_tsv,
     weighted_pagerank,
 )
-from .errors import ConfigInvalid, IpRankError, MissingInput, UnparsableLine
+from .errors import ConfigInvalid, IpRankError, MissingInput
 from .graphs import (
     InfluenceGraph,
     _eligible,
@@ -108,10 +106,10 @@ def _parse_bool(word: str) -> bool:
 def load_config(path: str) -> dict[str, object]:
     """Read a flat ``key=value`` config file."""
     out: dict[str, object] = {}
-    with _text(_require(path, "config"), _line_fault(path)) as fh:
+    with open(_require(path, "config"), "rb") as fh:
         lines = [
             (line_no, line)
-            for f in _records(fh)
+            for f in _records(fh, fault=_line_fault(path))
             for line_no, line in zip(f.numbers.tolist(), f.text.split("\n"))
         ]
     for line_no, line in lines:
@@ -232,25 +230,6 @@ def _require(path: str | None, role: str) -> str:
     return path
 
 
-@contextmanager
-def _text(path: str, fault: Callable[[int, str, str], IpRankError]) -> Iterator[IO[str]]:
-    """The file at ``path``, open as UTF-8 text; a leading byte order mark is
-    no part of it. A read that meets bytes that are not UTF-8 raises
-    ``fault(line_no, line, reason)`` for the first line holding some; LF, CR
-    and CRLF end a line, as the readers count them."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            yield fh
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-        lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
-        for line_no, line in enumerate(lines, start=1):
-            text = line.decode("utf-8", "replace")
-            if text.encode("utf-8") != line:  # a byte that is no UTF-8 became U+FFFD
-                raise fault(line_no, text, "not UTF-8") from None
-        raise
-
-
 class _Inputs:
     """The input files of one command: each is parsed at most once and hashed
     at most once. ``read`` maps each role read through this holder to its
@@ -281,7 +260,7 @@ class _Inputs:
         path = self.path(role)
 
         def parsed() -> T:
-            with _text(path, UnparsableLine) as fh:
+            with open(path, "rb") as fh:
                 data = parse(fh, strict=self.cfg.strict)
             skipped = getattr(data, "skipped", 0)  # a graph file is always read strictly
             if skipped:
@@ -412,8 +391,8 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     ids: list[str] = []
     line_nos: list[np.ndarray] = []
     blocks: list[list[np.ndarray]] = []  # each block's scores, column by column
-    with _text(path, _line_fault(path)) as fh:
-        for f in _records(fh, headers=("#measure=",)):
+    with open(path, "rb") as fh:
+        for f in _records(fh, headers=("#measure=",), fault=_line_fault(path)):
             if f.text[:1] == "#":  # the header: no record starts with "#"
                 if label is not None or ids:
                     raise ConfigInvalid(f"line {f.numbers[0]} of {path}: a second or late header")

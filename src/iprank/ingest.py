@@ -10,15 +10,19 @@ File formats (UTF-8, one record per line, TAB-separated):
 ``time`` is a base-10 integer (milliseconds) that fits in 64 bits.
 
 Every reader in the package takes its lines from :func:`_records`, which
-reads the input in blocks of 64 KiB of text and applies one line rule to a
-whole block at once: a line is skipped when its first character is ``#``, or
-when it has no TAB and is empty, whitespace only, or whitespace then ``#``. No
-record of any format has that shape, so every line a writer emits reads back;
-files may carry ``#`` headers, and no id may start with ``#``. Each format is
-declared once, as an ordered list of column checks (``_EVENTS``, ``_FOLLOWS``
-and ``_CLICKS`` here, ``graphs._GRAPH``, ``cli._score_checks``), which
-:func:`_judge` runs over each block: a line's error is the first check it
-fails, so the order decides which error a line with several faults reports.
+takes a binary or text stream, ``str`` or ``bytes``, and reads it as UTF-8 in
+blocks of about 64 KiB. LF, CR and CRLF each end a line. A byte order mark
+opening bytes input is dropped, and a line of bytes input that is not UTF-8
+is an error, reported in file order with the other line faults. One line
+rule applies to a whole block at once: a line is skipped when its first
+character is ``#``, or when it has no TAB and is empty, whitespace only, or
+whitespace then ``#``. No record of any format has that shape, so every line
+a writer emits reads back; files may carry ``#`` headers, and no id may
+start with ``#``. Each format is declared once, as an ordered list of column
+checks (``_EVENTS``, ``_FOLLOWS`` and ``_CLICKS`` here, ``graphs._GRAPH``,
+``cli._score_checks``), which :func:`_judge` runs over each block: a line's
+error is the first check it fails, so the order decides which error a line
+with several faults reports.
 """
 
 from __future__ import annotations
@@ -354,51 +358,27 @@ class ClickTable:
                 raise ValueError(f"negative count {count}: {url!r}")
 
 
-_BLOCK = 1 << 16  # characters read at a time: a fixed size, not a setting
+_BLOCK = 1 << 16  # bytes, or characters of a text stream, read at a time: not a setting
 
 
-def _cut(read: Callable[[int], str]) -> Iterator[str]:
-    """What ``read`` returns, regrouped into whole lines about ``_BLOCK``
-    characters at a time: every piece but the last ends at an LF."""
-    head: list[str] = []  # the start of a line longer than a block
-    while chunk := read(_BLOCK):
-        cut = chunk.rfind("\n") + 1
+def _blocks(stream: IO | str | bytes) -> Iterator[tuple[bytes, bool]]:
+    """``stream`` as UTF-8 in blocks of whole lines, about ``_BLOCK`` at a
+    time, each with whether the input is bytes. A block ends after an LF, or
+    after a CR other than the last byte read, so no CRLF is split."""
+    if isinstance(stream, (str, bytes)):
+        stream = io.StringIO(stream) if isinstance(stream, str) else io.BytesIO(stream)
+    head: list[bytes] = []  # the start of a line longer than a block
+    while chunk := stream.read(_BLOCK):
+        raw = isinstance(chunk, bytes)
+        chunk = chunk if raw else chunk.encode("utf-8", "surrogatepass")
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
         if cut:
-            yield "".join((*head, chunk[:cut]))
+            yield b"".join((*head, chunk[:cut])), raw
             head, chunk = [], chunk[cut:]
         if chunk:
             head.append(chunk)
     if head:
-        yield "".join(head)
-
-
-def _item_texts(items: Iterable[str | bytes]) -> Iterator[str]:
-    """The items, decoded and each ending a line, about ``_BLOCK`` characters at a time."""
-    texts: list[str] = []
-    size = 0
-    for item in items:
-        text = item.decode("utf-8") if isinstance(item, bytes) else item
-        texts.append(text if text[-1:] == "\n" else text + "\n")
-        size += len(text)
-        if size >= _BLOCK:
-            yield "".join(texts)
-            texts, size = [], 0
-    if texts:
-        yield "".join(texts)
-
-
-def _texts(stream: IO | str | bytes | Iterable[str]) -> Iterator[str]:
-    """``stream`` in blocks of whole lines, each line ended by one LF but
-    perhaps the last. LF, CR and CRLF each end a line of a string, of bytes,
-    of an iterable's items and of a text stream, whatever newline mode the
-    stream was opened with."""
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        stream = io.StringIO(stream, newline=None)
-    text_mode = isinstance(stream, io.TextIOBase)
-    for text in _cut(stream.read) if text_mode else _item_texts(stream):
-        yield text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+        yield b"".join(head), raw
 
 
 class _Fields:
@@ -616,36 +596,61 @@ class _Interner:
 
 
 def _records(
-    stream: IO | str | bytes | Iterable[str], headers: tuple[str, ...] = ()
+    stream: IO | str | bytes,
+    headers: tuple[str, ...] = (),
+    fault: Callable[[int, str, str], IpRankError] = UnparsableLine,
 ) -> Iterator[_Fields]:
-    """The records of ``stream``, a block at a time. A line starting with
-    one of ``headers`` comes as a block of its own. Line numbers count every
-    line; :func:`_texts` says where lines end."""
+    """The records of ``stream``, a binary or text stream, ``str`` or
+    ``bytes``, a block at a time. LF, CR and CRLF each end a line, and line
+    numbers count every line. A byte order mark opening bytes input is no
+    part of line 1. A line of bytes input that is not UTF-8 raises
+    ``fault(line_no, line, "not UTF-8")``, once the lines before it have come
+    as a block. A line starting with one of ``headers`` comes as a block of
+    its own."""
     line_no = 1
-    for text in _texts(stream):
-        text = text[:-1] if text[-1:] == "\n" else text
-        f = _Fields(np.arange(line_no, line_no + text.count("\n") + 1), text)
-        n = f.tabs.size
-        line_no += n
-        # the lines the rule may skip: those with no TAB, and those starting with "#"
-        odd = np.flatnonzero(f.tabs == 0).tolist()
-        if not odd and text[:1] != "#" and "\n#" not in text:
-            yield f
-            continue
-        lines = text.split("\n")
-        odd = sorted({*odd, *compress(range(n), map(str.startswith, lines, repeat("#")))})
-        keep = np.ones(n, dtype=bool)
-        keep[odd] = [
-            line[:1] != "#" and line.lstrip()[:1] not in ("", "#")
-            for line in map(lines.__getitem__, odd)
-        ]
-        heads = [k for k in odd if lines[k].startswith(headers)]
-        for lo, hi in zip([0, *(k + 1 for k in heads)], [*heads, n]):
-            rows = lo + np.flatnonzero(keep[lo:hi])
-            if rows.size:
-                yield _Fields(f.numbers[rows], "\n".join(map(lines.__getitem__, rows.tolist())))
-            if hi < n:
-                yield _Fields(f.numbers[hi : hi + 1], lines[hi])
+    for data, raw in _blocks(stream):
+        if raw and line_no == 1:
+            data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte order mark
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            text, bad = data.decode("utf-8", "strict" if raw else "surrogatepass"), -1
+        except UnicodeDecodeError as exc:
+            bad = data.rfind(b"\n", 0, exc.start) + 1  # where the faulty line starts
+            text = data[:bad].decode("utf-8")
+        if text:
+            text = text[:-1] if text[-1] == "\n" else text
+            f = _Fields(np.arange(line_no, line_no + text.count("\n") + 1), text)
+            line_no += f.tabs.size
+            yield from _split(f, headers)
+        if bad >= 0:
+            line = data[bad:].split(b"\n", 1)[0].decode("utf-8", "replace")
+            raise fault(line_no, line, "not UTF-8")
+
+
+def _split(f: _Fields, headers: tuple[str, ...]) -> Iterator[_Fields]:
+    """Block ``f`` less the lines the line rule skips, cut before and after
+    each line starting with one of ``headers``."""
+    text, n = f.text, f.tabs.size
+    # the lines the rule may skip: those with no TAB, and those starting with "#"
+    odd = np.flatnonzero(f.tabs == 0).tolist()
+    if not odd and text[:1] != "#" and "\n#" not in text:
+        yield f
+        return
+    lines = text.split("\n")
+    odd = sorted({*odd, *compress(range(n), map(str.startswith, lines, repeat("#")))})
+    keep = np.ones(n, dtype=bool)
+    keep[odd] = [
+        line[:1] != "#" and line.lstrip()[:1] not in ("", "#")
+        for line in map(lines.__getitem__, odd)
+    ]
+    heads = [k for k in odd if lines[k].startswith(headers)]
+    for lo, hi in zip([0, *(k + 1 for k in heads)], [*heads, n]):
+        rows = lo + np.flatnonzero(keep[lo:hi])
+        if rows.size:
+            yield _Fields(f.numbers[rows], "\n".join(map(lines.__getitem__, rows.tolist())))
+        if hi < n:
+            yield _Fields(f.numbers[hi : hi + 1], lines[hi])
 
 
 @dataclass(frozen=True, slots=True)
@@ -794,7 +799,7 @@ class _Columns:
         return [np.frombuffer(col, dtype=col.typecode) for col in self._cols]
 
 
-def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) -> ActivityLog:
+def parse_events(stream: IO | str | bytes, strict: bool = True) -> ActivityLog:
     """Parse an events stream into a time-sorted :class:`ActivityLog`.
 
     Each block of lines is checked column by column and its ids interned as
@@ -821,7 +826,7 @@ def parse_events(stream: IO | str | bytes | Iterable[str], strict: bool = True) 
 
 
 def parse_follows(
-    stream: IO | str | bytes | Iterable[str], strict: bool = True
+    stream: IO | str | bytes, strict: bool = True
 ) -> FollowEdgeList:
     """Parse ``followee TAB follower`` lines; duplicates collapse to one edge."""
     users = _Interner()
@@ -839,7 +844,7 @@ def parse_follows(
 
 
 def parse_clicks(
-    stream: IO | str | bytes | Iterable[str], strict: bool = True
+    stream: IO | str | bytes, strict: bool = True
 ) -> ClickTable:
     """Parse ``url TAB count`` lines; duplicate URLs keep the maximum count."""
     rows: list[tuple[str, int]] = []

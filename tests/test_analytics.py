@@ -256,6 +256,11 @@ class TestPercentileCurve:
         with pytest.raises(NoData):
             percentile_curve([(0.0, 5.0)])
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_an_attribute_that_is_not_finite_is_an_error(self, x):
+        with pytest.raises(InvalidParams, match="is not finite"):
+            percentile_curve([(1.0, 5.0), (x, 9.0), (2.0, 3.0)])
+
     def test_param_validation(self):
         with pytest.raises(InvalidParams):
             percentile_curve([(1.0, 1.0)], q=0.0)

@@ -7,11 +7,12 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 import iprank
-from iprank import cli, graphs, ipcore
+from iprank import cli, graphs, ingest, ipcore
 from iprank.cli import load_config, main, read_score_columns
 from iprank.errors import ConfigInvalid
 from iprank.graphs import graph_from_tsv
@@ -207,6 +208,26 @@ class TestReports:
         ) == 0
         text = (out / "curve.tsv").read_text(encoding="utf-8")
         assert text.rstrip().splitlines()[-1].startswith("#fit slope=")
+
+    @pytest.mark.parametrize(
+        "scores,attribute",
+        [("a\tinf\nb\t1\nc\t2\n", "inf"), ("a\tinf\nb\t-inf\nc\t2\n", "nan")],
+        ids=["inf", "inf-and-minus-inf"],
+    )
+    def test_curve_over_an_infinite_score_is_an_error(self, tmp_path, capsys, scores, attribute):
+        (tmp_path / "events.tsv").write_text(
+            "1\ta\tx\tM\n2\tb\ty\tM\n3\tc\tz\tM\n4\tb\tx\tM\n", encoding="utf-8"
+        )
+        (tmp_path / "clicks.tsv").write_text("x\t5\ny\t6\nz\t7\n", encoding="utf-8")
+        (tmp_path / "scores.tsv").write_text(f"#measure=m\n{scores}", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(
+            "curve", "--scores", tmp_path / "scores.tsv", "--events", tmp_path / "events.tsv",
+            "--clicks", tmp_path / "clicks.tsv", "--out-dir", out,
+        ) == 1
+        err = capsys.readouterr().err
+        assert f"error: InvalidParams: attribute {attribute} is not finite" in err
+        assert not (out / "curve.tsv").exists()
 
 
 class TestScoreFiles:
@@ -800,6 +821,17 @@ class TestUnreadableInput:
         assert code == 1
         err = capsys.readouterr().err
         assert "error: UnparsableLine: line 3: not UTF-8: '3\\tre\ufffdader\\tl-a\\tM'" in err
+
+    @pytest.mark.parametrize("block", [7, ingest._BLOCK])
+    def test_line_faults_are_reported_in_file_order(self, tmp_path, capsys, block):
+        events = tmp_path / "events.tsv"
+        lines = ["1\tu\tx", *(f"{t}\tu\tx{t}\tM" for t in range(2, 3000)), "3000\tu\t\xff\tM"]
+        events.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        with patch.object(ingest, "_BLOCK", block):
+            assert run("build", "--events", events, "--out-dir", tmp_path / "out") == 1
+        assert "error: UnparsableLine: line 1: expected 'time user url M'" in (
+            capsys.readouterr().err
+        )
 
     def test_a_leading_bom_is_not_quoted_with_the_line(self, tmp_path, capsys):
         events = tmp_path / "events.tsv"

@@ -266,16 +266,13 @@ class TestHashLedIds:
 
 
 class TestCarriageReturnEndsALine:
-    """LF, CR and CRLF each end a line of a string, of bytes, of an
-    iterable's items and of a text stream that ends lines at LF only, as in a
-    file opened in text mode, so no id holds a CR."""
+    """LF, CR and CRLF each end a line of a string, of bytes and of a text
+    stream that ends lines at LF only, as in a file opened in text mode, so
+    no id holds a CR."""
 
     FORMS = {
         "str": lambda text: text,
         "bytes": lambda text: text.encode("utf-8"),
-        # items split at LF only: splitlines() would split at the CR too
-        "lines": lambda text: [f"{line}\n" for line in text.split("\n")[:-1]],
-        "byte lines": lambda text: [line.encode("utf-8") for line in text.split("\n")[:-1]],
         # an io.StringIO ends lines at LF only, unlike a file opened in text mode
         "LF-only stream": io.StringIO,
     }
@@ -336,12 +333,69 @@ class TestCarriageReturnEndsALine:
         assert f.skipped == 1
         assert edges(f) == frozenset({("a", "b"), ("d", "a")})
 
-    def test_a_cr_split_line_numbers_the_rest(self):
-        log = parse_events(["1\tu\tx\tM\rbad\n", "\n", "#c\n", "2\tu\ty\tM\n"], strict=False)
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_a_cr_split_line_numbers_the_rest(self, form):
+        log = parse_events(self.FORMS[form]("1\tu\tx\tM\rbad\n\n#c\n2\tu\ty\tM\n"), strict=False)
         assert log.skipped == 1
         with pytest.raises(UnparsableLine) as info:
-            parse_events(["1\tu\tx\tM\rbad\n", "bad\n"])
+            parse_events(self.FORMS[form]("1\tu\tx\tM\rbad\nbad\n"))
         assert (info.value.line_no, info.value.line) == (2, "bad")
+
+    def test_a_cr_only_file_comes_in_blocks(self, tmp_path):
+        lines = [f"{t}\tu{t % 7}\tx{t % 5}\tM" for t in range(40)]
+        path = tmp_path / "cr.tsv"
+        path.write_bytes("\r".join(lines).encode("utf-8") + b"\r")
+        with patch.object(ingest, "_BLOCK", 64):
+            with open(path, "rb") as fh:
+                numbers = [f.numbers.tolist() for f in ingest._records(fh)]
+            with open(path, "rb") as fh:
+                log = parse_events(fh)
+        assert len(numbers) > 1
+        assert sum(numbers, []) == list(range(1, 41))
+        assert log == parse_events("\n".join(lines) + "\n")
+
+
+class TestBytesInput:
+    """Bytes, from a binary stream or a ``bytes`` object, are read as UTF-8
+    in one pipeline with the CLI's files: a leading byte order mark is
+    dropped, and a line that is not UTF-8 is an error in both modes,
+    reported in file order with the other line faults, whatever the block
+    size."""
+
+    # a 3-field line 1, valid lines 2 to 2999, and a byte that is no UTF-8 on line 3000
+    FAULTS = (
+        "\n".join(["1\tu\tx", *(f"{t}\tu\tx{t}\tM" for t in range(2, 3000)), "3000\tu\t\xff\tM"])
+        .encode("latin-1")
+        + b"\n"
+    )
+
+    @pytest.mark.parametrize("block", [7, ingest._BLOCK])
+    def test_faults_are_reported_in_file_order(self, block):
+        with patch.object(ingest, "_BLOCK", block):
+            with pytest.raises(UnparsableLine) as info:
+                parse_events(io.BytesIO(self.FAULTS))
+            assert (info.value.line_no, info.value.reason) == (1, ingest._EVENT_SHAPE)
+            with pytest.raises(UnparsableLine) as info:
+                parse_events(io.BytesIO(self.FAULTS), strict=False)
+            assert (info.value.line_no, info.value.reason) == (3000, "not UTF-8")
+            assert info.value.line == "3000\tu\t\ufffd\tM"
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_a_bad_byte_is_an_unparsable_line(self, strict):
+        with pytest.raises(UnparsableLine) as info:
+            parse_follows(b"a\tb\r\nc\td\xc3\n", strict=strict)
+        assert (info.value.line_no, info.value.line, info.value.reason) == (
+            2, "c\td\ufffd", "not UTF-8",
+        )
+
+    @pytest.mark.parametrize("form", [bytes, io.BytesIO])
+    def test_a_leading_bom_is_dropped(self, form):
+        f = parse_follows(form(b"\xef\xbb\xbfu1\tu2\n"))
+        assert edges(f) == frozenset({("u1", "u2")})
+
+    def test_a_text_stream_is_taken_as_opened(self):
+        f = parse_follows(io.StringIO("\ufeffu1\tu2\n"))
+        assert edges(f) == frozenset({("\ufeffu1", "u2")})
 
 
 class TestParseClicks:
@@ -693,11 +747,11 @@ class TestMemoryIsBoundedByTheBlock:
     BOUND_MB = 4.0
 
     @staticmethod
-    def _transient_mb(read, path):
+    def _transient_mb(read, path, mode):
         gc.collect()
         tracemalloc.start()
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, mode) as fh:
                 result = read(fh)
             current, peak = tracemalloc.get_traced_memory()
         finally:
@@ -705,18 +759,20 @@ class TestMemoryIsBoundedByTheBlock:
         assert result
         return (peak - current) / 1e6
 
+    @pytest.mark.parametrize("mode", ["r", "rb"])
     @pytest.mark.parametrize("lines", [5000, 20000])
-    def test_events(self, tmp_path, lines):
+    def test_events(self, tmp_path, lines, mode):
         text = "".join(
             f"{t}\tu{t % 97}\tl{t % 89}\t" + (f"RT\tu{(t + 1) % 97}\n" if t % 3 == 0 else "M\n")
             for t in range(lines)
         )
-        assert self._transient_mb(parse_events, _file(tmp_path, text)) < self.BOUND_MB
+        assert self._transient_mb(parse_events, _file(tmp_path, text), mode) < self.BOUND_MB
 
+    @pytest.mark.parametrize("mode", ["r", "rb"])
     @pytest.mark.parametrize("lines", [5000, 20000])
-    def test_graph(self, tmp_path, lines):
+    def test_graph(self, tmp_path, lines, mode):
         text = "".join(f"n{k % 199:03}\tm{k // 199:03}\t0.{k % 9 + 1}\n" for k in range(lines))
-        assert self._transient_mb(graph_from_tsv, _file(tmp_path, text)) < self.BOUND_MB
+        assert self._transient_mb(graph_from_tsv, _file(tmp_path, text), mode) < self.BOUND_MB
 
 
 class TestACleanBlockMakesNoPythonCallPerToken:

@@ -7,7 +7,6 @@ import math
 import operator
 import os
 import random
-import re
 import tempfile
 from pathlib import Path
 from unittest.mock import patch
@@ -479,10 +478,8 @@ PATH_READERS = {
 STREAM_FORMS = {
     "str": lambda text, path: text,
     "bytes": lambda text, path: text.encode("utf-8"),
-    # items ending at their LF, as a file opened in binary mode gives them
-    "lines": lambda text, path: re.split("(?<=\n)", text),
-    # items without their LF: each item ends a line
-    "byte lines": lambda text, path: [line.encode("utf-8") for line in text.split("\n")],
+    # as the command line opens every input
+    "binary file": lambda text, path: open(path, "rb"),
     "file": lambda text, path: open(path, encoding="utf-8"),
     "LF-only stream": lambda text, path: io.StringIO(text),
 }
