@@ -56,24 +56,34 @@ class PercentileCurve:
     intercept: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RankReport:
-    """Rows of a ranking; each column holds one type of value, and a column
-    of floats is written with 17 significant digits."""
+    """A ranking as columns: ``data`` holds the user ids, then one numpy
+    array per further name in ``columns``, each aligned with the ids. A float
+    column is written with 17 significant digits, an integer one as integers."""
 
     label: str
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    data: tuple[Sequence, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RankReport):
+            return NotImplemented
+        return (
+            (self.label, self.columns, list(self.data[0]))
+            == (other.label, other.columns, list(other.data[0]))
+            and all(map(np.array_equal, self.data[1:], other.data[1:]))
+        )
 
 
 def _summarize(rates: dict[str, float]) -> RateSummary:
     if not rates:
         return RateSummary(float("nan"), float("nan"), (0,) * RATE_HIST_BINS)
     values = np.array(sorted(rates.values()))
+    n = values.size
+    median = (values[(n - 1) // 2] + values[n // 2]) / 2  # np.median's, without numpy.ma
     hist, _ = np.histogram(values, bins=RATE_HIST_BINS, range=(0.0, 1.0))
-    return RateSummary(
-        float(values.mean()), float(np.median(values)), tuple(int(c) for c in hist)
-    )
+    return RateSummary(float(values.mean()), float(median), tuple(int(c) for c in hist))
 
 
 def rate_report(log: ActivityLog, follows: FollowEdgeList) -> RateReport:
@@ -259,13 +269,15 @@ def top_k(scores: ScoreVector, k: int, eligible: Sequence[bool] | None = None) -
     order = _by_value(scores)
     if eligible is not None:
         order = order[np.asarray(eligible, dtype=bool)[order]]
-    order = order[:k].tolist()
-    ids, values = scores.node_ids, scores.values.tolist()
-    rows = tuple((ids[p], values[p], rank) for rank, p in enumerate(order, start=1))
+    order = order[:k]
     return RankReport(
         label=f"top{k}_{scores.label}",
         columns=("user", scores.label, "rank"),
-        rows=rows,
+        data=(
+            [scores.node_ids[p] for p in order.tolist()],
+            scores.values[order],
+            np.arange(1, order.size + 1),
+        ),
     )
 
 
@@ -275,21 +287,18 @@ def rank_join(a: ScoreVector, b: ScoreVector) -> RankReport:
     pos_a, pos_b = _shared(a, b)
     order = np.argsort(rank_a[pos_a])
     pos_a, pos_b = pos_a[order], pos_b[order]
-    users = [a.node_ids[p] for p in pos_a.tolist()]
-    rows = tuple(zip(users, rank_a[pos_a].tolist(), rank_b[pos_b].tolist()))
     return RankReport(
         label=f"{a.label}_vs_{b.label}",
         columns=("user", f"rank_{a.label}", f"rank_{b.label}"),
-        rows=rows,
+        data=([a.node_ids[p] for p in pos_a.tolist()], rank_a[pos_a], rank_b[pos_b]),
     )
 
 
 def report_to_tsv(report: RankReport) -> str:
+    users, *values = report.data
+    formats = ["%s", *("%.17g" if v.dtype.kind == "f" else "%d" for v in values)]
     head = f"#report={report.label}\n#" + "\t".join(report.columns) + "\n"
-    if not report.rows:
-        return head
-    formats = ["%.17g" if isinstance(v, float) else "%s" for v in report.rows[0]]
-    return head + _tsv_rows(formats, *zip(*report.rows))
+    return head + _tsv_rows(formats, users, *(v.tolist() for v in values))
 
 
 def curve_to_tsv(curve: PercentileCurve) -> str:

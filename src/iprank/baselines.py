@@ -8,7 +8,6 @@ weight; dangling mass and teleportation are spread uniformly over all nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -49,13 +48,6 @@ class ScoreVector:
 
     def __post_init__(self) -> None:
         _set_scores(self, "values")
-
-    @classmethod
-    def from_mapping(cls, values: Mapping[str, float], label: str) -> "ScoreVector":
-        """Vector of an id -> value mapping, ids in sorted order."""
-        ids = sorted(values)
-        scores = np.fromiter(map(values.__getitem__, ids), dtype=np.float64, count=len(ids))
-        return cls(ids, scores, label)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreVector):
@@ -111,7 +103,7 @@ def h_index_scores(log: ActivityLog) -> ScoreVector:
     source, counts = source[order], counts[order]
     rank = np.arange(source.size) - np.searchsorted(source, source) + 1
     h = np.bincount(source[counts >= rank], minlength=len(log.user_ids))
-    users = np.unique(log.user)
+    users = np.flatnonzero(np.bincount(log.user, minlength=len(log.user_ids)))
     return ScoreVector([log.user_ids[c] for c in users.tolist()], h[users], label="hindex")
 
 

@@ -551,7 +551,7 @@ def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> None:
         params["min_posted"] = cfg.min_posted
     report = top_k(vector, cfg.top_k, eligible)
     inputs.write("rank.tsv", "rank", params, report_to_tsv(report))
-    print(f"rank: {len(report.rows)} rows for {vector.label}")
+    print(f"rank: {len(report.data[0])} rows for {vector.label}")
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -568,7 +568,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> None:
     digests = {**sides["a"].digests("a."), **sides["b"].digests("b.")}
     body = f"#spearman={correlation!r}\n", report_to_tsv(joined)
     write_artifact(cfg.out_dir, "compare.tsv", "compare", digests, params, *body)
-    print(f"compare: spearman {correlation:.6g} over {len(joined.rows)} shared users")
+    print(f"compare: spearman {correlation:.6g} over {len(joined.data[0])} shared users")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ def _sorted_ids(node_ids: Sequence[str]) -> _Ids:
         return node_ids
     ids = tuple(node_ids)
     if not all(map(operator.lt, ids, ids[1:])):
-        raise ValueError("node ids must be distinct and sorted ascending; use from_arcs")
+        raise ValueError("node ids must be distinct and sorted ascending")
     text = "\n".join(("", *ids))  # each id after its own LF: one string holds them all
     bad = "\n#" in text or "\t" in text or "\r" in text or text.count("\n") != len(ids)
     if bad or ids[:1] == ("",):  # sorted, so an empty id comes first
@@ -94,25 +94,6 @@ class InfluenceGraph:
         self.dst = dst
         self.weights = weights
 
-    @classmethod
-    def from_arcs(
-        cls,
-        arcs: Iterable[tuple[str, str, float]],
-        nodes: Iterable[str] = (),
-    ) -> "InfluenceGraph":
-        """Build from (source id, target id, weight) triples plus extra nodes."""
-        arc_list = list(arcs)
-        ids = set(nodes)
-        for i, j, _ in arc_list:
-            ids.add(i)
-            ids.add(j)
-        ordered = sorted(ids)
-        index = {uid: k for k, uid in enumerate(ordered)}
-        src = np.array([index[i] for i, _, _ in arc_list], dtype=np.int64)
-        dst = np.array([index[j] for _, j, _ in arc_list], dtype=np.int64)
-        w = np.array([w for _, _, w in arc_list], dtype=np.float64)
-        return cls(ordered, src, dst, w)
-
     @property
     def num_nodes(self) -> int:
         return len(self.node_ids)
@@ -120,11 +101,6 @@ class InfluenceGraph:
     @property
     def num_arcs(self) -> int:
         return int(self.src.size)
-
-    def arcs(self) -> Iterator[tuple[str, str, float]]:
-        ids = self.node_ids
-        for s, d, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist()):
-            yield ids[s], ids[d], w
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InfluenceGraph):

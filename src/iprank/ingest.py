@@ -297,7 +297,7 @@ class ActivityLog:
         )
 
     def __repr__(self) -> str:
-        return f"ActivityLog({len(self)} events, {np.unique(self.user).size} users)"
+        return f"ActivityLog({len(self)} events, {np.count_nonzero(np.bincount(self.user))} users)"
 
 
 class FollowEdgeList:

@@ -81,11 +81,9 @@ class ScorePair:
 @dataclass(frozen=True, slots=True)
 class IterationTrace:
     """Per-iteration L1 change of an iterative measure's scores; for IP, of
-    the normalized score pair, plus the sums of its two vectors."""
+    the normalized score pair."""
 
     deltas: tuple[float, ...]
-    influence_sums: tuple[float, ...] = ()
-    passivity_sums: tuple[float, ...] = ()
 
     def converged(self, epsilon: float) -> bool:
         return bool(self.deltas) and self.deltas[-1] < epsilon
@@ -152,8 +150,6 @@ def run_ip(
     influence = np.ones(n)
     passivity = np.ones(n)
     deltas: list[float] = []
-    i_sums: list[float] = []
-    p_sums: list[float] = []
     for _ in range(params.max_iterations):
         raw_p = _arc_sum(influence, g.src, v, g.dst, products)
         p_total = float(raw_p.sum())
@@ -169,13 +165,9 @@ def run_ip(
         influence = raw_i
         passivity = raw_p
         deltas.append(d)
-        i_sums.append(float(influence.sum()))
-        p_sums.append(float(passivity.sum()))
         if d < params.epsilon:
             break
-    pair = ScorePair(g.node_ids, influence, passivity, len(deltas))
-    trace = IterationTrace(tuple(deltas), tuple(i_sums), tuple(p_sums))
-    return pair, trace
+    return ScorePair(g.node_ids, influence, passivity, len(deltas)), IterationTrace(tuple(deltas))
 
 
 def scores_to_tsv(pair: ScorePair) -> str:

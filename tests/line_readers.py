@@ -11,8 +11,8 @@ import re
 
 from iprank.baselines import ScoreVector
 from iprank.errors import ConfigInvalid, EmptyInput, MissingInput, NegativeCount, UnparsableLine
-from iprank.graphs import InfluenceGraph
 from iprank.ingest import ActivityLog, ClickTable, FollowEdgeList, TweetEvent
+from oracles import graph_from_arcs
 
 HASH_ID = "id starts with '#'"
 
@@ -176,7 +176,7 @@ def read_graph(text):
             if (source, target) in seen:
                 raise UnparsableLine(line_no, f"{source}\t{target}\t{weight!r}", "duplicate arc")
             seen.add((source, target))
-    g = InfluenceGraph.from_arcs(
+    g = graph_from_arcs(
         [(s, t, w) for _, s, t, w in rows if t is not None], [s for _, s, t, _ in rows]
     )
     if header is not None and header[1] != f"#nodes={g.num_nodes} arcs={g.num_arcs}":

@@ -18,7 +18,8 @@ def cell(value):
 
 def report_to_tsv(report):
     lines = [f"#report={report.label}", "#" + "\t".join(report.columns)]
-    for row in report.rows:
+    users, *values = report.data
+    for row in zip(users, *(v.tolist() for v in values)):
         lines.append("\t".join(cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -39,7 +40,11 @@ def vector_to_tsv(vector):
 
 def graph_to_tsv(g):
     lines = [f"#nodes={g.num_nodes} arcs={g.num_arcs}"]
-    lines += (f"{i}\t{j}\t{w!r}" for i, j, w in g.arcs())
+    ids = g.node_ids
+    lines += (
+        f"{ids[i]}\t{ids[j]}\t{w!r}"
+        for i, j, w in zip(g.src.tolist(), g.dst.tolist(), g.weights.tolist())
+    )
     isolated = np.ones(g.num_nodes, dtype=bool)
     isolated[g.src] = isolated[g.dst] = False
     lines += (f"{g.node_ids[k]}\t-\t-" for k in np.flatnonzero(isolated).tolist())

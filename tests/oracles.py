@@ -7,16 +7,19 @@ the follow oracles scan (followee, follower) id pairs, and the ranking
 oracles sort id -> value dicts and walk runs of ties in a loop, so none
 shares code with the implementation it checks. :func:`planted_contrast_trace`
 is a small trace whose IP ordering is known, and :func:`read_manifest` reads
-an artifact's manifest back.
+an artifact's manifest back. :func:`graph_from_arcs`, :func:`arcs_of`,
+:func:`vector_from_mapping` and :func:`rows` build and read the containers
+by id, one arc, value or row at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from iprank.analytics import RankReport
 from iprank.baselines import PageRankParams, ScoreVector
 from iprank.errors import (
     ConfigInvalid, DegenerateGraph, EmptyGraph, EmptyNodeSet, InvalidParams, IpRankError,
@@ -41,6 +44,40 @@ def edges(follows: FollowEdgeList) -> frozenset[tuple[str, str]]:
     return frozenset(
         (ids[a], ids[b]) for a, b in zip(follows.followee.tolist(), follows.follower.tolist())
     )
+
+
+def graph_from_arcs(
+    arcs: Iterable[tuple[str, str, float]], nodes: Iterable[str] = ()
+) -> InfluenceGraph:
+    """Graph of (source id, target id, weight) triples plus extra nodes."""
+    arc_list = list(arcs)
+    ids = sorted({*nodes, *(i for i, _, _ in arc_list), *(j for _, j, _ in arc_list)})
+    index = {uid: k for k, uid in enumerate(ids)}
+    src = np.array([index[i] for i, _, _ in arc_list], dtype=np.int64)
+    dst = np.array([index[j] for _, j, _ in arc_list], dtype=np.int64)
+    w = np.array([w for _, _, w in arc_list], dtype=np.float64)
+    return InfluenceGraph(ids, src, dst, w)
+
+
+def arcs_of(g: InfluenceGraph) -> list[tuple[str, str, float]]:
+    """The graph's (source id, target id, weight) triples, in arc order."""
+    ids = g.node_ids
+    return [
+        (ids[s], ids[d], w)
+        for s, d, w in zip(g.src.tolist(), g.dst.tolist(), g.weights.tolist())
+    ]
+
+
+def vector_from_mapping(values: Mapping[str, float], label: str) -> ScoreVector:
+    """Vector of an id -> value mapping, ids in sorted order."""
+    ids = sorted(values)
+    return ScoreVector(ids, np.array([values[u] for u in ids], dtype=np.float64), label)
+
+
+def rows(report: RankReport) -> tuple[tuple, ...]:
+    """The report's rows: each user id with its values as Python numbers."""
+    users, *values = report.data
+    return tuple(zip(users, *(v.tolist() for v in values)))
 
 
 def posters(log: ActivityLog) -> set[str]:
@@ -79,7 +116,7 @@ def dense_ip_oracle(g: InfluenceGraph, iterations: int) -> ScorePair:
         raise InvalidParams(f"iterations must be >= 1, got {iterations}")
     n = g.num_nodes
     index = {uid: k for k, uid in enumerate(g.node_ids)}
-    triples = [(index[i], index[j], w) for i, j, w in g.arcs()]
+    triples = [(index[i], index[j], w) for i, j, w in arcs_of(g)]
     in_sum = [0.0] * n
     rej_sum = [0.0] * n
     for i, j, w in triples:
@@ -117,9 +154,9 @@ def dense_pagerank_oracle(
     index = {uid: k for k, uid in enumerate(g.node_ids)}
     transition = np.zeros((n, n))
     out_sum = [0.0] * n
-    for i, j, w in g.arcs():
+    for i, j, w in arcs_of(g):
         out_sum[index[i]] += w
-    for i, j, w in g.arcs():
+    for i, j, w in arcs_of(g):
         transition[index[i], index[j]] = w / out_sum[index[i]]
     for k in range(n):
         if out_sum[k] == 0.0:
@@ -346,7 +383,7 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
 
 def arc_weights(g: InfluenceGraph) -> dict[tuple[str, str], float]:
     """The graph's arcs as a (source, target) -> weight dict."""
-    return {(i, j): w for i, j, w in g.arcs()}
+    return {(i, j): w for i, j, w in arcs_of(g)}
 
 
 def by_id(scores: ScoreVector) -> dict[str, float]:

@@ -15,10 +15,9 @@ import numpy as np
 
 from iprank import graphs
 from iprank.analytics import percentile_curve, rank_correlation
-from iprank.baselines import ScoreVector, weighted_pagerank
+from iprank.baselines import weighted_pagerank
 from iprank.cli import main
 from iprank.graphs import (
-    InfluenceGraph,
     build_comention,
     build_retweet,
     build_retweet_follower,
@@ -30,8 +29,8 @@ from iprank.ingest import (
 from iprank.ipcore import IpParams, run_ip
 from iprank.testkit import SynthParams, random_graph, synth_trace
 from oracles import (
-    PLANTED_A, PLANTED_B, arc_weights, dense_ip_oracle, dense_pagerank_oracle, edges,
-    h_from_counts, planted_contrast_trace,
+    PLANTED_A, PLANTED_B, arc_weights, arcs_of, dense_ip_oracle, dense_pagerank_oracle, edges,
+    graph_from_arcs, h_from_counts, planted_contrast_trace, vector_from_mapping,
 )
 
 
@@ -52,9 +51,9 @@ def test_criterion_01_normalization_invariant():
         for k, n in enumerate(sizes):
             arcs = min(4 * int(n), int(n) * (int(n) - 1))
             g = random_graph(int(n), arcs, seed=1000 + k)
-            _, trace = run_ip(g)
-            assert all(abs(s - 1.0) <= 1e-12 for s in trace.influence_sums)
-            assert all(abs(s - 1.0) <= 1e-12 for s in trace.passivity_sums)
+            pair, _ = run_ip(g)
+            assert abs(pair.influence.sum() - 1.0) <= 1e-12
+            assert abs(pair.passivity.sum() - 1.0) <= 1e-12
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -76,8 +75,8 @@ def test_criterion_02_oracle_equivalence():
                     assert abs(pair.passivity[u] - oracle.passivity[u]) <= 1e-12
             sparse_pr, _ = weighted_pagerank(g)
             # the oracle walks arcs forward; PageRank walks them toward influencers
-            reversed_g = InfluenceGraph.from_arcs(
-                ((j, i, w) for i, j, w in g.arcs()), nodes=g.node_ids
+            reversed_g = graph_from_arcs(
+                ((j, i, w) for i, j, w in arcs_of(g)), nodes=g.node_ids
             )
             dense_pr = dense_pagerank_oracle(reversed_g)
             for u in range(g.num_nodes):
@@ -88,7 +87,7 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_exact_fixtures():
     with criterion(3, "exact fixtures"):
-        pair, _ = run_ip(InfluenceGraph.from_arcs([("A", "B", 0.5)]))
+        pair, _ = run_ip(graph_from_arcs([("A", "B", 0.5)]))
         at = pair.node_ids.index
         assert abs(pair.influence[at("A")] - 1.0) <= 1e-12
         assert abs(pair.influence[at("B")]) <= 1e-12
@@ -96,7 +95,7 @@ def test_criterion_03_exact_fixtures():
         assert abs(pair.passivity[at("B")] - 1.0) <= 1e-12
 
         pair, _ = run_ip(
-            InfluenceGraph.from_arcs([("A", "B", 0.5), ("B", "A", 0.5)])
+            graph_from_arcs([("A", "B", 0.5), ("B", "A", 0.5)])
         )
         at = pair.node_ids.index
         for node in "AB":
@@ -104,7 +103,7 @@ def test_criterion_03_exact_fixtures():
             assert abs(pair.passivity[at(node)] - 0.5) <= 1e-12
 
         pair, _ = run_ip(
-            InfluenceGraph.from_arcs(
+            graph_from_arcs(
                 [("a", "b", 0.7), ("b", "c", 0.7), ("c", "a", 0.7)]
             )
         )
@@ -200,18 +199,18 @@ def test_criterion_05_graph_builders_match_brute_force():
             log, follows = synth_trace(params)
             for min_urls in (1, 3):
                 rt = build_retweet(log, min_urls)
-                rt_arcs = {(i, j): w for i, j, w in rt.arcs()}
+                rt_arcs = {(i, j): w for i, j, w in arcs_of(rt)}
                 oracle_arcs, eligible = brute_force_retweet(log, min_urls)
                 assert rt_arcs == oracle_arcs
                 assert set(rt.node_ids) == eligible
 
                 cm = build_comention(log, follows, min_urls)
-                cm_arcs = {(i, j): w for i, j, w in cm.arcs()}
+                cm_arcs = {(i, j): w for i, j, w in arcs_of(cm)}
                 oracle_cm, _ = brute_force_comention(log, follows, min_urls)
                 assert cm_arcs == oracle_cm
 
                 rtf = build_retweet_follower(log, follows, min_urls)
-                rtf_arcs = {(i, j): w for i, j, w in rtf.arcs()}
+                rtf_arcs = {(i, j): w for i, j, w in arcs_of(rtf)}
                 follow_pairs = edges(follows)
                 expected = {
                     arc: w for arc, w in oracle_arcs.items() if arc in follow_pairs
@@ -247,7 +246,7 @@ def test_comention_graph_does_not_depend_on_its_run_size(monkeypatch):
                 built.append(build_comention(log, follows, min_urls))
             assert built[0] == built[1] == built[2]
             oracle, _ = brute_force_comention(log, follows, min_urls)
-            assert {(i, j): w for i, j, w in built[0].arcs()} == oracle
+            assert {(i, j): w for i, j, w in arcs_of(built[0])} == oracle
     expected = {("big", "fan"): 2 / 4, ("big", "other"): 1 / 5, ("fan", "big"): 1.0}
     assert arc_weights(build_comention(*logs[2], 1)) == expected
     assert build_comention(*logs[3], 1).num_arcs == 0
@@ -300,9 +299,9 @@ def test_criterion_08_analytics_exactness():
 
         # spearman self-correlation and reversal, exact
         values = {f"u{i}": float(rng.random()) for i in range(60)}
-        vec = ScoreVector.from_mapping(values, "a")
-        assert rank_correlation(vec, ScoreVector.from_mapping(dict(values), "b")) == 1.0
-        reverse = ScoreVector.from_mapping({u: -v for u, v in values.items()}, "r")
+        vec = vector_from_mapping(values, "a")
+        assert rank_correlation(vec, vector_from_mapping(dict(values), "b")) == 1.0
+        reverse = vector_from_mapping({u: -v for u, v in values.items()}, "r")
         assert rank_correlation(vec, reverse) == -1.0
 
         # scaling invariance, exact
@@ -373,9 +372,9 @@ def test_criterion_10_scale_smoke():
     with criterion(10, "scale smoke test (500k nodes / 1M arcs)"):
         g = random_graph(500_000, 1_000_000, seed=9)
         start = time.perf_counter()
-        _, trace = run_ip(g, IpParams(max_iterations=50, epsilon=0.0))
+        pair, trace = run_ip(g, IpParams(max_iterations=50, epsilon=0.0))
         elapsed = time.perf_counter() - start
         assert len(trace.deltas) == 50
-        assert all(abs(s - 1.0) <= 1e-12 for s in trace.influence_sums)
-        assert all(abs(s - 1.0) <= 1e-12 for s in trace.passivity_sums)
+        assert abs(pair.influence.sum() - 1.0) <= 1e-12
+        assert abs(pair.passivity.sum() - 1.0) <= 1e-12
         assert elapsed < 60.0, f"50 iterations took {elapsed:.1f}s"

@@ -16,11 +16,13 @@ from iprank.analytics import (
     top_k,
     url_attribute_average,
 )
-from iprank.baselines import ScoreVector
 from iprank.errors import InsufficientOverlap, InvalidParams, NoData
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
 from iprank.testkit import SynthParams, synth_trace
-from oracles import audience_retweeting_rate, followers_of, ranks_of, user_retweeting_rate
+from oracles import (
+    audience_retweeting_rate, followers_of, ranks_of, rows, user_retweeting_rate,
+    vector_from_mapping,
+)
 
 
 def mention(t, user, url):
@@ -137,32 +139,32 @@ class TestAudienceRetweetingRate:
 class TestUrlAttributeAverage:
     def test_mean_over_mentioners(self):
         log = ActivityLog([mention(1, "a", "x"), mention(2, "b", "x")])
-        scores = ScoreVector.from_mapping({"a": 0.1, "b": 0.3}, "m")
+        scores = vector_from_mapping({"a": 0.1, "b": 0.3}, "m")
         assert url_attribute_average(log, scores) == {"x": pytest.approx(0.2)}
 
     def test_distinct_users_only(self):
         log = ActivityLog([mention(1, "a", "x"), mention(2, "a", "x")])
-        scores = ScoreVector.from_mapping({"a": 0.4}, "m")
+        scores = vector_from_mapping({"a": 0.4}, "m")
         assert url_attribute_average(log, scores) == {"x": pytest.approx(0.4)}
 
     def test_unscored_users_shrink_the_set(self):
         log = ActivityLog([mention(1, "a", "x"), mention(2, "ghost", "x")])
-        scores = ScoreVector.from_mapping({"a": 0.4}, "m")
+        scores = vector_from_mapping({"a": 0.4}, "m")
         assert url_attribute_average(log, scores)["x"] == pytest.approx(0.4)
 
     def test_url_with_no_scored_mentioner_omitted(self):
         log = ActivityLog([mention(1, "ghost", "x")])
-        assert url_attribute_average(log, ScoreVector.from_mapping({}, "m")) == {}
+        assert url_attribute_average(log, vector_from_mapping({}, "m")) == {}
 
     def test_retweeters_count_as_mentioners(self):
         log = ActivityLog([mention(1, "a", "x"), retweet(2, "b", "x", "a")])
-        scores = ScoreVector.from_mapping({"a": 0.0, "b": 1.0}, "m")
+        scores = vector_from_mapping({"a": 0.0, "b": 1.0}, "m")
         assert url_attribute_average(log, scores)["x"] == pytest.approx(0.5)
 
     def test_sums_scores_in_user_id_order(self):
         # (1 + 1e16) - 1e16 == 0 in doubles, while (-1e16 + 1e16) + 1 == 1
         log = ActivityLog([mention(1, "c", "x"), mention(2, "b", "x"), mention(3, "a", "x")])
-        scores = ScoreVector.from_mapping({"a": 1.0, "b": 1e16, "c": -1e16}, "m")
+        scores = vector_from_mapping({"a": 1.0, "b": 1e16, "c": -1e16}, "m")
         assert url_attribute_average(log, scores) == {"x": 0.0}
 
     def test_matches_naive_join(self):
@@ -172,7 +174,7 @@ class TestUrlAttributeAverage:
             events.append(mention(t, f"u{int(rng.integers(0, 15))}", f"l{int(rng.integers(0, 30))}"))
         log = ActivityLog(events)
         values = {f"u{i}": float(rng.random()) for i in range(12)}
-        scores = ScoreVector.from_mapping(values, "m")
+        scores = vector_from_mapping(values, "m")
         result = url_attribute_average(log, scores)
         naive = {}
         for url in {ev.url for ev in log}:
@@ -284,29 +286,29 @@ class TestRankCorrelation:
     def test_identity_is_exactly_one(self):
         rng = np.random.default_rng(25)
         values = {f"u{i}": float(rng.random()) for i in range(40)}
-        a = ScoreVector.from_mapping(values, "a")
-        b = ScoreVector.from_mapping(dict(values), "b")
+        a = vector_from_mapping(values, "a")
+        b = vector_from_mapping(dict(values), "b")
         assert rank_correlation(a, b) == 1.0
 
     def test_reversal_is_exactly_minus_one(self):
         users = [f"u{i}" for i in range(25)]
-        a = ScoreVector.from_mapping({u: float(i) for i, u in enumerate(users)}, "a")
-        b = ScoreVector.from_mapping({u: float(-i) for i, u in enumerate(users)}, "b")
+        a = vector_from_mapping({u: float(i) for i, u in enumerate(users)}, "a")
+        b = vector_from_mapping({u: float(-i) for i, u in enumerate(users)}, "b")
         assert rank_correlation(a, b) == -1.0
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(26)
         values = {f"u{i}": float(rng.random()) for i in range(30)}
-        a = ScoreVector.from_mapping(values, "a")
-        b = ScoreVector.from_mapping({u: v * 2 for u, v in values.items()}, "b")
-        transformed = ScoreVector.from_mapping({u: math.exp(3 * v) for u, v in values.items()}, "t")
+        a = vector_from_mapping(values, "a")
+        b = vector_from_mapping({u: v * 2 for u, v in values.items()}, "b")
+        transformed = vector_from_mapping({u: math.exp(3 * v) for u, v in values.items()}, "t")
         assert rank_correlation(a, b) == rank_correlation(transformed, b)
 
     def test_matches_rank_then_pearson_oracle(self):
         rng = np.random.default_rng(27)
         users = [f"u{i}" for i in range(50)]
-        a = ScoreVector.from_mapping({u: float(rng.integers(0, 10)) for u in users}, "a")
-        b = ScoreVector.from_mapping({u: float(rng.integers(0, 10)) for u in users}, "b")
+        a = vector_from_mapping({u: float(rng.integers(0, 10)) for u in users}, "a")
+        b = vector_from_mapping({u: float(rng.integers(0, 10)) for u in users}, "b")
 
         def naive_ranks(vec):
             values = dict(zip(vec.node_ids, vec.values.tolist()))
@@ -336,77 +338,77 @@ class TestRankCorrelation:
         assert rank_correlation(a, b) == pytest.approx(num / den, abs=1e-12)
 
     def test_insufficient_overlap(self):
-        a = ScoreVector.from_mapping({"x": 1.0}, "a")
-        b = ScoreVector.from_mapping({"x": 1.0, "y": 2.0}, "b")
+        a = vector_from_mapping({"x": 1.0}, "a")
+        b = vector_from_mapping({"x": 1.0, "y": 2.0}, "b")
         with pytest.raises(InsufficientOverlap):
             rank_correlation(a, b)
 
     def test_constant_vector_gives_nan(self):
-        a = ScoreVector.from_mapping({"x": 1.0, "y": 1.0}, "a")
-        b = ScoreVector.from_mapping({"x": 1.0, "y": 2.0}, "b")
+        a = vector_from_mapping({"x": 1.0, "y": 1.0}, "a")
+        b = vector_from_mapping({"x": 1.0, "y": 2.0}, "b")
         assert math.isnan(rank_correlation(a, b))
 
 
 class TestRankReports:
     def test_top_k_basic(self):
-        scores = ScoreVector.from_mapping({"a": 3.0, "b": 1.0, "c": 2.0}, "m")
+        scores = vector_from_mapping({"a": 3.0, "b": 1.0, "c": 2.0}, "m")
         report = top_k(scores, 2)
-        assert [(r[0], r[2]) for r in report.rows] == [("a", 1), ("c", 2)]
+        assert [(r[0], r[2]) for r in rows(report)] == [("a", 1), ("c", 2)]
 
     def test_tie_broken_by_user_id(self):
-        scores = ScoreVector.from_mapping({"b": 1.0, "a": 1.0}, "m")
+        scores = vector_from_mapping({"b": 1.0, "a": 1.0}, "m")
         report = top_k(scores, 2)
-        assert [r[0] for r in report.rows] == ["a", "b"]
+        assert [r[0] for r in rows(report)] == ["a", "b"]
 
     def test_predicate_filters_before_ranking(self):
-        scores = ScoreVector.from_mapping({"a": 3.0, "b": 2.0, "c": 1.0}, "m")
+        scores = vector_from_mapping({"a": 3.0, "b": 2.0, "c": 1.0}, "m")
         report = top_k(scores, 2, eligible=np.array([u != "a" for u in scores.node_ids]))
-        assert [r[0] for r in report.rows] == ["b", "c"]
-        assert [r[2] for r in report.rows] == [1, 2]
+        assert [r[0] for r in rows(report)] == ["b", "c"]
+        assert [r[2] for r in rows(report)] == [1, 2]
 
     def test_top_k_is_prefix_of_full_ranking(self):
         rng = np.random.default_rng(28)
-        scores = ScoreVector.from_mapping({f"u{i}": float(rng.random()) for i in range(30)}, "m")
+        scores = vector_from_mapping({f"u{i}": float(rng.random()) for i in range(30)}, "m")
         full = top_k(scores, 30)
         head = top_k(scores, 7)
-        assert head.rows == full.rows[:7]
+        assert rows(head) == rows(full)[:7]
 
     def test_k_validation(self):
         with pytest.raises(InvalidParams):
-            top_k(ScoreVector.from_mapping({"a": 1.0}, "m"), 0)
+            top_k(vector_from_mapping({"a": 1.0}, "m"), 0)
 
     def test_rank_join_matches_naive_double_sort(self):
         rng = np.random.default_rng(29)
         users = [f"u{i}" for i in range(20)]
         values_a = {u: float(rng.random()) for u in users}
         values_b = {u: float(rng.random()) for u in users[5:]}
-        a = ScoreVector.from_mapping(values_a, "alpha")
-        b = ScoreVector.from_mapping(values_b, "beta")
+        a = vector_from_mapping(values_a, "alpha")
+        b = vector_from_mapping(values_b, "beta")
         report = rank_join(a, b)
         order_a = sorted(users, key=lambda u: (-values_a[u], u))
         naive_a = {u: k + 1 for k, u in enumerate(order_a)}
         order_b = sorted(users[5:], key=lambda u: (-values_b[u], u))
         naive_b = {u: k + 1 for k, u in enumerate(order_b)}
-        assert set(r[0] for r in report.rows) == set(users[5:])
-        for user, rank_a, rank_b in report.rows:
+        assert set(r[0] for r in rows(report)) == set(users[5:])
+        for user, rank_a, rank_b in rows(report):
             assert rank_a == naive_a[user]
             assert rank_b == naive_b[user]
 
     def test_rank_join_ranks_are_permutations(self):
         rng = np.random.default_rng(30)
         users = [f"u{i}" for i in range(15)]
-        a = ScoreVector.from_mapping({u: float(rng.random()) for u in users}, "a")
-        b = ScoreVector.from_mapping({u: float(rng.random()) for u in users}, "b")
+        a = vector_from_mapping({u: float(rng.random()) for u in users}, "a")
+        b = vector_from_mapping({u: float(rng.random()) for u in users}, "b")
         report = rank_join(a, b)
-        assert sorted(r[1] for r in report.rows) == list(range(1, 16))
-        assert sorted(r[2] for r in report.rows) == list(range(1, 16))
+        assert sorted(r[1] for r in rows(report)) == list(range(1, 16))
+        assert sorted(r[2] for r in rows(report)) == list(range(1, 16))
 
     def test_ranks_of_full_vector(self):
-        scores = ScoreVector.from_mapping({"a": 1.0, "b": 5.0, "c": 3.0}, "m")
+        scores = vector_from_mapping({"a": 1.0, "b": 5.0, "c": 3.0}, "m")
         assert ranks_of(scores) == {"b": 1, "c": 2, "a": 3}
 
     def test_report_tsv_shape(self):
-        scores = ScoreVector.from_mapping({"a": 0.5, "b": 0.25}, "m")
+        scores = vector_from_mapping({"a": 0.5, "b": 0.25}, "m")
         text = report_to_tsv(top_k(scores, 2))
         lines = text.strip().split("\n")
         assert lines[0] == "#report=top2_m"

@@ -14,10 +14,12 @@ from iprank.baselines import (
 )
 from iprank.cli import read_score_columns
 from iprank.errors import EmptyNodeSet, InvalidParams
-from iprank.graphs import InfluenceGraph
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
 from iprank.testkit import random_graph
-from oracles import by_id, dense_pagerank_oracle, distinct_urls, h_from_counts, h_index
+from oracles import (
+    arcs_of, by_id, dense_pagerank_oracle, distinct_urls, graph_from_arcs, h_from_counts, h_index,
+    vector_from_mapping,
+)
 
 
 def vector_from_tsv(text, tmp_path):
@@ -30,7 +32,7 @@ def vector_from_tsv(text, tmp_path):
 
 def reversed_graph(g):
     """``g`` with every arc turned around: the graph PageRank walks forward."""
-    return InfluenceGraph.from_arcs(((j, i, w) for i, j, w in g.arcs()), nodes=g.node_ids)
+    return graph_from_arcs(((j, i, w) for i, j, w in arcs_of(g)), nodes=g.node_ids)
 
 
 def arc_order_pagerank(g, params):
@@ -65,10 +67,10 @@ class TestPagerankArcOrder:
 
     GRAPHS = {
         # "d" is dangling: no arc enters it
-        "dangling": lambda: InfluenceGraph.from_arcs(
+        "dangling": lambda: graph_from_arcs(
             [("b", "a", 1.0), ("c", "a", 1.0), ("d", "b", 0.3), ("a", "c", 0.25)]
         ),
-        "arcless": lambda: InfluenceGraph.from_arcs([], nodes=["a", "b", "c"]),
+        "arcless": lambda: graph_from_arcs([], nodes=["a", "b", "c"]),
         "random-30": lambda: random_graph(30, 100, seed=5),
     }
 
@@ -91,22 +93,22 @@ class TestPagerankArcOrder:
 
 class TestWeightedPagerank:
     def test_symmetric_pair_uniform(self):
-        g = InfluenceGraph.from_arcs([("a", "b", 0.4), ("b", "a", 0.4)])
+        g = graph_from_arcs([("a", "b", 0.4), ("b", "a", 0.4)])
         pr, _ = weighted_pagerank(g)
         assert by_id(pr)["a"] == pytest.approx(0.5, abs=1e-12)
         assert by_id(pr)["b"] == pytest.approx(0.5, abs=1e-12)
 
     def test_single_isolated_node(self):
-        g = InfluenceGraph.from_arcs([], nodes=["solo"])
+        g = graph_from_arcs([], nodes=["solo"])
         pr, _ = weighted_pagerank(g)
         assert by_id(pr) == {"solo": 1.0}
 
     def test_empty_node_set(self):
         with pytest.raises(EmptyNodeSet):
-            weighted_pagerank(InfluenceGraph.from_arcs([]))
+            weighted_pagerank(graph_from_arcs([]))
 
     def test_dangling_fixture_matches_dense_oracle(self):
-        g = InfluenceGraph.from_arcs([("b", "a", 0.5), ("c", "a", 0.25)])
+        g = graph_from_arcs([("b", "a", 0.5), ("c", "a", 0.25)])
         # b and c are dangling: no arc enters them
         pr, _ = weighted_pagerank(g)
         oracle = dense_pagerank_oracle(reversed_graph(g))
@@ -136,7 +138,7 @@ class TestWeightedPagerank:
         for k in range(n):
             arcs.append((f"n{k:02d}", f"n{(k + 1) % n:02d}", 0.5))
             arcs.append((f"n{(k + 1) % n:02d}", f"n{k:02d}", 0.5))
-        pr, _ = weighted_pagerank(InfluenceGraph.from_arcs(arcs))
+        pr, _ = weighted_pagerank(graph_from_arcs(arcs))
         for v in by_id(pr).values():
             assert v == pytest.approx(1.0 / n, abs=1e-12)
 
@@ -270,14 +272,14 @@ class TestVectorSerialization:
         assert by_id(back) == by_id(fc)
 
     def test_float_precision_survives(self, tmp_path):
-        v = ScoreVector.from_mapping({"a": 1.0 / 3.0, "b": 0.07}, label="x")
+        v = vector_from_mapping({"a": 1.0 / 3.0, "b": 0.07}, label="x")
         back = vector_from_tsv(vector_to_tsv(v), tmp_path)
         assert by_id(back) == by_id(v)
 
 
 class TestScoreVector:
     def test_from_mapping_sorts_ids(self):
-        v = ScoreVector.from_mapping({"b": 2.0, "a": 1.0, "c": -0.0}, "m")
+        v = vector_from_mapping({"b": 2.0, "a": 1.0, "c": -0.0}, "m")
         assert v.node_ids == ("a", "b", "c")
         assert v.values.tolist() == [1.0, 2.0, -0.0]
         assert v == ScoreVector(["a", "b", "c"], np.array([1.0, 2.0, 0.0]), "m")
@@ -290,7 +292,7 @@ class TestScoreVector:
 
     def test_rejects_nan_and_misaligned_values(self):
         with pytest.raises(ValueError):
-            ScoreVector.from_mapping({"a": float("nan")}, "m")
+            vector_from_mapping({"a": float("nan")}, "m")
         with pytest.raises(ValueError):
             ScoreVector(("a", "b"), [1.0], "m")
         assert ScoreVector(("a",), [float("inf")], "m").values[0] == float("inf")

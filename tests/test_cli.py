@@ -191,6 +191,21 @@ class TestReports:
         assert "#spearman=" in text
         assert "#report=influence_vs_pagerank" in text
 
+    def test_compare_of_files_that_share_some_ids(self, tmp_path, capsys):
+        # ranks are over each whole file; the rows are the shared ids, by rank under a
+        (tmp_path / "a.tsv").write_text("#measure=x\na\t3\nb\t2\nc\t1\n", encoding="utf-8")
+        (tmp_path / "b.tsv").write_text("#measure=y\nb\t5\nc\t7\nd\t1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(
+            "compare", "--scores-a", tmp_path / "a.tsv", "--scores-b", tmp_path / "b.tsv",
+            "--out-dir", out,
+        ) == 0
+        text = (out / "compare.tsv").read_text(encoding="utf-8")
+        assert text.endswith(
+            "#spearman=-1.0\n#report=x_vs_y\n#user\trank_x\trank_y\nb\t2\t2\nc\t3\t1\n"
+        )
+        assert "compare: spearman -1 over 2 shared users" in capsys.readouterr().out
+
     def test_rates(self, trace_dir):
         out = trace_dir / "out"
         assert run(
@@ -954,10 +969,10 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-def scipy_modules_after(code, *args):
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter
-    with ``args`` as ``sys.argv[1:]``."""
-    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def modules_after(package, code, *args):
+    """The modules of ``package`` loaded once ``code`` has run in a fresh
+    interpreter with ``args`` as ``sys.argv[1:]``."""
+    report = f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
     src = str(Path(iprank.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys\n{code}\n{report}", *map(str, args)],
@@ -972,7 +987,7 @@ def scipy_modules_after(code, *args):
 
 def test_cli_import_loads_no_scipy():
     # iprank depends on numpy alone; importing the CLI must not pull scipy in
-    assert scipy_modules_after("import iprank.cli") == "[]"
+    assert modules_after("scipy", "import iprank.cli") == "[]"
 
 
 def test_ip_and_pagerank_load_no_scipy(trace_dir):
@@ -984,5 +999,30 @@ def test_ip_and_pagerank_load_no_scipy(trace_dir):
         "    assert main(argv + ['--out-dir', sys.argv[2]]) == 0, cmd"
     )
     out = trace_dir / "out"
-    assert scipy_modules_after(code, trace_dir / "events.tsv", out) == "[]"
+    assert modules_after("scipy", code, trace_dir / "events.tsv", out) == "[]"
     assert (out / "ip_scores.tsv").exists() and (out / "pagerank.tsv").exists()
+
+
+def test_no_command_loads_numpy_ma(trace_dir):
+    # importing numpy.ma costs 10-16 ms, and numpy.unique and numpy.median load it
+    code = (
+        "from iprank.cli import main\n"
+        "events, follows, clicks, out = sys.argv[1:]\n"
+        "trace = ['--events', events, '--min-urls', '1', '--out-dir', out]\n"
+        "ip_scores, pagerank = f'{out}/ip_scores.tsv', f'{out}/pagerank.tsv'\n"
+        "for argv in (\n"
+        "    ['build', *trace], ['ip', *trace], ['pagerank', *trace],\n"
+        "    ['hindex', '--events', events, '--out-dir', out],\n"
+        "    ['rates', '--events', events, '--follows', follows, '--out-dir', out],\n"
+        "    ['curve', '--scores', ip_scores, '--column', 'influence', '--events', events,\n"
+        "     '--clicks', clicks, '--bin-count', '5', '--out-dir', out],\n"
+        "    ['rank', '--scores', pagerank, '--events', events, '--min-posted', '2',\n"
+        "     '--out-dir', out],\n"
+        "    ['compare', '--scores-a', ip_scores, '--column-a', 'influence',\n"
+        "     '--scores-b', f'{out}/hindex.tsv', '--out-dir', out],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv"
+    )
+    inputs = (trace_dir / name for name in ("events.tsv", "follows.tsv", "clicks.tsv", "out"))
+    assert modules_after("numpy.ma", code, *inputs) == "[]"
+    assert len(list((trace_dir / "out").glob("*.tsv"))) == 10

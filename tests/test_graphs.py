@@ -11,7 +11,6 @@ from iprank import graphs, ingest
 from iprank.baselines import ScoreVector
 from iprank.errors import InvalidParams, UnparsableLine
 from iprank.graphs import (
-    InfluenceGraph,
     build_comention,
     build_retweet,
     build_retweet_follower,
@@ -23,7 +22,8 @@ from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
 from iprank.ipcore import ScorePair
 from iprank.testkit import SynthParams, synth_trace
 from oracles import (
-    PairwiseCounts, arc_weights, distinct_urls, edges, pairwise_counts, posters,
+    PairwiseCounts, arc_weights, arcs_of, distinct_urls, edges, graph_from_arcs, pairwise_counts,
+    posters,
 )
 
 LONG = "0123456789abcdef"  # 16 bytes: longer than the graph reader's key prefix
@@ -40,26 +40,26 @@ def retweet(t, user, url, source):
 class TestInfluenceGraphType:
     def test_weight_bounds(self):
         with pytest.raises(ValueError):
-            InfluenceGraph.from_arcs([("a", "b", 0.0)])
+            graph_from_arcs([("a", "b", 0.0)])
         with pytest.raises(ValueError):
-            InfluenceGraph.from_arcs([("a", "b", 1.0 + 1e-9)])
-        g = InfluenceGraph.from_arcs([("a", "b", 1.0)])
+            graph_from_arcs([("a", "b", 1.0 + 1e-9)])
+        g = graph_from_arcs([("a", "b", 1.0)])
         assert arc_weights(g)[("a", "b")] == 1.0
 
     def test_no_self_arcs(self):
         with pytest.raises(ValueError):
-            InfluenceGraph.from_arcs([("a", "a", 0.5)])
+            graph_from_arcs([("a", "a", 0.5)])
 
     def test_duplicate_arcs_rejected(self):
         with pytest.raises(ValueError):
-            InfluenceGraph.from_arcs([("a", "b", 0.5), ("a", "b", 0.6)])
+            graph_from_arcs([("a", "b", 0.5), ("a", "b", 0.6)])
 
     def test_isolated_nodes_kept(self):
-        g = InfluenceGraph.from_arcs([("a", "b", 0.5)], nodes=["z"])
+        g = graph_from_arcs([("a", "b", 0.5)], nodes=["z"])
         assert g.num_nodes == 3 and "z" in g.node_ids
 
     def test_nodes_sorted(self):
-        g = InfluenceGraph.from_arcs([("b", "a", 0.5), ("a", "c", 0.5)])
+        g = graph_from_arcs([("b", "a", 0.5), ("a", "c", 0.5)])
         assert g.node_ids == ("a", "b", "c")
 
 
@@ -289,8 +289,8 @@ class TestBuilderProperties:
         log, follows = self.synth(seed)
         rt = build_retweet(log, 2)
         rtf = build_retweet_follower(log, follows, 2)
-        rt_arcs = {(i, j): w for i, j, w in rt.arcs()}
-        for i, j, w in rtf.arcs():
+        rt_arcs = {(i, j): w for i, j, w in arcs_of(rt)}
+        for i, j, w in arcs_of(rtf):
             assert rt_arcs[(i, j)] == w
 
     def test_raising_min_urls_is_monotone(self):
@@ -304,7 +304,7 @@ class TestBuilderProperties:
             for k in (1, 2, 3, 5):
                 g = build(k)
                 nodes = set(g.node_ids)
-                arcs = set((i, j) for i, j, _ in g.arcs())
+                arcs = set((i, j) for i, j, _ in arcs_of(g))
                 if prev_nodes is not None:
                     assert nodes <= prev_nodes
                     assert arcs <= prev_arcs
@@ -315,7 +315,7 @@ class TestBuilderProperties:
         g = build_retweet(log, 2)
         p = distinct_urls(log)
         assert g.num_arcs > 0
-        for i, j, w in g.arcs():
+        for i, j, w in arcs_of(g):
             assert w >= 1.0 / p[i] - 1e-15
 
     @staticmethod
@@ -337,7 +337,7 @@ class TestBuilderProperties:
         log, follows = self.synth(8)
         g1 = build_comention(log, follows, 1)
         assert g1.num_arcs > 0
-        for i, j, _ in list(g1.arcs())[:8]:
+        for i, j, _ in list(arcs_of(g1))[:8]:
             first_i = {}
             for ev in log:
                 if ev.user == i and ev.url not in first_i:
@@ -358,13 +358,13 @@ class TestBuilderProperties:
 
 class TestGraphStats:
     def test_mean(self):
-        g = InfluenceGraph.from_arcs([("a", "b", 0.2), ("b", "c", 0.6)])
+        g = graph_from_arcs([("a", "b", 0.2), ("b", "c", 0.6)])
         s = graph_stats(g)
         assert s.mean_weight == pytest.approx(0.4)
         assert s.nodes == 3 and s.arcs == 2
 
     def test_empty(self):
-        s = graph_stats(InfluenceGraph.from_arcs([]))
+        s = graph_stats(graph_from_arcs([]))
         assert (s.nodes, s.arcs, s.mean_weight) == (0, 0, 0.0)
         assert all(c == 0 for c in s.weight_histogram)
 
@@ -373,7 +373,7 @@ class TestGraphStats:
 
         g = random_graph(50, 180, seed=17)
         s = graph_stats(g)
-        arcs = list(g.arcs())
+        arcs = list(arcs_of(g))
         assert s.arcs == len(arcs)
         assert s.nodes == 50
         assert s.mean_weight == pytest.approx(sum(w for _, _, w in arcs) / len(arcs))
@@ -385,7 +385,7 @@ class TestGraphStats:
 
 class TestSerialization:
     def test_round_trip_with_isolated_nodes(self):
-        g = InfluenceGraph.from_arcs(
+        g = graph_from_arcs(
             [("a", "b", 1.0 / 3.0), ("b", "c", 0.125)], nodes=["lonely"]
         )
         text = graph_to_tsv(g)
@@ -395,15 +395,15 @@ class TestSerialization:
 
     def test_weights_survive_exactly(self):
         w = 0.12345678901234567
-        g = InfluenceGraph.from_arcs([("a", "b", w)])
+        g = graph_from_arcs([("a", "b", w)])
         assert arc_weights(graph_from_tsv(graph_to_tsv(g)))[("a", "b")] == w
 
     def test_empty_graph(self):
-        g = InfluenceGraph.from_arcs([])
+        g = graph_from_arcs([])
         assert graph_from_tsv(graph_to_tsv(g)) == g
 
     def test_truncated_file_fails_its_header(self):
-        g = InfluenceGraph.from_arcs([("a", "b", 0.5), ("b", "c", 0.25), ("c", "d", 0.75)])
+        g = graph_from_arcs([("a", "b", 0.5), ("b", "c", 0.25), ("c", "d", 0.75)])
         text = graph_to_tsv(g)
         assert text.startswith("#nodes=4 arcs=3\n")
         cut = "".join(text.splitlines(keepends=True)[:2])
@@ -467,7 +467,7 @@ class TestSerialization:
 
     def test_nan_weight_rejected_by_graph(self):
         with pytest.raises(ValueError):
-            InfluenceGraph.from_arcs([("a", "b", float("nan"))])
+            graph_from_arcs([("a", "b", float("nan"))])
 
     @pytest.mark.parametrize(
         "text,line_no,line,reason",
@@ -541,7 +541,7 @@ class TestSerialization:
 @pytest.mark.parametrize("bad", ["#x", "a\tb", "a\rb", "a\nb", "b\n#c", ""])
 def test_constructors_reject_ids_that_would_not_read_back(bad):
     for make in (
-        lambda ids: InfluenceGraph.from_arcs([], nodes=ids),
+        lambda ids: graph_from_arcs([], nodes=ids),
         lambda ids: ScoreVector(sorted(ids), np.zeros(len(ids)), "m"),
         lambda ids: ScorePair(sorted(ids), np.zeros(len(ids)), np.zeros(len(ids)), 1),
     ):

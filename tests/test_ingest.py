@@ -13,7 +13,7 @@ import pytest
 from iprank import ingest
 from iprank.cli import load_config, read_score_columns
 from iprank.errors import ConfigInvalid, EmptyInput, MissingInput, NegativeCount, UnparsableLine
-from iprank.graphs import InfluenceGraph, graph_from_tsv
+from iprank.graphs import graph_from_tsv
 from iprank.ingest import (
     ActivityLog,
     ClickTable,
@@ -26,7 +26,7 @@ from iprank.ingest import (
     parse_events,
     parse_follows,
 )
-from oracles import edges, followees_of, followers_of, read_manifest
+from oracles import arcs_of, edges, followees_of, followers_of, graph_from_arcs, read_manifest
 
 EVENTS = "1\tu1\turl-a\tM\n2\tu2\turl-b\tM\n3\tu3\turl-c\tM\n"
 
@@ -561,7 +561,7 @@ class TestNumbersParseAsFloatAndIntDo:
         text = _amid(f"a\tb\t{token}", [f"n{k}\tm{k}\t0.5" for k in range(40)])
         w = _float_or_none(token)
         if w is not None and 0.0 < w <= 1.0:
-            weights = {(i, j): x for i, j, x in graph_from_tsv(text).arcs()}
+            weights = {(i, j): x for i, j, x in arcs_of(graph_from_tsv(text))}
             assert weights[("a", "b")] == w
             return
         with pytest.raises(UnparsableLine) as info:
@@ -713,7 +713,7 @@ UNUSUAL = {
         lambda text, strict=True: graph_from_tsv(text),
         ["u#\tv\t1", "v\tu#\t1e-300", "a\ta\t0.5", "w\t-\t-", "-\tw\t0.5"],
         "self-arc",
-        InfluenceGraph.from_arcs(
+        graph_from_arcs(
             [("u#", "v", 1.0), ("v", "u#", 1e-300), ("-", "w", 0.5)], nodes=["w"]
         ),
     ),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from iprank.errors import DegenerateGraph, EmptyGraph, InvalidParams
-from iprank.graphs import InfluenceGraph
 from iprank.ipcore import (
     IpParams,
     ScorePair,
@@ -14,14 +13,14 @@ from iprank.ipcore import (
     trace_to_tsv,
 )
 from iprank.testkit import random_graph
-from oracles import dense_ip_oracle
+from oracles import arcs_of, dense_ip_oracle, graph_from_arcs
 
 
 class Rates:
     """The rates of :func:`_rate_arrays`, keyed by arc (source, target)."""
 
     def __init__(self, g):
-        arcs = [(i, j) for i, j, _ in g.arcs()]
+        arcs = [(i, j) for i, j, _ in arcs_of(g)]
         u, v = _rate_arrays(g)
         self.acceptance = dict(zip(arcs, u.tolist()))
         self.rejection = dict(zip(arcs, v.tolist()))
@@ -37,19 +36,19 @@ def sides(pair):
 
 class TestComputeRates:
     def test_acceptance_normalizes_in_weights(self):
-        g = InfluenceGraph.from_arcs([("i", "j", 0.2), ("k", "j", 0.6)])
+        g = graph_from_arcs([("i", "j", 0.2), ("k", "j", 0.6)])
         rates = Rates(g)
         assert rates.acceptance[("i", "j")] == pytest.approx(0.25)
         assert rates.acceptance[("k", "j")] == pytest.approx(0.75)
 
     def test_rejection_normalizes_out_rejections(self):
-        g = InfluenceGraph.from_arcs([("j", "i", 0.2), ("j", "k", 0.6)])
+        g = graph_from_arcs([("j", "i", 0.2), ("j", "k", 0.6)])
         rates = Rates(g)
         assert rates.rejection[("j", "i")] == pytest.approx(0.8 / 1.2)
         assert rates.rejection[("j", "k")] == pytest.approx(0.4 / 1.2)
 
     def test_zero_rejection_denominator(self):
-        g = InfluenceGraph.from_arcs([("j", "i", 1.0)])
+        g = graph_from_arcs([("j", "i", 1.0)])
         rates = Rates(g)
         assert rates.rejection[("j", "i")] == 0.0
         assert rates.acceptance[("j", "i")] == 1.0
@@ -73,7 +72,7 @@ class TestComputeRates:
 
 class TestRunIp:
     def test_single_arc_fixture(self):
-        g = InfluenceGraph.from_arcs([("A", "B", 0.5)])
+        g = graph_from_arcs([("A", "B", 0.5)])
         pair, trace = run_ip(g)
         influence, passivity = sides(pair)
         assert influence == {"A": 1.0, "B": 0.0}
@@ -83,14 +82,14 @@ class TestRunIp:
         assert trace.deltas[-1] == 0.0
 
     def test_symmetric_pair_uniform(self):
-        g = InfluenceGraph.from_arcs([("A", "B", 0.5), ("B", "A", 0.5)])
+        g = graph_from_arcs([("A", "B", 0.5), ("B", "A", 0.5)])
         pair, _ = run_ip(g)
         for side in sides(pair):
             assert side["A"] == pytest.approx(0.5, abs=1e-12)
             assert side["B"] == pytest.approx(0.5, abs=1e-12)
 
     def test_three_cycle_uniform(self):
-        g = InfluenceGraph.from_arcs(
+        g = graph_from_arcs(
             [("a", "b", 0.4), ("b", "c", 0.4), ("c", "a", 0.4)]
         )
         pair, _ = run_ip(g)
@@ -100,19 +99,21 @@ class TestRunIp:
 
     def test_empty_graph(self):
         with pytest.raises(EmptyGraph):
-            run_ip(InfluenceGraph.from_arcs([], nodes=["a", "b"]))
+            run_ip(graph_from_arcs([], nodes=["a", "b"]))
 
     def test_degenerate_all_unit_weights(self):
-        g = InfluenceGraph.from_arcs([("a", "b", 1.0), ("a", "c", 1.0)])
+        g = graph_from_arcs([("a", "b", 1.0), ("a", "c", 1.0)])
         with pytest.raises(DegenerateGraph):
             run_ip(g)
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_normalization_every_iteration(self, seed):
         g = random_graph(60, 240, seed=seed)
-        _, trace = run_ip(g)
-        assert all(abs(s - 1.0) <= 1e-12 for s in trace.influence_sums)
-        assert all(abs(s - 1.0) <= 1e-12 for s in trace.passivity_sums)
+        pair, _ = run_ip(g)
+        for cap in range(1, pair.iterations_run + 1):  # each iteration's vectors, as returned
+            capped, _ = run_ip(g, IpParams(max_iterations=cap))
+            assert abs(capped.influence.sum() - 1.0) <= 1e-12
+            assert abs(capped.passivity.sum() - 1.0) <= 1e-12
 
     def test_sources_and_sinks_forced_to_zero(self):
         g = random_graph(40, 80, seed=9)
@@ -135,8 +136,8 @@ class TestRunIp:
         g = random_graph(20, 70, seed=14)
         # reverse the lexicographic order of the ids entirely
         mapping = {uid: f"z{99 - int(uid[1:]):02d}" for uid in g.node_ids}
-        relabeled = InfluenceGraph.from_arcs(
-            [(mapping[i], mapping[j], w) for i, j, w in g.arcs()],
+        relabeled = graph_from_arcs(
+            [(mapping[i], mapping[j], w) for i, j, w in arcs_of(g)],
             nodes=[mapping[u] for u in g.node_ids],
         )
         influence, passivity = sides(run_ip(g)[0])
@@ -176,7 +177,7 @@ EDGE_CASE_ARCS = [
     ("c", "a", 0.25), ("c", "d", 0.75),
 ]
 ARC_ORDER_GRAPHS = {
-    "edge-cases": lambda: InfluenceGraph.from_arcs(EDGE_CASE_ARCS),
+    "edge-cases": lambda: graph_from_arcs(EDGE_CASE_ARCS),
     "random-12": lambda: random_graph(12, 40, seed=3),
     "random-30": lambda: random_graph(30, 140, seed=21),
 }
@@ -251,7 +252,7 @@ class TestSerialization:
         assert lines[1].startswith("b\t0.66666666666666663\t0")
 
     def test_trace_format(self):
-        g = InfluenceGraph.from_arcs([("A", "B", 0.5)])
+        g = graph_from_arcs([("A", "B", 0.5)])
         _, trace = run_ip(g)
         lines = trace_to_tsv(trace).strip().split("\n")
         assert lines[0].startswith("1\t")

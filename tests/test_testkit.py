@@ -6,13 +6,14 @@ import pytest
 from iprank.analytics import rate_report
 from iprank.baselines import h_index_scores
 from iprank.errors import EmptyGraph, InvalidParams
-from iprank.graphs import InfluenceGraph, build_retweet
+from iprank.graphs import build_retweet
 from iprank.ingest import events_to_tsv, follows_to_tsv
 from iprank.ipcore import run_ip
 from iprank.testkit import SynthParams, random_graph, synth_trace
 from oracles import (
     PLANTED_A, PLANTED_B, TooLarge, audience_retweeting_rate, by_id, dense_ip_oracle,
-    dense_pagerank_oracle, edges, followers_of, h_index, planted_contrast_trace, posters,
+    dense_pagerank_oracle, edges, followers_of, graph_from_arcs, h_index, planted_contrast_trace,
+    posters,
     user_retweeting_rate,
 )
 
@@ -119,14 +120,14 @@ class TestRandomGraph:
 
 class TestDenseOracles:
     def test_ip_oracle_single_arc(self):
-        g = InfluenceGraph.from_arcs([("A", "B", 0.5)])
+        g = graph_from_arcs([("A", "B", 0.5)])
         pair = dense_ip_oracle(g, 5)
         assert pair.node_ids == ("A", "B")
         assert pair.influence.tolist() == [1.0, 0.0]
         assert pair.passivity.tolist() == [0.0, 1.0]
 
     def test_ip_oracle_symmetric_pair(self):
-        g = InfluenceGraph.from_arcs([("A", "B", 0.5), ("B", "A", 0.5)])
+        g = graph_from_arcs([("A", "B", 0.5), ("B", "A", 0.5)])
         pair = dense_ip_oracle(g, 10)
         assert pair.node_ids == ("A", "B")
         assert pair.influence[0] == pytest.approx(0.5, abs=1e-12)
@@ -136,15 +137,15 @@ class TestDenseOracles:
         with pytest.raises(TooLarge):
             dense_ip_oracle(random_graph(201, 300, seed=1), 3)
         with pytest.raises(EmptyGraph):
-            dense_ip_oracle(InfluenceGraph.from_arcs([], nodes=["a", "b"]), 3)
+            dense_ip_oracle(graph_from_arcs([], nodes=["a", "b"]), 3)
 
     def test_pagerank_oracle_symmetric_pair(self):
-        g = InfluenceGraph.from_arcs([("A", "B", 0.3), ("B", "A", 0.3)])
+        g = graph_from_arcs([("A", "B", 0.3), ("B", "A", 0.3)])
         pr = dense_pagerank_oracle(g)
         assert by_id(pr)["A"] == pytest.approx(0.5, abs=1e-12)
 
     def test_pagerank_oracle_single_node(self):
-        g = InfluenceGraph.from_arcs([], nodes=["only"])
+        g = graph_from_arcs([], nodes=["only"])
         assert by_id(dense_pagerank_oracle(g)) == {"only": 1.0}
 
 
