@@ -10,29 +10,26 @@ within [0, 1] by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .baselines import ScoreVector
 from .errors import InsufficientOverlap, InvalidParams, NoData
-from .ingest import ActivityLog, FollowEdgeList, _lookup, _positions, _run_starts, _tsv_rows
+from .ingest import (
+    ActivityLog, FollowEdgeList, _Frozen, _lookup, _positions, _run_starts, _set, _tsv_rows,
+)
 
 RATE_HIST_BINS = 10
 
 
-@dataclass(frozen=True, slots=True)
-class RateSummary:
+class RateSummary(NamedTuple):
     mean: float
     median: float
     histogram: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Per-user retweeting rates plus population summaries.
 
     Users whose rate is undefined (zero denominator) are absent from the
@@ -45,8 +42,7 @@ class RateReport:
     audience_summary: RateSummary
 
 
-@dataclass(frozen=True, slots=True)
-class PercentileCurve:
+class PercentileCurve(NamedTuple):
     """Per-bin high quantile of clicks against a user attribute, with a
     log10-log10 least-squares fit."""
 
@@ -56,15 +52,17 @@ class PercentileCurve:
     intercept: float
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class RankReport:
+class RankReport(_Frozen):
     """A ranking as columns: ``data`` holds the user ids, then one numpy
     array per further name in ``columns``, each aligned with the ids. A float
     column is written with 17 significant digits, an integer one as integers."""
 
-    label: str
-    columns: tuple[str, ...]
-    data: tuple[Sequence, ...]
+    __slots__ = ("label", "columns", "data")
+
+    def __init__(self, label: str, columns: tuple[str, ...], data: tuple[Sequence, ...]) -> None:
+        _set(self, "label", label)
+        _set(self, "columns", columns)
+        _set(self, "data", data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RankReport):
@@ -149,6 +147,9 @@ def url_attribute_average(
 def _nearest_rank(sorted_values: list[float], q: float) -> float:
     # rank floor(q*n) + 1, capped at n, with q read exactly from its decimal
     # form: equals ceil(q*n) except at integer q*n, which resolves upward
+    from decimal import Decimal  # with fractions, 2-4 ms to import, for this line alone
+    from fractions import Fraction
+
     n = len(sorted_values)
     k = int(Fraction(Decimal(str(q))) * n) + 1
     return sorted_values[min(n, k) - 1]

@@ -7,47 +7,45 @@ weight; dangling mass and teleportation are spread uniformly over all nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyNodeSet, InvalidParams
 from .graphs import InfluenceGraph
-from .ingest import ActivityLog, FollowEdgeList, _tsv_rows
+from .ingest import ActivityLog, FollowEdgeList, _Frozen, _set, _tsv_rows
 from .ipcore import IterationTrace, _arc_sum, _l1_change, _same_scores, _set_scores
 
 
-@dataclass(frozen=True, slots=True)
-class PageRankParams:
-    damping: float = 0.85
-    epsilon: float = 1e-12
-    max_iterations: int = 200
+class PageRankParams(_Frozen):
+    __slots__ = ("damping", "epsilon", "max_iterations")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.damping < 1.0:
-            raise InvalidParams(f"damping must be in (0, 1), got {self.damping}")
-        if not self.epsilon >= 0.0:
-            raise InvalidParams(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise InvalidParams(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
+    def __init__(
+        self, damping: float = 0.85, epsilon: float = 1e-12, max_iterations: int = 200
+    ) -> None:
+        if not 0.0 < damping < 1.0:
+            raise InvalidParams(f"damping must be in (0, 1), got {damping}")
+        if not epsilon >= 0.0:
+            raise InvalidParams(f"epsilon must be >= 0, got {epsilon}")
+        if max_iterations < 1:
+            raise InvalidParams(f"max_iterations must be >= 1, got {max_iterations}")
+        _set(self, "damping", damping)
+        _set(self, "epsilon", epsilon)
+        _set(self, "max_iterations", max_iterations)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ScoreVector:
+class ScoreVector(_Frozen):
     """A labeled score per node, the common currency of all rankings.
 
     ``node_ids`` is strictly ascending and ``values`` is a float64 array
     aligned with it, so array position is id order.
     """
 
-    node_ids: tuple[str, ...]
-    values: np.ndarray
-    label: str
+    __slots__ = ("node_ids", "values", "label")
 
-    def __post_init__(self) -> None:
-        _set_scores(self, "values")
+    def __init__(self, node_ids: Sequence[str], values: object, label: str) -> None:
+        _set_scores(self, node_ids, values=values)
+        _set(self, "label", label)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreVector):

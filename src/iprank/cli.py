@@ -9,10 +9,9 @@ files. Nothing in the pipeline is randomized or time-dependent.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import gc
 import operator
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -62,33 +61,30 @@ MEASURES = ("ip-influence", "ip-passivity", "pagerank", "hindex", "followers", "
 T = TypeVar("T")
 
 
-@dataclass
-class RunConfig:
-    """Resolved run settings; flags override the config file, which overrides
-    these defaults."""
-
-    events: str | None = None
-    follows: str | None = None
-    clicks: str | None = None
-    graph: str | None = None
-    out_dir: str = "out"
-    graph_type: str = "rt"
-    min_urls: int = 3
-    iterations: int = 100
-    epsilon: float = 1e-9
-    damping: float = 0.85
-    pagerank_iterations: int = 200
-    pagerank_epsilon: float = 1e-12
-    q: float = 0.999
-    bin_count: int = 50
-    top_k: int = 10
-    min_posted: int = 0
-    threads: int = 0
-    strict: bool = True
-
-
-# a config value is read as the type of its field's default; paths default to None
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+# The run settings and their defaults. A run resolves them into a RunConfig
+# with one attribute per key: flags override the config file, which overrides
+# these. A config value is read as the type of its default; paths default to None.
+_DEFAULTS: dict[str, object] = {
+    "events": None,
+    "follows": None,
+    "clicks": None,
+    "graph": None,
+    "out_dir": "out",
+    "graph_type": "rt",
+    "min_urls": 3,
+    "iterations": 100,
+    "epsilon": 1e-9,
+    "damping": 0.85,
+    "pagerank_iterations": 200,
+    "pagerank_epsilon": 1e-12,
+    "q": 0.999,
+    "bin_count": 50,
+    "top_k": 10,
+    "min_posted": 0,
+    "threads": 0,
+    "strict": True,
+}
+RunConfig = argparse.Namespace
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -159,16 +155,14 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    values: dict[str, object] = {}
+    values = dict(_DEFAULTS)
     if getattr(args, "config", None):
         values.update(load_config(args.config))
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
+    for key in _DEFAULTS:
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
-            values[f.name] = flag_value
-    for key, value in values.items():
-        setattr(cfg, key, value)
+            values[key] = flag_value
+    cfg = RunConfig(**values)
     validate_config(cfg)
     return cfg
 
@@ -179,6 +173,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # 4-5 ms to import (OpenSSL), which --version and --help need not pay
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -608,7 +604,10 @@ def _add_score_source(sub: argparse.ArgumentParser, suffix: str) -> None:
     sub.add_argument(f"--measure{suffix}", choices=MEASURES, help="recompute a measure from inputs")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command. Given ``command``, only that subcommand
+    gets its flags: a run parses one command, so what it prints and how it
+    exits stay the same, and the others' flags cost nothing."""
     parser = argparse.ArgumentParser(
         prog="iprank",
         description="Build influence graphs from activity traces and rank users.",
@@ -628,15 +627,24 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     for name, func, help_text in specs:
         sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(func=func)
+        if command not in (None, name):
+            continue
         _add_common_flags(sub)
         for suffix in {"curve": ("",), "rank": ("",), "compare": ("-a", "-b")}.get(name, ()):
             _add_score_source(sub, suffix)
-        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` names, by default the program's arguments."""
+    if argv is None:
+        # A program run: every object made so far lives until exit. Frozen,
+        # the collections while the command runs and at exit never walk them.
+        gc.freeze()
+        argv = sys.argv[1:]
+    # the parser's own options take no value, so the first other word is the command
+    parser = build_parser(next((word for word in argv if word[:1] != "-"), ""))
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)

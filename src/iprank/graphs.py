@@ -18,8 +18,7 @@ All counts are over distinct URLs. Nodes must have mentioned at least
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,8 +115,7 @@ class InfluenceGraph:
         return f"InfluenceGraph({self.num_nodes} nodes, {self.num_arcs} arcs)"
 
 
-@dataclass(frozen=True, slots=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     """Size and weight summary of an influence graph."""
 
     nodes: int

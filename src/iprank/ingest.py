@@ -32,10 +32,9 @@ import math
 import operator
 import re
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -75,23 +74,51 @@ def _check_ids(*ids: str) -> None:
             raise ValueError(f"{reason}: {uid!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class TweetEvent:
+_set = object.__setattr__  # how a frozen record's ``__init__`` stores a field
+
+
+class _Frozen:
+    """Base of the records that refuse assignment: each names its fields in
+    ``__slots__`` and stores them with ``_set``. Records of one class are
+    equal, and hash alike, when their fields are."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class TweetEvent(_Frozen):
     """One timestamped URL post: a plain mention, or a retweet crediting a source."""
 
-    time: int
-    user: str
-    url: str
-    source: str | None = None
+    __slots__ = ("time", "user", "url", "source")
 
-    def __post_init__(self) -> None:
-        _check_ids(self.user, self.url, *(() if self.source is None else (self.source,)))
-        if self.source == self.user:
+    def __init__(self, time: int, user: str, url: str, source: str | None = None) -> None:
+        _check_ids(user, url, *(() if source is None else (source,)))
+        if source == user:
             raise ValueError(_SELF_CREDIT)
+        _set(self, "time", time)
+        _set(self, "user", user)
+        _set(self, "url", url)
+        _set(self, "source", source)
 
 
-@dataclass(frozen=True, slots=True)
-class Posts:
+class Posts(NamedTuple):
     """Distinct (user, url) pairs of a log, sorted by (user, url).
 
     ``first`` and ``last`` are the earliest and latest time the user mentioned
@@ -106,8 +133,7 @@ class Posts:
     key: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
-class Retweets:
+class Retweets(NamedTuple):
     """Distinct (source, retweeter, url) triples whose source posted the URL,
     sorted, with the number of retweet events behind each triple."""
 
@@ -344,18 +370,20 @@ class FollowEdgeList:
         )
 
 
-@dataclass(slots=True)
 class ClickTable:
-    """Total registered clicks per URL."""
+    """Total registered clicks per URL; ``skipped`` takes no part in equality."""
 
-    clicks: dict[str, int]
-    skipped: int = field(default=0, compare=False)
+    __slots__ = ("clicks", "skipped")
 
-    def __post_init__(self) -> None:
-        _check_ids(*self.clicks)
-        for url, count in self.clicks.items():
+    def __init__(self, clicks: dict[str, int], skipped: int = 0) -> None:
+        _check_ids(*clicks)
+        for url, count in clicks.items():
             if count < 0:
                 raise ValueError(f"negative count {count}: {url!r}")
+        self.clicks, self.skipped = clicks, skipped
+
+    def __eq__(self, other: object) -> bool:
+        return self.clicks == other.clicks if type(other) is ClickTable else NotImplemented
 
 
 _BLOCK = 1 << 16  # bytes, or characters of a text stream, read at a time: not a setting
@@ -653,8 +681,7 @@ def _split(f: _Fields, headers: tuple[str, ...]) -> Iterator[_Fields]:
             yield _Fields(f.numbers[hi : hi + 1], lines[hi])
 
 
-@dataclass(frozen=True, slots=True)
-class _Check:
+class _Check(NamedTuple):
     """One rule of a line format. ``bad(f)`` marks the lines in play of
     block ``f`` that break it. ``reason`` says why: a ``str.format``
     template over the line's fields, or a function of them. ``error`` makes

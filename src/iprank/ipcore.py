@@ -14,39 +14,39 @@ acceptance rates, and finally normalizes both vectors to unit sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateGraph, EmptyGraph, InvalidParams
 from .graphs import InfluenceGraph, _sorted_ids
-from .ingest import _tsv_rows
+from .ingest import _Frozen, _set, _tsv_rows
 
 
-@dataclass(frozen=True, slots=True)
-class IpParams:
+class IpParams(_Frozen):
     """Stopping controls: fixed iteration cap plus an early-exit threshold."""
 
-    max_iterations: int = 100
-    epsilon: float = 1e-9
+    __slots__ = ("max_iterations", "epsilon")
 
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise InvalidParams(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.epsilon >= 0.0:
-            raise InvalidParams(f"epsilon must be >= 0, got {self.epsilon}")
+    def __init__(self, max_iterations: int = 100, epsilon: float = 1e-9) -> None:
+        if max_iterations < 1:
+            raise InvalidParams(f"max_iterations must be >= 1, got {max_iterations}")
+        if not epsilon >= 0.0:
+            raise InvalidParams(f"epsilon must be >= 0, got {epsilon}")
+        _set(self, "max_iterations", max_iterations)
+        _set(self, "epsilon", epsilon)
 
 
-def _set_scores(obj: object, *fields: str) -> None:
-    """Check that ``obj.node_ids`` ascend strictly and store each named field
-    as a float64 array aligned with them; NaN is rejected."""
-    ids = _sorted_ids(obj.node_ids)
-    object.__setattr__(obj, "node_ids", ids)
-    for name in fields:
-        values = np.asarray(getattr(obj, name), dtype=np.float64)
+def _set_scores(obj: _Frozen, node_ids: Sequence[str], **scores: object) -> None:
+    """Check that ``node_ids`` ascend strictly and store them, and each of
+    ``scores`` as a float64 array aligned with them, on ``obj``; NaN is rejected."""
+    ids = _sorted_ids(node_ids)
+    _set(obj, "node_ids", ids)
+    for name, values in scores.items():
+        values = np.asarray(values, dtype=np.float64)
         if values.shape != (len(ids),) or np.isnan(values).any():
             raise ValueError(f"{name} must be {len(ids)} scores, none of them NaN")
-        object.__setattr__(obj, name, values)
+        _set(obj, name, values)
 
 
 def _same_scores(a: object, b: object, *fields: str) -> bool:
@@ -55,21 +55,20 @@ def _same_scores(a: object, b: object, *fields: str) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ScorePair:
+class ScorePair(_Frozen):
     """Normalized influence and passivity per node.
 
     ``node_ids`` is strictly ascending and both score arrays are aligned with
     it, so array position is id order.
     """
 
-    node_ids: tuple[str, ...]
-    influence: np.ndarray
-    passivity: np.ndarray
-    iterations_run: int
+    __slots__ = ("node_ids", "influence", "passivity", "iterations_run")
 
-    def __post_init__(self) -> None:
-        _set_scores(self, "influence", "passivity")
+    def __init__(
+        self, node_ids: Sequence[str], influence: object, passivity: object, iterations_run: int
+    ) -> None:
+        _set_scores(self, node_ids, influence=influence, passivity=passivity)
+        _set(self, "iterations_run", iterations_run)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScorePair):
@@ -78,8 +77,7 @@ class ScorePair:
         return same and self.iterations_run == other.iterations_run
 
 
-@dataclass(frozen=True, slots=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """Per-iteration L1 change of an iterative measure's scores; for IP, of
     the normalized score pair."""
 

@@ -1,6 +1,7 @@
 """Command-line pipeline: artifacts, manifests, exit codes, config handling."""
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -969,25 +970,86 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-def modules_after(package, code, *args):
-    """The modules of ``package`` loaded once ``code`` has run in a fresh
-    interpreter with ``args`` as ``sys.argv[1:]``."""
-    report = f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
+def last_line(code, *args):
+    """The last line ``code`` prints in a fresh interpreter with ``args`` as
+    ``sys.argv[1:]``, after anything the commands it runs printed."""
     src = str(Path(iprank.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\n{report}", *map(str, args)],
+        [sys.executable, "-c", f"import sys\n{code}", *map(str, args)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]  # after anything the commands printed
+    return proc.stdout.splitlines()[-1]
+
+
+def modules_after(package, code, *args):
+    """The modules of ``package`` loaded once ``code`` has run in a fresh
+    interpreter with ``args`` as ``sys.argv[1:]``."""
+    report = f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
+    return last_line(f"{code}\n{report}", *args)
 
 
 def test_cli_import_loads_no_scipy():
     # iprank depends on numpy alone; importing the CLI must not pull scipy in
     assert modules_after("scipy", "import iprank.cli") == "[]"
+
+
+@pytest.mark.parametrize("package", ["dataclasses", "fractions", "decimal"])
+def test_cli_import_generates_no_code(package):
+    # dataclasses write each record's methods as source and compile it, 11 ms
+    # a process; fractions and decimal serve one line of the curve command
+    assert modules_after(package, "import numpy\nimport iprank.cli") == "[]"
+
+
+COMMANDS = ("build", "ip", "pagerank", "hindex", "rates", "curve", "rank", "compare")
+PARSES = [
+    *([cmd, "--help"] for cmd in COMMANDS),
+    [], ["nosuch"], ["--help"], ["--version"], ["--bogus", "rank", "--top-k", "3"],
+]
+
+
+def test_program_run_freezes_the_gc_and_parses_as_every_flag_does():
+    # main() with no argv is the console script; it freezes the GC and builds
+    # one command's flags. Called with a list, as tests and in-process runs do,
+    # it freezes nothing. Either way it prints and exits as a parser with
+    # every command's flags does.
+    code = """
+import contextlib, gc, io, json
+from iprank import cli
+
+def outcome(call):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            call()
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+parses = json.loads(sys.argv[1])
+every_flag = [outcome(lambda: cli.build_parser().parse_args(argv)) for argv in parses]
+given = [outcome(lambda: cli.main(list(argv))) for argv in parses]
+frozen = [gc.get_freeze_count()]
+program = []
+for argv in parses:
+    sys.argv[1:] = argv
+    program.append(outcome(cli.main))
+frozen.append(gc.get_freeze_count())
+print(json.dumps([every_flag, given, program, frozen]))
+"""
+    every_flag, given, program, frozen = json.loads(last_line(code, json.dumps(PARSES)))
+    assert frozen[0] == 0 < frozen[1]
+    assert given == every_flag and program == every_flag
+    codes = {" ".join(argv): code for argv, (code, _, _) in zip(PARSES, every_flag)}
+    assert codes == {
+        **{f"{cmd} --help": 0 for cmd in COMMANDS},
+        "": 2, "nosuch": 2, "--help": 0, "--version": 0, "--bogus rank --top-k 3": 2,
+    }
+    for argv, (_, out, _) in zip(PARSES, every_flag):
+        if argv[1:] == ["--help"]:
+            assert out.startswith(f"usage: iprank {argv[0]} [-h]") and "--out-dir" in out
 
 
 def test_ip_and_pagerank_load_no_scipy(trace_dir):
