@@ -15,50 +15,64 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-import numpy as np
-
 from . import __version__
-from .analytics import (
-    curve_to_tsv,
-    percentile_curve,
-    rank_correlation,
-    rank_join,
-    rate_report,
-    rates_to_tsv,
-    report_to_tsv,
-    top_k,
-    url_attribute_average,
-)
-from .baselines import (
-    PageRankParams,
-    ScoreVector,
-    follower_count,
-    h_index_scores,
-    retweet_count,
-    vector_to_tsv,
-    weighted_pagerank,
-)
 from .errors import ConfigInvalid, IpRankError, MissingInput
-from .graphs import (
-    InfluenceGraph,
-    _eligible,
-    _Ids,
-    build_comention,
-    build_retweet,
-    build_retweet_follower,
-    graph_from_tsv,
-    graph_stats,
-    graph_to_tsv,
-    stats_to_tsv,
-)
-from .ingest import (
-    _EMPTY_USER, _Check, _judge, _positions, _records, parse_clicks, parse_events, parse_follows,
-)
-from .ipcore import IpParams, IterationTrace, ScorePair, run_ip, scores_to_tsv, trace_to_tsv
 
 GRAPH_TYPES = ("comention", "rt", "rt-follower")
 MEASURES = ("ip-influence", "ip-passivity", "pagerank", "hindex", "followers", "retweets")
 T = TypeVar("T")
+
+
+def _bind_layers() -> None:
+    """Bind numpy and the layer names the commands use into this module, on
+    the first call. :func:`main` calls it once the arguments parse, so a run
+    that ends in the parser (``--version``, ``--help``, a usage error) loads
+    neither numpy nor any layer; the readers callable without a command call
+    it first. A later call binds nothing again: the
+    benchmark's tracer replaces these names in this module and relies on
+    them staying replaced."""
+    if "np" in globals():
+        return
+    import numpy as np
+
+    from .analytics import (
+        curve_to_tsv,
+        percentile_curve,
+        rank_correlation,
+        rank_join,
+        rate_report,
+        rates_to_tsv,
+        report_to_tsv,
+        top_k,
+        url_attribute_average,
+    )
+    from .baselines import (
+        PageRankParams,
+        ScoreVector,
+        follower_count,
+        h_index_scores,
+        retweet_count,
+        vector_to_tsv,
+        weighted_pagerank,
+    )
+    from .graphs import (
+        InfluenceGraph,
+        _eligible,
+        _Ids,
+        build_comention,
+        build_retweet,
+        build_retweet_follower,
+        graph_from_tsv,
+        graph_stats,
+        graph_to_tsv,
+        stats_to_tsv,
+    )
+    from .ingest import (
+        _EMPTY_USER, _Check, _judge, _positions, _records, parse_clicks, parse_events, parse_follows,
+    )
+    from .ipcore import IpParams, IterationTrace, ScorePair, run_ip, scores_to_tsv, trace_to_tsv
+
+    globals().update(locals())
 
 
 # The run settings and their defaults. A run resolves them into a RunConfig
@@ -101,6 +115,7 @@ def _parse_bool(word: str) -> bool:
 
 def load_config(path: str) -> dict[str, object]:
     """Read a flat ``key=value`` config file."""
+    _bind_layers()
     out: dict[str, object] = {}
     with open(_require(path, "config"), "rb") as fh:
         lines = [
@@ -381,6 +396,7 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     row whose column count is not that of the first row, an id listed twice,
     or a ``#measure=`` header that is not the only one or follows a row is
     :class:`ConfigInvalid`."""
+    _bind_layers()
     label = None
     checks: tuple[_Check, ...] = ()
     width = 0  # the column count of the first row
@@ -638,7 +654,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the command ``argv`` names, by default the program's arguments."""
-    if argv is None:
+    program = argv is None
+    if program:
         # A program run: every object made so far lives until exit. Frozen,
         # the collections while the command runs and at exit never walk them.
         gc.freeze()
@@ -646,6 +663,9 @@ def main(argv: list[str] | None = None) -> int:
     # the parser's own options take no value, so the first other word is the command
     parser = build_parser(next((word for word in argv if word[:1] != "-"), ""))
     args = parser.parse_args(argv)
+    _bind_layers()
+    if program:
+        gc.freeze()  # numpy's and the layers' objects, loaded just now, live until exit too
     try:
         cfg = resolve_config(args)
         args.func(cfg, args)

@@ -288,9 +288,9 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
     ids, rank = tokens.table()
     src, dst, weights, line_nos = arcs.arrays()
     src, dst = rank[src], rank[dst]
-    try:
-        g = InfluenceGraph(ids, src, dst, weights)
-    except ValueError:  # every id passed the line rules, so an arc is repeated
+    try:  # the ids come sorted and distinct, and each passed the line rules
+        g = InfluenceGraph(_Ids(ids), src, dst, weights)
+    except ValueError:  # so an arc is repeated
         key = src * len(ids) + dst
         order = np.argsort(key, kind="stable")  # a repeat sorts after the arc it repeats
         k = order[1:][key[order[1:]] == key[order[:-1]]].min()  # the first repeat in file order

@@ -21,6 +21,10 @@ from iprank.ingest import clicks_to_tsv, events_to_tsv, follows_to_tsv, ClickTab
 from iprank.testkit import SynthParams, synth_trace
 from oracles import arc_weights, read_manifest
 
+# main() binds the layer names on a command's first run; several tests below
+# replace one of them in cli before any command has run
+cli._bind_layers()
+
 RT_FIXTURE = (
     "1\tposter\tl-a\tM\n"
     "2\tposter\tl-b\tM\n"
@@ -485,8 +489,9 @@ class TestEachInputReadOnce:
 
 
 def test_each_id_table_is_checked_once(tmp_path, monkeypatch):
-    """``ip`` and ``pagerank`` check the ids of the graph they read, once
-    each; ``rank`` and ``compare`` over their score files check none again."""
+    """The line rules check each id a command reads, once: ``ip`` and
+    ``pagerank`` over a graph file, and ``rank`` and ``compare`` over their
+    score files, check none of them again."""
     full = []
     for module in (graphs, ipcore):
 
@@ -500,8 +505,7 @@ def test_each_id_table_is_checked_once(tmp_path, monkeypatch):
     graph.write_text("a\tb\t0.5\nb\tc\t0.25\nc\ta\t0.5\nd\t-\t-\n", encoding="utf-8")
     assert run("ip", "--graph", graph, "--out-dir", out) == 0
     assert run("pagerank", "--graph", graph, "--out-dir", out) == 0
-    assert full == [4, 4]
-    full.clear()
+    assert full == []
     assert run("rank", "--scores", out / "ip_scores.tsv", "--out-dir", out) == 0
     scores = ("--scores-a", out / "ip_scores.tsv", "--scores-b", out / "pagerank.tsv")
     assert run("compare", *scores, "--out-dir", out) == 0
@@ -992,16 +996,20 @@ def modules_after(package, code, *args):
     return last_line(f"{code}\n{report}", *args)
 
 
+# the CLI with the layers every command binds
+LOAD_CLI = "from iprank import cli\ncli._bind_layers()"
+
+
 def test_cli_import_loads_no_scipy():
     # iprank depends on numpy alone; importing the CLI must not pull scipy in
-    assert modules_after("scipy", "import iprank.cli") == "[]"
+    assert modules_after("scipy", LOAD_CLI) == "[]"
 
 
 @pytest.mark.parametrize("package", ["dataclasses", "fractions", "decimal"])
 def test_cli_import_generates_no_code(package):
     # dataclasses write each record's methods as source and compile it, 11 ms
     # a process; fractions and decimal serve one line of the curve command
-    assert modules_after(package, "import numpy\nimport iprank.cli") == "[]"
+    assert modules_after(package, f"import numpy\n{LOAD_CLI}") == "[]"
 
 
 COMMANDS = ("build", "ip", "pagerank", "hindex", "rates", "curve", "rank", "compare")
@@ -1050,6 +1058,103 @@ print(json.dumps([every_flag, given, program, frozen]))
     for argv, (_, out, _) in zip(PARSES, every_flag):
         if argv[1:] == ["--help"]:
             assert out.startswith(f"usage: iprank {argv[0]} [-h]") and "--out-dir" in out
+
+
+LOADED_BY_THE_PARSER = "['iprank', 'iprank.cli', 'iprank.errors']"
+LOADED_BY_A_COMMAND = [
+    "iprank", "iprank.analytics", "iprank.baselines", "iprank.cli", "iprank.errors",
+    "iprank.graphs", "iprank.ingest", "iprank.ipcore",
+]
+
+
+@pytest.mark.parametrize("package,loaded", [("numpy", "[]"), ("iprank", LOADED_BY_THE_PARSER)])
+def test_a_run_that_ends_in_the_parser_loads_no_numpy_and_no_layer(package, loaded):
+    # numpy alone takes about 100 ms to import, which --version and --help need not pay
+    code = """
+import contextlib, io, json
+from iprank import cli
+for argv in json.loads(sys.argv[1]):
+    for call in (lambda: cli.main(list(argv)), cli.main):
+        sys.argv[1:] = argv
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                call()
+                raise AssertionError(f"{argv} ran past the parser")
+            except SystemExit:
+                pass
+"""
+    assert modules_after(package, code, json.dumps(PARSES)) == loaded
+
+
+def test_a_program_run_of_a_command_loads_every_layer_then_freezes_the_gc_again(trace_dir):
+    # the second freeze keeps the objects of numpy and the layers out of the
+    # collections at exit, as the first keeps those of the interpreter's start
+    code = """
+import gc, json
+from iprank import cli
+frozen = []
+def bind(bind=cli._bind_layers):
+    bind()
+    frozen.append(gc.get_freeze_count())
+cli._bind_layers = bind
+sys.argv[1:] = ["hindex", "--events", sys.argv[1], "--out-dir", sys.argv[2]]
+assert cli.main() == 0
+frozen.append(gc.get_freeze_count())
+loaded = [sorted(m for m in sys.modules if (m + ".").startswith(p + ".")) for p in ("iprank", "numpy")]
+print(json.dumps([frozen, *loaded]))
+"""
+    frozen, iprank_modules, numpy_modules = json.loads(
+        last_line(code, trace_dir / "events.tsv", trace_dir / "out")
+    )
+    assert 0 < frozen[0] < frozen[1]
+    assert iprank_modules == LOADED_BY_A_COMMAND and "numpy" in numpy_modules
+    assert (trace_dir / "out" / "hindex.tsv").exists()
+
+
+EXPORTS = [
+    "ActivityLog", "ClickTable", "FollowEdgeList", "GraphStats", "InfluenceGraph", "IpParams",
+    "IpRankError", "IterationTrace", "PageRankParams", "PercentileCurve", "RankReport",
+    "RateReport", "ScorePair", "ScoreVector", "TweetEvent", "build_comention", "build_retweet",
+    "build_retweet_follower", "follower_count", "graph_stats", "h_index_scores", "parse_clicks",
+    "parse_events", "parse_follows", "percentile_curve", "rank_correlation", "rank_join",
+    "rate_report", "retweet_count", "run_ip", "top_k", "url_attribute_average",
+    "weighted_pagerank",
+]
+SUBMODULES = ["analytics", "baselines", "cli", "errors", "graphs", "ingest", "ipcore", "testkit"]
+
+
+@pytest.mark.parametrize("package,loaded", [("numpy", "[]"), ("iprank", "['iprank']")])
+def test_package_import_loads_no_module(package, loaded):
+    assert modules_after(package, "import iprank") == loaded
+
+
+def test_each_public_name_is_its_modules_object():
+    assert iprank.__all__ == EXPORTS
+    for name in EXPORTS:
+        obj = getattr(iprank, name)
+        assert obj.__module__.startswith("iprank.") and obj.__name__ == name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_package_names_and_submodules_load_on_first_use():
+    code = """
+import json
+import iprank
+listed = dir(iprank)
+submodule = iprank.ingest is sys.modules["iprank.ingest"]
+star = {}
+exec("from iprank import *", star)
+try:
+    iprank.nosuch
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([listed, submodule, sorted(star.keys() - {"__builtins__"}), unknown]))
+"""
+    listed, submodule, star, unknown = json.loads(last_line(code))
+    assert set(listed) >= {*EXPORTS, *SUBMODULES, "__version__", "__all__"}
+    assert submodule and star == EXPORTS
+    assert unknown == "module 'iprank' has no attribute 'nosuch'"
 
 
 def test_ip_and_pagerank_load_no_scipy(trace_dir):

@@ -8,14 +8,23 @@ reshaped would silently read 0 in the per-layer metrics.
 import importlib
 from pathlib import Path
 
+import pytest
+
 from iprank import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_rank_and_compare_enter_every_layer_they_use(tmp_path, monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
+    """``perfbench/tracing.py``, with ``cli``'s layer names bound, as the
+    benchmark's untimed first pass binds them before it wraps any."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
+    cli._bind_layers()
+    return importlib.import_module("tracing")
+
+
+def test_rank_and_compare_enter_every_layer_they_use(tmp_path, tracing):
     scores, out = tmp_path / "ip_scores.tsv", tmp_path / "out"
     scores.write_text("#measure=ip\na\t0.5\t0.25\nb\t0.25\t0.5\nc\t0.25\t0.25\n", encoding="utf-8")
     commands = {
@@ -35,9 +44,7 @@ def test_rank_and_compare_enter_every_layer_they_use(tmp_path, monkeypatch):
         assert metrics[name] > 0, name
 
 
-def test_graph_commands_enter_every_layer_they_use(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
+def test_graph_commands_enter_every_layer_they_use(tmp_path, tracing):
     graph, out = tmp_path / "graph.tsv", tmp_path / "out"
     text = "#nodes=4 arcs=3\na\tb\t0.5\nb\tc\t0.25\nc\ta\t1.0\nd\t-\t-\n"
     graph.write_text(text, encoding="utf-8")
@@ -55,9 +62,7 @@ def test_graph_commands_enter_every_layer_they_use(tmp_path, monkeypatch):
     assert (metrics["graphs.nodes"], metrics["graphs.arcs"]) == (2 * 4, 2 * 3)
 
 
-def test_trace_commands_enter_every_reader_and_count_what_it_read(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
+def test_trace_commands_enter_every_reader_and_count_what_it_read(tmp_path, tracing):
     files = {  # 7 events by 3 posting users, 4 follow edges, 3 urls with clicks
         "events": "1\ta\tx\tM\n2\tb\tx\tRT\ta\n3\tc\ty\tM\n4\ta\ty\tRT\tc\n"
         "5\tb\tz\tM\n6\tc\tz\tRT\tb\n7\ta\tz\tRT\tb\n",
@@ -87,3 +92,39 @@ def test_trace_commands_enter_every_reader_and_count_what_it_read(tmp_path, monk
         assert metrics[name] > 0, name
     counts = metrics["ingest.events"], metrics["ingest.users"], metrics["ingest.follow_edges"]
     assert counts == (3 * 7, 3 * 3, 3 * 4)
+
+
+WRAPPED = {  # every function the tracer replaces in cli, as <module>.<name>
+    *(f"analytics.{name}" for name in (
+        "curve_to_tsv", "percentile_curve", "rank_correlation", "rank_join", "rate_report",
+        "rates_to_tsv", "report_to_tsv", "top_k", "url_attribute_average",
+    )),
+    *(f"baselines.{name}" for name in (
+        "follower_count", "h_index_scores", "retweet_count", "vector_to_tsv", "weighted_pagerank",
+    )),
+    *(f"graphs.{name}" for name in (
+        "build_comention", "build_retweet", "build_retweet_follower", "graph_from_tsv",
+        "graph_stats", "graph_to_tsv", "stats_to_tsv",
+    )),
+    "ingest.parse_clicks", "ingest.parse_events", "ingest.parse_follows",
+    "ipcore.run_ip", "ipcore.scores_to_tsv", "ipcore.trace_to_tsv",
+    "cli._sha256", "cli.read_score_columns", "cli.write_artifact",
+}
+
+
+def test_after_one_command_the_tracer_wraps_every_layer_function(tmp_path, monkeypatch):
+    # cli binds its layer names on a command's first run, which the benchmark
+    # makes before it wraps them; a name bound later would escape the tracer
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("a\t0.5\nb\t0.25\n", encoding="utf-8")
+    assert cli.main(["rank", "--scores", str(scores), "--out-dir", str(tmp_path / "out")]) == 0
+    before = dict(vars(cli))
+    with tracing.instrumented(cli, tracing.Tracer()):
+        wrapped = {
+            f"{before[name].__module__.removeprefix('iprank.')}.{name}"
+            for name, obj in vars(cli).items() if obj is not before[name]
+        }
+    assert wrapped == WRAPPED
+    assert all(vars(cli)[name] is obj for name, obj in before.items())
