@@ -58,7 +58,6 @@ def _bind_layers() -> None:
     from .graphs import (
         InfluenceGraph,
         _eligible,
-        _Ids,
         build_comention,
         build_retweet,
         build_retweet_follower,
@@ -68,7 +67,8 @@ def _bind_layers() -> None:
         stats_to_tsv,
     )
     from .ingest import (
-        _EMPTY_USER, _Check, _judge, _positions, _records, parse_clicks, parse_events, parse_follows,
+        _EMPTY_USER, _Check, _Ids, _judge, _positions, _records, parse_clicks, parse_events,
+        parse_follows,
     )
     from .ipcore import IpParams, IterationTrace, ScorePair, run_ip, scores_to_tsv, trace_to_tsv
 
@@ -606,7 +606,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--threads",
         type=int,
-        help="upper bound on internal parallelism (results are identical for any value)",
+        help="parsed and range-checked only: it changes no result",
     )
     sub.add_argument("--out-dir", dest="out_dir")
     mode = sub.add_mutually_exclusive_group()

@@ -17,41 +17,19 @@ All counts are over distinct URLs. Nodes must have mentioned at least
 
 from __future__ import annotations
 
-import operator
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidParams, UnparsableLine
 from .ingest import (
-    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _Check, _check_ids, _Columns, _in_order,
+    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _Check, _Columns, _Ids, _in_order,
     _Interner, _judge, _line_test, _lookup, _records, _rejects_float, _run_starts, _same_id,
-    _tsv_rows,
+    _sorted_ids, _tsv_rows,
 )
 
 WEIGHT_HIST_BINS = 10
 _RUN_ROWS = 1 << 16  # (edge, URL) rows build_comention holds at once, bar one larger edge
-
-
-class _Ids(tuple):
-    """Ids :func:`_sorted_ids` checked, which it takes back unchecked."""
-
-    __slots__ = ()
-
-
-def _sorted_ids(node_ids: Sequence[str]) -> _Ids:
-    """``node_ids`` as a tuple, checked to be strictly ascending (so distinct)
-    and to pass :func:`_id_error`, unless it was checked already."""
-    if type(node_ids) is _Ids:
-        return node_ids
-    ids = tuple(node_ids)
-    if not all(map(operator.lt, ids, ids[1:])):
-        raise ValueError("node ids must be distinct and sorted ascending")
-    text = "\n".join(("", *ids))  # each id after its own LF: one string holds them all
-    bad = "\n#" in text or "\t" in text or "\r" in text or text.count("\n") != len(ids)
-    if bad or ids[:1] == ("",):  # sorted, so an empty id comes first
-        _check_ids(*ids)
-    return _Ids(ids)
 
 
 class InfluenceGraph:

@@ -74,6 +74,27 @@ def _check_ids(*ids: str) -> None:
             raise ValueError(f"{reason}: {uid!r}")
 
 
+class _Ids(tuple):
+    """Ids :func:`_sorted_ids` checked, which it takes back unchecked."""
+
+    __slots__ = ()
+
+
+def _sorted_ids(node_ids: Sequence[str]) -> _Ids:
+    """``node_ids`` as a tuple, checked to be strictly ascending (so distinct)
+    and to pass :func:`_id_error`, unless it was checked already."""
+    if type(node_ids) is _Ids:
+        return node_ids
+    ids = tuple(node_ids)
+    if not all(map(operator.lt, ids, ids[1:])):
+        raise ValueError("node ids must be distinct and sorted ascending")
+    text = "\n".join(("", *ids))  # each id after its own LF: one string holds them all
+    bad = "\n#" in text or "\t" in text or "\r" in text or text.count("\n") != len(ids)
+    if bad or ids[:1] == ("",):  # sorted, so an empty id comes first
+        _check_ids(*ids)
+    return _Ids(ids)
+
+
 _set = object.__setattr__  # how a frozen record's ``__init__`` stores a field
 
 
@@ -103,19 +124,14 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-class TweetEvent(_Frozen):
-    """One timestamped URL post: a plain mention, or a retweet crediting a source."""
+class TweetEvent(NamedTuple):
+    """One row of an :class:`ActivityLog`, as iterating it yields them: a
+    timestamped URL post, a plain mention or a retweet crediting ``source``."""
 
-    __slots__ = ("time", "user", "url", "source")
-
-    def __init__(self, time: int, user: str, url: str, source: str | None = None) -> None:
-        _check_ids(user, url, *(() if source is None else (source,)))
-        if source == user:
-            raise ValueError(_SELF_CREDIT)
-        _set(self, "time", time)
-        _set(self, "user", user)
-        _set(self, "url", url)
-        _set(self, "source", source)
+    time: int
+    user: str
+    url: str
+    source: str | None = None
 
 
 class Posts(NamedTuple):
@@ -189,63 +205,60 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     return pos, sorted_keys[pos] == keys
 
 
+def _columns(*cols: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """``cols`` as int64 arrays, an int64 array kept as given; ``ValueError``
+    unless they hold integers, are 1-D and are of one length."""
+    if any(np.asarray(col).dtype.kind not in "iu" and np.size(col) for col in cols):
+        raise ValueError("columns must hold integers")  # not cast: 1.5 would read 1
+    cols = tuple(np.asarray(col, dtype=np.int64) for col in cols)
+    if any(col.ndim != 1 or col.size != cols[0].size for col in cols):
+        raise ValueError("columns must be 1-D and of equal length")
+    return cols
+
+
+def _check_codes(ids: Sequence[str], *cols: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``cols`` hold codes into ``ids`` and name each id."""
+    named = np.zeros(len(ids), dtype=bool)
+    for col in cols:
+        if col.size and (col.min() < 0 or col.max() >= len(ids)):
+            raise ValueError(f"code out of range: {len(ids)} ids")
+        named[col] = True
+    if not named.all():
+        raise ValueError(f"id named by no row: {ids[int(np.argmin(named))]!r}")
+
+
 class ActivityLog:
     """Time-sorted events as columns of interned codes.
 
     ``user_ids`` (authors and retweet sources) and ``url_ids`` are sorted, so
-    code order is id order. ``time``, ``user``, ``url`` and ``source`` are
-    int64 columns, ``source`` being -1 for a plain mention. Rows are ordered
-    by (time, user, url, kind, source), so the log is identical no matter how
-    the input lines were permuted.
+    code order is id order, and hold just the ids the rows name. ``time``,
+    ``user``, ``url`` and ``source`` are int64 columns, ``source`` being -1
+    for a plain mention. Rows are ordered by (time, user, url, kind, source),
+    so the log is identical no matter how its rows were given. An int64
+    column is kept as given, not copied, and made read-only, unless its rows
+    must be sorted.
     """
 
     __slots__ = (
         "user_ids", "url_ids", "user_index", "time", "user", "url", "source",
-        "skipped", "_events", "_posts", "_retweets",
+        "skipped", "_posts", "_retweets",
     )
 
-    def __init__(self, events: Iterable[TweetEvent] = (), skipped: int = 0) -> None:
-        users: dict[str, int] = {}
-        urls: dict[str, int] = {}
-        cols = tuple(array("q") for _ in range(4))
-        for ev in events:
-            cols[0].append(ev.time)
-            cols[1].append(users.setdefault(ev.user, len(users)))
-            cols[2].append(urls.setdefault(ev.url, len(urls)))
-            cols[3].append(-1 if ev.source is None else users.setdefault(ev.source, len(users)))
-        self._load(_sorted_codes(users), _sorted_codes(urls), cols, skipped)
-
-    def _load(self, users: _Table, urls: _Table, cols: Sequence, skipped: int) -> None:
-        """Map the columns' numbers to codes of the sorted ``users`` and
-        ``urls`` ids, and sort the rows."""
-        time, user, url, source = (np.asarray(c, dtype=np.int64) for c in cols)
-        self.user_ids, user_rank = users
-        self.url_ids, url_rank = urls
-        user[:], url[:] = user_rank[user], url_rank[url]  # in place: no second copy is kept
-        rt = np.flatnonzero(source >= 0)
-        source[rt] = user_rank[source[rt]]
-        cols = _in_order(time, user, url, source)
-        for name, col in zip(("time", "user", "url", "source"), cols):
+    def __init__(
+        self, user_ids: Sequence[str], url_ids: Sequence[str], time: Sequence[int],
+        user: Sequence[int], url: Sequence[int], source: Sequence[int], skipped: int = 0,
+    ) -> None:
+        self.user_ids, self.url_ids = _sorted_ids(user_ids), _sorted_ids(url_ids)
+        time, user, url, source = _columns(time, user, url, source)
+        _check_codes(self.user_ids, user, source[source != -1])
+        _check_codes(self.url_ids, url)
+        if np.any(source == user):
+            raise ValueError(_SELF_CREDIT)
+        for name, col in zip(("time", "user", "url", "source"), _in_order(time, user, url, source)):
             col.flags.writeable = False
             setattr(self, name, col)
         self.user_index = {uid: k for k, uid in enumerate(self.user_ids)}
-        self.skipped = skipped
-        self._events = None
-        self._posts = None
-        self._retweets = None
-
-    @property
-    def events(self) -> tuple[TweetEvent, ...]:
-        """The rows as :class:`TweetEvent` objects, built on first use."""
-        if self._events is None:
-            users, urls = self.user_ids, self.url_ids
-            self._events = tuple(
-                TweetEvent(t, users[u], urls[r], users[s] if s >= 0 else None)
-                for t, u, r, s in zip(
-                    self.time.tolist(), self.user.tolist(), self.url.tolist(), self.source.tolist()
-                )
-            )
-        return self._events
+        self.skipped, self._posts, self._retweets = skipped, None, None
 
     @property
     def by_user(self) -> dict[str, tuple[int, ...]]:
@@ -308,7 +321,12 @@ class ActivityLog:
         return int(self.time.size)
 
     def __iter__(self) -> Iterator[TweetEvent]:
-        return iter(self.events)
+        users = self.user_ids
+        return map(
+            TweetEvent, self.time.tolist(), map(users.__getitem__, self.user.tolist()),
+            map(self.url_ids.__getitem__, self.url.tolist()),
+            map((*users, None).__getitem__, self.source.tolist()),  # -1 reads None
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ActivityLog):
@@ -331,30 +349,28 @@ class FollowEdgeList:
 
     ``user_ids`` holds every edge endpoint, sorted; ``followee`` and
     ``follower`` are int64 codes into it, one row per distinct edge, rows
-    sorted by (followee, follower).
+    sorted by (followee, follower). Repeated edges collapse to one. Columns
+    are kept as given, as in :class:`ActivityLog`, when they need no sorting
+    and hold no repeat.
     """
 
     __slots__ = ("user_ids", "followee", "follower", "skipped")
 
-    def __init__(self, edges: Iterable[tuple[str, str]], skipped: int = 0) -> None:
-        users: dict[str, int] = {}
-        cols = array("q"), array("q")
-        for followee, follower in edges:
-            _check_ids(followee, follower)
-            if followee == follower:
-                raise ValueError(_SELF_FOLLOW)
-            cols[0].append(users.setdefault(followee, len(users)))
-            cols[1].append(users.setdefault(follower, len(users)))
-        self._load(_sorted_codes(users), cols, skipped)
-
-    def _load(self, users: _Table, cols: Sequence, skipped: int) -> None:
-        """Map the columns' numbers to codes of the sorted ``users`` ids, then
-        sort the edges and drop repeats."""
-        self.user_ids, rank = users
-        followee, follower = _in_order(*(rank[np.asarray(c, dtype=np.int64)] for c in cols))
+    def __init__(
+        self, user_ids: Sequence[str], followee: Sequence[int], follower: Sequence[int],
+        skipped: int = 0,
+    ) -> None:
+        self.user_ids = _sorted_ids(user_ids)
+        followee, follower = _columns(followee, follower)
+        _check_codes(self.user_ids, followee, follower)
+        if np.any(followee == follower):
+            raise ValueError(_SELF_FOLLOW)
+        followee, follower = _in_order(followee, follower)
         first = _run_starts(followee, follower)
-        self.followee, self.follower = followee[first], follower[first]
-        self.followee.flags.writeable = self.follower.flags.writeable = False
+        if first.size < followee.size:
+            followee, follower = followee[first], follower[first]
+        followee.flags.writeable = follower.flags.writeable = False
+        self.followee, self.follower = followee, follower
         self.skipped = skipped
 
     def __len__(self) -> int:
@@ -844,12 +860,15 @@ def parse_events(stream: IO | str | bytes, strict: bool = True) -> ActivityLog:
         user = users.of(f, (1, 4))  # the keys of the self-credit check
         source[rt] = users.of(f, (1, 4), 1, rt)
         cols.append(f.integers(0), user, urls.of(f, (2,)), source)
-    cols = cols.arrays()
-    if not cols[0].size:
+    time, user, url, source = cols.arrays()
+    if not time.size:
         raise EmptyInput("no events parsed")
-    log = ActivityLog.__new__(ActivityLog)
-    log._load(users.table(), urls.table(), cols, skipped)
-    return log
+    (user_ids, user_rank), (url_ids, url_rank) = users.table(), urls.table()
+    user[:], url[:] = user_rank[user], url_rank[url]  # in place: no second copy is kept
+    rt = np.flatnonzero(source >= 0)
+    source[rt] = user_rank[source[rt]]
+    # the ids come sorted and distinct, and each passed the line rules
+    return ActivityLog(_Ids(user_ids), _Ids(url_ids), time, user, url, source, skipped)
 
 
 def parse_follows(
@@ -862,12 +881,12 @@ def parse_follows(
     for f in _records(stream):
         skipped += _judge(f, _FOLLOWS, strict)
         cols.append(users.of(f, (0, 1)), users.of(f, (0, 1), 1))  # the self-follow check's keys
-    cols = cols.arrays()
-    if not cols[0].size:
+    followee, follower = cols.arrays()
+    if not followee.size:
         raise EmptyInput("no follow edges parsed")
-    follows = FollowEdgeList.__new__(FollowEdgeList)
-    follows._load(users.table(), cols, skipped)
-    return follows
+    ids, rank = users.table()
+    followee[:], follower[:] = rank[followee], rank[follower]
+    return FollowEdgeList(_Ids(ids), followee, follower, skipped)
 
 
 def parse_clicks(

@@ -19,8 +19,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateGraph, EmptyGraph, InvalidParams
-from .graphs import InfluenceGraph, _sorted_ids
-from .ingest import _Frozen, _set, _tsv_rows
+from .graphs import InfluenceGraph
+from .ingest import _Frozen, _set, _sorted_ids, _tsv_rows
 
 
 class IpParams(_Frozen):

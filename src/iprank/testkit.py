@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .graphs import InfluenceGraph
-from .ingest import ActivityLog, FollowEdgeList, TweetEvent
+from .ingest import ActivityLog, FollowEdgeList
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,54 +55,51 @@ class SynthParams:
             raise InvalidParams(f"mention_rate must be >= 0, got {self.mention_rate}")
 
 
+def _named(ids: list[str], *cols: np.ndarray) -> list[str]:
+    """The ``ids`` that ``cols`` name by position, in order; recodes ``cols``
+    in place to positions among them, a -1 staying -1."""
+    named = np.zeros(len(ids) + 1, dtype=bool)  # a -1 marks the spare last entry
+    for col in cols:
+        named[col] = True
+    code = np.cumsum(named) - 1
+    code[-1] = -1
+    for col in cols:
+        col[:] = code[col]
+    return [ids[k] for k in np.flatnonzero(named[:-1]).tolist()]
+
+
 def synth_trace(p: SynthParams) -> tuple[ActivityLog, FollowEdgeList]:
     """Deterministic trace where followers retweet broadcasters' URLs."""
     rng = random.Random(p.seed)
     user_width = max(3, len(str(p.users - 1)))
     url_width = max(3, len(str(p.url_pool - 1)))
+    # zero-padded, so each list is in id order: a number is a position in it
     users = [f"u{i:0{user_width}d}" for i in range(p.users)]
     urls = [f"url{i:0{url_width}d}" for i in range(p.url_pool)]
-    broadcasters = users[: p.broadcasters]
 
-    edges: list[tuple[str, str]] = []
-    for b in broadcasters:
-        for u in users:
-            if u == b:
-                continue
-            if rng.random() < p.follow_prob:
-                edges.append((b, u))
-
-    events: list[TweetEvent] = []
-    clock = 0
-
-    def tick() -> int:
-        nonlocal clock
-        clock += 1000
-        return clock
-
+    followers = [  # of each broadcaster, ascending
+        [u for u in range(p.users) if u != b and rng.random() < p.follow_prob]
+        for b in range(p.broadcasters)
+    ]
+    rows: list[tuple[int, int, int]] = []  # (user, url, source) of each event, in time order
     base = int(p.mention_rate)
     frac = p.mention_rate - base
-    first_order: dict[str, list[str]] = {}
-    for u in users:
+    first_order: list[dict[int, None]] = []  # each user's distinct URLs, as first mentioned
+    for u in range(p.users):
         count = base + (1 if rng.random() < frac else 0)
-        for _ in range(count):
-            url = urls[rng.randrange(p.url_pool)]
-            events.append(TweetEvent(time=tick(), user=u, url=url))
-            mine = first_order.setdefault(u, [])
-            if url not in mine:
-                mine.append(url)
+        mentions = [rng.randrange(p.url_pool) for _ in range(count)]
+        rows += [(u, r, -1) for r in mentions]
+        first_order.append(dict.fromkeys(mentions))
+    for b, audience in enumerate(followers):
+        for follower in audience:
+            rows += [(follower, r, b) for r in first_order[b] if rng.random() < p.retweet_prob]
 
-    followers_of: dict[str, list[str]] = {}
-    for b, u in edges:
-        followers_of.setdefault(b, []).append(u)
-    for b in broadcasters:
-        for follower in sorted(followers_of.get(b, [])):
-            for url in first_order.get(b, []):
-                if rng.random() < p.retweet_prob:
-                    events.append(
-                        TweetEvent(time=tick(), user=follower, url=url, source=b)
-                    )
-    return ActivityLog(events), FollowEdgeList(edges)
+    user, url, source = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+    time = np.arange(1, len(rows) + 1, dtype=np.int64) * 1000  # a tick of 1000 per event
+    log = ActivityLog(_named(users, user, source), _named(urls, url), time, user, url, source)
+    followee = np.repeat(np.arange(p.broadcasters, dtype=np.int64), list(map(len, followers)))
+    follower = np.array([u for audience in followers for u in audience], dtype=np.int64)
+    return log, FollowEdgeList(_named(users, followee, follower), followee, follower)
 
 
 def random_graph(n: int, arcs: int, seed: int) -> InfluenceGraph:

@@ -11,8 +11,8 @@ import re
 
 from iprank.baselines import ScoreVector
 from iprank.errors import ConfigInvalid, EmptyInput, MissingInput, NegativeCount, UnparsableLine
-from iprank.ingest import ActivityLog, ClickTable, FollowEdgeList, TweetEvent
-from oracles import graph_from_arcs
+from iprank.ingest import ClickTable
+from oracles import follows_of, graph_from_arcs, log_of
 
 HASH_ID = "id starts with '#'"
 
@@ -112,16 +112,14 @@ def read_events(text, strict=True):
     kept, skipped = _lines(text, _unparsable(event_reason), strict)
     if not kept:
         raise EmptyInput("no events parsed")
-    return ActivityLog(
-        [TweetEvent(int(p[0]), p[1], p[2], p[4] if len(p) == 5 else None) for p in kept], skipped
-    )
+    return log_of([(int(p[0]), p[1], p[2], p[4] if len(p) == 5 else None) for p in kept], skipped)
 
 
 def read_follows(text, strict=True):
     kept, skipped = _lines(text, _unparsable(follow_reason), strict)
     if not kept:
         raise EmptyInput("no follow edges parsed")
-    return FollowEdgeList([tuple(p) for p in kept], skipped)
+    return follows_of(kept, skipped)
 
 
 def read_clicks(text, strict=True):

@@ -2,14 +2,15 @@
 
 The dense oracles build full matrices with plain loops and apply the
 defining operations naively. The per-user event oracles (co-mention counts,
-retweeting rates, the H-index) scan :class:`TweetEvent` objects one by one,
+retweeting rates, the H-index) scan a log's :class:`TweetEvent` rows one by one,
 the follow oracles scan (followee, follower) id pairs, and the ranking
 oracles sort id -> value dicts and walk runs of ties in a loop, so none
 shares code with the implementation it checks. :func:`planted_contrast_trace`
 is a small trace whose IP ordering is known, and :func:`read_manifest` reads
-an artifact's manifest back. :func:`graph_from_arcs`, :func:`arcs_of`,
-:func:`vector_from_mapping` and :func:`rows` build and read the containers
-by id, one arc, value or row at a time.
+an artifact's manifest back. :func:`log_of`, :func:`follows_of`,
+:func:`graph_from_arcs`, :func:`arcs_of`, :func:`vector_from_mapping` and
+:func:`rows` build and read the containers by id, one event, edge, arc,
+value or row at a time.
 """
 
 from __future__ import annotations
@@ -43,6 +44,34 @@ def edges(follows: FollowEdgeList) -> frozenset[tuple[str, str]]:
     ids = follows.user_ids
     return frozenset(
         (ids[a], ids[b]) for a, b in zip(follows.followee.tolist(), follows.follower.tolist())
+    )
+
+
+def _codes(ids: Iterable[str]) -> dict[str, int]:
+    """Each of the distinct ``ids`` with its position in sorted order."""
+    return {uid: k for k, uid in enumerate(sorted(set(ids)))}
+
+
+def log_of(rows: Iterable[tuple], skipped: int = 0) -> ActivityLog:
+    """Log of ``(time, user, url[, source])`` rows, such as :class:`TweetEvent`
+    objects; ``source`` None is a plain mention."""
+    events = [TweetEvent(*row) for row in rows]
+    sources = [ev.source for ev in events if ev.source is not None]
+    users = _codes([*(ev.user for ev in events), *sources])
+    urls = _codes(ev.url for ev in events)
+    return ActivityLog(
+        tuple(users), tuple(urls), [ev.time for ev in events], [users[ev.user] for ev in events],
+        [urls[ev.url] for ev in events],
+        [-1 if ev.source is None else users[ev.source] for ev in events], skipped,
+    )
+
+
+def follows_of(pairs: Iterable[tuple[str, str]], skipped: int = 0) -> FollowEdgeList:
+    """Follow edges of ``(followee, follower)`` id pairs; repeats collapse."""
+    pairs = [tuple(pair) for pair in pairs]
+    users = _codes(uid for pair in pairs for uid in pair)
+    return FollowEdgeList(
+        tuple(users), [users[a] for a, _ in pairs], [users[b] for _, b in pairs], skipped
     )
 
 
@@ -82,7 +111,7 @@ def rows(report: RankReport) -> tuple[tuple, ...]:
 
 def posters(log: ActivityLog) -> set[str]:
     """Ids that posted at least one event, by scanning the events."""
-    return {ev.user for ev in log.events}
+    return {ev.user for ev in log}
 
 
 def read_manifest(path: str) -> dict[str, str]:
@@ -218,7 +247,7 @@ def planted_contrast_trace(
             events.append(TweetEvent(time=tick(), user=eager, url=url, source=PLANTED_B))
         for url in pools["brdC"]:
             events.append(TweetEvent(time=tick(), user=eager, url=url, source="brdC"))
-    return ActivityLog(events), FollowEdgeList(edges)
+    return log_of(events), follows_of(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +273,7 @@ class PairwiseCounts:
 
 
 def _events_of(log: ActivityLog, user: str) -> list[TweetEvent]:
-    return [ev for ev in log.events if ev.user == user]
+    return [ev for ev in log if ev.user == user]
 
 
 def pairwise_counts(log: ActivityLog, i: str, j: str) -> PairwiseCounts:
@@ -335,7 +364,7 @@ def audience_retweeting_rate(
 def distinct_urls(log: ActivityLog) -> dict[str, int]:
     """Distinct URLs each poster mentioned or retweeted, by scanning the events."""
     urls: dict[str, set[str]] = {}
-    for ev in log.events:
+    for ev in log:
         urls.setdefault(ev.user, set()).add(ev.url)
     return {user: len(posted) for user, posted in urls.items()}
 
@@ -355,7 +384,7 @@ def h_index(log: ActivityLog, user: str) -> int:
     """H-index analog: h of the user's posted URLs were each retweeted >= h times."""
     posted = {ev.url for ev in _events_of(log, user)}
     counts: dict[str, int] = {}
-    for ev in log.events:
+    for ev in log:
         if ev.source == user and ev.url in posted:
             counts[ev.url] = counts.get(ev.url, 0) + 1
     return h_from_counts(counts.values())

@@ -23,14 +23,14 @@ from iprank.graphs import (
     build_retweet_follower,
 )
 from iprank.ingest import (
-    ActivityLog, ClickTable, FollowEdgeList, TweetEvent, clicks_to_tsv, events_to_tsv,
-    follows_to_tsv,
+    ClickTable, TweetEvent, clicks_to_tsv, events_to_tsv, follows_to_tsv,
 )
 from iprank.ipcore import IpParams, run_ip
 from iprank.testkit import SynthParams, random_graph, synth_trace
 from oracles import (
     PLANTED_A, PLANTED_B, arc_weights, arcs_of, dense_ip_oracle, dense_pagerank_oracle, edges,
-    graph_from_arcs, h_from_counts, planted_contrast_trace, vector_from_mapping,
+    follows_of, graph_from_arcs, h_from_counts, log_of, planted_contrast_trace,
+    vector_from_mapping,
 )
 
 
@@ -131,7 +131,7 @@ def test_criterion_04_convergence():
 
 def _posted(log):
     posted = {}
-    for ev in log.events:
+    for ev in log:
         posted.setdefault(ev.user, set()).add(ev.url)
     return posted
 
@@ -140,7 +140,7 @@ def brute_force_retweet(log, min_urls):
     posted = _posted(log)
     eligible = {u for u, urls in posted.items() if len(urls) >= min_urls}
     by_user = {}
-    for ev in log.events:
+    for ev in log:
         by_user.setdefault(ev.user, []).append(ev)
     arcs = {}
     for i in eligible:
@@ -161,7 +161,7 @@ def brute_force_comention(log, follows, min_urls):
     posted = _posted(log)
     eligible = {u for u, urls in posted.items() if len(urls) >= min_urls}
     by_user = {}
-    for ev in log.events:
+    for ev in log:
         by_user.setdefault(ev.user, []).append(ev)
     arcs = {}
     for i, j in edges(follows):
@@ -233,11 +233,11 @@ def test_comention_graph_does_not_depend_on_its_run_size(monkeypatch):
         TweetEvent(time=9, user="other", url="l-5"),
         TweetEvent(time=9, user="other", url="l-9"),
     ]
-    big_follows = FollowEdgeList([("big", "fan"), ("big", "other"), ("fan", "big")])
+    big_follows = follows_of([("big", "fan"), ("big", "other"), ("fan", "big")])
     idle = [TweetEvent(time=t, user=u, url="l-1") for t, u in enumerate(("a", "b", "c"))]
-    idle_follows = FollowEdgeList([("a", "ghost"), ("ghost", "b"), ("c", "c2")])
+    idle_follows = follows_of([("a", "ghost"), ("ghost", "b"), ("c", "c2")])
     logs = [synth_trace(params) for params in CRITERION_05_TRACES]
-    logs += [(ActivityLog(big), big_follows), (ActivityLog(idle), idle_follows)]
+    logs += [(log_of(big), big_follows), (log_of(idle), idle_follows)]
     for log, follows in logs:
         for min_urls in (1, 3):
             built = []

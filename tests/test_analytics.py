@@ -17,11 +17,11 @@ from iprank.analytics import (
     url_attribute_average,
 )
 from iprank.errors import InsufficientOverlap, InvalidParams, NoData
-from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
+from iprank.ingest import TweetEvent
 from iprank.testkit import SynthParams, synth_trace
 from oracles import (
-    audience_retweeting_rate, followers_of, ranks_of, rows, user_retweeting_rate,
-    vector_from_mapping,
+    audience_retweeting_rate, followers_of, follows_of, log_of, ranks_of, rows,
+    user_retweeting_rate, vector_from_mapping,
 )
 
 
@@ -38,24 +38,24 @@ class TestUserRetweetingRate:
         # one followee posts 318 distinct URLs, the user retweets exactly one
         events = [mention(t, "feed", f"u{t:03d}") for t in range(318)]
         events.append(retweet(1000, "reader", "u000", "feed"))
-        log = ActivityLog(events)
-        follows = FollowEdgeList([("feed", "reader")])
+        log = log_of(events)
+        follows = follows_of([("feed", "reader")])
         assert user_retweeting_rate(log, follows, "reader") == pytest.approx(1 / 318)
 
     def test_zero_retweets(self):
         events = [mention(t, "feed", f"u{t}") for t in range(10)]
-        log = ActivityLog(events)
-        follows = FollowEdgeList([("feed", "reader")])
+        log = log_of(events)
+        follows = follows_of([("feed", "reader")])
         assert user_retweeting_rate(log, follows, "reader") == 0.0
 
     def test_follows_nobody_is_undefined(self):
-        log = ActivityLog([mention(1, "feed", "a")])
-        follows = FollowEdgeList([("feed", "other")])
+        log = log_of([mention(1, "feed", "a")])
+        follows = follows_of([("feed", "other")])
         assert user_retweeting_rate(log, follows, "loner") is None
 
     def test_silent_followees_undefined(self):
-        log = ActivityLog([mention(1, "x", "a")])
-        follows = FollowEdgeList([("quiet", "reader")])
+        log = log_of([mention(1, "x", "a")])
+        follows = follows_of([("quiet", "reader")])
         assert user_retweeting_rate(log, follows, "reader") is None
 
     def test_rate_stays_within_unit_interval(self):
@@ -65,8 +65,8 @@ class TestUserRetweetingRate:
             mention(2, "feed", "a"),
             retweet(3, "reader", "a", "feed"),
         ]
-        log = ActivityLog(events)
-        follows = FollowEdgeList([("feed", "reader")])
+        log = log_of(events)
+        follows = follows_of([("feed", "reader")])
         rate = user_retweeting_rate(log, follows, "reader")
         assert rate == pytest.approx(0.5)
         assert 0.0 <= rate <= 1.0
@@ -80,13 +80,13 @@ class TestAudienceRetweetingRate:
             mention(3, "star", "c"),
             retweet(4, "fan1", "a", "star"),
         ]
-        log = ActivityLog(events)
-        follows = FollowEdgeList([("star", "fan1"), ("star", "fan2")])
+        log = log_of(events)
+        follows = follows_of([("star", "fan1"), ("star", "fan2")])
         assert audience_retweeting_rate(log, follows, "star") == pytest.approx(1 / 6)
 
     def test_no_followers_undefined(self):
-        log = ActivityLog([mention(1, "star", "a")])
-        follows = FollowEdgeList([("other", "fan")])
+        log = log_of([mention(1, "star", "a")])
+        follows = follows_of([("other", "fan")])
         assert audience_retweeting_rate(log, follows, "star") is None
 
     def test_matches_brute_force_event_join(self):
@@ -138,32 +138,32 @@ class TestAudienceRetweetingRate:
 
 class TestUrlAttributeAverage:
     def test_mean_over_mentioners(self):
-        log = ActivityLog([mention(1, "a", "x"), mention(2, "b", "x")])
+        log = log_of([mention(1, "a", "x"), mention(2, "b", "x")])
         scores = vector_from_mapping({"a": 0.1, "b": 0.3}, "m")
         assert url_attribute_average(log, scores) == {"x": pytest.approx(0.2)}
 
     def test_distinct_users_only(self):
-        log = ActivityLog([mention(1, "a", "x"), mention(2, "a", "x")])
+        log = log_of([mention(1, "a", "x"), mention(2, "a", "x")])
         scores = vector_from_mapping({"a": 0.4}, "m")
         assert url_attribute_average(log, scores) == {"x": pytest.approx(0.4)}
 
     def test_unscored_users_shrink_the_set(self):
-        log = ActivityLog([mention(1, "a", "x"), mention(2, "ghost", "x")])
+        log = log_of([mention(1, "a", "x"), mention(2, "ghost", "x")])
         scores = vector_from_mapping({"a": 0.4}, "m")
         assert url_attribute_average(log, scores)["x"] == pytest.approx(0.4)
 
     def test_url_with_no_scored_mentioner_omitted(self):
-        log = ActivityLog([mention(1, "ghost", "x")])
+        log = log_of([mention(1, "ghost", "x")])
         assert url_attribute_average(log, vector_from_mapping({}, "m")) == {}
 
     def test_retweeters_count_as_mentioners(self):
-        log = ActivityLog([mention(1, "a", "x"), retweet(2, "b", "x", "a")])
+        log = log_of([mention(1, "a", "x"), retweet(2, "b", "x", "a")])
         scores = vector_from_mapping({"a": 0.0, "b": 1.0}, "m")
         assert url_attribute_average(log, scores)["x"] == pytest.approx(0.5)
 
     def test_sums_scores_in_user_id_order(self):
         # (1 + 1e16) - 1e16 == 0 in doubles, while (-1e16 + 1e16) + 1 == 1
-        log = ActivityLog([mention(1, "c", "x"), mention(2, "b", "x"), mention(3, "a", "x")])
+        log = log_of([mention(1, "c", "x"), mention(2, "b", "x"), mention(3, "a", "x")])
         scores = vector_from_mapping({"a": 1.0, "b": 1e16, "c": -1e16}, "m")
         assert url_attribute_average(log, scores) == {"x": 0.0}
 
@@ -172,7 +172,7 @@ class TestUrlAttributeAverage:
         events = []
         for t in range(250):
             events.append(mention(t, f"u{int(rng.integers(0, 15))}", f"l{int(rng.integers(0, 30))}"))
-        log = ActivityLog(events)
+        log = log_of(events)
         values = {f"u{i}": float(rng.random()) for i in range(12)}
         scores = vector_from_mapping(values, "m")
         result = url_attribute_average(log, scores)

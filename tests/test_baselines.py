@@ -14,11 +14,11 @@ from iprank.baselines import (
 )
 from iprank.cli import read_score_columns
 from iprank.errors import EmptyNodeSet, InvalidParams
-from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
+from iprank.ingest import TweetEvent
 from iprank.testkit import random_graph
 from oracles import (
-    arcs_of, by_id, dense_pagerank_oracle, distinct_urls, graph_from_arcs, h_from_counts, h_index,
-    vector_from_mapping,
+    arcs_of, by_id, dense_pagerank_oracle, distinct_urls, follows_of, graph_from_arcs,
+    h_from_counts, h_index, log_of, vector_from_mapping,
 )
 
 
@@ -187,7 +187,7 @@ class TestHIndex:
             for k in range(times):
                 events.append(TweetEvent(t, f"r{t}", url, source="w"))
                 t += 1
-        return ActivityLog(events)
+        return log_of(events)
 
     def test_h_index_from_log(self):
         # per-URL retweet event counts are [5, 3, 1] -> h = 2
@@ -202,7 +202,7 @@ class TestHIndex:
         events = [TweetEvent(1, "w", "a"), TweetEvent(2, "w", "b")]
         for t, (user, url) in enumerate([("r1", "a"), ("r1", "a"), ("r2", "b"), ("r2", "b")]):
             events.append(TweetEvent(10 + t, user, url, source="w"))
-        log = ActivityLog(events)
+        log = log_of(events)
         assert h_index(log, "w") == 2
         assert by_id(h_index_scores(log)) == {"w": 2.0, "r1": 0.0, "r2": 0.0}
 
@@ -218,14 +218,14 @@ class TestHIndex:
 
 class TestCounts:
     def test_follower_count(self):
-        follows = FollowEdgeList([("a", "b"), ("a", "c"), ("a", "d"), ("b", "a")])
+        follows = follows_of([("a", "b"), ("a", "c"), ("a", "d"), ("b", "a")])
         fc = follower_count(follows)
         assert by_id(fc)["a"] == 3.0
         assert by_id(fc)["b"] == 1.0
         assert by_id(fc)["c"] == 0.0  # appears only as a follower
 
     def test_retweet_count(self):
-        log = ActivityLog(
+        log = log_of(
             [
                 TweetEvent(1, "x", "a"),
                 TweetEvent(2, "y", "a", source="x"),
@@ -245,14 +245,14 @@ class TestCounts:
             author = users[int(rng.integers(0, 12))]
             url = f"l{int(rng.integers(0, 20))}"
             events.append(TweetEvent(t, author, url))
-        log = ActivityLog(events)
+        log = log_of(events)
         # add retweets of existing posts
         extra = []
-        for t, ev in enumerate(log.events[:100], start=1000):
+        for t, ev in enumerate(list(log)[:100], start=1000):
             retweeter = users[int(rng.integers(0, 12))]
             if retweeter != ev.user:
                 extra.append(TweetEvent(t, retweeter, ev.url, source=ev.user))
-        full = ActivityLog(list(log.events) + extra)
+        full = log_of(list(log) + extra)
         rc = retweet_count(full)
         naive = {}
         for ev in full:
@@ -264,7 +264,7 @@ class TestCounts:
 
 class TestVectorSerialization:
     def test_round_trip(self, tmp_path):
-        fc = follower_count(FollowEdgeList([("a", "b"), ("c", "b")]))
+        fc = follower_count(follows_of([("a", "b"), ("c", "b")]))
         text = vector_to_tsv(fc)
         assert text.startswith("#measure=followers\n")
         back = vector_from_tsv(text, tmp_path)

@@ -490,13 +490,15 @@ class TestEachInputReadOnce:
 
 def test_each_id_table_is_checked_once(tmp_path, monkeypatch):
     """The line rules check each id a command reads, once: ``ip`` and
-    ``pagerank`` over a graph file, and ``rank`` and ``compare`` over their
-    score files, check none of them again."""
-    full = []
-    for module in (graphs, ipcore):
+    ``pagerank`` over a graph file, ``rank`` and ``compare`` over their
+    score files, and ``rates`` over events and follows check none of them
+    again."""
+    full, given = [], []
+    for module in (graphs, ingest, ipcore):
 
         def counted(ids, _check=module._sorted_ids):
-            if type(ids) is not graphs._Ids:
+            given.append(ids)
+            if type(ids) is not ingest._Ids:
                 full.append(len(ids))
             return _check(ids)
 
@@ -509,6 +511,14 @@ def test_each_id_table_is_checked_once(tmp_path, monkeypatch):
     assert run("rank", "--scores", out / "ip_scores.tsv", "--out-dir", out) == 0
     scores = ("--scores-a", out / "ip_scores.tsv", "--scores-b", out / "pagerank.tsv")
     assert run("compare", *scores, "--out-dir", out) == 0
+    assert full == []
+    # parse_events and parse_follows hand the constructors their tables as _Ids
+    events, follows = tmp_path / "events.tsv", tmp_path / "follows.tsv"
+    events.write_text("1\ta\tx\tM\n2\tb\tx\tRT\ta\n", encoding="utf-8")
+    follows.write_text("a\tb\nb\tc\n", encoding="utf-8")
+    given.clear()
+    assert run("rates", "--events", events, "--follows", follows, "--out-dir", out) == 0
+    assert given == [("a", "b"), ("x",), ("a", "b", "c")]
     assert full == []
 
 

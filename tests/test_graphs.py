@@ -18,12 +18,12 @@ from iprank.graphs import (
     graph_stats,
     graph_to_tsv,
 )
-from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent
+from iprank.ingest import TweetEvent
 from iprank.ipcore import ScorePair
 from iprank.testkit import SynthParams, synth_trace
 from oracles import (
-    PairwiseCounts, arc_weights, arcs_of, distinct_urls, edges, graph_from_arcs, pairwise_counts,
-    posters,
+    PairwiseCounts, arc_weights, arcs_of, distinct_urls, edges, follows_of, graph_from_arcs,
+    log_of, pairwise_counts, posters,
 )
 
 LONG = "0123456789abcdef"  # 16 bytes: longer than the graph reader's key prefix
@@ -66,7 +66,7 @@ class TestInfluenceGraphType:
 class TestComention:
     def test_weight_formula(self):
         # i mentions {a,b,c}; j later mentions a (of i's) and d (new)
-        log = ActivityLog(
+        log = log_of(
             [
                 mention(1, "i", "a"),
                 mention(2, "i", "b"),
@@ -75,25 +75,25 @@ class TestComention:
                 mention(6, "j", "d"),
             ]
         )
-        follows = FollowEdgeList([("i", "j")])
+        follows = follows_of([("i", "j")])
         g = build_comention(log, follows, min_urls=1)
         assert arc_weights(g)[("i", "j")] == pytest.approx(1.0 / 3.0)
         assert g.num_arcs == 1
 
     def test_no_follow_no_arc(self):
-        log = ActivityLog(
+        log = log_of(
             [mention(1, "i", "a"), mention(5, "j", "a"), mention(6, "j", "d")]
         )
-        follows = FollowEdgeList([("j", "i")])  # wrong direction
+        follows = follows_of([("j", "i")])  # wrong direction
         g = build_comention(log, follows, min_urls=1)
         assert g.num_arcs == 0
 
     def test_prior_mention_does_not_count(self):
         # j mentioned a before i's first mention and never again
-        log = ActivityLog(
+        log = log_of(
             [mention(0, "j", "a"), mention(1, "i", "a"), mention(2, "i", "b")]
         )
-        follows = FollowEdgeList([("i", "j")])
+        follows = follows_of([("i", "j")])
         g = build_comention(log, follows, min_urls=1)
         # brute-force temporal scan confirms S = 0
         i_first_a = min(ev.time for ev in log if ev.user == "i" and ev.url == "a")
@@ -108,19 +108,19 @@ class TestComention:
         assert g.num_arcs == 0
 
     def test_equal_timestamp_does_not_count(self):
-        log = ActivityLog([mention(5, "i", "a"), mention(5, "j", "a")])
-        g = build_comention(log, FollowEdgeList([("i", "j")]), min_urls=1)
+        log = log_of([mention(5, "i", "a"), mention(5, "j", "a")])
+        g = build_comention(log, follows_of([("i", "j")]), min_urls=1)
         assert g.num_arcs == 0
 
     def test_later_mention_restores_arc(self):
-        log = ActivityLog(
+        log = log_of(
             [mention(0, "j", "a"), mention(1, "i", "a"), mention(9, "j", "a")]
         )
-        g = build_comention(log, FollowEdgeList([("i", "j")]), min_urls=1)
+        g = build_comention(log, follows_of([("i", "j")]), min_urls=1)
         assert arc_weights(g)[("i", "j")] == 1.0
 
     def test_min_urls_filters_both_endpoints(self):
-        log = ActivityLog(
+        log = log_of(
             [
                 mention(1, "i", "a"),
                 mention(2, "i", "b"),
@@ -129,14 +129,14 @@ class TestComention:
                 mention(6, "j", "d"),
             ]
         )
-        follows = FollowEdgeList([("i", "j")])
+        follows = follows_of([("i", "j")])
         assert build_comention(log, follows, min_urls=2).num_arcs == 1
         assert build_comention(log, follows, min_urls=3).num_arcs == 0  # j has 2
 
     def test_min_urls_validation(self):
-        log = ActivityLog([mention(1, "i", "a")])
+        log = log_of([mention(1, "i", "a")])
         with pytest.raises(InvalidParams):
-            build_comention(log, FollowEdgeList([("i", "j")]), min_urls=0)
+            build_comention(log, follows_of([("i", "j")]), min_urls=0)
 
     def test_working_memory_is_bounded_by_the_run_size(self, monkeypatch):
         # one (edge, URL) row per kept follow edge and URL its followee posted
@@ -171,7 +171,7 @@ class TestComention:
         assert runs < whole / 2, (runs, whole)
 
     def test_pairwise_counts_worked_example(self):
-        log = ActivityLog(
+        log = log_of(
             [
                 mention(1, "i", "a"),
                 mention(2, "i", "b"),
@@ -211,7 +211,7 @@ class TestComention:
 
 class TestRetweetBuilders:
     def trace(self):
-        return ActivityLog(
+        return log_of(
             [
                 mention(1, "i", "a"),
                 mention(2, "i", "b"),
@@ -227,11 +227,11 @@ class TestRetweetBuilders:
         assert arc_weights(g)[("i", "j")] == pytest.approx(1.0 / 3.0)
 
     def test_no_retweet_no_arc(self):
-        log = ActivityLog([mention(1, "i", "a"), mention(2, "j", "b")])
+        log = log_of([mention(1, "i", "a"), mention(2, "j", "b")])
         assert build_retweet(log, min_urls=1).num_arcs == 0
 
     def test_all_urls_retweeted_gives_weight_one(self):
-        log = ActivityLog(
+        log = log_of(
             [
                 mention(1, "i", "a"),
                 mention(2, "i", "b"),
@@ -246,16 +246,16 @@ class TestRetweetBuilders:
 
     def test_follower_variant_requires_follow(self):
         log = self.trace()
-        with_follow = build_retweet_follower(log, FollowEdgeList([("i", "j")]), 3)
-        without = build_retweet_follower(log, FollowEdgeList([("j", "i")]), 3)
+        with_follow = build_retweet_follower(log, follows_of([("i", "j")]), 3)
+        without = build_retweet_follower(log, follows_of([("j", "i")]), 3)
         assert with_follow.num_arcs == 1
         expected = arc_weights(build_retweet(log, 3))[("i", "j")]
         assert arc_weights(with_follow)[("i", "j")] == expected
         assert without.num_arcs == 0
 
     def test_follow_without_retweet_gives_no_arc(self):
-        log = ActivityLog([mention(1, "i", "a"), mention(2, "j", "b")])
-        g = build_retweet_follower(log, FollowEdgeList([("i", "j")]), min_urls=1)
+        log = log_of([mention(1, "i", "a"), mention(2, "j", "b")])
+        g = build_retweet_follower(log, follows_of([("i", "j")]), min_urls=1)
         assert g.num_arcs == 0
 
 
@@ -352,7 +352,7 @@ class TestBuilderProperties:
                 )
             ]
             before = self.naive_s(log, i, j)
-            after = self.naive_s(ActivityLog(kept), i, j)
+            after = self.naive_s(log_of(kept), i, j)
             assert after >= before
 
 

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 
 from iprank import ingest
@@ -26,7 +27,9 @@ from iprank.ingest import (
     parse_events,
     parse_follows,
 )
-from oracles import arcs_of, edges, followees_of, followers_of, graph_from_arcs, read_manifest
+from oracles import (
+    arcs_of, edges, followees_of, followers_of, follows_of, graph_from_arcs, log_of, read_manifest,
+)
 
 EVENTS = "1\tu1\turl-a\tM\n2\tu2\turl-b\tM\n3\tu3\turl-c\tM\n"
 
@@ -44,7 +47,7 @@ class TestParseEvents:
 
     def test_retweet_line(self):
         log = parse_events("7\tu2\ta\tRT\tu1\n1\tu1\ta\tM\n")
-        rt = log.events[1]
+        rt = list(log)[1]
         assert rt.source is not None and rt.source == "u1"
 
     def test_self_retweet_rejected_strict(self):
@@ -139,8 +142,9 @@ class TestParseEvents:
         log = parse_events(EVENTS + "9\tu1\turl-z\tM\n")
         positions = sorted(p for ps in log.by_user.values() for p in ps)
         assert positions == list(range(len(log)))
+        rows = list(log)
         for user, ps in log.by_user.items():
-            assert all(log.events[p].user == user for p in ps)
+            assert all(rows[p].user == user for p in ps)
 
 
 class TestEventLineRules:
@@ -241,8 +245,8 @@ class TestHashLedIds:
         "user,url,source", [("#a", "u", None), ("a", "#u", None), ("a", "u", "#b")]
     )
     def test_tweet_event(self, user, url, source):
-        with pytest.raises(ValueError):
-            TweetEvent(1, user, url, source)
+        with pytest.raises(ValueError, match="id starts with '#'"):
+            log_of([(1, user, url, source)])
 
     def test_follows_strict(self):
         with pytest.raises(UnparsableLine) as info:
@@ -258,7 +262,7 @@ class TestHashLedIds:
     @pytest.mark.parametrize("edge", [("#a", "b"), ("b", "#a")])
     def test_follow_edge_list(self, edge):
         with pytest.raises(ValueError):
-            FollowEdgeList([edge])
+            follows_of([edge])
 
     def test_inner_hash_is_an_ordinary_character(self):
         assert edges(parse_follows("a#\tb#c\n")) == frozenset({("a#", "b#c")})
@@ -437,16 +441,82 @@ class TestRoundTrips:
         assert parse_clicks(clicks_to_tsv(t)).clicks == t.clicks
 
 
+# each fault a constructor rejects: (fault, constructor, its arguments, the message)
+UNSORTED = "node ids must be distinct and sorted ascending"
+LENGTHS = "columns must be 1-D and of equal length"
+CONSTRUCTOR_FAULTS = [
+    ("unsorted", ActivityLog, (("b", "a"), ("u",), [1, 2], [0, 1], [0, 0], [-1, -1]), UNSORTED),
+    ("unsorted", ActivityLog, (("a",), ("v", "u"), [1, 2], [0, 0], [0, 1], [-1, -1]), UNSORTED),
+    ("unsorted", FollowEdgeList, (("b", "a"), [0], [1]), UNSORTED),
+    ("unsorted", FollowEdgeList, (("a", "a"), [0], [1]), UNSORTED),  # so not distinct
+    ("bad id", ActivityLog, (("#a",), ("u",), [1], [0], [0], [-1]), "id starts with '#': '#a'"),
+    ("bad id", FollowEdgeList, (("", "a"), [0], [1]), "empty user id: ''"),
+    ("lengths", ActivityLog, (("a",), ("u",), [1, 2], [0], [0], [-1]), LENGTHS),
+    ("lengths", ActivityLog, (("a",), ("u",), [1], [0], [0], []), LENGTHS),
+    ("lengths", FollowEdgeList, (("a", "b"), [0, 1], [1]), LENGTHS),
+    ("lengths", FollowEdgeList, (("a", "b"), [[0]], [[1]]), LENGTHS),
+    ("lengths", FollowEdgeList, (("a", "b"), 0, 1), LENGTHS),
+    ("type", ActivityLog, (("a",), ("u",), [1.5], [0], [0], [-1]), "columns must hold integers"),
+    ("type", FollowEdgeList, (("a", "b"), [True], [False]), "columns must hold integers"),
+    ("type", FollowEdgeList, (("a", "b"), ["0"], ["1"]), "columns must hold integers"),
+    ("range", ActivityLog, (("a",), ("u",), [1], [1], [0], [-1]), "code out of range: 1 ids"),
+    ("range", ActivityLog, (("a",), ("u",), [1], [-1], [0], [-1]), "code out of range: 1 ids"),
+    ("range", ActivityLog, (("a",), ("u",), [1], [0], [1], [-1]), "code out of range: 1 ids"),
+    ("range", ActivityLog, (("a", "b"), ("u",), [1], [0], [0], [-2]), "code out of range: 2 ids"),
+    ("range", FollowEdgeList, (("a", "b"), [0], [2]), "code out of range: 2 ids"),
+    ("unnamed", ActivityLog, (("a", "b"), ("u",), [1], [0], [0], [-1]), "id named by no row: 'b'"),
+    ("unnamed", ActivityLog, (("a",), ("u", "v"), [1], [0], [0], [-1]), "id named by no row: 'v'"),
+    ("unnamed", FollowEdgeList, (("a", "b", "c"), [0], [2]), "id named by no row: 'b'"),
+    ("self-credit", ActivityLog, (("a",), ("u",), [1], [0], [0], [0]), ingest._SELF_CREDIT),
+    ("self-follow", FollowEdgeList, (("a", "b"), [0, 1], [1, 1]), "self-follow"),
+]
+
+
 class TestConstructors:
+    @pytest.mark.parametrize(
+        "fault, cls, args, message", CONSTRUCTOR_FAULTS,
+        ids=[f"{cls.__name__}-{fault}" for fault, cls, _, _ in CONSTRUCTOR_FAULTS],
+    )
+    def test_each_fault_raises_its_own_message(self, fault, cls, args, message):
+        with pytest.raises(ValueError) as info:
+            cls(*args)
+        assert str(info.value) == message
+        # no other kind of fault gives this message, whatever id it names
+        others = {m.split(":")[0] for f, _, _, m in CONSTRUCTOR_FAULTS if f != fault}
+        assert message.split(":")[0] not in others
+
     def test_event_invariants(self):
-        with pytest.raises(ValueError):
-            TweetEvent(time=1, user="u", url="a", source="u")
-        with pytest.raises(ValueError):
-            TweetEvent(time=1, user="u", url="")
+        with pytest.raises(ValueError, match="retweet credits its own author"):
+            log_of([(1, "u", "a", "u")])
+        with pytest.raises(ValueError, match="empty user id"):
+            log_of([(1, "u", "")])
 
     def test_follow_edge_list_rejects_self(self):
-        with pytest.raises(ValueError):
-            FollowEdgeList([("a", "a")])
+        with pytest.raises(ValueError, match="self-follow"):
+            follows_of([("a", "a")])
+
+    def test_int64_columns_are_kept_as_given_and_made_read_only(self):
+        time, user, url, source = (np.array(c) for c in ([1, 2], [0, 1], [0, 0], [-1, 0]))
+        log = ActivityLog(("a", "b"), ("u",), time, user, url, source, skipped=3)
+        kept = (log.time, log.user, log.url, log.source)
+        assert all(a is b for a, b in zip(kept, (time, user, url, source)))
+        assert not any(col.flags.writeable for col in kept)
+        assert list(log) == [TweetEvent(1, "a", "u"), TweetEvent(2, "b", "u", "a")]
+        assert log.skipped == 3 and log == log_of(log)
+        followee, follower = np.array([0, 0]), np.array([1, 2])
+        follows = FollowEdgeList(("a", "b", "c"), followee, follower)
+        assert follows.followee is followee and follows.follower is follower
+        assert not followee.flags.writeable
+
+    def test_rows_are_sorted_and_repeated_edges_collapse(self):
+        log = ActivityLog(("a", "b"), ("u", "v"), [5, 1, 5], [1, 0, 0], [0, 1, 0], [-1, -1, 1])
+        assert list(log) == [(1, "a", "v", None), (5, "a", "u", "b"), (5, "b", "u", None)]
+        follows = FollowEdgeList(("a", "b"), [1, 0, 1], [0, 1, 0])
+        assert len(follows) == 2 and edges(follows) == {("a", "b"), ("b", "a")}
+
+    def test_empty_containers(self):
+        assert len(ActivityLog((), (), [], [], [], [])) == 0
+        assert len(FollowEdgeList((), [], [])) == 0
 
 
 def _file(tmp_path, text):
@@ -692,7 +762,7 @@ UNUSUAL = {
             "-9223372036854775808\tw\tl1\tRT\tu#", "007\t-\t-\tM",
         ],
         "retweet credits its own author",
-        ActivityLog([
+        log_of([
             TweetEvent(-5, "u#", "l1"), TweetEvent(2**63 - 1, "v", "l#2"),
             TweetEvent(-(2**63), "w", "l1", "u#"), TweetEvent(7, "-", "-"),
         ]),
@@ -701,7 +771,7 @@ UNUSUAL = {
         parse_follows,
         ["u#\tv", "v\tu#", "w\tw", "a b\t-", "é\tu#"],
         "self-follow",
-        FollowEdgeList([("u#", "v"), ("v", "u#"), ("a b", "-"), ("é", "u#")]),
+        follows_of([("u#", "v"), ("v", "u#"), ("a b", "-"), ("é", "u#")]),
     ),
     "clicks": (
         parse_clicks,
@@ -816,13 +886,13 @@ class TestACleanBlockMakesNoPythonCallPerToken:
         for line in lines:
             t, user, url, *rest = line.split("\t")
             events.append(TweetEvent(int(t), user, url, rest[1] if len(rest) == 2 else None))
-        assert log == ActivityLog(events)
+        assert log == log_of(events)
 
     def test_clean_follows_are_never_split(self):
         lines = self._follows(12000)
         follows, splits = self._splits(parse_follows, lines)
         assert splits == 0
-        assert follows == FollowEdgeList(line.split("\t") for line in lines)
+        assert follows == follows_of(line.split("\t") for line in lines)
 
     @pytest.mark.parametrize(
         "line,reason",

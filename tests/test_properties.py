@@ -30,9 +30,7 @@ from iprank.errors import (
 from iprank.graphs import InfluenceGraph, graph_from_tsv, graph_to_tsv
 from iprank.ingest import (
     _ROW_BLOCK,
-    ActivityLog,
     ClickTable,
-    FollowEdgeList,
     TweetEvent,
     clicks_to_tsv,
     events_to_tsv,
@@ -49,7 +47,9 @@ from oracles import (
     edges,
     follow_codes,
     follower_counts,
+    follows_of,
     graph_from_arcs,
+    log_of,
     ranking,
     ranks_of,
     read_manifest,
@@ -82,17 +82,17 @@ def event_lists(draw):
 
 @given(event_lists())
 def test_events_round_trip_through_tsv(events):
-    log = ActivityLog(events)
+    log = log_of(events)
     assert parse_events(events_to_tsv(log)) == log
-    assert ActivityLog(log.events) == log
+    assert log_of(log) == log
 
 
 @given(st.data())
 def test_log_is_invariant_under_permutation(data):
     events = data.draw(event_lists())
     shuffled = data.draw(st.permutations(events))
-    assert ActivityLog(shuffled) == ActivityLog(events)
-    assert ActivityLog(shuffled).events == ActivityLog(events).events
+    assert log_of(shuffled) == log_of(events)
+    assert list(log_of(shuffled)) == list(log_of(events))
 
 
 @st.composite
@@ -108,8 +108,8 @@ def edge_lists(draw, users=None):
 def test_follow_edges_ignore_order_and_repeats(data):
     drawn = data.draw(edge_lists())
     repeats = data.draw(st.lists(st.sampled_from(drawn))) if drawn else []
-    follows = FollowEdgeList(drawn)
-    assert FollowEdgeList(data.draw(st.permutations(drawn + repeats))) == follows
+    follows = follows_of(drawn)
+    assert follows_of(data.draw(st.permutations(drawn + repeats))) == follows
     pairs = edges(follows)
     assert pairs == set(drawn)
     assert len(follows) == len(set(drawn))
@@ -127,8 +127,34 @@ EDGE_IDS = IDS | SPACES | st.tuples(SPACES, IDS | st.just("")).map(lambda t: t[0
 @given(st.lists(EDGE_IDS, min_size=2, max_size=5, unique=True).flatmap(edge_lists))
 def test_follows_round_trip_through_tsv(edges):
     assume(edges)
-    follows = FollowEdgeList(edges)
+    follows = follows_of(edges)
     assert parse_follows(follows_to_tsv(follows)) == follows
+
+
+# ids of up to 24 UTF-8 bytes, so some are longer than the interner's keys
+# hold (``ingest._PREFIX``), with multibyte characters and "#" past the first
+ROW_IDS = st.text(
+    alphabet=st.sampled_from("ab#-é中\U0001f600") | st.characters(
+        exclude_categories=("Cs",), exclude_characters="\t\r\n"
+    ),
+    min_size=1,
+    max_size=24,
+).filter(lambda s: s[0] != "#" and len(s.encode("utf-8")) <= 24)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_rows_and_edges_round_trip(data):
+    ids = st.sampled_from(data.draw(st.lists(ROW_IDS, min_size=2, max_size=5, unique=True)))
+    row = st.tuples(TIMES, ids, ids, st.none() | ids).filter(lambda r: r[1] != r[3])
+    rows = data.draw(st.lists(row, min_size=1, max_size=12))
+    log = log_of(rows)
+    assert parse_events(events_to_tsv(log)) == log_of(rows) == log
+    assert log_of(tuple(log)) == log
+    pairs = data.draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), min_size=1))
+    follows = follows_of(pairs)
+    assert parse_follows(follows_to_tsv(follows)) == follows_of(pairs) == follows
+    assert follows_of(edges(follows)) == follows
 
 
 @given(st.dictionaries(EDGE_IDS, st.integers(0, 2**63 - 1), max_size=8))
@@ -139,18 +165,18 @@ def test_clicks_round_trip_through_tsv(clicks):
 
 @given(edge_lists())
 def test_follower_count_matches_the_oracle(edges):
-    assert by_id(follower_count(FollowEdgeList(edges))) == follower_counts(FollowEdgeList(edges))
+    assert by_id(follower_count(follows_of(edges))) == follower_counts(follows_of(edges))
 
 
 @given(st.data())
 def test_follow_codes_match_the_oracle(data):
     events = data.draw(event_lists())
-    log = ActivityLog(events)
+    log = log_of(events)
     # edges over some of the log's users and some it never saw
     pool = data.draw(st.lists(IDS, max_size=3, unique=True)) + list(log.user_ids)
     if len(set(pool)) < 2:
         return
-    follows = FollowEdgeList(data.draw(edge_lists(sorted(set(pool)))))
+    follows = follows_of(data.draw(edge_lists(sorted(set(pool)))))
     followee, follower, extra = log.follow_codes(follows)
     pairs, expected_extra = follow_codes(log, follows)
     assert list(zip(followee.tolist(), follower.tolist())) == pairs
@@ -280,7 +306,7 @@ def test_events_constructor_refuses_what_does_not_read_back(data):
     ids = st.sampled_from(data.draw(st.lists(MIXED_IDS, min_size=1, max_size=4, unique=True)))
     rows = data.draw(st.lists(st.tuples(TIMES, ids, ids, st.none() | ids), min_size=1, max_size=6))
     try:
-        log = ActivityLog([TweetEvent(*row) for row in rows])
+        log = log_of(rows)
     except ValueError:
         assert any(
             s == u or not all(map(_writable, (u, r) if s is None else (u, r, s)))
@@ -296,7 +322,7 @@ def test_follows_constructor_refuses_what_does_not_read_back(data):
     ids = st.sampled_from(data.draw(st.lists(MIXED_IDS, min_size=1, max_size=4, unique=True)))
     pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=8))
     try:
-        follows = FollowEdgeList(pairs)
+        follows = follows_of(pairs)
     except ValueError:
         assert any(a == b or not (_writable(a) and _writable(b)) for a, b in pairs)
     else:
@@ -715,11 +741,11 @@ def test_rates_to_tsv_matches_the_row_writer(user_rates, audience_rates):
 
 @given(event_lists())
 def test_events_to_tsv_matches_the_row_writer(events):
-    log = ActivityLog(events)
+    log = log_of(events)
     assert events_to_tsv(log) == line_writers.events_to_tsv(log)
 
 
 @given(st.lists(EDGE_IDS, min_size=2, max_size=5, unique=True).flatmap(edge_lists))
 def test_follows_to_tsv_matches_the_row_writer(edges):
-    follows = FollowEdgeList(edges)
+    follows = follows_of(edges)
     assert follows_to_tsv(follows) == line_writers.follows_to_tsv(follows)
