@@ -64,15 +64,6 @@ class RankReport(_Frozen):
         _set(self, "columns", columns)
         _set(self, "data", data)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RankReport):
-            return NotImplemented
-        return (
-            (self.label, self.columns, list(self.data[0]))
-            == (other.label, other.columns, list(other.data[0]))
-            and all(map(np.array_equal, self.data[1:], other.data[1:]))
-        )
-
 
 def _summarize(rates: dict[str, float]) -> RateSummary:
     if not rates:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import EmptyNodeSet, InvalidParams
 from .graphs import InfluenceGraph
 from .ingest import ActivityLog, FollowEdgeList, _Frozen, _set, _tsv_rows
-from .ipcore import IterationTrace, _arc_sum, _l1_change, _same_scores, _set_scores
+from .ipcore import IterationTrace, _arc_sum, _l1_change, _set_scores
 
 
 class PageRankParams(_Frozen):
@@ -46,11 +46,6 @@ class ScoreVector(_Frozen):
     def __init__(self, node_ids: Sequence[str], values: object, label: str) -> None:
         _set_scores(self, node_ids, values=values)
         _set(self, "label", label)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScoreVector):
-            return NotImplemented
-        return _same_scores(self, other, "values") and self.label == other.label
 
 
 def weighted_pagerank(

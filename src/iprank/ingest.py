@@ -98,10 +98,26 @@ def _sorted_ids(node_ids: Sequence[str]) -> _Ids:
 _set = object.__setattr__  # how a frozen record's ``__init__`` stores a field
 
 
+def _same(a: object, b: object) -> bool:
+    """Whether two field values are equal: by ``np.array_equal`` when either
+    is an array, item by item when both are tuples or lists (so a list of ids
+    equals the tuple of them), by ``==`` otherwise. Two id tables hold no
+    array, so they compare as tuples, without a call per id."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if type(a) is type(b) is _Ids:
+        return a == b
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 class _Frozen:
     """Base of the records that refuse assignment: each names its fields in
-    ``__slots__`` and stores them with ``_set``. Records of one class are
-    equal, and hash alike, when their fields are."""
+    ``__slots__`` and stores them with ``_set``. Equality and ``repr`` read
+    the public fields but ``skipped``: records of one class are equal when
+    those are (:func:`_same`), and hash alike then unless they hold arrays
+    or dicts, which make them unhashable."""
 
     __slots__ = ()
 
@@ -110,18 +126,25 @@ class _Frozen:
 
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
+    def _values(self) -> dict[str, object]:
+        return {k: getattr(self, k) for k in self.__slots__ if k[0] != "_" and k != "skipped"}
 
     def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(_same, self._values().values(), other._values().values()))
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple(self._values().values()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._values().items())
         return f"{type(self).__name__}({fields})"
+
+
+def _same_columns(self: tuple, other: object) -> bool:
+    """Equality of a NamedTuple of arrays: column by column, by :func:`_same`."""
+    return all(map(_same, self, other)) if type(other) is type(self) else NotImplemented
 
 
 class TweetEvent(NamedTuple):
@@ -148,6 +171,9 @@ class Posts(NamedTuple):
     last: np.ndarray
     key: np.ndarray
 
+    # tuple's own == would ask each array pair for one bool
+    __eq__, __ne__, __hash__ = _same_columns, object.__ne__, None
+
 
 class Retweets(NamedTuple):
     """Distinct (source, retweeter, url) triples whose source posted the URL,
@@ -157,6 +183,8 @@ class Retweets(NamedTuple):
     user: np.ndarray
     url: np.ndarray
     count: np.ndarray
+
+    __eq__, __ne__, __hash__ = _same_columns, object.__ne__, None
 
 
 def _sorted_codes(table: Iterable[str]) -> _Table:
@@ -227,7 +255,7 @@ def _check_codes(ids: Sequence[str], *cols: np.ndarray) -> None:
         raise ValueError(f"id named by no row: {ids[int(np.argmin(named))]!r}")
 
 
-class ActivityLog:
+class ActivityLog(_Frozen):
     """Time-sorted events as columns of interned codes.
 
     ``user_ids`` (authors and retweet sources) and ``url_ids`` are sorted, so
@@ -236,7 +264,7 @@ class ActivityLog:
     for a plain mention. Rows are ordered by (time, user, url, kind, source),
     so the log is identical no matter how its rows were given. An int64
     column is kept as given, not copied, and made read-only, unless its rows
-    must be sorted.
+    must be sorted. The log is a frozen record, its caches included.
     """
 
     __slots__ = (
@@ -248,17 +276,21 @@ class ActivityLog:
         self, user_ids: Sequence[str], url_ids: Sequence[str], time: Sequence[int],
         user: Sequence[int], url: Sequence[int], source: Sequence[int], skipped: int = 0,
     ) -> None:
-        self.user_ids, self.url_ids = _sorted_ids(user_ids), _sorted_ids(url_ids)
+        user_ids, url_ids = _sorted_ids(user_ids), _sorted_ids(url_ids)
         time, user, url, source = _columns(time, user, url, source)
-        _check_codes(self.user_ids, user, source[source != -1])
-        _check_codes(self.url_ids, url)
+        _check_codes(user_ids, user, source[source != -1])
+        _check_codes(url_ids, url)
         if np.any(source == user):
             raise ValueError(_SELF_CREDIT)
         for name, col in zip(("time", "user", "url", "source"), _in_order(time, user, url, source)):
             col.flags.writeable = False
-            setattr(self, name, col)
-        self.user_index = {uid: k for k, uid in enumerate(self.user_ids)}
-        self.skipped, self._posts, self._retweets = skipped, None, None
+            _set(self, name, col)
+        _set(self, "user_ids", user_ids)
+        _set(self, "url_ids", url_ids)
+        _set(self, "user_index", {uid: k for k, uid in enumerate(user_ids)})
+        _set(self, "skipped", skipped)
+        _set(self, "_posts", None)
+        _set(self, "_retweets", None)
 
     @property
     def by_user(self) -> dict[str, tuple[int, ...]]:
@@ -281,10 +313,10 @@ class ActivityLog:
             starts = _run_starts(key)
             ends = np.append(starts[1:], key.size) - 1
             first = order[starts]
-            self._posts = Posts(
+            _set(self, "_posts", Posts(
                 self.user[first], self.url[first], self.time[first],
                 self.time[order[ends]], key[starts],
-            )
+            ))
         return self._posts
 
     @property
@@ -298,7 +330,7 @@ class ActivityLog:
             source, user, url = source[order], user[order], url[order]
             starts = _run_starts(source, user, url)
             count = np.diff(np.append(starts, source.size))
-            self._retweets = Retweets(source[starts], user[starts], url[starts], count)
+            _set(self, "_retweets", Retweets(source[starts], user[starts], url[starts], count))
         return self._retweets
 
     def follow_codes(
@@ -328,23 +360,11 @@ class ActivityLog:
             map((*users, None).__getitem__, self.source.tolist()),  # -1 reads None
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ActivityLog):
-            return NotImplemented
-        return (
-            self.user_ids == other.user_ids
-            and self.url_ids == other.url_ids
-            and all(
-                np.array_equal(getattr(self, c), getattr(other, c))
-                for c in ("time", "user", "url", "source")
-            )
-        )
-
     def __repr__(self) -> str:
         return f"ActivityLog({len(self)} events, {np.count_nonzero(np.bincount(self.user))} users)"
 
 
-class FollowEdgeList:
+class FollowEdgeList(_Frozen):
     """Directed follow relation as columns of interned codes.
 
     ``user_ids`` holds every edge endpoint, sorted; ``followee`` and
@@ -360,9 +380,9 @@ class FollowEdgeList:
         self, user_ids: Sequence[str], followee: Sequence[int], follower: Sequence[int],
         skipped: int = 0,
     ) -> None:
-        self.user_ids = _sorted_ids(user_ids)
+        user_ids = _sorted_ids(user_ids)
         followee, follower = _columns(followee, follower)
-        _check_codes(self.user_ids, followee, follower)
+        _check_codes(user_ids, followee, follower)
         if np.any(followee == follower):
             raise ValueError(_SELF_FOLLOW)
         followee, follower = _in_order(followee, follower)
@@ -370,20 +390,13 @@ class FollowEdgeList:
         if first.size < followee.size:
             followee, follower = followee[first], follower[first]
         followee.flags.writeable = follower.flags.writeable = False
-        self.followee, self.follower = followee, follower
-        self.skipped = skipped
+        _set(self, "user_ids", user_ids)
+        _set(self, "followee", followee)
+        _set(self, "follower", follower)
+        _set(self, "skipped", skipped)
 
     def __len__(self) -> int:
         return int(self.followee.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FollowEdgeList):
-            return NotImplemented
-        return (
-            self.user_ids == other.user_ids
-            and np.array_equal(self.followee, other.followee)
-            and np.array_equal(self.follower, other.follower)
-        )
 
 
 class ClickTable:

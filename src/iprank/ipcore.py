@@ -39,20 +39,17 @@ class IpParams(_Frozen):
 
 def _set_scores(obj: _Frozen, node_ids: Sequence[str], **scores: object) -> None:
     """Check that ``node_ids`` ascend strictly and store them, and each of
-    ``scores`` as a float64 array aligned with them, on ``obj``; NaN is rejected."""
+    ``scores`` as a float64 array aligned with them, on ``obj``; NaN is
+    rejected. A float64 array is kept as given, not copied, and made
+    read-only, as :class:`ActivityLog` does with its columns."""
     ids = _sorted_ids(node_ids)
     _set(obj, "node_ids", ids)
     for name, values in scores.items():
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (len(ids),) or np.isnan(values).any():
             raise ValueError(f"{name} must be {len(ids)} scores, none of them NaN")
+        values.flags.writeable = False
         _set(obj, name, values)
-
-
-def _same_scores(a: object, b: object, *fields: str) -> bool:
-    return a.node_ids == b.node_ids and all(
-        np.array_equal(getattr(a, name), getattr(b, name)) for name in fields
-    )
 
 
 class ScorePair(_Frozen):
@@ -69,12 +66,6 @@ class ScorePair(_Frozen):
     ) -> None:
         _set_scores(self, node_ids, influence=influence, passivity=passivity)
         _set(self, "iterations_run", iterations_run)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScorePair):
-            return NotImplemented
-        same = _same_scores(self, other, "influence", "passivity")
-        return same and self.iterations_run == other.iterations_run
 
 
 class IterationTrace(NamedTuple):

@@ -135,14 +135,13 @@ def read_manifest(path: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def dense_ip_oracle(g: InfluenceGraph, iterations: int) -> ScorePair:
-    """Reference influence-passivity computation via explicit dense matrices."""
+def _dense_rates(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
+    """IP's acceptance matrix ``accept[i, j]`` and transposed rejection
+    matrix ``reject_t[j, i]`` of each arc (i, j), built one arc at a time."""
     if g.num_nodes > DENSE_LIMIT:
         raise TooLarge(f"dense oracle is limited to {DENSE_LIMIT} nodes")
     if g.num_arcs == 0:
         raise EmptyGraph("influence graph has no arcs")
-    if iterations < 1:
-        raise InvalidParams(f"iterations must be >= 1, got {iterations}")
     n = g.num_nodes
     index = {uid: k for k, uid in enumerate(g.node_ids)}
     triples = [(index[i], index[j], w) for i, j, w in arcs_of(g)]
@@ -157,6 +156,15 @@ def dense_ip_oracle(g: InfluenceGraph, iterations: int) -> ScorePair:
         accept[i, j] = w / in_sum[j]
         if rej_sum[i] > 0.0:
             reject_t[j, i] = (1.0 - w) / rej_sum[i]
+    return accept, reject_t
+
+
+def dense_ip_oracle(g: InfluenceGraph, iterations: int) -> ScorePair:
+    """Reference influence-passivity computation via explicit dense matrices."""
+    accept, reject_t = _dense_rates(g)
+    if iterations < 1:
+        raise InvalidParams(f"iterations must be >= 1, got {iterations}")
+    n = g.num_nodes
     influence = np.ones(n)
     passivity = np.ones(n)
     for _ in range(iterations):
@@ -167,6 +175,32 @@ def dense_ip_oracle(g: InfluenceGraph, iterations: int) -> ScorePair:
         influence = raw_i / raw_i.sum()
         passivity = raw_p / raw_p.sum()
     return ScorePair(g.node_ids, influence, passivity, iterations)
+
+
+def dense_ip_limit(g: InfluenceGraph, squarings: int = 12) -> ScorePair:
+    """Reference limit of IP's normalized iteration from the all-ones start.
+
+    The influence step ``accept @ reject_t`` is squared ``squarings`` times,
+    rescaled to a largest entry of 1 each time, so the power stands for
+    ``2**squarings`` iterations; the limit influence is that power applied to
+    the start, and the limit passivity one rejection step from it. This
+    holds only where the iteration has converged by then; no aperiodicity is
+    checked. Each closed class has eigenvalue 1, which rounding moves by
+    about 1e-16, and each squaring doubles that drift: at 64 squarings one
+    of two closed classes lost all its mass, so the default stays small.
+    """
+    accept, reject_t = _dense_rates(g)
+    power = accept @ reject_t
+    for _ in range(squarings):
+        power = power @ power
+        if power.max() <= 0.0:
+            raise DegenerateGraph("the influence step vanishes")
+        power /= power.max()
+    influence = power @ np.ones(g.num_nodes)
+    passivity = reject_t @ influence
+    return ScorePair(
+        g.node_ids, influence / influence.sum(), passivity / passivity.sum(), 2**squarings
+    )
 
 
 def dense_pagerank_oracle(
@@ -272,8 +306,20 @@ class PairwiseCounts:
             raise ValueError(f"counts out of range: s={self.s} f={self.f} p={self.p}")
 
 
+_rows_by_user: tuple[ActivityLog, dict[str, list[TweetEvent]]] | None = None
+
+
 def _events_of(log: ActivityLog, user: str) -> list[TweetEvent]:
-    return [ev for ev in log if ev.user == user]
+    """The user's rows of ``log``, in log order. One scan of the rows groups
+    them by user; the grouping of the last log asked about is kept, which
+    holds because a log cannot change."""
+    global _rows_by_user
+    if _rows_by_user is None or _rows_by_user[0] is not log:
+        groups: dict[str, list[TweetEvent]] = {}
+        for ev in log:
+            groups.setdefault(ev.user, []).append(ev)
+        _rows_by_user = log, groups
+    return _rows_by_user[1].get(user, [])
 
 
 def pairwise_counts(log: ActivityLog, i: str, j: str) -> PairwiseCounts:

@@ -13,7 +13,7 @@ from iprank.ipcore import (
     trace_to_tsv,
 )
 from iprank.testkit import random_graph
-from oracles import arcs_of, dense_ip_oracle, graph_from_arcs
+from oracles import arcs_of, dense_ip_limit, dense_ip_oracle, graph_from_arcs
 
 
 class Rates:
@@ -156,6 +156,42 @@ class TestRunIp:
                 for k in range(g.num_nodes):
                     assert abs(pair.influence[k] - oracle.influence[k]) <= 1e-12
                     assert abs(pair.passivity[k] - oracle.passivity[k]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "arcs, classes",
+        [
+            (  # one closed class {a, b, c, d}; e only receives
+                [("a", "c", 0.5), ("b", "c", 0.25), ("a", "d", 0.75), ("b", "e", 0.5),
+                 ("c", "d", 0.4), ("c", "e", 0.3), ("d", "e", 0.2)],
+                [("a", "b", "c", "d")],
+            ),
+            (  # closed classes {a, b, c} and {p, q}; t leaks into both, through
+               # the weight-1 arcs a->x and p->y, and is never fed back
+                [("a", "u", 0.5), ("b", "u", 0.2), ("b", "w", 0.7), ("c", "w", 0.4),
+                 ("a", "x", 1.0), ("p", "v", 0.5), ("q", "v", 0.3), ("p", "y", 1.0),
+                 ("t", "x", 0.6), ("t", "y", 0.3)],
+                [("a", "b", "c"), ("p", "q")],
+            ),
+        ],
+        ids=["one-closed-class", "two-closed-classes"],
+    )
+    def test_approaches_the_dense_limit_as_the_cap_grows(self, arcs, classes):
+        g = graph_from_arcs(arcs)
+        limit = dense_ip_limit(g)
+        influence = dict(zip(g.node_ids, limit.influence.tolist()))
+        for members in classes:  # each closed class keeps a share of the limit
+            assert sum(influence[u] for u in members) > 0.01
+        distances = []
+        for cap in (1, 2, 4, 8, 16, 32, 64):
+            pair, _ = run_ip(g, IpParams(max_iterations=cap, epsilon=0.0))
+            distances.append(
+                float(np.abs(pair.influence - limit.influence).sum())
+                + float(np.abs(pair.passivity - limit.passivity).sum())
+            )
+        assert distances[0] > 1e-3, distances
+        for earlier, later in zip(distances, distances[1:]):
+            assert later < earlier or later < 1e-12, distances
+        assert distances[-1] < 1e-10, distances
 
     def test_nonconvergence_is_reported_not_raised(self):
         g = random_graph(50, 200, seed=33)

@@ -10,11 +10,13 @@ from iprank import cli
 from iprank.analytics import PercentileCurve, RankReport, RateReport, RateSummary
 from iprank.baselines import PageRankParams, ScoreVector
 from iprank.errors import InvalidParams, UnparsableLine
-from iprank.graphs import GraphStats
-from iprank.ingest import ClickTable, Posts, Retweets, TweetEvent, _Check
+from iprank.graphs import GraphStats, InfluenceGraph
+from iprank.ingest import (
+    ActivityLog, ClickTable, FollowEdgeList, Posts, Retweets, TweetEvent, _Check,
+)
 from iprank.ipcore import IpParams, IterationTrace, ScorePair
 
-ONE, TWO = np.array([1.0]), np.array([2.0])  # one-element arrays compare as one bool
+ONE, TWO = np.array([1.0, 1.0]), np.array([2.0, 2.0])
 SUMMARY = RateSummary(0.5, 0.5, (1,))
 
 # (type, its field values in order, the defaults of its trailing fields,
@@ -34,6 +36,21 @@ RECORDS = [
         [({"count": TWO}, False)], None, True,
     ),
     (
+        ActivityLog,
+        {"user_ids": ("a", "b"), "url_ids": ("u",), "time": np.array([1, 2]),
+         "user": np.array([0, 1]), "url": np.array([0, 0]), "source": np.array([-1, 0]),
+         "skipped": 2},
+        {"skipped": 0}, [({"time": np.array([1, 3])}, False), ({"skipped": 5}, True)],
+        ({"source": np.array([-1, 1])}, ValueError, "retweet credits its own author"), True,
+    ),
+    (
+        FollowEdgeList,
+        {"user_ids": ("a", "b"), "followee": np.array([0, 1]), "follower": np.array([1, 0]),
+         "skipped": 2},
+        {"skipped": 0}, [({"user_ids": ("a", "c")}, False), ({"skipped": 5}, True)],
+        ({"follower": np.array([0, 0])}, ValueError, "self-follow"), True,
+    ),
+    (
         ClickTable, {"clicks": {"u": 1}, "skipped": 2}, {"skipped": 0},
         [({"clicks": {"u": 2}}, False), ({"skipped": 5}, True)],
         ({"clicks": {"u": -1}}, ValueError, "negative count -1: 'u'"), False,
@@ -47,12 +64,19 @@ RECORDS = [
         [({"arcs": 0}, False)], None, True,
     ),
     (
+        InfluenceGraph,
+        {"node_ids": ("a", "b"), "src": np.array([0, 1]), "dst": np.array([1, 0]), "weights": ONE},
+        {}, [({"weights": np.array([0.5, 1.0])}, False), ({"node_ids": ("a", "c")}, False)],
+        ({"weights": TWO}, ValueError, r"arc weights must lie in \(0, 1\]"), True,
+    ),
+    (
         IpParams, {"max_iterations": 5, "epsilon": 0.1},
         {"max_iterations": 100, "epsilon": 1e-9}, [({"epsilon": 0.2}, False)],
         ({"max_iterations": 0}, InvalidParams, "max_iterations must be >= 1, got 0"), True,
     ),
     (
-        ScorePair, {"node_ids": ("a",), "influence": ONE, "passivity": ONE, "iterations_run": 3},
+        ScorePair,
+        {"node_ids": ("a", "b"), "influence": ONE, "passivity": ONE, "iterations_run": 3},
         {}, [({"iterations_run": 4}, False), ({"passivity": TWO}, False)],
         ({"node_ids": ("b", "a")}, ValueError, "node ids must be distinct and sorted ascending"),
         True,
@@ -65,9 +89,10 @@ RECORDS = [
         ({"damping": 1.0}, InvalidParams, r"damping must be in \(0, 1\), got 1.0"), True,
     ),
     (
-        ScoreVector, {"node_ids": ("a",), "values": ONE, "label": "x"}, {},
+        ScoreVector, {"node_ids": ("a", "b"), "values": ONE, "label": "x"}, {},
         [({"label": "y"}, False), ({"values": TWO}, False)],
-        ({"values": [np.nan]}, ValueError, "values must be 1 scores, none of them NaN"), True,
+        ({"values": [np.nan, 1.0]}, ValueError, "values must be 2 scores, none of them NaN"),
+        True,
     ),
     (
         RateSummary, {"mean": 0.5, "median": 0.5, "histogram": (1,)}, {},
@@ -84,8 +109,10 @@ RECORDS = [
         [({"q": 0.5}, False)], None, True,
     ),
     (
-        RankReport, {"label": "top1_x", "columns": ("user", "x", "rank"), "data": (["a"], ONE)},
-        {}, [({"label": "top2_x"}, False), ({"data": (["a"], TWO)}, False)], None, True,
+        RankReport,
+        {"label": "top1_x", "columns": ("user", "x", "rank"), "data": (["a", "b"], ONE)},
+        {}, [({"label": "top2_x"}, False), ({"data": (("a", "b"), ONE)}, True),
+             ({"data": (["a", "b"], TWO)}, False)], None, True,
     ),
 ]
 
@@ -123,7 +150,42 @@ def test_frozen_records_hash_and_show_their_fields():
     assert repr(event) == "TweetEvent(time=1, user='a', url='u', source=None)"
     assert repr(IpParams()) == "IpParams(max_iterations=100, epsilon=1e-09)"
     with pytest.raises(TypeError):  # equal by arrays: unhashable, as before
-        hash(ScoreVector(("a",), ONE, "x"))
+        hash(ScoreVector(("a", "b"), ONE, "x"))
+    # repr names the fields equality reads, each by its own value: not ``skipped``
+    follows = FollowEdgeList(("a", "b"), np.array([0]), np.array([1]), skipped=3)
+    assert repr(follows) == (
+        "FollowEdgeList(user_ids=('a', 'b'), followee=array([0]), follower=array([1]))"
+    )
+    assert repr(InfluenceGraph(("a", "b"), [0], [1], [0.5])) == "InfluenceGraph(2 nodes, 1 arcs)"
+
+
+def test_a_logs_posts_and_retweets_compare_by_value():
+    def log():
+        return ActivityLog(("a", "b"), ("u", "v"), [1, 2, 3], [0, 0, 1], [0, 1, 0], [-1, -1, 0])
+
+    first, second = log(), log()
+    assert first.posts == second.posts and first.retweets == second.retweets
+    assert not first.posts != second.posts and not first.retweets != second.retweets
+    other = ActivityLog(("a", "b"), ("u", "v"), [1, 2, 3], [0, 0, 1], [0, 1, 1], [-1, -1, 0])
+    assert first.posts != other.posts and first.retweets != other.retweets
+    assert first.posts != first.retweets
+    with pytest.raises(TypeError):
+        hash(first.posts)
+    with pytest.raises(AttributeError):  # the caches are fields too
+        first._posts = None
+
+
+def test_score_arrays_are_read_only_once_checked():
+    values = np.array([0.5, 1.0])
+    vector = ScoreVector(("a", "b"), values, "x")
+    assert vector.values is values  # kept as given, not copied
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = np.nan
+    pair = ScorePair(("a", "b"), [0.5, 0.5], [0.25, 0.75], 1)
+    for scores in (pair.influence, pair.passivity):
+        with pytest.raises(ValueError, match="read-only"):
+            scores[0] = 0.0
+    assert vector == ScoreVector(("a", "b"), [0.5, 1.0], "x")
 
 
 def test_run_config_is_the_defaults_then_the_flags():
