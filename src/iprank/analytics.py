@@ -120,7 +120,7 @@ def url_attribute_average(
     averaging set; URLs with no scored mentioner are omitted. Each URL's sum
     runs over its users in id order.
     """
-    code = _positions(log.user_index, scores.node_ids)
+    code = _positions(log.user_ids, scores.node_ids)
     score = np.full(len(log.user_ids), np.nan)  # scores are never NaN, so NaN = unscored
     score[code[code >= 0]] = scores.values[code >= 0]
     posts = log.posts
@@ -205,7 +205,7 @@ def _shared(a: ScoreVector, b: ScoreVector) -> tuple[np.ndarray, np.ndarray]:
     if a.node_ids == b.node_ids:  # the common case: two measures over one graph
         pos = np.arange(len(a.node_ids))
         return pos, pos
-    pos_b = _positions(dict(zip(b.node_ids, range(len(b.node_ids)))), a.node_ids)
+    pos_b = _positions(b.node_ids, a.node_ids)
     pos_a = np.flatnonzero(pos_b >= 0)
     return pos_a, pos_b[pos_a]
 

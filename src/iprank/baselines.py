@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyNodeSet, InvalidParams
 from .graphs import InfluenceGraph
-from .ingest import ActivityLog, FollowEdgeList, _Frozen, _set, _tsv_rows
+from .ingest import ActivityLog, FollowEdgeList, _Frozen, _picked, _set, _tsv_rows
 from .ipcore import IterationTrace, _arc_sum, _l1_change, _set_scores
 
 
@@ -97,7 +97,7 @@ def h_index_scores(log: ActivityLog) -> ScoreVector:
     rank = np.arange(source.size) - np.searchsorted(source, source) + 1
     h = np.bincount(source[counts >= rank], minlength=len(log.user_ids))
     users = np.flatnonzero(np.bincount(log.user, minlength=len(log.user_ids)))
-    return ScoreVector([log.user_ids[c] for c in users.tolist()], h[users], label="hindex")
+    return ScoreVector(_picked(log.user_ids, users), h[users], label="hindex")
 
 
 def follower_count(follows: FollowEdgeList) -> ScoreVector:
@@ -111,7 +111,7 @@ def retweet_count(log: ActivityLog) -> ScoreVector:
     n = len(log.user_ids)
     counts = np.bincount(log.source[log.source >= 0], minlength=n)
     listed = np.flatnonzero((np.bincount(log.user, minlength=n) > 0) | (counts > 0))
-    return ScoreVector([log.user_ids[c] for c in listed.tolist()], counts[listed], "retweets")
+    return ScoreVector(_picked(log.user_ids, listed), counts[listed], "retweets")
 
 
 def vector_to_tsv(vector: ScoreVector) -> str:

@@ -559,7 +559,7 @@ def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> None:
     if cfg.min_posted > 0:
         log = inputs.load("events", parse_events)
         posted = np.append(_eligible(log, cfg.min_posted)[0], False)  # the last: not in the log
-        eligible = posted[_positions(log.user_index, vector.node_ids)]
+        eligible = posted[_positions(log.user_ids, vector.node_ids)]
         params["min_posted"] = cfg.min_posted
     report = top_k(vector, cfg.top_k, eligible)
     inputs.write("rank.tsv", "rank", params, report_to_tsv(report))

@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import InvalidParams, UnparsableLine
 from .ingest import (
-    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _Check, _Columns, _Frozen, _Ids,
-    _in_order, _Interner, _judge, _line_test, _lookup, _records, _rejects_float, _run_starts,
-    _same_id, _set, _sorted_ids, _tsv_rows,
+    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _Check, _Columns, _columns, _Frozen,
+    _Ids, _in_order, _Interner, _judge, _line_test, _lookup, _picked, _records, _rejects_float,
+    _run_starts, _same_id, _set, _sorted_ids, _tsv_rows,
 )
 
 WEIGHT_HIST_BINS = 10
@@ -38,29 +38,25 @@ class InfluenceGraph(_Frozen):
 
     Nodes are kept in sorted id order and arcs as index arrays sorted by
     (source, target), which fixes the accumulation order used by every
-    downstream computation. The arc arrays are the graph's own writeable
-    copies, so no caller's array can change them, but code holding a graph
-    can still write into them: nothing in this package does.
+    downstream computation. ``src`` and ``dst`` follow the column rule of
+    :class:`ActivityLog`, so no endpoint is cast. The arc arrays are the
+    graph's own writeable copies, so no caller's array can change them, but
+    code holding a graph can still write into them: nothing in this package does.
     """
 
     __slots__ = ("node_ids", "src", "dst", "weights")
 
     def __init__(
-        self,
-        node_ids: Sequence[str],
-        src: np.ndarray,
-        dst: np.ndarray,
-        weights: np.ndarray,
+        self, node_ids: Sequence[str], src: np.ndarray, dst: np.ndarray, weights: np.ndarray
     ) -> None:
         ids = _sorted_ids(node_ids)
         n = len(ids)
         # copies, not the caller's arrays, and left writeable: np.bincount ran
         # 5x slower on a read-only operand (numpy 2.4), which made run_ip and
         # weighted_pagerank about a quarter slower
-        src = np.array(src, dtype=np.int64)
-        dst = np.array(dst, dtype=np.int64)
+        src, dst = map(np.array, _columns(src, dst))
         weights = np.array(weights, dtype=np.float64)
-        if not (src.shape == dst.shape == weights.shape):
+        if weights.shape != src.shape:
             raise ValueError("arc arrays must have identical shape")
         if src.size:
             if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
@@ -110,9 +106,8 @@ def _from_codes(
     log: ActivityLog, eligible: np.ndarray, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
 ) -> InfluenceGraph:
     """Graph over the eligible users with arcs given as user codes."""
-    ids = log.user_ids
     node_of = np.cumsum(eligible) - 1
-    nodes = [ids[c] for c in np.flatnonzero(eligible).tolist()]
+    nodes = _picked(log.user_ids, np.flatnonzero(eligible))
     return InfluenceGraph(nodes, node_of[src], node_of[dst], weights)
 
 

@@ -95,6 +95,12 @@ def _sorted_ids(node_ids: Sequence[str]) -> _Ids:
     return _Ids(ids)
 
 
+def _picked(ids: _Ids, codes: np.ndarray) -> _Ids:
+    """The ids at ``codes``, which must ascend strictly, of the checked table
+    ``ids``: ids taken in id order from a checked table are checked too."""
+    return _Ids(map(ids.__getitem__, codes.tolist()))
+
+
 _set = object.__setattr__  # how a frozen record's ``__init__`` stores a field
 
 
@@ -117,7 +123,7 @@ class _Frozen:
     ``__slots__`` and stores them with ``_set``. Equality and ``repr`` read
     the public fields but ``skipped``: records of one class are equal when
     those are (:func:`_same`), and hash alike then unless they hold arrays
-    or dicts, which make them unhashable."""
+    or lists, which make them unhashable."""
 
     __slots__ = ()
 
@@ -219,8 +225,9 @@ def _in_order(*cols: np.ndarray, keys: int | None = None) -> tuple[np.ndarray, .
     return tuple(col[order] for col in cols)
 
 
-def _positions(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
-    """``index[id]`` for each id, -1 where the id is absent."""
+def _positions(table: Sequence[str], ids: Sequence[str]) -> np.ndarray:
+    """Each id's position in ``table``, -1 where absent: the one id lookup."""
+    index = dict(zip(table, range(len(table))))
     return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
 
 
@@ -268,8 +275,7 @@ class ActivityLog(_Frozen):
     """
 
     __slots__ = (
-        "user_ids", "url_ids", "user_index", "time", "user", "url", "source",
-        "skipped", "_posts", "_retweets",
+        "user_ids", "url_ids", "time", "user", "url", "source", "skipped", "_posts", "_retweets",
     )
 
     def __init__(
@@ -287,7 +293,6 @@ class ActivityLog(_Frozen):
             _set(self, name, col)
         _set(self, "user_ids", user_ids)
         _set(self, "url_ids", url_ids)
-        _set(self, "user_index", {uid: k for k, uid in enumerate(user_ids)})
         _set(self, "skipped", skipped)
         _set(self, "_posts", None)
         _set(self, "_retweets", None)
@@ -341,10 +346,10 @@ class ActivityLog(_Frozen):
         Ids the log never saw get codes from ``len(user_ids)`` up, in the
         order of the returned sorted tuple of extra ids.
         """
-        codes = _positions(self.user_index, follows.user_ids)
+        codes = _positions(self.user_ids, follows.user_ids)
         missing = np.flatnonzero(codes < 0)
         codes[missing] = np.arange(len(self.user_ids), len(self.user_ids) + missing.size)
-        extra = tuple(follows.user_ids[k] for k in missing.tolist())
+        extra = _picked(follows.user_ids, missing)
         followee, follower = codes[follows.followee], codes[follows.follower]
         order = np.lexsort((follower, followee))
         return followee[order], follower[order], extra

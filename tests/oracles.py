@@ -306,20 +306,25 @@ class PairwiseCounts:
             raise ValueError(f"counts out of range: s={self.s} f={self.f} p={self.p}")
 
 
-_rows_by_user: tuple[ActivityLog, dict[str, list[TweetEvent]]] | None = None
+_rows_by: dict[str, tuple[ActivityLog, dict[str | None, list[TweetEvent]]]] = {}
+
+
+def _rows_of(log: ActivityLog, field: str, uid: str) -> list[TweetEvent]:
+    """The rows of ``log`` whose ``field`` is ``uid``, in log order. One scan
+    of the rows groups them by that field; the grouping of the last log asked
+    about is kept per field, which holds because a log cannot change."""
+    held = _rows_by.get(field)
+    if held is None or held[0] is not log:
+        groups: dict[str | None, list[TweetEvent]] = {}
+        for ev in log:
+            groups.setdefault(getattr(ev, field), []).append(ev)
+        held = _rows_by[field] = log, groups
+    return held[1].get(uid, [])
 
 
 def _events_of(log: ActivityLog, user: str) -> list[TweetEvent]:
-    """The user's rows of ``log``, in log order. One scan of the rows groups
-    them by user; the grouping of the last log asked about is kept, which
-    holds because a log cannot change."""
-    global _rows_by_user
-    if _rows_by_user is None or _rows_by_user[0] is not log:
-        groups: dict[str, list[TweetEvent]] = {}
-        for ev in log:
-            groups.setdefault(ev.user, []).append(ev)
-        _rows_by_user = log, groups
-    return _rows_by_user[1].get(user, [])
+    """The user's rows of ``log``, in log order."""
+    return _rows_of(log, "user", user)
 
 
 def pairwise_counts(log: ActivityLog, i: str, j: str) -> PairwiseCounts:
@@ -430,8 +435,8 @@ def h_index(log: ActivityLog, user: str) -> int:
     """H-index analog: h of the user's posted URLs were each retweeted >= h times."""
     posted = {ev.url for ev in _events_of(log, user)}
     counts: dict[str, int] = {}
-    for ev in log:
-        if ev.source == user and ev.url in posted:
+    for ev in _rows_of(log, "source", user):
+        if ev.url in posted:
             counts[ev.url] = counts.get(ev.url, 0) + 1
     return h_from_counts(counts.values())
 

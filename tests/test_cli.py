@@ -488,11 +488,12 @@ class TestEachInputReadOnce:
         assert capsys.readouterr().err.count("skipped 1 malformed events line(s)") == 1
 
 
-def test_each_id_table_is_checked_once(tmp_path, monkeypatch):
+def test_each_id_table_is_checked_once(tmp_path, trace_dir, monkeypatch):
     """The line rules check each id a command reads, once: ``ip`` and
     ``pagerank`` over a graph file, ``rank`` and ``compare`` over their
     score files, and ``rates`` over events and follows check none of them
-    again."""
+    again. Nor do the builders, the baselines and ``rank --min-posted``,
+    whose tables are taken in id order from the log's checked table."""
     full, given = [], []
     for module in (graphs, ingest, ipcore):
 
@@ -512,6 +513,19 @@ def test_each_id_table_is_checked_once(tmp_path, monkeypatch):
     scores = ("--scores-a", out / "ip_scores.tsv", "--scores-b", out / "pagerank.tsv")
     assert run("compare", *scores, "--out-dir", out) == 0
     assert full == []
+    trace = [trace_dir / name for name in ("events.tsv", "follows.tsv", "clicks.tsv")]
+    for argv in (
+        ("build", "--graph-type", "rt"),
+        ("build", "--graph-type", "rt-follower", "--follows", trace[1]),
+        ("build", "--graph-type", "comention", "--follows", trace[1]),
+        ("ip",),
+        ("pagerank",),
+        ("hindex",),
+        ("curve", "--measure", "retweets", "--clicks", trace[2], "--bin-count", "5"),
+        ("rank", "--measure", "hindex", "--min-posted", "1"),
+    ):
+        assert run(*argv, "--events", trace[0], "--min-urls", "1", "--out-dir", out) == 0
+        assert full == [], argv
     # parse_events and parse_follows hand the constructors their tables as _Ids
     events, follows = tmp_path / "events.tsv", tmp_path / "follows.tsv"
     events.write_text("1\ta\tx\tM\n2\tb\tx\tRT\ta\n", encoding="utf-8")

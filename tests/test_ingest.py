@@ -14,7 +14,7 @@ import pytest
 from iprank import ingest
 from iprank.cli import load_config, read_score_columns
 from iprank.errors import ConfigInvalid, EmptyInput, MissingInput, NegativeCount, UnparsableLine
-from iprank.graphs import graph_from_tsv
+from iprank.graphs import InfluenceGraph, graph_from_tsv
 from iprank.ingest import (
     ActivityLog,
     ClickTable,
@@ -459,6 +459,11 @@ CONSTRUCTOR_FAULTS = [
     ("type", ActivityLog, (("a",), ("u",), [1.5], [0], [0], [-1]), "columns must hold integers"),
     ("type", FollowEdgeList, (("a", "b"), [True], [False]), "columns must hold integers"),
     ("type", FollowEdgeList, (("a", "b"), ["0"], ["1"]), "columns must hold integers"),
+    # a graph's arc endpoints follow the same column rule
+    ("lengths", InfluenceGraph, (("a", "b"), [[0]], [[1]], [[0.5]]), LENGTHS),
+    ("type", InfluenceGraph, (("a", "b"), [0.7], [1.9], [0.5]), "columns must hold integers"),
+    ("type", InfluenceGraph, (("a", "b"), ["0"], [1], [0.5]), "columns must hold integers"),
+    ("type", InfluenceGraph, (("a", "b"), [False], [True], [0.5]), "columns must hold integers"),
     ("range", ActivityLog, (("a",), ("u",), [1], [1], [0], [-1]), "code out of range: 1 ids"),
     ("range", ActivityLog, (("a",), ("u",), [1], [-1], [0], [-1]), "code out of range: 1 ids"),
     ("range", ActivityLog, (("a",), ("u",), [1], [0], [1], [-1]), "code out of range: 1 ids"),
