@@ -212,7 +212,7 @@ def _shared(a: ScoreVector, b: ScoreVector) -> tuple[np.ndarray, np.ndarray]:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties receiving the mean of their rank range."""
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)  # unstable: tied values get one rank, in any order
     starts = _run_starts(values[order])
     sizes = np.diff(np.append(starts, values.size))
     ranks = np.empty(values.size)

@@ -87,12 +87,12 @@ def h_index_scores(log: ActivityLog) -> ScoreVector:
     """H-index analog per posting user: h of the user's posted URLs were each
     retweeted (counting retweet events) at least h times."""
     rt = log.retweets
-    _, first, group = np.unique(
-        log.post_key(rt.source, rt.url), return_index=True, return_inverse=True
-    )
+    posts, group = np.unique(log.post_key(rt.source, rt.url), return_inverse=True)
     counts = np.bincount(group, weights=rt.count).astype(np.int64)
-    source = rt.source[first]
-    order = np.lexsort((-counts, source))
+    source = posts // len(log.url_ids)
+    # by source, then count down: a key under len(user_ids) * (rows + 1), as
+    # no count exceeds the log's rows; equal keys are equal rows
+    order = np.argsort(source * (counts.max(initial=0) + 1) - counts)
     source, counts = source[order], counts[order]
     rank = np.arange(source.size) - np.searchsorted(source, source) + 1
     h = np.bincount(source[counts >= rank], minlength=len(log.user_ids))

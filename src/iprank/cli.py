@@ -413,8 +413,8 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
             if not checks:
                 width = int(f.tabs[0]) + 1
                 checks = _score_checks(path, int(f.numbers[0]), width)
+            ids += f.take(0)  # splits the block: the checks read the scores from that split
             _judge(f, checks, strict=True)
-            ids += f.take(0)
             line_nos.append(f.numbers)
             blocks.append([f.floats(k) for k in range(1, width)])
     if not ids:

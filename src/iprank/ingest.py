@@ -11,7 +11,7 @@ File formats (UTF-8, one record per line, TAB-separated):
 
 Every reader in the package takes its lines from :func:`_records`, which
 takes a binary or text stream, ``str`` or ``bytes``, and reads it as UTF-8 in
-blocks of about 64 KiB. LF, CR and CRLF each end a line. A byte order mark
+blocks of about 128 KiB. LF, CR and CRLF each end a line. A byte order mark
 opening bytes input is dropped, and a line of bytes input that is not UTF-8
 is an error, reported in file order with the other line faults. One line
 rule applies to a whole block at once: a line is skipped when its first
@@ -306,21 +306,22 @@ class ActivityLog(_Frozen):
         return {self.user_ids[c]: tuple(index[c]) for c in sorted(index)}
 
     def post_key(self, user: np.ndarray, url: np.ndarray) -> np.ndarray:
-        """Key of (user, url) code pairs that sorts like the pairs."""
+        """Key of (user, url) code pairs that sorts like the pairs: under
+        ``len(user_ids) * len(url_ids)``, so int64 holds it while each
+        table has fewer than 3 billion ids."""
         return user * len(self.url_ids) + url
 
     @property
     def posts(self) -> Posts:
         if self._posts is None:
             key = self.post_key(self.user, self.url)
-            order = np.argsort(key, kind="stable")  # equal keys stay in time order
+            order = np.argsort(key)  # unstable: equal keys are one pair
             key = key[order]
             starts = _run_starts(key)
-            ends = np.append(starts[1:], key.size) - 1
-            first = order[starts]
+            # rows are in time order, so a pair's lowest row is its first mention
+            first, last = np.minimum.reduceat(order, starts), np.maximum.reduceat(order, starts)
             _set(self, "_posts", Posts(
-                self.user[first], self.url[first], self.time[first],
-                self.time[order[ends]], key[starts],
+                self.user[first], self.url[first], self.time[first], self.time[last], key[starts],
             ))
         return self._posts
 
@@ -330,12 +331,14 @@ class ActivityLog(_Frozen):
             rows = np.flatnonzero(self.source >= 0)
             source, user, url = self.source[rows], self.user[rows], self.url[rows]
             _, posted = _lookup(self.posts.key, self.post_key(source, url))
-            source, user, url = source[posted], user[posted], url[posted]
-            order = np.lexsort((url, user, source))
-            source, user, url = source[order], user[order], url[order]
-            starts = _run_starts(source, user, url)
-            count = np.diff(np.append(starts, source.size))
-            _set(self, "_retweets", Retweets(source[starts], user[starts], url[starts], count))
+            n = len(self.user_ids)
+            # a (source, user) key is under n**2, the bound ``rate_report``'s
+            # follow keys rely on; the pairs ranked densely, a rank then takes
+            # its url: under rows * len(url_ids), held while each is under 3e9
+            pairs, rank = np.unique(source[posted] * n + user[posted], return_inverse=True)
+            key, count = np.unique(rank * len(self.url_ids) + url[posted], return_counts=True)
+            rank, url = np.divmod(key, len(self.url_ids))
+            _set(self, "_retweets", Retweets(*np.divmod(pairs[rank], n), url, count))
         return self._retweets
 
     def follow_codes(
@@ -350,9 +353,11 @@ class ActivityLog(_Frozen):
         missing = np.flatnonzero(codes < 0)
         codes[missing] = np.arange(len(self.user_ids), len(self.user_ids) + missing.size)
         extra = _picked(follows.user_ids, missing)
-        followee, follower = codes[follows.followee], codes[follows.follower]
-        order = np.lexsort((follower, followee))
-        return followee[order], follower[order], extra
+        # distinct edges, so distinct keys, each under m**2: int64 holds it
+        # while the two tables together have fewer than 3 billion ids
+        m = len(self.user_ids) + len(extra)
+        key = np.sort(codes[follows.followee] * m + codes[follows.follower])
+        return (*np.divmod(key, m), extra)
 
     def __len__(self) -> int:
         return int(self.time.size)
@@ -420,7 +425,7 @@ class ClickTable:
         return self.clicks == other.clicks if type(other) is ClickTable else NotImplemented
 
 
-_BLOCK = 1 << 16  # bytes, or characters of a text stream, read at a time: not a setting
+_BLOCK = 1 << 17  # bytes, or characters of a text stream, read at a time: not a setting
 
 
 def _blocks(stream: IO | str | bytes) -> Iterator[tuple[bytes, bool]]:
@@ -557,7 +562,28 @@ class _Fields:
         return self.size(k) - self.starts(k, "-") > _DIGITS
 
     def floats(self, k: int) -> np.ndarray:
-        return self._once(("floats", k), lambda: _floats(self.take(k)))
+        """``float()`` of field ``k`` of each line in play, NaN where it
+        rejects the field. Unless the block was split already, a block
+        whose lines all have as many fields splits ``_SLICE`` lines at a
+        time, each slice decoded from the block's bytes."""
+
+        def make() -> np.ndarray:
+            if "flat" in vars(self) or k >= self.width:
+                return _floats(self.take(k))
+            cuts = range(0, self.tabs.size, _SLICE)  # each slice's first line
+            # each slice's first byte, then the byte after the block's last LF
+            first = [*self.begin[self.start[cuts]].tolist(), len(self.raw) - 16]
+            rows = np.split(self.rows, np.searchsorted(self.rows, cuts[1:]))
+            out = []
+            for lo, begin, end, picked in zip(cuts, first, first[1:], rows):
+                text = self.raw[begin : end - 1].tobytes().decode("utf-8", "surrogatepass")
+                column = text.replace("\n", "\t").split("\t")[k :: self.width]
+                if picked.size < len(column):
+                    column = list(map(column.__getitem__, (picked - lo).tolist()))
+                out.append(_floats(column))
+            return np.concatenate(out)
+
+        return self._once(("floats", k), make)
 
     def keys(self, *ks: int) -> np.ndarray:
         """A sort key per line in play for each field of ``ks``: the field's
@@ -582,6 +608,9 @@ class _Fields:
         return self._once(("keys", ks), make)
 
 
+# lines split into strings at once by :meth:`_Fields.floats`: a whole block of
+# short lines split at once took the graph reader over its memory bound
+_SLICE = 4096
 _PREFIX = 15  # id bytes a key holds: with its size byte, two 64-bit words at most
 _DIGITS = 18  # digits of an integer field read at once: any 18 fit in 64 bits
 _INTEGER = re.compile("-?[0-9]+")

@@ -2,12 +2,12 @@
 
 The dense oracles build full matrices with plain loops and apply the
 defining operations naively. The per-user event oracles (co-mention counts,
-retweeting rates, the H-index) scan a log's :class:`TweetEvent` rows one by one,
-the follow oracles scan (followee, follower) id pairs, and the ranking
-oracles sort id -> value dicts and walk runs of ties in a loop, so none
-shares code with the implementation it checks. :func:`planted_contrast_trace`
-is a small trace whose IP ordering is known, and :func:`read_manifest` reads
-an artifact's manifest back. :func:`log_of`, :func:`follows_of`,
+retweeting rates, the H-index, a log's posts and retweets) scan a log's
+:class:`TweetEvent` rows one by one, the follow oracles scan (followee,
+follower) id pairs, and the ranking oracles sort id -> value dicts and walk
+runs of ties in a loop, so none shares code with the implementation it
+checks. :func:`planted_contrast_trace` is a small trace whose IP ordering is
+known, and :func:`read_manifest` reads an artifact's manifest back. :func:`log_of`, :func:`follows_of`,
 :func:`graph_from_arcs`, :func:`arcs_of`, :func:`vector_from_mapping` and
 :func:`rows` build and read the containers by id, one event, edge, arc,
 value or row at a time.
@@ -418,6 +418,28 @@ def distinct_urls(log: ActivityLog) -> dict[str, int]:
     for ev in log:
         urls.setdefault(ev.user, set()).add(ev.url)
     return {user: len(posted) for user, posted in urls.items()}
+
+
+def posts_of(log: ActivityLog) -> list[tuple[str, str, int, int]]:
+    """Each distinct (user, url) of the log with the earliest and latest time
+    the user mentioned the URL, by scanning each user's rows; sorted."""
+    times: dict[tuple[str, str], list[int]] = {}
+    for user in log.user_ids:
+        for ev in _rows_of(log, "user", user):
+            times.setdefault((user, ev.url), []).append(ev.time)
+    return sorted((user, url, min(t), max(t)) for (user, url), t in times.items())
+
+
+def retweets_of(log: ActivityLog) -> list[tuple[str, str, str, int]]:
+    """Each distinct (source, retweeter, url) whose source posted the URL,
+    with its number of retweet rows, by scanning each source's rows; sorted."""
+    counts: dict[tuple[str, str, str], int] = {}
+    for source in log.user_ids:
+        posted = {ev.url for ev in _rows_of(log, "user", source)}
+        for ev in _rows_of(log, "source", source):
+            if ev.url in posted:
+                counts[source, ev.user, ev.url] = counts.get((source, ev.user, ev.url), 0) + 1
+    return sorted((*triple, count) for triple, count in counts.items())
 
 
 def h_from_counts(counts: Iterable[int]) -> int:

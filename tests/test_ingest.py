@@ -849,6 +849,20 @@ class TestMemoryIsBoundedByTheBlock:
         text = "".join(f"n{k % 199:03}\tm{k // 199:03}\t0.{k % 9 + 1}\n" for k in range(lines))
         assert self._transient_mb(graph_from_tsv, _file(tmp_path, text), mode) < self.BOUND_MB
 
+    @pytest.mark.parametrize("mode", ["r", "rb"])
+    @pytest.mark.parametrize("lines", [5000, 20000])
+    def test_follows(self, tmp_path, lines, mode):
+        # ids as the benchmark's follows have them: 12-byte lines
+        text = "".join(f"u{k % 97:04}\tu{k // 97 + 100:04}\n" for k in range(lines))
+        assert self._transient_mb(parse_follows, _file(tmp_path, text), mode) < self.BOUND_MB
+
+    @pytest.mark.parametrize("lines", [5000, 20000])
+    def test_scores(self, tmp_path, lines):
+        # scores as a writer here gives them, 17 significant digits
+        text = "".join(f"n{k:05}\t{k / 7:.17g}\t{k / 9:.17g}\n" for k in range(lines))
+        read = _file(tmp_path, text), "rb"  # the reader opens the path itself
+        assert self._transient_mb(lambda fh: read_score_columns(fh.name), *read) < self.BOUND_MB
+
 
 class TestACleanBlockMakesNoPythonCallPerToken:
     """Blocks whose lines all pass are judged and interned from their bytes:
@@ -884,7 +898,7 @@ class TestACleanBlockMakesNoPythonCallPerToken:
         return result, len(calls)
 
     def test_clean_events_are_never_split(self):
-        lines = self._events(6000)  # several blocks
+        lines = self._events(20000)  # several blocks
         log, splits = self._splits(parse_events, lines)
         assert splits == 0
         events = []
@@ -898,6 +912,35 @@ class TestACleanBlockMakesNoPythonCallPerToken:
         follows, splits = self._splits(parse_follows, lines)
         assert splits == 0
         assert follows == follows_of(line.split("\t") for line in lines)
+
+    def test_a_clean_graph_is_never_split(self):
+        arcs = [(f"n{k % 997:03}", f"m{k // 997:03}", (k % 9 + 1) / 10) for k in range(20000)]
+        g, splits = self._splits(graph_from_tsv, [f"{i}\t{j}\t{w!r}" for i, j, w in arcs])
+        assert splits == 0
+        assert g == graph_from_arcs(arcs)
+
+    def test_a_graph_block_reads_its_weights_a_slice_at_a_time(self):
+        """One block holds more lines than a slice, and a node line: an odd
+        weight in the first slice and a bad one in the next read as they do
+        at a line a block."""
+        lines = [f"n{k % 97:02}\tm{k // 97:02}\t0.{k % 9 + 1}" for k in range(ingest._SLICE + 99)]
+        lines[0] = lines[0].rsplit("\t", 1)[0] + "\t1e-300"
+        lines[1000] = "z\t-\t-"
+        bad = ingest._SLICE + 50
+        lines[bad] = lines[bad].rsplit("\t", 1)[0] + "\tnan"
+        text = "\n".join(lines[:bad] + lines[bad + 1 :]) + "\n"
+        assert len(text.encode()) < ingest._BLOCK  # one block at the default
+        read = []
+        for block in (7, ingest._BLOCK):
+            with patch.object(ingest, "_BLOCK", block):
+                g = graph_from_tsv(text)
+                with pytest.raises(UnparsableLine) as info:
+                    graph_from_tsv("\n".join(lines))
+            read.append((g, info.value.line_no, info.value.reason, info.value.line))
+        assert read[0] == read[1]
+        assert read[1][1:] == (bad + 1, "weight outside (0, 1]: 'nan'", lines[bad])
+        arcs = [line.split("\t") for k, line in enumerate(lines) if k not in (1000, bad)]
+        assert read[1][0] == graph_from_arcs([(i, j, float(w)) for i, j, w in arcs], nodes=["z"])
 
     @pytest.mark.parametrize(
         "line,reason",

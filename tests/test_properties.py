@@ -22,7 +22,9 @@ from iprank.analytics import (
     RateReport, RateSummary, _average_ranks, rank_correlation, rank_join,
     rates_to_tsv, report_to_tsv, top_k,
 )
-from iprank.baselines import ScoreVector, follower_count, vector_to_tsv
+from iprank.baselines import (
+    ScoreVector, follower_count, h_index_scores, retweet_count, vector_to_tsv,
+)
 from iprank.cli import load_config, read_score_columns
 from iprank.errors import (
     ConfigInvalid, EmptyInput, InsufficientOverlap, MissingInput, NegativeCount, UnparsableLine,
@@ -49,10 +51,14 @@ from oracles import (
     follower_counts,
     follows_of,
     graph_from_arcs,
+    h_index,
     log_of,
+    posters,
+    posts_of,
     ranking,
     ranks_of,
     read_manifest,
+    retweets_of,
     rows,
     vector_from_mapping,
 )
@@ -78,6 +84,65 @@ def event_lists(draw):
         source = draw(st.none() | st.sampled_from(others)) if others else None
         events.append(TweetEvent(draw(TIMES), user, draw(st.sampled_from(urls)), source))
     return events
+
+
+@st.composite
+def repeating_event_lists(draw):
+    """Event lists in which rows repeat: a (user, url) at the time it had and
+    at others, and a retweet's (source, user, url), whose source then posts
+    the URL too, so that retweets count; the tables sort on ties."""
+    events = draw(event_lists())
+    again = draw(st.lists(st.sampled_from(events), max_size=12))
+    events += [ev._replace(time=draw(st.just(ev.time) | TIMES)) for ev in again]
+    posts = [TweetEvent(draw(TIMES), ev.source, ev.url) for ev in again if ev.source is not None]
+    return events + posts
+
+
+@given(repeating_event_lists())
+def test_posts_match_the_oracle(events):
+    log = log_of(events)
+    users, urls, posts = log.user_ids, log.url_ids, log.posts
+    got = zip(posts.user.tolist(), posts.url.tolist(), posts.first.tolist(), posts.last.tolist())
+    assert [(users[u], urls[r], first, last) for u, r, first, last in got] == posts_of(log)
+    keys = [users.index(u) * len(urls) + urls.index(r) for u, r, _, _ in posts_of(log)]
+    assert posts.key.tolist() == keys
+
+
+@given(repeating_event_lists())
+def test_retweets_match_the_oracle(events):
+    log = log_of(events)
+    users, urls, rt = log.user_ids, log.url_ids, log.retweets
+    got = zip(rt.source.tolist(), rt.user.tolist(), rt.url.tolist(), rt.count.tolist())
+    assert [(users[s], users[u], urls[r], n) for s, u, r, n in got] == retweets_of(log)
+
+
+@given(repeating_event_lists())
+def test_h_index_matches_the_oracle(events):
+    log = log_of(events)
+    assert by_id(h_index_scores(log)) == {u: float(h_index(log, u)) for u in posters(log)}
+
+
+def test_the_derived_tables_sort_without_lexsort():
+    """Each derived table and ranking sorts by one packed key, never by
+    ``np.lexsort``; the containers are built before it is taken away."""
+    events = [
+        (3, "b", "x", None), (1, "a", "x", None), (2, "b", "x", "a"), (2, "c", "x", "a"),
+        (1, "c", "y", None), (4, "a", "y", "c"), (4, "b", "x", "a"), (0, "a", "y", None),
+    ]
+    log = log_of(events)
+    follows = follows_of([("a", "b"), ("a", "c"), ("z", "a"), ("c", "a"), ("b", "z")])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.lexsort called")
+
+    with patch.object(np, "lexsort", refuse):
+        assert len(log.posts.key) == 5
+        assert log.retweets.count.tolist() == [2, 1, 1]
+        assert log.follow_codes(follows)[2] == ("z",)
+        assert by_id(h_index_scores(log)) == {"a": 1.0, "b": 0.0, "c": 1.0}
+        # h-index 1, 0, 1 against 3, 0, 1 retweets, for a, b, c
+        rho = rank_correlation(h_index_scores(log), retweet_count(log))
+        assert rho == pytest.approx(3**0.5 / 2)
 
 
 @given(event_lists())
@@ -170,7 +235,7 @@ def test_follower_count_matches_the_oracle(edges):
 
 @given(st.data())
 def test_follow_codes_match_the_oracle(data):
-    events = data.draw(event_lists())
+    events = data.draw(repeating_event_lists())
     log = log_of(events)
     # edges over some of the log's users and some it never saw
     pool = data.draw(st.lists(IDS, max_size=3, unique=True)) + list(log.user_ids)
