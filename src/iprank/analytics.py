@@ -17,7 +17,8 @@ import numpy as np
 from .baselines import ScoreVector
 from .errors import InsufficientOverlap, InvalidParams, NoData
 from .ingest import (
-    ActivityLog, FollowEdgeList, _Frozen, _lookup, _positions, _run_starts, _set, _tsv_rows,
+    ActivityLog, FollowEdgeList, _Frozen, _Ids, _lookup, _picked, _positions, _run_starts, _set,
+    _sorted_codes, _tsv_rows,
 )
 
 RATE_HIST_BINS = 10
@@ -32,12 +33,13 @@ class RateSummary(NamedTuple):
 class RateReport(NamedTuple):
     """Per-user retweeting rates plus population summaries.
 
-    Users whose rate is undefined (zero denominator) are absent from the
-    per-user maps and excluded from the summaries.
+    Each rate is a :class:`ScoreVector` (labels ``user_rate`` and
+    ``audience_rate``) over the users where it is defined: a user whose
+    denominator is zero is absent from it and from its summary.
     """
 
-    user_rates: dict[str, float]
-    audience_rates: dict[str, float]
+    user_rates: ScoreVector
+    audience_rates: ScoreVector
     user_summary: RateSummary
     audience_summary: RateSummary
 
@@ -65,11 +67,11 @@ class RankReport(_Frozen):
         _set(self, "data", data)
 
 
-def _summarize(rates: dict[str, float]) -> RateSummary:
-    if not rates:
-        return RateSummary(float("nan"), float("nan"), (0,) * RATE_HIST_BINS)
-    values = np.array(sorted(rates.values()))
+def _summarize(rates: ScoreVector) -> RateSummary:
+    values = np.sort(rates.values)
     n = values.size
+    if not n:
+        return RateSummary(float("nan"), float("nan"), (0,) * RATE_HIST_BINS)
     median = (values[(n - 1) // 2] + values[n // 2]) / 2  # np.median's, without numpy.ma
     hist, _ = np.histogram(values, bins=RATE_HIST_BINS, range=(0.0, 1.0))
     return RateSummary(float(values.mean()), float(median), tuple(int(c) for c in hist))
@@ -85,7 +87,7 @@ def rate_report(log: ActivityLog, follows: FollowEdgeList) -> RateReport:
     (follower, url) retweet; undefined without followers or events.
     """
     followee, follower, extra = log.follow_codes(follows)
-    ids = log.user_ids + extra
+    ids, rank = _sorted_codes(log.user_ids + extra)
     n = len(ids)
     events = np.bincount(log.user, minlength=n)
     followees = np.bincount(follower, minlength=n)
@@ -96,29 +98,27 @@ def rate_report(log: ActivityLog, follows: FollowEdgeList) -> RateReport:
     retweeted = np.bincount(rt.user[followed], minlength=n)
     echoed = np.bincount(rt.source[followed], minlength=n)
 
-    def rates(defined: np.ndarray, num: np.ndarray, den: np.ndarray) -> dict[str, float]:
-        codes = np.flatnonzero(defined)
-        values = num[codes] / den[codes]
-        return {ids[c]: v for c, v in zip(codes.tolist(), values.tolist())}
+    ids = _Ids(ids)  # merged from two disjoint checked tables, the log's and ``extra``
+    by_id = np.argsort(rank)  # the codes in id order
 
-    user_rates = rates((followees > 0) & (received > 0), retweeted, received)
-    audience_rates = rates((followers > 0) & (events > 0), echoed, events * followers)
-    return RateReport(
-        user_rates,
-        audience_rates,
-        _summarize(user_rates),
-        _summarize(audience_rates),
-    )
+    def rates(label: str, defined: np.ndarray, num: np.ndarray, den: np.ndarray) -> ScoreVector:
+        codes = by_id[defined[by_id]]
+        return ScoreVector(_picked(ids, rank[codes]), num[codes] / den[codes], label)
+
+    user = rates("user_rate", (followees > 0) & (received > 0), retweeted, received)
+    audience = rates("audience_rate", (followers > 0) & (events > 0), echoed, events * followers)
+    return RateReport(user, audience, _summarize(user), _summarize(audience))
 
 
 def url_attribute_average(
     log: ActivityLog, scores: ScoreVector
-) -> dict[str, float]:
-    """Mean score over the distinct users that mentioned each URL.
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ascending ids of the URLs that some scored user mentioned, and a
+    float64 array of each one's mean score over those distinct users.
 
-    Retweeting a URL counts as mentioning it. Unscored users shrink the
-    averaging set; URLs with no scored mentioner are omitted. Each URL's sum
-    runs over its users in id order.
+    Retweeting a URL counts as mentioning it; unscored users shrink the
+    averaging set. Each URL's sum runs over its users in id order; an
+    infinite score makes a mean infinite, or NaN where both signs meet.
     """
     code = _positions(log.user_ids, scores.node_ids)
     score = np.full(len(log.user_ids), np.nan)  # scores are never NaN, so NaN = unscored
@@ -131,61 +131,54 @@ def url_attribute_average(
     totals = np.bincount(url, weights=score[user], minlength=n_urls)
     counts = np.bincount(url, minlength=n_urls)
     urls = np.flatnonzero(counts)
-    averages = totals[urls] / counts[urls]
-    return {log.url_ids[k]: v for k, v in zip(urls.tolist(), averages.tolist())}
-
-
-def _nearest_rank(sorted_values: list[float], q: float) -> float:
-    # rank floor(q*n) + 1, capped at n, with q read exactly from its decimal
-    # form: equals ceil(q*n) except at integer q*n, which resolves upward
-    from decimal import Decimal  # with fractions, 2-4 ms to import, for this line alone
-    from fractions import Fraction
-
-    n = len(sorted_values)
-    k = int(Fraction(Decimal(str(q))) * n) + 1
-    return sorted_values[min(n, k) - 1]
+    return _picked(log.url_ids, urls), totals[urls] / counts[urls]
 
 
 def percentile_curve(
-    points: list[tuple[float, float]] | tuple[tuple[float, float], ...],
-    q: float = 0.999,
-    bin_count: int = 50,
+    x: Sequence[float], clicks: Sequence[float], q: float = 0.999, bin_count: int = 50
 ) -> PercentileCurve:
-    """Bin (attribute, clicks) points on a log-spaced attribute axis and take
-    the nearest-rank q-quantile of clicks per bin.
+    """Bin the points (``x[i]``, ``clicks[i]``) on a log-spaced attribute
+    axis and take the nearest-rank q-quantile of clicks per bin.
 
-    An attribute that is not finite raises :class:`InvalidParams`; a URL's
-    average score is one when a poster of it scores infinite. Points with a
-    non-positive attribute are excluded (log-log axes); empty bins are
-    omitted. The fit is ordinary least squares on
+    An attribute that is not finite raises :class:`InvalidParams`, naming the
+    first in array order: a URL's average is not finite when a poster of it
+    scores infinite. Points with a non-positive attribute are excluded
+    (log-log axes); empty bins are omitted. The fit is ordinary least squares on
     (log10 bin center, log10 max(percentile, 1)); with fewer than two distinct
     centers the slope is 0 and the intercept is the mean.
     """
+    from decimal import Decimal  # with fractions, 2-4 ms to import, for the ranks alone
+    from fractions import Fraction
+
     if bin_count < 1:
         raise InvalidParams(f"bin_count must be >= 1, got {bin_count}")
     if not 0.0 < q <= 1.0:
         raise InvalidParams(f"q must be in (0, 1], got {q}")
-    for x, _ in points:
-        if not math.isfinite(x):
-            raise InvalidParams(f"attribute {x!r} is not finite: a score is infinite")
-    usable = [(x, c) for x, c in points if x > 0.0]
-    if not usable:
+    x, clicks = np.asarray(x, dtype=np.float64), np.asarray(clicks, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise InvalidParams(f"attribute {float(x[bad[0]])!r} is not finite: a score is infinite")
+    usable = x > 0.0
+    if not usable.any():
         raise NoData("no points with positive attribute value")
-    xs = [x for x, _ in usable]
-    lo, hi = min(xs), max(xs)
+    x, clicks = x[usable], clicks[usable]
+    lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         edges = np.array([lo, hi])
         bin_count = 1
     else:
         edges = np.logspace(math.log10(lo), math.log10(hi), bin_count + 1)
-    bin_of = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, bin_count - 1)
-    buckets: dict[int, list[float]] = {}
-    for idx, (_, clicks) in zip(bin_of.tolist(), usable):
-        buckets.setdefault(idx, []).append(clicks)
-    bins = []
-    for idx in sorted(buckets):
-        center = math.sqrt(edges[idx] * edges[idx + 1])
-        bins.append((center, _nearest_rank(sorted(buckets[idx]), q)))
+    bin_of = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, bin_count - 1)
+    order = np.lexsort((clicks, bin_of))  # by bin, then clicks: each bin's clicks ascend
+    bin_of, clicks = bin_of[order], clicks[order]
+    starts = _run_starts(bin_of)
+    # each bin's rank floor(q*n) + 1, capped at n, with q read exactly from its
+    # decimal form: equals ceil(q*n) except at integer q*n, which resolves upward
+    exact = Fraction(Decimal(str(q)))
+    ranks = [min(n, int(exact * n) + 1) for n in np.diff(np.append(starts, x.size)).tolist()]
+    picks = clicks[starts + np.array(ranks) - 1]
+    centers = np.sqrt(edges[bin_of[starts]] * edges[bin_of[starts] + 1])
+    bins = list(zip(centers.tolist(), picks.tolist()))
     log_x = [math.log10(c) for c, _ in bins]
     log_y = [math.log10(max(p, 1.0)) for _, p in bins]
     if len(set(log_x)) < 2 or len(set(log_y)) < 2:
@@ -312,9 +305,9 @@ def rates_to_tsv(report: RateReport) -> str:
         _summary_line("audience_rate", report.audience_summary),
         "#user\tuser_rate\taudience_rate\n",
     ]
-    users = sorted(report.user_rates.keys() | report.audience_rates.keys())
-    rates = [
-        [format(r[u], ".17g") if u in r else "-" for u in users]
-        for r in (report.user_rates, report.audience_rates)
-    ]
+    vectors = report.user_rates, report.audience_rates
+    users = sorted({*vectors[0].node_ids, *vectors[1].node_ids})
+    rates = [np.full(len(users), "-", dtype=object) for _ in vectors]  # "-": undefined
+    for cells, vector in zip(rates, vectors):
+        cells[_positions(users, vector.node_ids)] = ["%.17g" % v for v in vector.values.tolist()]
     return "\n".join(lines) + _tsv_rows(("%s", "%s", "%s"), users, *rates)

@@ -532,7 +532,7 @@ def cmd_rates(cfg: RunConfig, args: argparse.Namespace) -> None:
     log = inputs.load("events", parse_events)
     report = rate_report(log, inputs.load("follows", parse_follows))
     inputs.write("rates.tsv", "rates", _params(cfg, "strict"), rates_to_tsv(report))
-    users, audiences = len(report.user_rates), len(report.audience_rates)
+    users, audiences = len(report.user_rates.node_ids), len(report.audience_rates.node_ids)
     print(f"rates: {users} user rates, {audiences} audience rates")
 
 
@@ -542,9 +542,10 @@ def cmd_curve(cfg: RunConfig, args: argparse.Namespace) -> None:
     vector = _resolve_vector(inputs, args)
     log = inputs.load("events", parse_events)
     clicks = inputs.load("clicks", parse_clicks).clicks
-    averages = url_attribute_average(log, vector)
-    points = [(averages[url], float(clicks[url])) for url in sorted(averages) if url in clicks]
-    curve = percentile_curve(points, q=cfg.q, bin_count=cfg.bin_count)
+    urls, averages = url_attribute_average(log, vector)
+    row = _positions(tuple(clicks), urls)  # each averaged URL's clicks row, -1 if it has none
+    counts = np.fromiter(clicks.values(), dtype=np.float64, count=len(clicks))[row[row >= 0]]
+    curve = percentile_curve(averages[row >= 0], counts, q=cfg.q, bin_count=cfg.bin_count)
     params = {**_params(cfg, "q", "bin_count"), "measure": vector.label}
     inputs.write("curve.tsv", "curve", params, curve_to_tsv(curve))
     print(f"curve: {len(curve.bins)} bins, fit slope {curve.slope:.6g}")

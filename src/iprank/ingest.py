@@ -34,7 +34,8 @@ import re
 from array import array
 from functools import cached_property
 from itertools import compress, repeat
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from types import MappingProxyType
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -409,20 +410,18 @@ class FollowEdgeList(_Frozen):
         return int(self.followee.size)
 
 
-class ClickTable:
-    """Total registered clicks per URL; ``skipped`` takes no part in equality."""
+class ClickTable(_Frozen):
+    """Total registered clicks per URL, as a read-only copy of the mapping given."""
 
     __slots__ = ("clicks", "skipped")
 
-    def __init__(self, clicks: dict[str, int], skipped: int = 0) -> None:
+    def __init__(self, clicks: Mapping[str, int], skipped: int = 0) -> None:
         _check_ids(*clicks)
         for url, count in clicks.items():
             if count < 0:
                 raise ValueError(f"negative count {count}: {url!r}")
-        self.clicks, self.skipped = clicks, skipped
-
-    def __eq__(self, other: object) -> bool:
-        return self.clicks == other.clicks if type(other) is ClickTable else NotImplemented
+        _set(self, "clicks", MappingProxyType(dict(clicks)))
+        _set(self, "skipped", skipped)
 
 
 _BLOCK = 1 << 17  # bytes, or characters of a text stream, read at a time: not a setting

@@ -66,9 +66,13 @@ def rates_to_tsv(report):
         summary("audience_rate", report.audience_summary),
         "#user\tuser_rate\taudience_rate",
     ]
-    for user in sorted(set(report.user_rates) | set(report.audience_rates)):
-        ur = report.user_rates.get(user)
-        ar = report.audience_rates.get(user)
+    user_rates = dict(zip(report.user_rates.node_ids, report.user_rates.values.tolist()))
+    audience_rates = dict(
+        zip(report.audience_rates.node_ids, report.audience_rates.values.tolist())
+    )
+    for user in sorted(set(user_rates) | set(audience_rates)):
+        ur = user_rates.get(user)
+        ar = audience_rates.get(user)
         lines.append(
             f"{user}\t{'-' if ur is None else format(ur, '.17g')}"
             f"\t{'-' if ar is None else format(ar, '.17g')}"

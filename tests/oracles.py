@@ -10,20 +10,24 @@ checks. :func:`planted_contrast_trace` is a small trace whose IP ordering is
 known, and :func:`read_manifest` reads an artifact's manifest back. :func:`log_of`, :func:`follows_of`,
 :func:`graph_from_arcs`, :func:`arcs_of`, :func:`vector_from_mapping` and
 :func:`rows` build and read the containers by id, one event, edge, arc,
-value or row at a time.
+value or row at a time. :func:`percentile_curve_oracle` bins a list of
+(attribute, clicks) points with one Python bucket per bin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from iprank.analytics import RankReport
+from iprank.analytics import PercentileCurve, RankReport
 from iprank.baselines import PageRankParams, ScoreVector
 from iprank.errors import (
-    ConfigInvalid, DegenerateGraph, EmptyGraph, EmptyNodeSet, InvalidParams, IpRankError,
+    ConfigInvalid, DegenerateGraph, EmptyGraph, EmptyNodeSet, InvalidParams, IpRankError, NoData,
 )
 from iprank.graphs import InfluenceGraph
 from iprank.ingest import ActivityLog, FollowEdgeList, TweetEvent, _records
@@ -461,6 +465,62 @@ def h_index(log: ActivityLog, user: str) -> int:
         if ev.url in posted:
             counts[ev.url] = counts.get(ev.url, 0) + 1
     return h_from_counts(counts.values())
+
+
+# ---------------------------------------------------------------------------
+# Curve oracle
+# ---------------------------------------------------------------------------
+
+
+def point_columns(points: list[tuple[float, float]]) -> tuple[list[float], list[float]]:
+    """(attribute, clicks) points as the two columns ``percentile_curve`` takes."""
+    return [x for x, _ in points], [c for _, c in points]
+
+
+def percentile_curve_oracle(
+    points: list[tuple[float, float]], q: float = 0.999, bin_count: int = 50
+) -> PercentileCurve:
+    """``percentile_curve`` of (attribute, clicks) points, by putting each
+    point's clicks in a list per bin and sorting each list."""
+    if bin_count < 1:
+        raise InvalidParams(f"bin_count must be >= 1, got {bin_count}")
+    if not 0.0 < q <= 1.0:
+        raise InvalidParams(f"q must be in (0, 1], got {q}")
+    for x, _ in points:
+        if not math.isfinite(x):
+            raise InvalidParams(f"attribute {x!r} is not finite: a score is infinite")
+    usable = [(x, c) for x, c in points if x > 0.0]
+    if not usable:
+        raise NoData("no points with positive attribute value")
+    xs = [x for x, _ in usable]
+    lo, hi = min(xs), max(xs)
+    if lo == hi:
+        edges = np.array([lo, hi])
+        bin_count = 1
+    else:
+        edges = np.logspace(math.log10(lo), math.log10(hi), bin_count + 1)
+    bin_of = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, bin_count - 1)
+    buckets: dict[int, list[float]] = {}
+    for idx, (_, clicks) in zip(bin_of.tolist(), usable):
+        buckets.setdefault(idx, []).append(clicks)
+    bins = []
+    for idx in sorted(buckets):
+        center = math.sqrt(edges[idx] * edges[idx + 1])
+        ordered = sorted(buckets[idx])
+        k = int(Fraction(Decimal(str(q))) * len(ordered)) + 1
+        bins.append((center, ordered[min(len(ordered), k) - 1]))
+    log_x = [math.log10(c) for c, _ in bins]
+    log_y = [math.log10(max(p, 1.0)) for _, p in bins]
+    if len(set(log_x)) < 2 or len(set(log_y)) < 2:
+        slope, intercept = 0.0, sum(log_y) / len(log_y)
+    else:
+        mx = sum(log_x) / len(log_x)
+        my = sum(log_y) / len(log_y)
+        sxx = sum((x - mx) ** 2 for x in log_x)
+        sxy = sum((x - mx) * (y - my) for x, y in zip(log_x, log_y))
+        slope = sxy / sxx
+        intercept = my - slope * mx
+    return PercentileCurve(tuple(bins), q, slope, intercept)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from iprank.ipcore import IpParams, run_ip
 from iprank.testkit import SynthParams, random_graph, synth_trace
 from oracles import (
     PLANTED_A, PLANTED_B, arc_weights, arcs_of, dense_ip_oracle, dense_pagerank_oracle, edges,
-    follows_of, graph_from_arcs, h_from_counts, log_of, planted_contrast_trace,
+    follows_of, graph_from_arcs, h_from_counts, log_of, planted_contrast_trace, point_columns,
     vector_from_mapping,
 )
 
@@ -285,7 +285,7 @@ def test_criterion_08_analytics_exactness():
             for _ in range(1500)
         ]
         for q in (0.25, 0.5, 0.9, 0.999, 1.0):
-            curve = percentile_curve(points, q=q, bin_count=7)
+            curve = percentile_curve(*point_columns(points), q=q, bin_count=7)
             xs = [x for x, _ in points]
             edges = np.logspace(math.log10(min(xs)), math.log10(max(xs)), 8)
             groups = {}
@@ -305,10 +305,9 @@ def test_criterion_08_analytics_exactness():
         assert rank_correlation(vec, reverse) == -1.0
 
         # scaling invariance, exact
-        base = percentile_curve(points, q=0.9, bin_count=7)
-        scaled = percentile_curve(
-            [(x, c * 5.0) for x, c in points], q=0.9, bin_count=7
-        )
+        xs, clicks = point_columns(points)
+        base = percentile_curve(xs, clicks, q=0.9, bin_count=7)
+        scaled = percentile_curve(xs, [c * 5.0 for c in clicks], q=0.9, bin_count=7)
         for (c1, p1), (c2, p2) in zip(base.bins, scaled.bins):
             assert c1 == c2 and p2 == p1 * 5.0
 

@@ -20,8 +20,8 @@ from iprank.errors import InsufficientOverlap, InvalidParams, NoData
 from iprank.ingest import TweetEvent
 from iprank.testkit import SynthParams, synth_trace
 from oracles import (
-    audience_retweeting_rate, followers_of, follows_of, log_of, ranks_of, rows,
-    user_retweeting_rate, vector_from_mapping,
+    audience_retweeting_rate, by_id, followers_of, follows_of, log_of, point_columns, ranks_of,
+    rows, user_retweeting_rate, vector_from_mapping,
 )
 
 
@@ -130,42 +130,46 @@ class TestAudienceRetweetingRate:
             )
         )
         report = rate_report(log, follows)
-        for value in list(report.user_rates.values()) + list(
-            report.audience_rates.values()
-        ):
+        for value in [*report.user_rates.values.tolist(), *report.audience_rates.values.tolist()]:
             assert 0.0 <= value <= 1.0
+
+
+def averages(log, scores):
+    """``url_attribute_average`` as a URL -> mean dict."""
+    urls, means = url_attribute_average(log, scores)
+    return dict(zip(urls, means.tolist()))
 
 
 class TestUrlAttributeAverage:
     def test_mean_over_mentioners(self):
         log = log_of([mention(1, "a", "x"), mention(2, "b", "x")])
         scores = vector_from_mapping({"a": 0.1, "b": 0.3}, "m")
-        assert url_attribute_average(log, scores) == {"x": pytest.approx(0.2)}
+        assert averages(log, scores) == {"x": pytest.approx(0.2)}
 
     def test_distinct_users_only(self):
         log = log_of([mention(1, "a", "x"), mention(2, "a", "x")])
         scores = vector_from_mapping({"a": 0.4}, "m")
-        assert url_attribute_average(log, scores) == {"x": pytest.approx(0.4)}
+        assert averages(log, scores) == {"x": pytest.approx(0.4)}
 
     def test_unscored_users_shrink_the_set(self):
         log = log_of([mention(1, "a", "x"), mention(2, "ghost", "x")])
         scores = vector_from_mapping({"a": 0.4}, "m")
-        assert url_attribute_average(log, scores)["x"] == pytest.approx(0.4)
+        assert averages(log, scores)["x"] == pytest.approx(0.4)
 
     def test_url_with_no_scored_mentioner_omitted(self):
         log = log_of([mention(1, "ghost", "x")])
-        assert url_attribute_average(log, vector_from_mapping({}, "m")) == {}
+        assert averages(log, vector_from_mapping({}, "m")) == {}
 
     def test_retweeters_count_as_mentioners(self):
         log = log_of([mention(1, "a", "x"), retweet(2, "b", "x", "a")])
         scores = vector_from_mapping({"a": 0.0, "b": 1.0}, "m")
-        assert url_attribute_average(log, scores)["x"] == pytest.approx(0.5)
+        assert averages(log, scores)["x"] == pytest.approx(0.5)
 
     def test_sums_scores_in_user_id_order(self):
         # (1 + 1e16) - 1e16 == 0 in doubles, while (-1e16 + 1e16) + 1 == 1
         log = log_of([mention(1, "c", "x"), mention(2, "b", "x"), mention(3, "a", "x")])
         scores = vector_from_mapping({"a": 1.0, "b": 1e16, "c": -1e16}, "m")
-        assert url_attribute_average(log, scores) == {"x": 0.0}
+        assert averages(log, scores) == {"x": 0.0}
 
     def test_matches_naive_join(self):
         rng = np.random.default_rng(22)
@@ -175,7 +179,7 @@ class TestUrlAttributeAverage:
         log = log_of(events)
         values = {f"u{i}": float(rng.random()) for i in range(12)}
         scores = vector_from_mapping(values, "m")
-        result = url_attribute_average(log, scores)
+        result = averages(log, scores)
         naive = {}
         for url in {ev.url for ev in log}:
             users = {ev.user for ev in log if ev.url == url}
@@ -199,20 +203,20 @@ def sort_based_percentile(values, q):
 class TestPercentileCurve:
     def test_single_bin_999(self):
         points = [(1.0, float(c)) for c in range(1, 1001)]
-        curve = percentile_curve(points, q=0.999, bin_count=1)
+        curve = percentile_curve(*point_columns(points), q=0.999, bin_count=1)
         assert len(curve.bins) == 1
         assert curve.bins[0][1] == 1000.0
 
     def test_constant_clicks_flat_fit(self):
         points = [(float(x), 7.0) for x in range(1, 200)]
-        curve = percentile_curve(points, q=0.999, bin_count=10)
+        curve = percentile_curve(*point_columns(points), q=0.999, bin_count=10)
         assert all(p == 7.0 for _, p in curve.bins)
         assert curve.slope == 0.0
 
     def test_matches_sort_oracle_two_bins(self):
         low = [(1.0, float(c)) for c in (5, 1, 9, 3, 7)]
         high = [(100.0, float(c)) for c in (50, 10, 90, 30)]
-        curve = percentile_curve(low + high, q=0.5, bin_count=2)
+        curve = percentile_curve(*point_columns(low + high), q=0.5, bin_count=2)
         assert curve.bins[0][1] == sort_based_percentile([c for _, c in low], 0.5)
         assert curve.bins[1][1] == sort_based_percentile([c for _, c in high], 0.5)
 
@@ -223,7 +227,7 @@ class TestPercentileCurve:
             for _ in range(2000)
         ]
         for q in (0.5, 0.9, 0.999):
-            curve = percentile_curve(points, q=q, bin_count=8)
+            curve = percentile_curve(*point_columns(points), q=q, bin_count=8)
             # recompute with an independent binning pass
             xs = [x for x, _ in points]
             lo, hi = min(xs), max(xs)
@@ -244,40 +248,41 @@ class TestPercentileCurve:
             (float(10 ** rng.uniform(0, 3)), float(rng.integers(1, 1000)))
             for _ in range(500)
         ]
-        base = percentile_curve(points, q=0.9, bin_count=6)
-        scaled = percentile_curve([(x, c * 3.0) for x, c in points], q=0.9, bin_count=6)
+        base = percentile_curve(*point_columns(points), q=0.9, bin_count=6)
+        xs, clicks = point_columns(points)
+        scaled = percentile_curve(xs, [c * 3.0 for c in clicks], q=0.9, bin_count=6)
         for (c1, p1), (c2, p2) in zip(base.bins, scaled.bins):
             assert c1 == c2
             assert p2 == p1 * 3.0
 
     def test_nonpositive_x_excluded(self):
-        curve = percentile_curve([(0.0, 5.0), (2.0, 9.0)], q=0.5, bin_count=3)
+        curve = percentile_curve([0.0, 2.0], [5.0, 9.0], q=0.5, bin_count=3)
         assert len(curve.bins) == 1
 
     def test_no_data(self):
         with pytest.raises(NoData):
-            percentile_curve([(0.0, 5.0)])
+            percentile_curve([0.0], [5.0])
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_an_attribute_that_is_not_finite_is_an_error(self, x):
         with pytest.raises(InvalidParams, match="is not finite"):
-            percentile_curve([(1.0, 5.0), (x, 9.0), (2.0, 3.0)])
+            percentile_curve([1.0, x, 2.0], [5.0, 9.0, 3.0])
 
     def test_param_validation(self):
         with pytest.raises(InvalidParams):
-            percentile_curve([(1.0, 1.0)], q=0.0)
+            percentile_curve([1.0], [1.0], q=0.0)
         with pytest.raises(InvalidParams):
-            percentile_curve([(1.0, 1.0)], bin_count=0)
+            percentile_curve([1.0], [1.0], bin_count=0)
 
     def test_fit_on_powerlaw(self):
         # one point per bin; log-centers are evenly spaced at 0.75 apart while
         # log-y steps by 2, so the collinear OLS slope is exactly 2 / 0.75
         points = [(float(x), float(x) ** 2) for x in (1, 10, 100, 1000)]
-        curve = percentile_curve(points, q=1.0, bin_count=4)
+        curve = percentile_curve(*point_columns(points), q=1.0, bin_count=4)
         assert curve.slope == pytest.approx(8.0 / 3.0, abs=1e-9)
 
     def test_tsv_has_fit_trailer(self):
-        curve = percentile_curve([(1.0, 2.0), (10.0, 20.0)], q=1.0, bin_count=2)
+        curve = percentile_curve([1.0, 10.0], [2.0, 20.0], q=1.0, bin_count=2)
         text = curve_to_tsv(curve)
         assert text.splitlines()[-1].startswith("#fit slope=")
 
@@ -430,10 +435,13 @@ class TestRateReport:
             )
         )
         report = rate_report(log, follows)
-        assert report.user_rates
-        assert report.audience_rates
+        assert by_id(report.user_rates)
+        assert by_id(report.audience_rates)
+        assert (report.user_rates.label, report.audience_rates.label) == (
+            "user_rate", "audience_rate",
+        )
         assert 0.0 <= report.user_summary.mean <= 1.0
-        assert sum(report.user_summary.histogram) == len(report.user_rates)
+        assert sum(report.user_summary.histogram) == len(report.user_rates.node_ids)
         text = rates_to_tsv(report)
         assert text.startswith("#user_rate mean=")
         assert "#user\tuser_rate\taudience_rate" in text

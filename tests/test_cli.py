@@ -526,13 +526,14 @@ def test_each_id_table_is_checked_once(tmp_path, trace_dir, monkeypatch):
     ):
         assert run(*argv, "--events", trace[0], "--min-urls", "1", "--out-dir", out) == 0
         assert full == [], argv
-    # parse_events and parse_follows hand the constructors their tables as _Ids
+    # parse_events and parse_follows hand the constructors their tables as _Ids,
+    # and rate_report its user and audience rate vectors
     events, follows = tmp_path / "events.tsv", tmp_path / "follows.tsv"
     events.write_text("1\ta\tx\tM\n2\tb\tx\tRT\ta\n", encoding="utf-8")
     follows.write_text("a\tb\nb\tc\n", encoding="utf-8")
     given.clear()
     assert run("rates", "--events", events, "--follows", follows, "--out-dir", out) == 0
-    assert given == [("a", "b"), ("x",), ("a", "b", "c")]
+    assert given == [("a", "b"), ("x",), ("a", "b", "c"), ("b", "c"), ("a", "b")]
     assert full == []
 
 

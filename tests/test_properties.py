@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import random
+import re
 import tempfile
 from pathlib import Path
 from unittest.mock import patch
@@ -19,15 +20,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from iprank import ingest
 from iprank.analytics import (
-    RateReport, RateSummary, _average_ranks, rank_correlation, rank_join,
-    rates_to_tsv, report_to_tsv, top_k,
+    RateReport, RateSummary, _average_ranks, curve_to_tsv, percentile_curve, rank_correlation,
+    rank_join, rate_report, rates_to_tsv, report_to_tsv, top_k,
 )
 from iprank.baselines import (
     ScoreVector, follower_count, h_index_scores, retweet_count, vector_to_tsv,
 )
 from iprank.cli import load_config, read_score_columns
 from iprank.errors import (
-    ConfigInvalid, EmptyInput, InsufficientOverlap, MissingInput, NegativeCount, UnparsableLine,
+    ConfigInvalid, EmptyInput, InsufficientOverlap, IpRankError, MissingInput, NegativeCount,
+    UnparsableLine,
 )
 from iprank.graphs import InfluenceGraph, graph_from_tsv, graph_to_tsv
 from iprank.ingest import (
@@ -43,6 +45,7 @@ from iprank.ingest import (
 )
 from iprank.ipcore import IterationTrace, ScorePair, scores_to_tsv, trace_to_tsv
 from oracles import (
+    audience_retweeting_rate,
     average_ranks,
     arcs_of,
     by_id,
@@ -53,6 +56,8 @@ from oracles import (
     graph_from_arcs,
     h_index,
     log_of,
+    percentile_curve_oracle,
+    point_columns,
     posters,
     posts_of,
     ranking,
@@ -60,6 +65,7 @@ from oracles import (
     read_manifest,
     retweets_of,
     rows,
+    user_retweeting_rate,
     vector_from_mapping,
 )
 
@@ -246,6 +252,34 @@ def test_follow_codes_match_the_oracle(data):
     pairs, expected_extra = follow_codes(log, follows)
     assert list(zip(followee.tolist(), follower.tolist())) == pairs
     assert extra == expected_extra
+
+
+@st.composite
+def logs_and_follows(draw):
+    """A log, and follow edges over some of its users and at least one id it
+    never saw."""
+    log = log_of(draw(repeating_event_lists()))
+    unseen = draw(st.lists(IDS.filter(lambda u: u not in log.user_ids), min_size=1, max_size=3))
+    return log, follows_of(draw(edge_lists(sorted({*unseen, *log.user_ids}))))
+
+
+@given(logs_and_follows())
+@example((log_of([(1, "a", "x", None)]), follows_of([("a", "b"), ("c", "a")])))
+def test_rate_report_matches_the_oracles(trace):
+    # a user the log never saw has no audience rate, and may have a user rate
+    log, follows = trace
+    report = rate_report(log, follows)
+    users = sorted({*log.user_ids, *follows.user_ids})
+    for vector, summary, oracle, label in (
+        (report.user_rates, report.user_summary, user_retweeting_rate, "user_rate"),
+        (report.audience_rates, report.audience_summary, audience_retweeting_rate, "audience_rate"),
+    ):
+        rates = {user: oracle(log, follows, user) for user in users}
+        assert list(vector.node_ids) == [user for user in users if rates[user] is not None]
+        assert by_id(vector) == {user: r for user, r in rates.items() if r is not None}
+        assert vector.label == label
+        assert sum(summary.histogram) == len(vector.node_ids)
+    assert rates_to_tsv(report) == line_writers.rates_to_tsv(report)
 
 
 WEIGHTS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -800,8 +834,42 @@ def test_trace_to_tsv_matches_the_row_writer(cols):
 @given(st.dictionaries(IDS, FLOATS), st.dictionaries(IDS, FLOATS))
 def test_rates_to_tsv_matches_the_row_writer(user_rates, audience_rates):
     summary = RateSummary(0.5, math.nan, (1, 0, 2))
-    report = RateReport(user_rates, audience_rates, summary, summary)
+    report = RateReport(
+        vector_from_mapping(user_rates, "user_rate"),
+        vector_from_mapping(audience_rates, "audience_rate"), summary, summary,
+    )
     assert rates_to_tsv(report) == line_writers.rates_to_tsv(report)
+
+
+# attributes that tie, are zero or negative, or are not finite, and clicks that tie
+CURVE_XS = st.sampled_from([0.0, -2.0, 1.0, 1.0, 3.0, 10.0, 1000.0]) | st.floats(-10.0, 1e9)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+CURVE_CLICKS = st.sampled_from([0.0, 1.0, 1.0, 7.0]) | st.floats(0.0, 1e12)
+CURVE_QS = st.sampled_from([1.0, 0.5, 0.25, 0.999]) | st.floats(0.0, 1.0, exclude_min=True)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(CURVE_XS, CURVE_CLICKS), max_size=40)
+    | st.lists(st.tuples(CURVE_XS | NON_FINITE, CURVE_CLICKS), max_size=6),
+    CURVE_QS,
+    st.integers(1, 8),
+)
+@example([(2.0, 3.0), (2.0, 1.0), (2.0, 3.0), (2.0, 5.0)], 0.5, 4)  # one bin; q*n = 2
+@example([(1.0, 4.0), (-1.0, 2.0), (0.0, 3.0), (10.0, 4.0), (10.0, 1.0)], 1.0, 2)
+@example([(1.0, 1.0), (-math.inf, 2.0), (math.nan, 3.0), (math.inf, 4.0)], 0.5, 2)
+def test_percentile_curve_matches_the_list_oracle(points, q, bin_count):
+    try:
+        expected = percentile_curve_oracle(points, q, bin_count)
+    except (IpRankError, ValueError) as error:
+        # the same error and message; ValueError where two edges' product
+        # underflows to 0, whose log10 is undefined
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            percentile_curve(*point_columns(points), q, bin_count)
+        return
+    got = percentile_curve(*point_columns(points), q, bin_count)
+    assert got == expected
+    assert curve_to_tsv(got) == curve_to_tsv(expected)
 
 
 @given(event_lists())

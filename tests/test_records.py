@@ -53,7 +53,7 @@ RECORDS = [
     (
         ClickTable, {"clicks": {"u": 1}, "skipped": 2}, {"skipped": 0},
         [({"clicks": {"u": 2}}, False), ({"skipped": 5}, True)],
-        ({"clicks": {"u": -1}}, ValueError, "negative count -1: 'u'"), False,
+        ({"clicks": {"u": -1}}, ValueError, "negative count -1: 'u'"), True,
     ),
     (
         _Check, {"reason": "r", "bad": len, "error": ValueError}, {"error": UnparsableLine},
@@ -100,9 +100,11 @@ RECORDS = [
     ),
     (
         RateReport,
-        {"user_rates": {"a": 0.5}, "audience_rates": {}, "user_summary": SUMMARY,
+        {"user_rates": ScoreVector(("a",), [0.5], "user_rate"),
+         "audience_rates": ScoreVector((), [], "audience_rate"), "user_summary": SUMMARY,
          "audience_summary": SUMMARY},
-        {}, [({"audience_rates": {"a": 1.0}}, False)], None, True,
+        {}, [({"audience_rates": ScoreVector(("a",), [1.0], "audience_rate")}, False)], None,
+        True,
     ),
     (
         PercentileCurve, {"bins": ((1.0, 2.0),), "q": 0.9, "slope": 1.0, "intercept": 0.0}, {},
@@ -186,6 +188,15 @@ def test_score_arrays_are_read_only_once_checked():
         with pytest.raises(ValueError, match="read-only"):
             scores[0] = 0.0
     assert vector == ScoreVector(("a", "b"), [0.5, 1.0], "x")
+
+
+def test_a_click_table_keeps_a_read_only_copy():
+    clicks = {"u": 1}
+    table = ClickTable(clicks)
+    clicks["u"] = 2
+    assert table.clicks == {"u": 1}
+    with pytest.raises(TypeError):
+        table.clicks["u"] = 3
 
 
 def test_run_config_is_the_defaults_then_the_flags():

@@ -174,8 +174,8 @@ class TestEventOracles:
                 if rate is not None:
                     expected_audience[user] = rate
             assert expected_user and expected_audience
-            assert report.user_rates == expected_user
-            assert report.audience_rates == expected_audience
+            assert by_id(report.user_rates) == expected_user
+            assert by_id(report.audience_rates) == expected_audience
             scores = h_index_scores(log)
             assert by_id(scores) == {u: float(h_index(log, u)) for u in posters(log)}
             assert max(by_id(scores).values()) >= 2.0
