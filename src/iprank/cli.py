@@ -13,7 +13,7 @@ import gc
 import operator
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import IO, Callable, Iterable, NamedTuple, TypeVar
 
 from . import __version__
 from .errors import ConfigInvalid, IpRankError, MissingInput
@@ -67,8 +67,8 @@ def _bind_layers() -> None:
         stats_to_tsv,
     )
     from .ingest import (
-        _EMPTY_USER, _Check, _Ids, _judge, _positions, _records, parse_clicks, parse_events,
-        parse_follows,
+        _EMPTY_USER, _Check, _Ids, _in_parts, _judge, _positions, _records, parse_clicks,
+        parse_events, parse_follows,
     )
     from .ipcore import IpParams, IterationTrace, ScorePair, run_ip, scores_to_tsv, trace_to_tsv
 
@@ -369,6 +369,9 @@ def _line_fault(path: str) -> Callable[[int, str, str], ConfigInvalid]:
     )
 
 
+_MEASURE = ("#measure=",)  # the header of a score file
+
+
 def _score_checks(path: str, first: int, width: int) -> tuple[_Check, ...]:
     """The checks of the rows of score file ``path``, in order, its first
     row being line ``first`` with ``width`` columns."""
@@ -389,44 +392,90 @@ def _score_checks(path: str, first: int, width: int) -> tuple[_Check, ...]:
     )
 
 
-def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
-    """Read a score file: either ``#measure=`` two-column vectors or the
-    three-column influence/passivity output. Returns the file's label and one
-    vector per column, keyed by column name. A score that is not a number, a
-    row whose column count is not that of the first row, an id listed twice,
-    or a ``#measure=`` header that is not the only one or follows a row is
-    :class:`ConfigInvalid`."""
-    _bind_layers()
-    label = None
+class _ScorePart(NamedTuple):
+    """What one part of a score file holds: the width of the file's first
+    row, each row's id, line number and scores (a list per block), its
+    ``#measure=`` headers as (line number, line, whether a row of the part
+    came before), and the error of its first faulty line."""
+
+    width: int
+    ids: list[str]
+    line_nos: list[np.ndarray]
+    blocks: list[list[np.ndarray]]
+    headers: list[tuple[int, str, bool]]
+    error: IpRankError | None
+
+    def __reduce__(self) -> tuple:
+        # the ids cross a pipe as one string: 50,000 ids pickled one by one
+        # took 6-8 ms each way, joined 1 ms and split 3-5 ms
+        return _unjoined, (self.width, "\n".join(self.ids), *self[2:])
+
+
+def _unjoined(width: int, ids: str, *rest: object) -> _ScorePart:
+    return _ScorePart(width, ids.split("\n") if ids else [], *rest)
+
+
+def _score_part(path: str, stream: IO, line_no: int, before: IO | None) -> _ScorePart:
+    """Read one part of score file ``path``; the rows are checked against
+    the file's first row, found in ``before`` unless the part holds it."""
     checks: tuple[_Check, ...] = ()
-    width = 0  # the column count of the first row
+    width = 0
     ids: list[str] = []
     line_nos: list[np.ndarray] = []
     blocks: list[list[np.ndarray]] = []  # each block's scores, column by column
-    with open(path, "rb") as fh:
-        for f in _records(fh, headers=("#measure=",), fault=_line_fault(path)):
+    headers: list[tuple[int, str, bool]] = []
+    try:
+        records = _records(before, _MEASURE, _line_fault(path)) if before else ()
+        first = next((f for f in records if f.text[:1] != "#"), None)
+        for f in _records(stream, _MEASURE, _line_fault(path), line_no):
             if f.text[:1] == "#":  # the header: no record starts with "#"
-                if label is not None or ids:
-                    raise ConfigInvalid(f"line {f.numbers[0]} of {path}: a second or late header")
-                label = f.text.split("=", 1)[1]
+                headers.append((int(f.numbers[0]), f.text, bool(ids)))
                 continue
             if not checks:
-                width = int(f.tabs[0]) + 1
-                checks = _score_checks(path, int(f.numbers[0]), width)
+                first = first or f
+                width = int(first.tabs[0]) + 1
+                checks = _score_checks(path, int(first.numbers[0]), width)
             ids += f.take(0)  # splits the block: the checks read the scores from that split
             _judge(f, checks, strict=True)
             line_nos.append(f.numbers)
             blocks.append([f.floats(k) for k in range(1, width)])
+    except IpRankError as exc:  # a faulty line: the lines after it go unread
+        return _ScorePart(width, ids, line_nos, blocks, headers, exc)
+    return _ScorePart(width, ids, line_nos, blocks, headers, None)
+
+
+def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
+    """Read a score file: either ``#measure=`` two-column vectors or the
+    three-column influence/passivity output, a large file in parts
+    (``ingest._in_parts``). Returns the file's label and one vector per
+    column, keyed by column name. A score that is not a number, a row whose
+    column count is not that of the first row, an id listed twice, or a
+    ``#measure=`` header that is not the only one or follows a row is
+    :class:`ConfigInvalid`."""
+    _bind_layers()
+    with open(path, "rb") as fh:
+        parts = _in_parts(fh, lambda *part: _score_part(path, *part))
+    label = None
+    ids: list[str] = []
+    for part in parts:  # in file order, so the first fault is raised
+        for line_no, line, late in part.headers:
+            if label is not None or ids or late:
+                raise ConfigInvalid(f"line {line_no} of {path}: a second or late header")
+            label = line.split("=", 1)[1]
+        if part.error is not None:
+            raise part.error
+        ids += part.ids
     if not ids:
         raise MissingInput(f"no score rows found in {path}")
     label = "scores" if label is None else label
-    values = [np.concatenate(column) for column in zip(*blocks)]
+    width = max(part.width for part in parts)
+    values = [np.concatenate(column) for column in zip(*(b for p in parts for b in p.blocks))]
     if not all(map(operator.lt, ids, ids[1:])):  # not written in id order
         order = sorted(range(len(ids)), key=ids.__getitem__)  # stable: repeats follow in file order
         repeats = [k for j, k in zip(order, order[1:]) if ids[j] == ids[k]]
         if repeats:
             k = min(repeats)  # the first row whose id an earlier row listed
-            line_no = np.concatenate(line_nos)[k]
+            line_no = np.concatenate([n for part in parts for n in part.line_nos])[k]
             raise ConfigInvalid(f"line {line_no} of {path}: {ids[k]!r} is listed twice")
         ids = [ids[k] for k in order]
         values = [column[order] for column in values]

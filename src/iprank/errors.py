@@ -16,6 +16,10 @@ class UnparsableLine(IpRankError):
         self.line = line
         self.reason = reason
 
+    def __reduce__(self) -> tuple:
+        # ``args`` holds only the message, so pickle the arguments themselves
+        return type(self), (self.line_no, self.line, self.reason)
+
 
 class EmptyInput(IpRankError):
     """An input stream produced no usable records."""

@@ -21,11 +21,11 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, UnparsableLine
+from .errors import InvalidParams, IpRankError, UnparsableLine
 from .ingest import (
     _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _Check, _Columns, _columns, _Frozen,
-    _Ids, _in_order, _Interner, _judge, _line_test, _lookup, _picked, _records, _rejects_float,
-    _run_starts, _same_id, _set, _sorted_ids, _tsv_rows,
+    _Ids, _in_order, _in_parts, _Interner, _judge, _line_test, _lookup, _picked, _records,
+    _rejects_float, _run_starts, _same_id, _set, _sorted_ids, _tsv_rows,
 )
 
 WEIGHT_HIST_BINS = 10
@@ -206,6 +206,17 @@ def stats_to_tsv(stats: GraphStats) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _weight_column(weights: np.ndarray) -> tuple[list, str]:
+    """A graph file's weight column and its ``%`` format. A built graph
+    repeats few weights, so each distinct one is formatted once, unless
+    more than half are distinct: a string held per arc then costs more."""
+    values, which = np.unique(weights, return_inverse=True)
+    if 2 * values.size > which.size:
+        return weights.tolist(), "%r"
+    texts = list(map(repr, values.tolist()))
+    return list(map(texts.__getitem__, which.tolist())), "%s"
+
+
 def graph_to_tsv(g: InfluenceGraph) -> str:
     """Serialize as ``i TAB j TAB w`` lines under a ``#nodes= arcs=`` header.
 
@@ -215,7 +226,8 @@ def graph_to_tsv(g: InfluenceGraph) -> str:
     isolated[g.src] = isolated[g.dst] = False
     codes = g.src, g.dst, np.flatnonzero(isolated)
     src, dst, nodes = ([g.node_ids[k] for k in c.tolist()] for c in codes)
-    arcs = _tsv_rows(("%s", "%s", "%r"), src, dst, g.weights.tolist())
+    weights, form = _weight_column(g.weights)
+    arcs = _tsv_rows(("%s", "%s", form), src, dst, weights)
     return f"#nodes={g.num_nodes} arcs={g.num_arcs}\n{arcs}" + _tsv_rows(("%s", "-", "-"), nodes)
 
 
@@ -233,30 +245,68 @@ _GRAPH = (
 )
 
 
-def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
-    """Read :func:`graph_to_tsv` output. A malformed line, an arc listed
-    twice, a second ``#nodes= arcs=`` header, or one that the file's arcs and
-    nodes do not match raises :class:`UnparsableLine`. A repeat, quoted as
-    it reads back, and a mismatched header are found once the file is read."""
+class _GraphPart(NamedTuple):
+    """What one part of a graph file holds: its tokens; the first token and
+    count of each block's arcs, whose sources' tokens are followed by their
+    targets'; each arc's weight and line number; its ``#nodes=`` headers as
+    (line number, line); and the error of its first faulty line."""
+
+    tokens: _Interner
+    spans: list[tuple[int, int]]
+    arcs: _Columns
+    headers: list[tuple[int, str]]
+    error: IpRankError | None
+
+
+def _graph_part(stream: IO | str | bytes, line_no: int, before: object) -> _GraphPart:
+    """Read one part of a graph file, its first line numbered ``line_no``;
+    nothing before the part bears on it."""
     tokens = _Interner()
-    arcs = _Columns("qqdq")  # source, target, weight, line
+    spans: list[tuple[int, int]] = []
+    arcs = _Columns("dq")  # weight, line
+    headers: list[tuple[int, str]] = []
+    try:
+        for f in _records(stream, headers=("#nodes=",), line_no=line_no):
+            if f.text[:1] == "#":  # a header: no record starts with "#"
+                headers.append((int(f.numbers[0]), f.text))
+                continue
+            if "\t-\t-" in f.text:  # a node line ``i - -`` is no arc; others have no "\t-\t-"
+                node = (f.fields() == 3) & (f.size(0) > 0) & (f.size(1) == 1) & (f.size(2) == 1)
+                node &= f.starts(1, "-") & f.starts(2, "-")
+                tokens.of(f, (0,), sel=np.flatnonzero(node))  # the node's id, for the table
+                f.drop(node)
+            _judge(f, _GRAPH, strict=True)
+            if f.rows.size:
+                spans.append((int(tokens.of(f, (0, 1))[0]), f.rows.size))
+                tokens.of(f, (0, 1), 1)
+                arcs.append(f.floats(2), f.numbers[f.rows])
+    except IpRankError as exc:  # the part's first faulty line: the lines after it go unread
+        return _GraphPart(tokens, spans, arcs, headers, exc)
+    return _GraphPart(tokens, spans, arcs, headers, None)
+
+
+def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
+    """Read :func:`graph_to_tsv` output, a large file in parts (``ingest._in_parts``).
+    A malformed line, an arc listed twice, a second ``#nodes= arcs=`` header,
+    or one that the file's arcs and nodes do not match raises
+    :class:`UnparsableLine`. A repeat, quoted as it reads back, and a
+    mismatched header are found once the file is read."""
+    parts = _in_parts(stream, _graph_part)
     header = None
-    for f in _records(stream, headers=("#nodes=",)):
-        if f.text[:1] == "#":  # the header: no record starts with "#"
+    for part in parts:  # in file order, so the first fault is raised
+        for line in part.headers:
             if header is not None:
-                raise UnparsableLine(int(f.numbers[0]), f.text, "a second header")
-            header = (int(f.numbers[0]), f.text)
-            continue
-        if "\t-\t-" in f.text:  # a node line ``i - -`` is no arc; others have no "\t-\t-"
-            node = (f.fields() == 3) & (f.size(0) > 0) & (f.size(1) == 1) & (f.size(2) == 1)
-            node &= f.starts(1, "-") & f.starts(2, "-")
-            tokens.of(f, (0,), sel=np.flatnonzero(node))  # the node's id, for the table
-            f.drop(node)
-        _judge(f, _GRAPH, strict=True)
-        arcs.append(tokens.of(f, (0, 1)), tokens.of(f, (0, 1), 1), f.floats(2), f.numbers[f.rows])
+                raise UnparsableLine(*line, "a second header")
+            header = line
+        if part.error is not None:
+            raise part.error
+    tokens, firsts = _Interner.joined([part.tokens for part in parts])
+    spans = [(first + at, n) for part, first in zip(parts, firsts) for at, n in part.spans]
+    weights, line_nos = map(np.concatenate, zip(*(part.arcs.arrays() for part in parts)))
+    del parts  # the parts' keys and columns go before the ids are sorted
     ids, rank = tokens.table()
-    src, dst, weights, line_nos = arcs.arrays()
-    src, dst = rank[src], rank[dst]
+    src = np.concatenate([rank[at : at + n] for at, n in spans] or [rank[:0]])
+    dst = np.concatenate([rank[at + n : at + 2 * n] for at, n in spans] or [rank[:0]])
     try:  # the ids come sorted and distinct, and each passed the line rules
         g = InfluenceGraph(_Ids(ids), src, dst, weights)
     except ValueError:  # so an arc is repeated

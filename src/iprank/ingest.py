@@ -22,7 +22,9 @@ start with ``#``. Each format is declared once, as an ordered list of column
 checks (``_EVENTS``, ``_FOLLOWS`` and ``_CLICKS`` here, ``graphs._GRAPH``,
 ``cli._score_checks``), which :func:`_judge` runs over each block: a line's
 error is the first check it fails, so the order decides which error a line
-with several faults reports.
+with several faults reports. A large graph or score file is read, and large
+row sets are written, in parts on every CPU (:func:`_in_parts`,
+:func:`_tsv_rows`).
 """
 
 from __future__ import annotations
@@ -30,12 +32,17 @@ from __future__ import annotations
 import io
 import math
 import operator
+import os
+import pickle
 import re
+import signal
 from array import array
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress, repeat
 from types import MappingProxyType
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import (
+    IO, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TypeVar,
+)
 
 import numpy as np
 
@@ -425,6 +432,153 @@ class ClickTable(_Frozen):
 
 
 _BLOCK = 1 << 17  # bytes, or characters of a text stream, read at a time: not a setting
+# The least a part holds when a file is read, or rows are written, in parts:
+# about the break-even of two parts against one, measured in-process on a
+# 2-CPU host (Python 3.11.7, numpy 2.4.6), as min / median ms of 15 or 21
+# alternating rounds at each size:
+# - graph files of 1, 2 and 4 MiB: 29.7 / 32.2 -> 29.7 / 42.7,
+#   58.6 / 66.1 -> 51.4 / 71.2 and 113.0 / 125.9 -> 92.5 / 124.3;
+# - score files (3 columns) of 1, 2 and 4 MiB: 23.6 / 25.3 -> 22.5 / 26.3,
+#   45.8 / 78.4 -> 40.9 / 58.5 and 95.4 / 157.1 -> 80.1 / 107.4;
+# - rows written, counted in floats, since "%.17g" or "%r" of a float costs
+#   about ten times an id or an integer: 16,384 and 32,768 rows of one float
+#   took 8.9 / 11.2 -> 12.3 / 14.3 and 17.8 / 28.6 -> 16.6 / 23.7; 8,192
+#   and 16,384 rows of two, 8.4 / 8.9 -> 9.9 / 13.8 and 17.3 / 19.4 ->
+#   15.2 / 20.0; 100,000 rows of an id and two integers, 26.5 / 31.4 ->
+#   31.3 / 38.8.
+_PART_BYTES = 1 << 20
+_PART_FLOATS = 1 << 14
+
+
+def _part_count(size: int, least: int) -> int:
+    """How many parts ``size`` bytes or floats split into: one per CPU this
+    process may use, none under ``least``; one where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, size // least))
+
+
+def _forked(tasks: Sequence[Callable[[], T]]) -> list[T]:
+    """``[task() for task in tasks]``: the first task runs in this process
+    while each other one runs in a child forked for it, which sends back its
+    result, or the exception it raised, pickled through a pipe. The first
+    exception in task order is raised here. Every child ends in ``os._exit``
+    and is reaped before this returns or raises; the children are killed
+    first when this process's own task, a fork or a pipe fails."""
+    children: list[tuple[int, int]] = []  # each child's pid and the read end of its pipe
+    try:
+        for task in tasks[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: the pipe goes too
+                os.close(read)
+                os.close(write)
+                raise
+            if not pid:
+                _child(task, write)
+            os.close(write)
+            children.append((pid, read))
+        outcomes = [(True, tasks[0]())]
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                try:
+                    outcomes.append(pickle.load(pipe))
+                except EOFError:  # the child was killed, or its outcome did not pickle
+                    raise RuntimeError("a part's process ended without its outcome") from None
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _child(task: Callable[[], object], write: int) -> NoReturn:
+    """Run ``task`` in a forked child, write its outcome to the pipe
+    ``write``, and end the child without running any exit handler; an
+    outcome that does not pickle is not written."""
+    try:
+        try:
+            outcome = True, task()
+        except BaseException as exc:
+            outcome = False, exc
+        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+class _Range:
+    """Bytes ``lo`` to ``hi`` of the file open as ``fd``, as a binary
+    stream, read with ``os.pread``: no file offset moves."""
+
+    def __init__(self, fd: int, lo: int, hi: int) -> None:
+        self.fd, self.pos, self.hi = fd, lo, hi
+
+    def read(self, size: int) -> bytes:
+        data = os.pread(self.fd, min(size, self.hi - self.pos), self.pos)
+        self.pos += len(data)
+        return data
+
+
+def _line_ends(data: _Range) -> int:
+    """How many lines end in ``data``: at each LF, and at each CR not before an LF."""
+    ends = 0
+    while chunk := data.read(1 << 20):
+        ends += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
+        if b"\r" in chunk:  # with the byte after the chunk, a NUL at the file's end
+            after = os.pread(data.fd, 1, data.pos) or b"\0"
+            raw = np.frombuffer(chunk + after, dtype=np.uint8)
+            ends += np.count_nonzero((raw[:-1] == 13) & (raw[1:] != 10))
+    return ends
+
+
+def _cut(fd: int, pos: int) -> int:
+    """The offset just after the first line end at or after ``pos`` in the
+    file ``fd``, or the file's size when there is none; a CRLF is one line end."""
+    while window := os.pread(fd, 1 << 12, pos):
+        end = min(i for i in (window.find(b"\n"), window.find(b"\r"), len(window)) if i >= 0)
+        if end < len(window):
+            after = window[end + 1 : end + 2] or os.pread(fd, 1, pos + end + 1)
+            return pos + end + 1 + (window[end] == 13 and after == b"\n")
+        pos += len(window)
+    return pos
+
+
+def _in_parts(
+    stream: IO | str | bytes, read: Callable[[IO | str | bytes, int, _Range | None], T]
+) -> list[T]:
+    """``read(part, line_no, before)`` of each part of ``stream`` in file
+    order. A binary file of ``_PART_BYTES`` or more from its position on
+    splits into line-aligned byte ranges, one per CPU (:func:`_part_count`),
+    each read in a process of its own (:func:`_forked`); ``line_no`` is the
+    number of a range's first line, and ``before`` the bytes between the
+    stream's position and the range. Anything else is one part: the stream
+    itself, line 1, and None."""
+    size = 0
+    if isinstance(stream, io.BufferedReader) and stream.seekable():
+        fd, start = stream.fileno(), stream.tell()
+        size = os.fstat(fd).st_size - start
+    n = _part_count(size, _PART_BYTES)
+    cuts = n > 1 and sorted({_cut(fd, start + size * k // n) for k in range(1, n)} - {start + size})
+    if not cuts:
+        return [read(stream, 1, None)]
+
+    def part(lo: int, hi: int) -> T:
+        line_no = 1 + _line_ends(_Range(fd, start, lo))
+        return read(_Range(fd, lo, hi), line_no, _Range(fd, start, lo) if lo > start else None)
+
+    bounds = [start, *cuts, start + size]
+    return _forked([partial(part, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
 
 
 def _blocks(stream: IO | str | bytes) -> Iterator[tuple[bytes, bool]]:
@@ -622,6 +776,8 @@ def _is_long(key: np.ndarray) -> np.ndarray:
 
 def _widen(key: np.ndarray, words: int) -> np.ndarray:
     """Keys of :meth:`_Fields.keys` as ``words`` words each, the size byte moved last."""
+    if key.shape[1] == words:
+        return key
     out = np.zeros((len(key), words), dtype=np.uint64)
     out[:, : key.shape[1]] = key
     out[:, key.shape[1] - 1] ^= key[:, -1] & 255
@@ -631,12 +787,13 @@ def _widen(key: np.ndarray, words: int) -> np.ndarray:
 
 class _Interner:
     """Sorted codes of id tokens, from one key per token (:meth:`_Fields.keys`),
-    all sorted at once at the end. Only ids longer than ``_PREFIX`` bytes are
-    interned as strings; their sorted run is merged with that of the others."""
+    kept a block at a time and all sorted at once at the end. Only ids
+    longer than ``_PREFIX`` bytes are interned as strings; their sorted run
+    is merged with that of the others."""
 
     def __init__(self) -> None:
-        self._keys = array("Q")  # every token's key, ``_words`` words each
-        self._words = 1
+        self._keys: list[np.ndarray] = []  # each block's keys, as many words as it needs
+        self._count = 0  # tokens so far
         self._long: dict[str, int] = {}  # codes of long ids, in the order first seen
 
     def of(
@@ -645,25 +802,39 @@ class _Interner:
         """Numbers, in the order taken, for the tokens of field ``ks[j]`` of
         the lines in play, or of the ascending positions ``sel`` among them,
         keyed by ``f.keys(*ks)[j]``."""
-        key = f.keys(*ks)[j] if sel is None else f.keys(*ks)[j, sel]
-        if key.shape[1] > self._words:  # widen the keys stored so far
-            stored = np.frombuffer(self._keys, dtype=np.uint64).reshape(-1, self._words)
-            self._words = key.shape[1]
-            self._keys = array("Q", _widen(stored, self._words).tobytes())
-        key = _widen(key, self._words)  # a copy
+        key = (f.keys(*ks)[j] if sel is None else f.keys(*ks)[j, sel]).copy()
         long = np.flatnonzero(_is_long(key))
         if long.size:  # a long id's key keeps its string's code in its first word
             ids = f.take(ks[j], long if sel is None else sel[long])
             key[long, 0] = [self._long.setdefault(t, len(self._long)) for t in ids]
-        count = len(self._keys) // self._words
-        self._keys.frombytes(key.tobytes())
-        return np.arange(count, count + len(key))
+        self._keys.append(key)
+        self._count += len(key)
+        return np.arange(self._count - len(key), self._count)
+
+    @classmethod
+    def joined(cls, parts: Sequence[_Interner]) -> tuple[_Interner, list[int]]:
+        """One interner holding the tokens of ``parts`` in order, and the
+        number of each part's first token in it; the parts' keys are shared."""
+        out, firsts = cls(), []
+        for part in parts:
+            if part._long:  # the part's codes of long ids, as codes of the whole
+                code = np.array([out._long.setdefault(t, len(out._long)) for t in part._long])
+                for key in part._keys:
+                    long = np.flatnonzero(_is_long(key))
+                    key[long, 0] = code[key[long, 0].astype(np.int64)]
+            firsts.append(out._count)
+            out._keys += part._keys
+            out._count += part._count
+        return out, firsts
 
     def table(self) -> _Table:
         """The distinct ids, sorted, and each token's code among them; drops the keys."""
-        words = self._words
-        key = np.frombuffer(self._keys, dtype=np.uint64).reshape(-1, words)
-        self._keys = array("Q")
+        words = max((block.shape[1] for block in self._keys), default=1)
+        key = np.empty((self._count, words), dtype=np.uint64)
+        while self._keys:  # from the last block back, each dropped once copied
+            block = self._keys.pop()
+            self._count -= len(block)
+            key[self._count : self._count + len(block)] = _widen(block, words)
         long = _is_long(key) if self._long else None
         short = key if long is None else key[~long]
         cols = list(short.T[::-1])  # the first word sorts first
@@ -689,15 +860,15 @@ def _records(
     stream: IO | str | bytes,
     headers: tuple[str, ...] = (),
     fault: Callable[[int, str, str], IpRankError] = UnparsableLine,
+    line_no: int = 1,
 ) -> Iterator[_Fields]:
     """The records of ``stream``, a binary or text stream, ``str`` or
     ``bytes``, a block at a time. LF, CR and CRLF each end a line, and line
-    numbers count every line. A byte order mark opening bytes input is no
-    part of line 1. A line of bytes input that is not UTF-8 raises
-    ``fault(line_no, line, "not UTF-8")``, once the lines before it have come
-    as a block. A line starting with one of ``headers`` comes as a block of
-    its own."""
-    line_no = 1
+    numbers count every line, from ``line_no`` for the first. A byte order
+    mark opening bytes input is no part of line 1. A line of bytes input
+    that is not UTF-8 raises ``fault(line_no, line, "not UTF-8")``, once the
+    lines before it have come as a block. A line starting with one of
+    ``headers`` comes as a block of its own."""
     for data, raw in _blocks(stream):
         if raw and line_no == 1:
             data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte order mark
@@ -954,14 +1125,26 @@ _ROW_BLOCK = 1024  # rows formatted by one ``%``
 def _tsv_rows(formats: Sequence[str], *columns: Sequence) -> str:
     """One LF-ended line per position of the equal-length ``columns``: their
     values through the ``%`` format of their column, joined by TAB. One
-    ``%`` formats a block of rows, so no Python code runs per row or cell."""
+    ``%`` formats a block of rows, so no Python code runs per row or cell.
+    The rows split into contiguous parts, one per CPU (:func:`_part_count`),
+    each formatting ``_PART_FLOATS`` floats or more in a process of its own
+    (:func:`_forked`)."""
+    rows = len(columns[0])
+    n = _part_count(rows * sum(f in ("%.17g", "%r") for f in formats), _PART_FLOATS)
+    cuts = [rows * k // n for k in range(n + 1)]
+    parts = [partial(_format_rows, formats, columns, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return "".join(_forked(parts))
+
+
+def _format_rows(formats: Sequence[str], columns: Sequence[Sequence], lo: int, hi: int) -> str:
+    """The lines of :func:`_tsv_rows` for rows ``lo`` to ``hi``."""
     width = len(columns)
-    flat = [None] * (width * len(columns[0]))
+    flat = [None] * (width * (hi - lo))
     for k, column in enumerate(columns):
-        flat[k::width] = column
+        flat[k::width] = column[lo:hi] if hi - lo < len(column) else column  # a list is not copied
     step = width * _ROW_BLOCK
     line = "\t".join(formats) + "\n"
-    blocks = (tuple(flat[lo : lo + step]) for lo in range(0, len(flat), step))
+    blocks = (tuple(flat[at : at + step]) for at in range(0, len(flat), step))
     return "".join((line * (len(block) // width)) % block for block in blocks)
 
 

@@ -17,6 +17,7 @@ value or row at a time. :func:`percentile_curve_oracle` bins a list of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -505,7 +506,9 @@ def percentile_curve_oracle(
         buckets.setdefault(idx, []).append(clicks)
     bins = []
     for idx in sorted(buckets):
-        center = math.sqrt(edges[idx] * edges[idx + 1])
+        lo, hi = float(edges[idx]), float(edges[idx + 1])
+        normal = sys.float_info.min <= lo * hi < math.inf  # else the product lost its value
+        center = math.sqrt(lo * hi) if normal else math.sqrt(lo) * math.sqrt(hi)
         ordered = sorted(buckets[idx])
         k = int(Fraction(Decimal(str(q))) * len(ordered)) + 1
         bins.append((center, ordered[min(len(ordered), k) - 1]))

@@ -249,6 +249,30 @@ class TestReports:
         assert f"error: InvalidParams: attribute {attribute} is not finite" in err
         assert not (out / "curve.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "scores,centers",
+        [
+            ("a\t1e-200\nb\t1\n", ["1.0000000000000001e-198", "0.01"]),
+            ("a\t1e200\nb\t1e300\n", ["1e+201", "9.999999999999999e+298"]),
+        ],
+        ids=["edge-product-underflows", "edge-product-overflows"],
+    )
+    def test_curve_over_extreme_scores_writes_finite_centers(self, tmp_path, scores, centers):
+        # two bins of 50 are filled, and their edges multiply to 0 or to inf
+        (tmp_path / "events.tsv").write_text("1\ta\tx\tM\n2\tb\ty\tM\n", encoding="utf-8")
+        (tmp_path / "clicks.tsv").write_text("x\t3\ny\t5\n", encoding="utf-8")
+        (tmp_path / "scores.tsv").write_text(f"#measure=m\n{scores}", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(
+            "curve", "--scores", tmp_path / "scores.tsv", "--events", tmp_path / "events.tsv",
+            "--clicks", tmp_path / "clicks.tsv", "--out-dir", out,
+        ) == 0
+        lines = (out / "curve.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t") for line in lines if line[:1] != "#"] == [
+            [centers[0], "3.0"], [centers[1], "5.0"],
+        ]
+        assert "inf" not in lines[-1] and "nan" not in lines[-1]  # the fit
+
 
 class TestScoreFiles:
     # characters str.splitlines() breaks lines at, but the event parser keeps in an id

@@ -9,6 +9,7 @@ import os
 import random
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest.mock import patch
 
@@ -848,28 +849,40 @@ CURVE_CLICKS = st.sampled_from([0.0, 1.0, 1.0, 7.0]) | st.floats(0.0, 1e12)
 CURVE_QS = st.sampled_from([1.0, 0.5, 0.25, 0.999]) | st.floats(0.0, 1.0, exclude_min=True)
 
 
+# attributes whose bin edges multiply past the float range, either way
+EXTREME_XS = st.sampled_from([5e-324, 1e-200, 1e-160, 1.0, 1e160, 1e300, 1.7e308]) | st.floats(
+    5e-324, 1.7e308
+)
+
+
 @settings(deadline=None)
 @given(
     st.lists(st.tuples(CURVE_XS, CURVE_CLICKS), max_size=40)
-    | st.lists(st.tuples(CURVE_XS | NON_FINITE, CURVE_CLICKS), max_size=6),
+    | st.lists(st.tuples(CURVE_XS | NON_FINITE, CURVE_CLICKS), max_size=6)
+    | st.lists(st.tuples(EXTREME_XS, CURVE_CLICKS), min_size=1, max_size=12),
     CURVE_QS,
     st.integers(1, 8),
 )
 @example([(2.0, 3.0), (2.0, 1.0), (2.0, 3.0), (2.0, 5.0)], 0.5, 4)  # one bin; q*n = 2
 @example([(1.0, 4.0), (-1.0, 2.0), (0.0, 3.0), (10.0, 4.0), (10.0, 1.0)], 1.0, 2)
 @example([(1.0, 1.0), (-math.inf, 2.0), (math.nan, 3.0), (math.inf, 4.0)], 0.5, 2)
+@example([(1e-200, 3.0), (1.0, 5.0)], 0.999, 50)  # an edge product that underflows to 0
+@example([(1e200, 3.0), (1e300, 5.0)], 0.999, 50)  # and one that overflows to inf
+@example([(3.5e-245, 1.0)], 0.5, 1)
 def test_percentile_curve_matches_the_list_oracle(points, q, bin_count):
     try:
         expected = percentile_curve_oracle(points, q, bin_count)
-    except (IpRankError, ValueError) as error:
-        # the same error and message; ValueError where two edges' product
-        # underflows to 0, whose log10 is undefined
+    except IpRankError as error:  # the same error and message
         with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
             percentile_curve(*point_columns(points), q, bin_count)
         return
-    got = percentile_curve(*point_columns(points), q, bin_count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or underflow warning either
+        got = percentile_curve(*point_columns(points), q, bin_count)
     assert got == expected
     assert curve_to_tsv(got) == curve_to_tsv(expected)
+    assert all(0.0 < center < math.inf for center, _ in got.bins)
+    assert math.isfinite(got.slope) and math.isfinite(got.intercept)
 
 
 @given(event_lists())
