@@ -294,11 +294,8 @@ def report_to_tsv(report: RankReport) -> str:
 
 
 def curve_to_tsv(curve: PercentileCurve) -> str:
-    lines = [f"#q={curve.q!r}"]
-    for center, pct in curve.bins:
-        lines.append(f"{center!r}\t{pct!r}")
-    lines.append(f"#fit slope={curve.slope!r} intercept={curve.intercept!r}")
-    return "\n".join(lines) + "\n"
+    rows = _tsv_rows(("%r", "%r"), [c for c, _ in curve.bins], [p for _, p in curve.bins])
+    return f"#q={curve.q!r}\n{rows}#fit slope={curve.slope!r} intercept={curve.intercept!r}\n"
 
 
 def _summary_line(tag: str, s: RateSummary) -> str:

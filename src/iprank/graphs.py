@@ -195,15 +195,11 @@ def graph_stats(g: InfluenceGraph) -> GraphStats:
 
 
 def stats_to_tsv(stats: GraphStats) -> str:
-    lines = [
-        f"nodes\t{stats.nodes}",
-        f"arcs\t{stats.arcs}",
-        f"mean_weight\t{stats.mean_weight!r}",
-    ]
-    width = 1.0 / len(stats.weight_histogram)
-    for k, count in enumerate(stats.weight_histogram):
-        lines.append(f"hist\t{k * width!r}\t{(k + 1) * width!r}\t{count}")
-    return "\n".join(lines) + "\n"
+    counts = stats.weight_histogram
+    width = 1.0 / len(counts)
+    edges = [k * width for k in range(len(counts) + 1)]  # not k / n: the digits differ
+    head = f"nodes\t{stats.nodes}\narcs\t{stats.arcs}\nmean_weight\t{stats.mean_weight!r}\n"
+    return head + _tsv_rows(("hist", "%r", "%r", "%s"), edges[:-1], edges[1:], counts)
 
 
 def _weight_column(weights: np.ndarray) -> tuple[list, str]:

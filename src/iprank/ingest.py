@@ -766,6 +766,7 @@ class _Fields:
 _SLICE = 4096
 _PREFIX = 15  # id bytes a key holds: with its size byte, two 64-bit words at most
 _DIGITS = 18  # digits of an integer field read at once: any 18 fit in 64 bits
+_FLOAT_BOUND = 2**1024 - 2**970  # the least integer ``float()`` refuses: 309 digits
 _INTEGER = re.compile("-?[0-9]+")
 _MASKS = np.array([((1 << 8 * n) - 1) << (64 - 8 * n) for n in range(9)], dtype=np.uint64)
 
@@ -1042,6 +1043,10 @@ _CLICKS = (
         _line_test(lambda f: f.starts(1, "-"), lambda t: int(t) < 0, 1),
         lambda line_no, line, reason: NegativeCount(f"line {line_no}: {reason}"),
     ),
+    _Check(  # only a count of over ``_DIGITS`` digits may be past the float range
+        "count too large for a float",
+        _line_test(lambda f: f.overlong(1), lambda t: int(t) >= _FLOAT_BOUND, 1),
+    ),
 )
 
 
@@ -1123,12 +1128,12 @@ _ROW_BLOCK = 1024  # rows formatted by one ``%``
 
 
 def _tsv_rows(formats: Sequence[str], *columns: Sequence) -> str:
-    """One LF-ended line per position of the equal-length ``columns``: their
-    values through the ``%`` format of their column, joined by TAB. One
-    ``%`` formats a block of rows, so no Python code runs per row or cell.
-    The rows split into contiguous parts, one per CPU (:func:`_part_count`),
-    each formatting ``_PART_FLOATS`` floats or more in a process of its own
-    (:func:`_forked`)."""
+    """One LF-ended line per position of the equal-length ``columns``: the
+    ``formats`` joined by TAB, filled by ``%`` with the values there (a
+    format with no field, such as ``"hist"``, is a fixed cell). One ``%``
+    formats a block of rows, so no Python code runs per row or cell. The
+    rows split into contiguous parts, one per CPU (:func:`_part_count`), each
+    formatting ``_PART_FLOATS`` floats or more in a process of its own (:func:`_forked`)."""
     rows = len(columns[0])
     n = _part_count(rows * sum(f in ("%.17g", "%r") for f in formats), _PART_FLOATS)
     cuts = [rows * k // n for k in range(n + 1)]
@@ -1164,5 +1169,5 @@ def follows_to_tsv(follows: FollowEdgeList) -> str:
 
 
 def clicks_to_tsv(table: ClickTable) -> str:
-    lines = [f"{url}\t{count}" for url, count in sorted(table.clicks.items())]
-    return "\n".join(lines) + ("\n" if lines else "")
+    urls = sorted(table.clicks)
+    return _tsv_rows(("%s", "%s"), urls, [table.clicks[url] for url in urls])

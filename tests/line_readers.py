@@ -82,7 +82,11 @@ def click_fault(line_no, line):
     if reason is not None:
         return UnparsableLine(line_no, line, reason)
     count = int(parts[1])
-    return NegativeCount(f"line {line_no}: negative count {count}") if count < 0 else None
+    if count < 0:
+        return NegativeCount(f"line {line_no}: negative count {count}")
+    if count >= 2**1024 - 2**970:  # the least integer float() refuses
+        return UnparsableLine(line_no, line, "count too large for a float")
+    return None
 
 
 def _lines(text, fault, strict):

@@ -1,5 +1,6 @@
-"""Row-at-a-time writers of the graph, score, measure and report formats:
-the oracles the column-at-a-time serializers are tested against.
+"""Row-at-a-time writers of the graph, score, measure, report, curve, graph
+stats and clicks formats: the oracles the column-at-a-time serializers are
+tested against.
 
 Each formats one row per f-string, or one cell per :func:`cell`, and joins
 the lines, as the serializers did before they formatted a block of rows at
@@ -96,4 +97,29 @@ def follows_to_tsv(follows):
     lines = [
         f"{ids[a]}\t{ids[b]}" for a, b in zip(follows.followee.tolist(), follows.follower.tolist())
     ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def curve_to_tsv(curve):
+    lines = [f"#q={curve.q!r}"]
+    for center, pct in curve.bins:
+        lines.append(f"{center!r}\t{pct!r}")
+    lines.append(f"#fit slope={curve.slope!r} intercept={curve.intercept!r}")
+    return "\n".join(lines) + "\n"
+
+
+def stats_to_tsv(stats):
+    lines = [
+        f"nodes\t{stats.nodes}",
+        f"arcs\t{stats.arcs}",
+        f"mean_weight\t{stats.mean_weight!r}",
+    ]
+    width = 1.0 / len(stats.weight_histogram)
+    for k, count in enumerate(stats.weight_histogram):
+        lines.append(f"hist\t{k * width!r}\t{(k + 1) * width!r}\t{count}")
+    return "\n".join(lines) + "\n"
+
+
+def clicks_to_tsv(table):
+    lines = [f"{url}\t{count}" for url, count in sorted(table.clicks.items())]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -150,6 +150,11 @@ class TestWeightedPagerank:
         with pytest.raises(InvalidParams):
             PageRankParams(max_iterations=0)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan")])
+    def test_negative_or_nan_epsilon_is_invalid(self, epsilon):
+        with pytest.raises(InvalidParams, match="^epsilon must be >= 0, got "):
+            PageRankParams(epsilon=epsilon)
+
 
 def brute_force_h(counts):
     best = 0

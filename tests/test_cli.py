@@ -690,6 +690,26 @@ class TestConfigHandling:
         assert load_config(str(cfg)) == {"events": str(events), "min_urls": 1}
         assert run("build", "--config", cfg, "--out-dir", tmp_path / "out") == 0
 
+    @pytest.mark.parametrize("word", ["No ", "off", "0", "false"])
+    def test_a_false_strict_setting_skips_a_malformed_line(self, tmp_path, capsys, word):
+        events, cfg = tmp_path / "events.tsv", tmp_path / "run.cfg"
+        events.write_text("garbage line\n" + RT_FIXTURE, encoding="utf-8")
+        cfg.write_text(f"strict = {word}\n", encoding="utf-8")
+        flags = ("--events", events, "--min-urls", "1", "--config", cfg)
+        assert run("build", *flags, "--out-dir", tmp_path / "out") == 0
+        assert "skipped 1 malformed events line(s)" in capsys.readouterr().err
+        # the flag beats the file
+        assert run("build", *flags, "--strict", "--out-dir", tmp_path / "out") == 1
+        assert "error: UnparsableLine: line 1: " in capsys.readouterr().err
+
+    def test_a_true_strict_setting_rejects_a_malformed_line(self, tmp_path, capsys):
+        events, cfg = tmp_path / "events.tsv", tmp_path / "run.cfg"
+        events.write_text("garbage line\n" + RT_FIXTURE, encoding="utf-8")
+        cfg.write_text("strict=yes\n", encoding="utf-8")
+        flags = ("--events", events, "--min-urls", "1", "--config", cfg)
+        assert run("build", *flags, "--out-dir", tmp_path / "out") == 1
+        assert "error: UnparsableLine: line 1: " in capsys.readouterr().err
+
     def test_unknown_config_key(self, trace_dir):
         cfg = trace_dir / "bad.cfg"
         cfg.write_text("nonsense=1\n", encoding="utf-8")
@@ -879,6 +899,26 @@ class TestConfigHandling:
 class TestUnreadableInput:
     """Input that cannot be read is an ``error:`` line and an exit code,
     reported before any work where no file needs reading to find it."""
+
+    @pytest.mark.parametrize("mode", ["--strict", "--lenient"])
+    def test_a_click_count_past_the_float_range_is_a_data_error(self, tmp_path, capsys, mode):
+        events, clicks, out = tmp_path / "events.tsv", tmp_path / "clicks.tsv", tmp_path / "out"
+        events.write_text("1\ta\tx\tM\n2\tb\tx\tRT\ta\n3\ta\ty\tM\n", encoding="utf-8")
+        clicks.write_text("x\t" + "9" * 400 + "\ny\t3\n", encoding="utf-8")
+        flags = ("--measure", "hindex", "--events", events, "--clicks", clicks, "--bin-count", "2")
+        code = run("curve", *flags, mode, "--out-dir", out)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if mode == "--strict":
+            assert code == 1
+            assert err.startswith("error: UnparsableLine: line 1: count too large for a float: ")
+        else:
+            assert code == 0
+            assert "skipped 1 malformed clicks line(s)" in err
+        # one less than the least integer float() refuses reads as the largest float
+        clicks.write_text(f"x\t{2**1024 - 2**970 - 1}\n", encoding="utf-8")
+        assert run("curve", *flags, mode, "--out-dir", out) == 0
+        assert "\t1.7976931348623157e+308\n" in (out / "curve.tsv").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("mode", ["--strict", "--lenient"])
     @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])

@@ -11,6 +11,7 @@ from iprank import graphs, ingest
 from iprank.baselines import ScoreVector
 from iprank.errors import InvalidParams, UnparsableLine
 from iprank.graphs import (
+    InfluenceGraph,
     build_comention,
     build_retweet,
     build_retweet_follower,
@@ -53,6 +54,18 @@ class TestInfluenceGraphType:
     def test_duplicate_arcs_rejected(self):
         with pytest.raises(ValueError):
             graph_from_arcs([("a", "b", 0.5), ("a", "b", 0.6)])
+
+    def test_weights_of_another_shape_are_rejected(self):
+        src, dst = np.array([0, 1]), np.array([1, 0])
+        for weights in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="^arc arrays must have identical shape$"):
+                InfluenceGraph(["a", "b"], src, dst, weights)
+
+    @pytest.mark.parametrize("end", [2, -1])
+    def test_an_endpoint_outside_the_nodes_is_rejected(self, end):
+        for src, dst in (([end], [0]), ([0], [end])):
+            with pytest.raises(ValueError, match="^arc endpoint index out of range$"):
+                InfluenceGraph(["a", "b"], np.array(src), np.array(dst), [0.5])
 
     def test_isolated_nodes_kept(self):
         g = graph_from_arcs([("a", "b", 0.5)], nodes=["z"])

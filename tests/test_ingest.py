@@ -421,6 +421,23 @@ class TestParseClicks:
     def test_empty_table_is_legal(self):
         assert parse_clicks("").clicks == {}
 
+    # the least integer float() refuses; one less reads, as the largest finite float
+    FLOAT_BOUND = 2**1024 - 2**970
+
+    @pytest.mark.parametrize("count", [FLOAT_BOUND, 10**400 - 1])
+    def test_a_count_past_the_float_range_is_malformed(self, count):
+        text = f"u1\t5\nu2\t{count}\n"
+        with pytest.raises(UnparsableLine) as info:
+            parse_clicks(text)
+        assert str(info.value) == f"line 2: count too large for a float: 'u2\\t{count}'"
+        table = parse_clicks(text, strict=False)
+        assert table.clicks == {"u1": 5} and table.skipped == 1
+
+    def test_a_count_just_below_the_float_bound_reads(self):
+        count = self.FLOAT_BOUND - 1
+        assert parse_clicks(f"u\t{count:0400d}\n").clicks == {"u": count}
+        assert float(count) == 1.7976931348623157e308
+
     def test_malformed(self):
         with pytest.raises(UnparsableLine):
             parse_clicks("u1\tfive\n")
@@ -721,6 +738,7 @@ SEVERAL_FAULTS = [
     ("clicks", "u\t-007", NegativeCount, "negative count -7"),
     ("clicks", "u\t1\t2", UnparsableLine, "expected 'url count'"),
     ("clicks", "\t5", UnparsableLine, "expected 'url count'"),
+    ("clicks", "u\t-" + "9" * 400, NegativeCount, "negative count -" + "9" * 400),
     ("graph", "a\ta\tnan", UnparsableLine, "self-arc"),
     ("graph", "a\ta\t-", UnparsableLine, "self-arc"),
     ("graph", "a\tb\tx", UnparsableLine, "could not convert string to float: 'x'"),

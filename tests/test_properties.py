@@ -21,8 +21,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from iprank import ingest
 from iprank.analytics import (
-    RateReport, RateSummary, _average_ranks, curve_to_tsv, percentile_curve, rank_correlation,
-    rank_join, rate_report, rates_to_tsv, report_to_tsv, top_k,
+    PercentileCurve, RateReport, RateSummary, _average_ranks, curve_to_tsv, percentile_curve,
+    rank_correlation, rank_join, rate_report, rates_to_tsv, report_to_tsv, top_k,
 )
 from iprank.baselines import (
     ScoreVector, follower_count, h_index_scores, retweet_count, vector_to_tsv,
@@ -32,7 +32,7 @@ from iprank.errors import (
     ConfigInvalid, EmptyInput, InsufficientOverlap, IpRankError, MissingInput, NegativeCount,
     UnparsableLine,
 )
-from iprank.graphs import InfluenceGraph, graph_from_tsv, graph_to_tsv
+from iprank.graphs import GraphStats, InfluenceGraph, graph_from_tsv, graph_to_tsv, stats_to_tsv
 from iprank.ingest import (
     _ROW_BLOCK,
     ClickTable,
@@ -840,6 +840,38 @@ def test_rates_to_tsv_matches_the_row_writer(user_rates, audience_rates):
         vector_from_mapping(audience_rates, "audience_rate"), summary, summary,
     )
     assert rates_to_tsv(report) == line_writers.rates_to_tsv(report)
+
+
+# the cells the curve, graph stats and clicks writers take: any float, and counts
+# that are bools, 64-bit or past the float range
+CELL_FLOATS = FLOATS | st.sampled_from([math.nan, 1e308, 0.30000000000000004])
+COUNTS = st.booleans() | st.integers(0, 2**64) | st.sampled_from([10**400 - 1, 2**1024])
+
+
+@given(
+    st.lists(st.tuples(CELL_FLOATS, CELL_FLOATS), max_size=4), CELL_FLOATS, CELL_FLOATS, CELL_FLOATS
+)
+@example([], 0.999, math.nan, math.nan)  # an empty curve
+@example([(5e-324, 1e308)], -0.0, math.inf, -math.inf)  # one bin
+def test_curve_to_tsv_matches_the_row_writer(bins, q, slope, intercept):
+    curve = PercentileCurve(tuple(bins), q, slope, intercept)
+    assert curve_to_tsv(curve) == line_writers.curve_to_tsv(curve)
+
+
+@given(COUNTS, COUNTS, CELL_FLOATS, st.lists(COUNTS, min_size=1, max_size=12))
+@example(3, 2, 0.5, [0, 1, 0, 1, 0, 0, 0, 0, 0, 0])  # the edge 3 * 0.1 is 0.30000000000000004
+@example(True, 10**400 - 1, -0.0, [False])  # one bin
+def test_stats_to_tsv_matches_the_row_writer(nodes, arcs, mean, histogram):
+    stats = GraphStats(nodes, arcs, mean, tuple(histogram))
+    assert stats_to_tsv(stats) == line_writers.stats_to_tsv(stats)
+
+
+@given(st.dictionaries(IDS, COUNTS, max_size=8))
+@example({})
+@example({"b": True, "a": 10**400 - 1, "c": False})
+def test_clicks_to_tsv_matches_the_row_writer(clicks):
+    table = ClickTable(clicks)
+    assert clicks_to_tsv(table) == line_writers.clicks_to_tsv(table)
 
 
 # attributes that tie, are zero or negative, or are not finite, and clicks that tie
