@@ -169,7 +169,10 @@ def percentile_curve(
         edges = np.array([lo, hi])
         bin_count = 1
     else:
-        edges = np.logspace(math.log10(lo), math.log10(hi), bin_count + 1)
+        try:
+            edges = np.logspace(math.log10(lo), math.log10(hi), bin_count + 1)
+        except (ValueError, MemoryError):  # more edges than numpy can allocate
+            raise InvalidParams(f"bin_count {bin_count} is too large to allocate") from None
     bin_of = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, bin_count - 1)
     order = np.lexsort((clicks, bin_of))  # by bin, then clicks: each bin's clicks ascend
     bin_of, clicks = bin_of[order], clicks[order]

@@ -13,7 +13,7 @@ import gc
 import operator
 import sys
 from pathlib import Path
-from typing import IO, Callable, Iterable, NamedTuple, TypeVar
+from typing import IO, Callable, Iterable, TypeVar
 
 from . import __version__
 from .errors import ConfigInvalid, IpRankError, MissingInput
@@ -67,8 +67,8 @@ def _bind_layers() -> None:
         stats_to_tsv,
     )
     from .ingest import (
-        _EMPTY_USER, _Check, _Ids, _in_parts, _judge, _positions, _records, parse_clicks,
-        parse_events, parse_follows,
+        _EMPTY_USER, _Check, _Fields, _Ids, _in_parts, _judge, _positions, _records,
+        parse_clicks, parse_events, parse_follows,
     )
     from .ipcore import IpParams, IterationTrace, ScorePair, run_ip, scores_to_tsv, trace_to_tsv
 
@@ -392,56 +392,40 @@ def _score_checks(path: str, first: int, width: int) -> tuple[_Check, ...]:
     )
 
 
-class _ScorePart(NamedTuple):
-    """What one part of a score file holds: the width of the file's first
-    row, each row's id, line number and scores (a list per block), its
-    ``#measure=`` headers as (line number, line, whether a row of the part
-    came before), and the error of its first faulty line."""
+class _ScorePart:
+    """What one part of score file ``path`` holds: the width of the file's
+    first row, and each row's id, line number and scores (a list per
+    block). Its rows are checked against the file's first row, found in
+    ``before`` unless the part holds it."""
 
-    width: int
-    ids: list[str]
-    line_nos: list[np.ndarray]
-    blocks: list[list[np.ndarray]]
-    headers: list[tuple[int, str, bool]]
-    error: IpRankError | None
+    def __init__(self, path: str, before: IO | None) -> None:
+        self.path, self.before, self.checks, self.width = path, before, (), 0
+        self.ids: list[str] = []
+        self.line_nos: list[np.ndarray] = []
+        self.blocks: list[list[np.ndarray]] = []  # each block's scores, column by column
+
+    def take(self, f: _Fields) -> None:
+        if not self.checks:
+            records = _records(self.before, _MEASURE, _line_fault(self.path)) if self.before else ()
+            first = next((g for g in records if g.text[:1] != "#"), f)
+            self.width = int(first.tabs[0]) + 1
+            self.checks = _score_checks(self.path, int(first.numbers[0]), self.width)
+        self.ids += f.take(0)  # splits the block: the checks read the scores from that split
+        _judge(f, self.checks, strict=True)
+        self.line_nos.append(f.numbers)
+        self.blocks.append([f.floats(k) for k in range(1, self.width)])
 
     def __reduce__(self) -> tuple:
         # the ids cross a pipe as one string: 50,000 ids pickled one by one
         # took 6-8 ms each way, joined 1 ms and split 3-5 ms
-        return _unjoined, (self.width, "\n".join(self.ids), *self[2:])
+        return _unjoined, (self.width, "\n".join(self.ids), self.line_nos, self.blocks)
 
 
-def _unjoined(width: int, ids: str, *rest: object) -> _ScorePart:
-    return _ScorePart(width, ids.split("\n") if ids else [], *rest)
-
-
-def _score_part(path: str, stream: IO, line_no: int, before: IO | None) -> _ScorePart:
-    """Read one part of score file ``path``; the rows are checked against
-    the file's first row, found in ``before`` unless the part holds it."""
-    checks: tuple[_Check, ...] = ()
-    width = 0
-    ids: list[str] = []
-    line_nos: list[np.ndarray] = []
-    blocks: list[list[np.ndarray]] = []  # each block's scores, column by column
-    headers: list[tuple[int, str, bool]] = []
-    try:
-        records = _records(before, _MEASURE, _line_fault(path)) if before else ()
-        first = next((f for f in records if f.text[:1] != "#"), None)
-        for f in _records(stream, _MEASURE, _line_fault(path), line_no):
-            if f.text[:1] == "#":  # the header: no record starts with "#"
-                headers.append((int(f.numbers[0]), f.text, bool(ids)))
-                continue
-            if not checks:
-                first = first or f
-                width = int(first.tabs[0]) + 1
-                checks = _score_checks(path, int(first.numbers[0]), width)
-            ids += f.take(0)  # splits the block: the checks read the scores from that split
-            _judge(f, checks, strict=True)
-            line_nos.append(f.numbers)
-            blocks.append([f.floats(k) for k in range(1, width)])
-    except IpRankError as exc:  # a faulty line: the lines after it go unread
-        return _ScorePart(width, ids, line_nos, blocks, headers, exc)
-    return _ScorePart(width, ids, line_nos, blocks, headers, None)
+def _unjoined(width: int, ids: str, line_nos: list, blocks: list) -> _ScorePart:
+    part = _ScorePart("", None)
+    part.width, part.line_nos, part.blocks = width, line_nos, blocks
+    part.ids = ids.split("\n") if ids else []
+    return part
 
 
 def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
@@ -454,20 +438,17 @@ def read_score_columns(path: str) -> tuple[str, dict[str, ScoreVector]]:
     :class:`ConfigInvalid`."""
     _bind_layers()
     with open(path, "rb") as fh:
-        parts = _in_parts(fh, lambda *part: _score_part(path, *part))
-    label = None
+        header, parts = _in_parts(
+            fh, lambda before: _ScorePart(path, before), _MEASURE,
+            lambda line_no, _: ConfigInvalid(f"line {line_no} of {path}: a second or late header"),
+            late=True, fault=_line_fault(path),
+        )
     ids: list[str] = []
-    for part in parts:  # in file order, so the first fault is raised
-        for line_no, line, late in part.headers:
-            if label is not None or ids or late:
-                raise ConfigInvalid(f"line {line_no} of {path}: a second or late header")
-            label = line.split("=", 1)[1]
-        if part.error is not None:
-            raise part.error
+    for part in parts:
         ids += part.ids
     if not ids:
         raise MissingInput(f"no score rows found in {path}")
-    label = "scores" if label is None else label
+    label = "scores" if header is None else header[1].split("=", 1)[1]
     width = max(part.width for part in parts)
     values = [np.concatenate(column) for column in zip(*(b for p in parts for b in p.blocks))]
     if not all(map(operator.lt, ids, ids[1:])):  # not written in id order

@@ -21,10 +21,10 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, IpRankError, UnparsableLine
+from .errors import InvalidParams, UnparsableLine
 from .ingest import (
-    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _Check, _Columns, _columns, _Frozen,
-    _Ids, _in_order, _in_parts, _Interner, _judge, _line_test, _lookup, _picked, _records,
+    _EMPTY_USER, _HASH_ID, ActivityLog, FollowEdgeList, _Check, _Columns, _columns, _Fields,
+    _Frozen, _Ids, _in_order, _in_parts, _Interner, _judge, _line_test, _lookup, _picked,
     _rejects_float, _run_starts, _same_id, _set, _sorted_ids, _tsv_rows,
 )
 
@@ -241,44 +241,26 @@ _GRAPH = (
 )
 
 
-class _GraphPart(NamedTuple):
+class _GraphPart:
     """What one part of a graph file holds: its tokens; the first token and
     count of each block's arcs, whose sources' tokens are followed by their
-    targets'; each arc's weight and line number; its ``#nodes=`` headers as
-    (line number, line); and the error of its first faulty line."""
+    targets'; and each arc's weight and line number. Nothing before the
+    part bears on it."""
 
-    tokens: _Interner
-    spans: list[tuple[int, int]]
-    arcs: _Columns
-    headers: list[tuple[int, str]]
-    error: IpRankError | None
+    def __init__(self, before: object) -> None:
+        self.tokens, self.spans, self.arcs = _Interner(), [], _Columns("dq")  # weight, line
 
-
-def _graph_part(stream: IO | str | bytes, line_no: int, before: object) -> _GraphPart:
-    """Read one part of a graph file, its first line numbered ``line_no``;
-    nothing before the part bears on it."""
-    tokens = _Interner()
-    spans: list[tuple[int, int]] = []
-    arcs = _Columns("dq")  # weight, line
-    headers: list[tuple[int, str]] = []
-    try:
-        for f in _records(stream, headers=("#nodes=",), line_no=line_no):
-            if f.text[:1] == "#":  # a header: no record starts with "#"
-                headers.append((int(f.numbers[0]), f.text))
-                continue
-            if "\t-\t-" in f.text:  # a node line ``i - -`` is no arc; others have no "\t-\t-"
-                node = (f.fields() == 3) & (f.size(0) > 0) & (f.size(1) == 1) & (f.size(2) == 1)
-                node &= f.starts(1, "-") & f.starts(2, "-")
-                tokens.of(f, (0,), sel=np.flatnonzero(node))  # the node's id, for the table
-                f.drop(node)
-            _judge(f, _GRAPH, strict=True)
-            if f.rows.size:
-                spans.append((int(tokens.of(f, (0, 1))[0]), f.rows.size))
-                tokens.of(f, (0, 1), 1)
-                arcs.append(f.floats(2), f.numbers[f.rows])
-    except IpRankError as exc:  # the part's first faulty line: the lines after it go unread
-        return _GraphPart(tokens, spans, arcs, headers, exc)
-    return _GraphPart(tokens, spans, arcs, headers, None)
+    def take(self, f: _Fields) -> None:
+        if "\t-\t-" in f.text:  # a node line ``i - -`` is no arc; others have no "\t-\t-"
+            node = (f.fields() == 3) & (f.size(0) > 0) & (f.size(1) == 1) & (f.size(2) == 1)
+            node &= f.starts(1, "-") & f.starts(2, "-")
+            self.tokens.of(f, (0,), sel=np.flatnonzero(node))  # the node's id, for the table
+            f.drop(node)
+        _judge(f, _GRAPH, strict=True)
+        if f.rows.size:
+            self.spans.append((int(self.tokens.of(f, (0, 1))[0]), f.rows.size))
+            self.tokens.of(f, (0, 1), 1)
+            self.arcs.append(f.floats(2), f.numbers[f.rows])
 
 
 def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
@@ -287,15 +269,9 @@ def graph_from_tsv(stream: IO | str | bytes) -> InfluenceGraph:
     or one that the file's arcs and nodes do not match raises
     :class:`UnparsableLine`. A repeat, quoted as it reads back, and a
     mismatched header are found once the file is read."""
-    parts = _in_parts(stream, _graph_part)
-    header = None
-    for part in parts:  # in file order, so the first fault is raised
-        for line in part.headers:
-            if header is not None:
-                raise UnparsableLine(*line, "a second header")
-            header = line
-        if part.error is not None:
-            raise part.error
+    header, parts = _in_parts(
+        stream, _GraphPart, ("#nodes=",), lambda *line: UnparsableLine(*line, "a second header")
+    )
     tokens, firsts = _Interner.joined([part.tokens for part in parts])
     spans = [(first + at, n) for part, first in zip(parts, firsts) for at, n in part.spans]
     weights, line_nos = map(np.concatenate, zip(*(part.arcs.arrays() for part in parts)))

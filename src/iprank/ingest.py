@@ -22,9 +22,9 @@ start with ``#``. Each format is declared once, as an ordered list of column
 checks (``_EVENTS``, ``_FOLLOWS`` and ``_CLICKS`` here, ``graphs._GRAPH``,
 ``cli._score_checks``), which :func:`_judge` runs over each block: a line's
 error is the first check it fails, so the order decides which error a line
-with several faults reports. A large graph or score file is read, and large
-row sets are written, in parts on every CPU (:func:`_in_parts`,
-:func:`_tsv_rows`).
+with several faults reports. Large row sets are written in parts on every
+CPU (:func:`_tsv_rows`), and a large graph or score file is read so by one
+protocol, :func:`_in_parts`: the reader gives only its block rules.
 """
 
 from __future__ import annotations
@@ -555,30 +555,60 @@ def _cut(fd: int, pos: int) -> int:
 
 
 def _in_parts(
-    stream: IO | str | bytes, read: Callable[[IO | str | bytes, int, _Range | None], T]
-) -> list[T]:
-    """``read(part, line_no, before)`` of each part of ``stream`` in file
-    order. A binary file of ``_PART_BYTES`` or more from its position on
+    stream: IO | str | bytes, new: Callable[[_Range | None], T], headers: tuple[str, ...],
+    misplaced: Callable[[int, str], IpRankError], late: bool = False,
+    fault: Callable[[int, str, str], IpRankError] = UnparsableLine,
+) -> tuple[tuple[int, str] | None, list[T]]:
+    """Read ``stream`` in parts, the one protocol of the graph and score
+    readers. A binary file of ``_PART_BYTES`` or more from its position on
     splits into line-aligned byte ranges, one per CPU (:func:`_part_count`),
-    each read in a process of its own (:func:`_forked`); ``line_no`` is the
-    number of a range's first line, and ``before`` the bytes between the
-    stream's position and the range. Anything else is one part: the stream
-    itself, line 1, and None."""
+    each read in a process of its own (:func:`_forked`); anything else is
+    one part. A part runs :func:`_records` with the format's ``headers`` and
+    line ``fault``, keeps its header lines, and hands each other block ``f``
+    to its payload, made by ``new(before)``, as ``take(f)``: ``before`` is
+    the bytes between the stream's position and the part, None for the
+    first. A part stops at its first faulty line. Walked in file order, a
+    second header, or with ``late`` one after a record, raises
+    ``misplaced(line_no, line)``, then a part's fault is raised. Returns the
+    header as (line number, line), or None, and each part's payload."""
     size = 0
     if isinstance(stream, io.BufferedReader) and stream.seekable():
         fd, start = stream.fileno(), stream.tell()
         size = os.fstat(fd).st_size - start
     n = _part_count(size, _PART_BYTES)
     cuts = n > 1 and sorted({_cut(fd, start + size * k // n) for k in range(1, n)} - {start + size})
-    if not cuts:
-        return [read(stream, 1, None)]
 
-    def part(lo: int, hi: int) -> T:
+    def read(part: IO | str | bytes, line_no: int, before: _Range | None) -> tuple:
+        heads: list[tuple[int, str, bool]] = []  # with whether a record of the part came before
+        payload, took = new(before), False
+        try:
+            for f in _records(part, headers, fault, line_no):
+                if f.text[:1] == "#":  # a header: no record starts with "#"
+                    heads.append((int(f.numbers[0]), f.text, took))
+                else:
+                    took = True
+                    payload.take(f)
+        except IpRankError as exc:  # the part's first faulty line: the lines after it go unread
+            return heads, payload, exc, took
+        return heads, payload, None, took
+
+    def ranged(lo: int, hi: int) -> tuple:
         line_no = 1 + _line_ends(_Range(fd, start, lo))
         return read(_Range(fd, lo, hi), line_no, _Range(fd, start, lo) if lo > start else None)
 
-    bounds = [start, *cuts, start + size]
-    return _forked([partial(part, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    bounds = [start, *cuts, start + size] if cuts else []
+    tasks = [partial(ranged, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    outcomes = _forked(tasks or [partial(read, stream, 1, None)])
+    header, seen = None, False
+    for heads, _, error, took in outcomes:  # in file order, so the first fault is raised
+        for line_no, line, after in heads:
+            if header is not None or late and (seen or after):
+                raise misplaced(line_no, line)
+            header = line_no, line
+        if error is not None:
+            raise error
+        seen = seen or took
+    return header, [payload for _, payload, _, _ in outcomes]
 
 
 def _blocks(stream: IO | str | bytes) -> Iterator[tuple[bytes, bool]]:
@@ -707,7 +737,7 @@ class _Fields:
         value = np.where(self.starts(k, "-"), -value, value)
         long = np.flatnonzero(self.overlong(k))
         if long.size:
-            value[long] = list(map(int, self.take(k, long)))
+            value[long] = list(map(int, map(_unpadded, self.take(k, long))))
         return value
 
     def overlong(self, k: int) -> np.ndarray:
@@ -994,6 +1024,14 @@ def _not_integer(k: int) -> Callable[[_Fields], np.ndarray]:
     return bad
 
 
+def _unpadded(t: str) -> str:
+    """An integer field as ``str(int(t))`` writes it, without ``int()``,
+    which refuses over 4,300 digits: its leading zeros go, so a zero-padded
+    value reads as itself, and a value still too long is known by its length."""
+    digits = t.lstrip("-").lstrip("0")
+    return "-" + digits if digits and t[:1] == "-" else digits or "0"
+
+
 def _floats(tokens: list[str]) -> np.ndarray:
     """``float()`` of each token, NaN where ``float()`` rejects it."""
     try:
@@ -1024,9 +1062,12 @@ _EVENTS = (
     _Check(_EMPTY_SOURCE, lambda f: f.size(4) == 0),
     _Check(_SELF_CREDIT, _same_id(1, 4)),
     _Check(_HASH_ID, lambda f: f.starts(4, "#")),
-    _Check(  # only a time of over ``_DIGITS`` digits may not fit in 64 bits
-        "time out of 64-bit range: {0!r}",
-        _line_test(lambda f: f.overlong(0), lambda t: not -(2**63) <= int(t) < 2**63, 0),
+    _Check(  # only a time of over ``_DIGITS`` digits may not fit in 64 bits, and any
+        "time out of 64-bit range: {0!r}",  # that fits has 20 characters at most
+        _line_test(
+            lambda f: f.overlong(0),
+            lambda t: len(u := _unpadded(t)) > 20 or not -(2**63) <= int(u) < 2**63, 0,
+        ),
     ),
 )
 _FOLLOWS = (
@@ -1039,13 +1080,16 @@ _CLICKS = (
     _Check("expected 'url count'", lambda f: (f.fields() != 2) | (f.size(0) == 0)),
     _Check("not a base-10 integer: {1!r}", _not_integer(1)),
     _Check(
-        lambda parts: f"negative count {int(parts[1])}",
-        _line_test(lambda f: f.starts(1, "-"), lambda t: int(t) < 0, 1),
+        lambda parts: f"negative count {_unpadded(parts[1])}",
+        _line_test(lambda f: f.starts(1, "-"), lambda t: _unpadded(t) != "0", 1),
         lambda line_no, line, reason: NegativeCount(f"line {line_no}: {reason}"),
     ),
     _Check(  # only a count of over ``_DIGITS`` digits may be past the float range
         "count too large for a float",
-        _line_test(lambda f: f.overlong(1), lambda t: int(t) >= _FLOAT_BOUND, 1),
+        _line_test(
+            lambda f: f.overlong(1),
+            lambda t: len(u := _unpadded(t)) > 309 or int(u) >= _FLOAT_BOUND, 1,
+        ),
     ),
 )
 
@@ -1119,7 +1163,8 @@ def parse_clicks(
     skipped = 0
     for f in _records(stream):
         skipped += _judge(f, _CLICKS, strict)
-        rows += zip(f.take(0), map(int, f.take(1)))
+        counts = f.take(1)  # only a count of over ``_DIGITS`` digits may be padded past int()
+        rows += zip(f.take(0), map(int, map(_unpadded, counts) if f.overlong(1).any() else counts))
     # in count order, so each URL's largest count is the last one stored
     return ClickTable(dict(sorted(rows, key=operator.itemgetter(1))), skipped=skipped)
 

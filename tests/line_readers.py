@@ -8,6 +8,7 @@ result, skipped count or first error as the block reader of its format.
 
 import operator
 import re
+from decimal import Decimal
 
 from iprank.baselines import ScoreVector
 from iprank.errors import ConfigInvalid, EmptyInput, MissingInput, NegativeCount, UnparsableLine
@@ -58,7 +59,7 @@ def event_reason(parts):
             return "retweet credits its own author"
         if source[0] == "#":
             return HASH_ID
-    if not -(2**63) <= int(time) < 2**63:
+    if not -(2**63) <= Decimal(time) < 2**63:  # a Decimal, as int() refuses over 4,300 digits
         return f"time out of 64-bit range: {time!r}"
     return None
 
@@ -81,7 +82,7 @@ def click_fault(line_no, line):
     reason = "expected 'url count'" if len(parts) != 2 or not parts[0] else int_error(parts[1])
     if reason is not None:
         return UnparsableLine(line_no, line, reason)
-    count = int(parts[1])
+    count = Decimal(parts[1])  # exact at any length, and printed without leading zeros
     if count < 0:
         return NegativeCount(f"line {line_no}: negative count {count}")
     if count >= 2**1024 - 2**970:  # the least integer float() refuses
@@ -116,7 +117,8 @@ def read_events(text, strict=True):
     kept, skipped = _lines(text, _unparsable(event_reason), strict)
     if not kept:
         raise EmptyInput("no events parsed")
-    return log_of([(int(p[0]), p[1], p[2], p[4] if len(p) == 5 else None) for p in kept], skipped)
+    events = [(int(Decimal(p[0])), p[1], p[2], p[4] if len(p) == 5 else None) for p in kept]
+    return log_of(events, skipped)
 
 
 def read_follows(text, strict=True):
@@ -130,7 +132,7 @@ def read_clicks(text, strict=True):
     kept, skipped = _lines(text, click_fault, strict)
     clicks = {}
     for url, count in kept:
-        clicks[url] = max(clicks.get(url, 0), int(count))
+        clicks[url] = max(clicks.get(url, 0), int(Decimal(count)))
     return ClickTable(clicks, skipped)
 
 

@@ -274,6 +274,15 @@ class TestPercentileCurve:
         with pytest.raises(InvalidParams):
             percentile_curve([1.0], [1.0], bin_count=0)
 
+    def test_more_bins_than_numpy_can_allocate_is_invalid(self):
+        # numpy refuses 10**30 + 1 edges before allocating any: a count it
+        # would try to allocate (3e9 edges, about 24 GB) is not run here
+        with pytest.raises(InvalidParams, match="bin_count 10+ is too large to allocate"):
+            percentile_curve([1.0, 10.0], [2.0, 20.0], bin_count=10**30)
+        # one distinct attribute spaces no edges: one bin at any count
+        one = percentile_curve([3.0, 3.0], [1.0, 2.0], bin_count=1)
+        assert percentile_curve([3.0, 3.0], [1.0, 2.0], bin_count=10**30) == one
+
     def test_fit_on_powerlaw(self):
         # one point per bin; log-centers are evenly spaced at 0.75 apart while
         # log-y steps by 2, so the collinear OLS slope is exactly 2 / 0.75

@@ -921,6 +921,41 @@ class TestUnreadableInput:
         assert "\t1.7976931348623157e+308\n" in (out / "curve.tsv").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("mode", ["--strict", "--lenient"])
+    @pytest.mark.parametrize("case", ["time", "count", "bin-count"])
+    def test_a_number_past_what_int_or_numpy_takes_is_a_data_error(
+        self, tmp_path, capsys, mode, case
+    ):
+        """A 5,000-digit time or click count (past ``int()``'s 4,300 digits)
+        is a faulty line, and more bins than numpy can allocate a bad parameter."""
+        events, clicks, out = tmp_path / "events.tsv", tmp_path / "clicks.tsv", tmp_path / "out"
+        times = ["1", "2", "3"]
+        counts = ["5", "2"]
+        argv = ("curve", "--measure", "hindex", "--events", events, "--clicks", clicks)
+        if case == "time":
+            times[1] = "9" * 5000
+            argv = ("build", "--events", events, "--min-urls", "1")
+            error, role = "UnparsableLine: line 2: time out of 64-bit range: '99", "events"
+        elif case == "count":
+            counts[0] = "7" * 5000
+            error, role = "UnparsableLine: line 1: count too large for a float: 'x", "clicks"
+        else:
+            argv += ("--bin-count", "1" + "0" * 30)
+            error = "InvalidParams: bin_count 1" + "0" * 30 + " is too large to allocate\n"
+        lines = zip(times, ["a\tx\tM", "b\tx\tRT\ta", "a\ty\tM"])
+        events.write_text("".join(f"{t}\t{rest}\n" for t, rest in lines), encoding="utf-8")
+        clicks.write_text(f"x\t{counts[0]}\ny\t{counts[1]}\n", encoding="utf-8")
+        code = run(*argv, mode, "--out-dir", out)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if mode == "--strict" or case == "bin-count":
+            assert code == 1
+            assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        else:
+            assert code == 0
+            path = events if role == "events" else clicks
+            assert err == f"warning: skipped 1 malformed {role} line(s) in {path}\n"
+
+    @pytest.mark.parametrize("mode", ["--strict", "--lenient"])
     @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
     def test_events_that_are_not_utf8_name_their_line(self, tmp_path, capsys, mode, newline):
         events = tmp_path / "events.tsv"

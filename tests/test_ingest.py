@@ -167,6 +167,30 @@ class TestEventLineRules:
         with pytest.raises(UnparsableLine):
             parse_events("9223372036854775808\tu1\ta\tM\n")
 
+    # past int()'s 4,300 digits: the field's leading zeros go before any int()
+    @pytest.mark.parametrize("time", [7, -7, 0, 2**63 - 1, -(2**63)])
+    def test_a_zero_padded_time_of_5000_digits_reads_as_its_value(self, time):
+        token = "-" * (time < 0) + f"{abs(time):05000d}"
+        log = parse_events(f"{token}\tu1\ta\tM\n8\tu2\tb\tM\n")
+        assert sorted(log.time.tolist()) == sorted([time, 8])
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "9" * 5000, "-" + "9" * 5000, "1" + "0" * 4999, "0" * 4981 + str(2**63),
+            "-" + "0" * 4980 + "9" * 20,
+        ],
+        ids=["nines", "negative-nines", "power-of-ten", "padded-2**63", "padded-negative-20-nines"],
+    )
+    def test_a_time_of_5000_digits_past_64_bits_is_a_line_error(self, token):
+        text = f"1\tu1\ta\tM\n{token}\tu2\tb\tM\n"
+        with pytest.raises(UnparsableLine) as info:
+            parse_events(text)
+        reason = f"time out of 64-bit range: {token!r}"
+        assert (info.value.line_no, info.value.reason) == (2, reason)
+        log = parse_events(text, strict=False)
+        assert (log.skipped, log.time.tolist(), log.user_ids) == (1, [1], ("u1",))
+
     @pytest.mark.parametrize(
         "line,reason",
         [
@@ -424,7 +448,10 @@ class TestParseClicks:
     # the least integer float() refuses; one less reads, as the largest finite float
     FLOAT_BOUND = 2**1024 - 2**970
 
-    @pytest.mark.parametrize("count", [FLOAT_BOUND, 10**400 - 1])
+    @pytest.mark.parametrize(
+        "count", [FLOAT_BOUND, 10**400 - 1, "7" * 5000, "0" * 4700 + str(FLOAT_BOUND)],
+        ids=["bound", "400-nines", "5000-sevens", "padded-bound"],
+    )
     def test_a_count_past_the_float_range_is_malformed(self, count):
         text = f"u1\t5\nu2\t{count}\n"
         with pytest.raises(UnparsableLine) as info:
@@ -437,6 +464,21 @@ class TestParseClicks:
         count = self.FLOAT_BOUND - 1
         assert parse_clicks(f"u\t{count:0400d}\n").clicks == {"u": count}
         assert float(count) == 1.7976931348623157e308
+
+    def test_a_zero_padded_count_of_5000_digits_reads_as_its_value(self):
+        counts = {"u0": 5, "u1": 0, "u2": self.FLOAT_BOUND - 1}
+        text = "".join(f"{url}\t{count:05000d}\n" for url, count in counts.items())
+        table = parse_clicks(text + "v\t-" + "0" * 5000 + "\n")  # -0: no negative count
+        assert table.clicks == {**counts, "v": 0}
+
+    @pytest.mark.parametrize("digits", ["9" * 4301, "0" * 5000 + "7"], ids=["4301-nines", "padded"])
+    def test_a_negative_count_past_int_digits_is_a_negative_count(self, digits):
+        text = f"u\t5\nv\t-{digits}\n"
+        with pytest.raises(NegativeCount) as info:
+            parse_clicks(text)
+        assert str(info.value) == f"line 2: negative count -{digits.lstrip('0')}"
+        table = parse_clicks(text, strict=False)
+        assert table.clicks == {"u": 5} and table.skipped == 1
 
     def test_malformed(self):
         with pytest.raises(UnparsableLine):

@@ -72,16 +72,40 @@ def _written(data):
     return path
 
 
-def _assert_parts_read_as_one(data, cuts):
+def _unforked(tasks):
+    """``ingest._forked`` with no fork: every task runs in this process, and
+    the outcome of each but the first, its result or the exception it
+    raised, crosses ``pickle`` as it would cross the pipe."""
+    outcomes = []
+    for k, task in enumerate(tasks):
+        try:
+            outcome = True, task()
+        except Exception as exc:
+            outcome = False, exc
+        if k:
+            outcome = pickle.loads(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        outcomes.append(outcome)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _assert_parts_read_as_one(data, cuts, unforked=()):
     """Each reader gives the same result, or the same first error, from
     ``data`` in one part and cut after the first line end at or after each
-    of ``cuts``, and leaves no child behind."""
+    of ``cuts``, and leaves no child behind. So it does too cut at each list
+    of ``unforked``, with the parts run in this process (:func:`_unforked`)."""
     path = _written(data)
     try:
         for name, read in READERS.items():
             one = _outcome(lambda: read(path))
             with parts(cuts=cuts):
                 assert _outcome(lambda: read(path)) == one, (name, cuts)
+            with patch.object(ingest, "_forked", _unforked):
+                for more in unforked:
+                    with parts(cuts=more):
+                        assert _outcome(lambda: read(path)) == one, (name, more)
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
     finally:
@@ -142,7 +166,9 @@ def test_a_file_read_in_parts_reads_as_in_one(data, cuts):
 
 def test_every_cut_of_a_file_reads_as_one_part():
     """Every line-aligned cut, into two and three parts, of files with a
-    fault, a second header, a repeat across parts and long ids."""
+    fault, a second header, a repeat across parts and long ids. The one-part
+    read is made once per reader and file; the cuts into two run their parts
+    in this process, and the cut into three forks."""
     texts = [
         "a\tb\t0.5\r\n" + "x" * 16 + "\tb\t1\r\nb\ta\t0.25\rb\t" + "x" * 16 + "\t1\n",
         # long ids first seen in one order before the cut and in the other after it
@@ -159,9 +185,8 @@ def test_every_cut_of_a_file_reads_as_one_part():
     ]
     for text in texts:
         data = text.encode()
-        for cut in range(len(data)):
-            _assert_parts_read_as_one(data, [cut])
-        _assert_parts_read_as_one(data, [len(data) // 3, 2 * len(data) // 3])
+        cuts = [[cut] for cut in range(len(data))]
+        _assert_parts_read_as_one(data, [len(data) // 3, 2 * len(data) // 3], cuts)
 
 
 def test_a_large_file_splits_one_part_per_cpu(tmp_path):

@@ -739,6 +739,11 @@ def _assert_readers_match_references(text, sizes):
 @settings(max_examples=80, deadline=None)
 @given(TEXTS | mostly_valid_texts())
 @example("x\t5\ny\t-007\nz\t-0\n")  # a negative count, and -0, which is none
+# fields past int()'s 4,300 digits: padded values, a negative count, a time past 64 bits
+@example(
+    f"u\t{7:05000d}\nv\t-{'0' * 4999}\nw\t-{'9' * 4301}\n{-5:05000d}\tu\tx\tM\n"
+    f"{'9' * 5000}\tv\tx\tM\n{'0' * 4981}{2**63}\tw\ty\tM\n2\tu\ty\tM\n"
+)
 @example("#nodes=1 arcs=0\na\t-\t-\n#nodes=1 arcs=0\n")  # a second header
 def test_every_reader_matches_its_line_loop_reference(text):
     """Each reader gives what its reference gives: the same result and
